@@ -72,6 +72,6 @@ from .space import (
     is_log_case,
     normalization,
 )
-from .weakform import DiracTable, TestBump, dirac_limit, weak_pairing
+from .weakform import DiracTable, dirac_limit, weak_pairing
 
 __all__ = [name for name in dir() if not name.startswith("_")]

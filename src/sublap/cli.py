@@ -19,24 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .capacity import capacity_three_way
+from .capacity import capacity_three_way, closed_form_capacity, mc_energy, minimize_radial
 from .errors import ConfigurationError, DomainError
-from .fields import CutoffBump, FundamentalProfile, GaugePsi
-from .frame import (
-    bracket_comparison,
-    horizontal_gradient,
-    infinity_laplacian,
-    p_laplacian,
-)
+from .extrapolation import geometric_limit
+from .fields import CutoffBump, FundamentalProfile, GaugePsi, gauge_parts
+from .frame import bracket_comparison, infinity_laplacian, p_laplacian
 from .montecarlo import (
+    STREAM_BALL,
     ball_measure,
     density_limit,
+    grad_psi_norm_sq,
     resolve_threads,
     sample_points,
-    shell_integral_extrapolated,
     sigma_p,
 )
-from .space import SpaceParams, exponents, is_log_case
+from .space import SpaceParams, is_log_case
 from .weakform import dirac_limit
 
 REPORT_SCHEMA = "sublap-report-v1"
@@ -262,12 +259,13 @@ def _cmd_verify_fundamental(cfg: RunConfig) -> list[dict]:
     pts = sample_points(params, cfg.points, cfg.seed)
     profile = FundamentalProfile(params, cfg.p)
     log_case = is_log_case(params, cfg.p)
-    worst = 0.0
-    for P in pts:
-        hg = horizontal_gradient(params, profile, P)
-        psi = GaugePsi(params).value(P)
-        scale = 1.0 + float(hg @ hg) ** ((cfg.p - 1.0) / 2.0) / psi
-        worst = max(worst, abs(p_laplacian(params, profile, P, cfg.p)) / scale)
+    lap = p_laplacian(params, profile, pts, cfg.p)
+    # scale 1 + |grad_0 f|^(p-1) / psi, with |grad_0 f| = |eta'(psi)| |grad_0 psi|
+    sigma, _, h = gauge_parts(params, pts)
+    psi = h ** (1.0 / (4 * params.k))
+    grad_norm = np.abs(profile.eta_prime(psi)) * np.sqrt(grad_psi_norm_sq(params, sigma, h))
+    scale = 1.0 + grad_norm ** (cfg.p - 1.0) / psi
+    worst = float(np.max(np.abs(lap) / scale))
     name = "max_scaled_p_laplacian_log_profile" if log_case else "max_scaled_p_laplacian_profile"
     return [_record(name, worst, tol=cfg.tol, passed=worst <= cfg.tol, exact=True)]
 
@@ -275,12 +273,10 @@ def _cmd_verify_fundamental(cfg: RunConfig) -> list[dict]:
 def _cmd_verify_infinity(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     pts = sample_points(params, cfg.points, cfg.seed)
-    psi_field = GaugePsi(params)
-    worst = 0.0
-    for P in pts:
-        hg = horizontal_gradient(params, psi_field, P)
-        scale = 1.0 + float(hg @ hg) ** 1.5
-        worst = max(worst, abs(infinity_laplacian(params, psi_field, P)) / scale)
+    lap = infinity_laplacian(params, GaugePsi(params), pts)
+    sigma, _, h = gauge_parts(params, pts)
+    scale = 1.0 + grad_psi_norm_sq(params, sigma, h) ** 1.5
+    worst = float(np.max(np.abs(lap) / scale))
     return [_record("max_scaled_infinity_laplacian_psi", worst, tol=cfg.tol,
                     passed=worst <= cfg.tol, exact=True)]
 
@@ -312,8 +308,6 @@ def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
     radii = cfg.radii
     # one substream per radius: the box sampler is scale-equivariant, so a
     # shared stream would make the constancy check vacuous
-    from .montecarlo import STREAM_BALL
-
     ests = [
         ball_measure(params, cfg.p, R, cfg.samples, cfg.seed, cfg.threads,
                      stream=STREAM_BALL + idx)
@@ -337,8 +331,6 @@ def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
 
 
 def _cmd_density(cfg: RunConfig) -> list[dict]:
-    from .extrapolation import geometric_limit
-
     params = cfg.space()
     bump = CutoffBump(params, cfg.bump_radius)
     rows = density_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
@@ -399,8 +391,6 @@ def _cmd_capacity(cfg: RunConfig) -> list[dict]:
                         passed=rel <= cfg.tol, exact=True)
             )
     else:
-        from .capacity import closed_form_capacity, mc_energy, minimize_radial
-
         if cfg.method == "closed-form":
             res = closed_form_capacity(params, cfg.p, cfg.r, cfg.R)
             out.append(_record("capacity[closed-form]", res.value, exact=True))
@@ -480,7 +470,11 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report, code = run(cfg)
+    try:
+        report, code = run(cfg)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = render_json(report) if cfg.format == "json" else render_csv(report)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

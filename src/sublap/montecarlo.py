@@ -157,9 +157,23 @@ def ball_measure(
     params: SpaceParams, p: float, R: float, samples: int, seed: int,
     threads: int | None = None, stream: int = STREAM_BALL,
 ) -> MCEstimate:
-    """V(B_R) = integral over {psi < R} of |grad_0 psi|^p."""
+    """V(B_R) = integral over {psi < R} of |grad_0 psi|^p.
+
+    Diverges for k < 1/2 and p >= 2n/(1-2k): |grad_0 psi|^p then blows up
+    like Sigma^((2k-1)p/2) on the axis {Sigma = 0}, faster than the
+    horizontal volume Sigma^(n-1) dSigma can absorb.
+    """
     if not p > 1:
         raise DomainError(f"p must exceed 1, got {p!r}")
+    if params.k < 0.5:
+        # the relative slack keeps the divergent endpoint p == 2n/(1-2k)
+        # rejected whichever way the bound rounds
+        p_div = 2 * params.n / (1.0 - 2 * params.k)
+        if p >= p_div * (1.0 - 1e-12):
+            raise DomainError(
+                f"the ball measure diverges for k < 1/2 and p >= 2n/(1-2k) = {p_div:g}, "
+                f"got p={p:g}"
+            )
     spec = ball_spec(params, R)
     bound = R ** (4 * params.k)
 

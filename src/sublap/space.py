@@ -117,6 +117,16 @@ def as_point(params: SpaceParams, P) -> np.ndarray:
     return P
 
 
+def as_points(params: SpaceParams, pts) -> np.ndarray:
+    """Validate a point (dim,) or a batch of points (N, dim) as a float array."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != params.dim:
+        raise ConfigurationError(
+            f"points must have shape ({params.dim},) or (N, {params.dim}), got {pts.shape}"
+        )
+    return pts
+
+
 def is_base_point(params: SpaceParams, P) -> bool:
     """Exact coordinate equality with x0 (callers wanting a tolerance use psi)."""
     return bool(np.all(as_point(params, P) == params.x0))

@@ -28,8 +28,6 @@ from .montecarlo import (
 )
 from .space import SpaceParams, normalization
 
-TestBump = CutoffBump
-
 
 def _check_bump(phi) -> None:
     if isinstance(phi, CutoffBump):

@@ -31,6 +31,18 @@ class TestExitCodes:
     def test_config_error_bad_space(self, capsys):
         assert main(["sigma", "--c", "0"] + FAST) == 1
 
+    def test_divergent_sigma_exits_one(self, capsys):
+        # k < 1/2 and p >= 2n/(1-2k): the measure diverges, no estimate
+        assert main(["sigma", "--k", "0.4", "--p", "12"] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "diverges" in captured.err
+
+    def test_k_one_half_sigma_is_finite(self, capsys):
+        code, out = run_cli(capsys, ["sigma", "--k", "0.5", "--p", "12"] + FAST)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] > 0
+
     def test_verification_failure_exits_two(self, capsys):
         code, out = run_cli(capsys, ["verify-fundamental", "--tol", "1e-30"] + FAST)
         assert code == 2

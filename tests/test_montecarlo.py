@@ -7,6 +7,7 @@ from sublap import (
     CutoffBump,
     DomainError,
     GaugeH,
+    SpaceParams,
     ball_measure,
     ball_spec,
     density_limit,
@@ -80,6 +81,16 @@ class TestBallMeasure:
             ratio = two.mean / one.mean
             sig = ratio * np.hypot(one.stderr / one.mean, two.stderr / two.mean)
             assert abs(ratio - target) <= 3.0 * sig
+
+    def test_divergent_for_small_k_and_large_p(self):
+        # the integral diverges for k < 1/2 and p >= 2n/(1-2k)
+        params = SpaceParams(1, 0.4, 1.0)  # bound 2 / 0.2 = 10
+        for p in (10.0, 12.0):
+            with pytest.raises(DomainError, match="diverges"):
+                ball_measure(params, p, 1.0, SAMPLES, 3)
+        assert np.isfinite(ball_measure(params, 9.5, 1.0, 10**4, 3).mean)
+        # k = 1/2 keeps |grad_0 psi| bounded by |c|: finite for every p
+        assert np.isfinite(sigma_p(SpaceParams(1, 0.5, 1.0), 12.0, 10**4, 3).mean)
 
     def test_vanishing_radius(self, setup_a):
         est = ball_measure(setup_a, 2.0, 1e-3, SAMPLES, 9)

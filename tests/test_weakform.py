@@ -8,7 +8,6 @@ from sublap import (
     FundamentalProfile,
     GaugePsi,
     LinearCombination,
-    TestBump,
     dirac_limit,
     gauge,
     sample_points,
@@ -45,9 +44,6 @@ class TestBumpField:
             vals.append(abs(jet.value) + np.abs(jet.grad).max())
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-300
-
-    def test_alias(self):
-        assert TestBump is CutoffBump
 
 
 class TestWeakPairing:
