@@ -16,8 +16,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, DomainError
-from .fields import AnnulusPotential, annulus_potential, gauge_parts
+from .fields import AnnulusPotential, annulus_potential
 from .montecarlo import (
+    Band,
     MCEstimate,
     STREAM_ENERGY,
     STREAM_SIGMA_COMPANION,
@@ -199,32 +200,29 @@ def minimize_radial(
 
 def mc_energy(
     params: SpaceParams, p: float, r: float, R: float, samples: int, seed: int,
-    threads: int | None = None,
+    threads: int | None = None, sigma: MCEstimate | None = None,
 ) -> MCEstimate:
     """MC annulus energy of the explicit potential, divided by an independent
-    sigma_p run of the same seed; mean is in sigma_p units."""
+    sigma_p run of the same seed; mean is in sigma_p units.
+
+    sigma_p is estimated on the companion stream unless supplied.
+    """
     potential = AnnulusPotential(params, p, r, R)
     k = params.k
-    spec = ball_spec(params, R)
-    lo_bound = r ** (4 * k)
-    hi_bound = R ** (4 * k)
 
-    def integrand(pts):
-        sigma, _, h = gauge_parts(params, pts)
-        inside = (h > lo_bound) & (h < hi_bound)
-        vals = np.zeros(pts.shape[0])
-        hs = h[inside]
-        psi = hs ** (1.0 / (4 * k))
-        m2 = grad_psi_norm_sq(params, sigma[inside], hs)
-        vals[inside] = np.abs(potential.eta_prime(psi)) ** p * m2 ** (p / 2.0)
-        return vals, int(inside.sum())
+    def weight(Sigma, h, _):
+        psi = h ** (1.0 / (4 * k))
+        m2 = grad_psi_norm_sq(params, Sigma, h)
+        return np.abs(potential.eta_prime(psi)) ** p * m2 ** (p / 2.0)
 
+    band = Band(hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
     mean, stderr, acc = _mc_over_box(
-        params, spec, integrand, samples, seed, STREAM_ENERGY, threads
+        params, ball_spec(params, R), band, samples, seed, STREAM_ENERGY, threads
     )
-    sig = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
-    ratio = mean / sig.mean
-    rel = np.hypot(stderr / mean if mean != 0 else 0.0, sig.stderr / sig.mean)
+    if sigma is None:
+        sigma = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
+    ratio = mean / sigma.mean
+    rel = np.hypot(stderr / mean if mean != 0 else 0.0, sigma.stderr / sigma.mean)
     return MCEstimate(
         mean=ratio, stderr=abs(ratio) * float(rel), samples=samples, seed=seed,
         accepted=acc,
@@ -239,8 +237,8 @@ def capacity_three_way(
     closed = closed_form_capacity(params, p, r, R)
     _, energy = minimize_radial(params, p, r, R, m_knots)
     variational = CapacityResult(method="radial-variational", value=energy)
-    est = mc_energy(params, p, r, R, samples, seed, threads)
     sig = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
+    est = mc_energy(params, p, r, R, samples, seed, threads, sigma=sig)
     mc = CapacityResult(
         method="mc-energy", value=est.mean, sigma_p_used=sig, stderr=est.stderr
     )

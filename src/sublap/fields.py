@@ -1,8 +1,10 @@
 """Scalar fields on R^(2n+1) with exact 2-jets and vectorized evaluation.
 
 Each field offers jet(pts) for the calculus, on one point (dim,) or a batch
-(N, dim), and values(pts) for bulk Monte Carlo work on an (N, dim) array of
-points.  The Monte Carlo fields override values() with value-only code.
+(N, dim), and values(pts) for bulk work on an (N, dim) array of points.
+Fields that depend on the point through h alone (HFunction) define their
+value-only code once, as values_of_h(h): the Monte Carlo kernel calls it on
+the h it already holds, and values(pts) computes h first.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ class ScalarField:
 
     tag = "user-composite"
     dim: int
+    # True when the field is a function of h alone and defines values_of_h.
+    h_only = False
 
     def jet(self, pts) -> Jet2:
         """2-jet at a point (dim,) or at each row of a batch (N, dim)."""
@@ -39,18 +43,67 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-def gauge_parts(params: SpaceParams, pts: np.ndarray):
-    """Vectorized (Sigma, tau, h) over an (N, dim) array of points."""
-    pts = np.asarray(pts, dtype=float)
-    u = pts[:, : 2 * params.n] - params.a
-    tau = pts[:, 2 * params.n] - params.s
-    sigma = np.einsum("ij,ij->i", u, u)
+def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo=None, width=None):
+    """(Sigma, tau, h) of N points, built one coordinate column at a time.
+
+    The points are the rows of `cols` (N, dim) or, given a box, the rows of
+    lo + cols * width (then `cols` holds uniform draws in [0, 1)); no
+    (N, dim) point array is formed.  Sigma adds the squared horizontal
+    offsets in the order of numpy's einsum("ij,ij->i") kernel on its
+    two-lane (SSE2) baseline: even and odd columns in separate lanes, each
+    run of eight columns folded in last to first, the two lanes added at
+    the end.  Sigma is then bit-identical to the einsum of the offsets.
+    """
+    n2 = 2 * params.n
+    x0 = params.x0
+
+    def offset(j):
+        if width is None:
+            return cols[:, j] - x0[j]
+        u = cols[:, j] * width[j]
+        u += lo[j]
+        u -= x0[j]
+        return u
+
+    order = []
+    while n2 - len(order) >= 8:
+        j = len(order)
+        order += [j + 6, j + 4, j + 2, j, j + 7, j + 5, j + 3, j + 1]
+    order += range(len(order), n2)
+    lanes = [None, None]
+    for j in order:
+        sq = offset(j)
+        sq *= sq
+        if lanes[j % 2] is None:
+            lanes[j % 2] = sq
+        else:
+            lanes[j % 2] += sq
+    sigma = lanes[0] + lanes[1]
+    tau = offset(n2)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = params.c**2 * sigma ** (2 * params.k) + tau * tau
     return sigma, tau, h
 
 
-class GaugeH(ScalarField):
+def gauge_parts(params: SpaceParams, pts: np.ndarray):
+    """Vectorized (Sigma, tau, h) over an (N, dim) array of points."""
+    return column_gauge_parts(params, np.asarray(pts, dtype=float))
+
+
+class HFunction(ScalarField):
+    """A field that depends on the point through h alone."""
+
+    h_only = True
+    params: SpaceParams
+
+    def values_of_h(self, h: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def values(self, pts) -> np.ndarray:
+        return self.values_of_h(gauge_parts(self.params, pts)[2])
+
+
+class GaugeH(HFunction):
     """h = c^2 Sigma^(2k) + (t-s)^2; polynomial-exact when 2k is an integer."""
 
     tag = "gauge-h"
@@ -80,11 +133,11 @@ class GaugeH(ScalarField):
             raise SingularPointError(message)
         return hj
 
-    def values(self, pts) -> np.ndarray:
-        return gauge_parts(self.params, pts)[2]
+    def values_of_h(self, h) -> np.ndarray:
+        return h
 
 
-class GaugePsi(ScalarField):
+class GaugePsi(HFunction):
     """psi = h^(1/(4k)); not differentiable at the base point."""
 
     tag = "gauge-psi"
@@ -98,12 +151,11 @@ class GaugePsi(ScalarField):
         hj = self._h.jet_off_base(pts, "psi has no 2-jet at the base point")
         return hj ** (1.0 / (4 * self.params.k))
 
-    def values(self, pts) -> np.ndarray:
-        h = self._h.values(pts)
+    def values_of_h(self, h) -> np.ndarray:
         return h ** (1.0 / (4 * self.params.k))
 
 
-class FundamentalProfile(ScalarField):
+class FundamentalProfile(HFunction):
     """scale * psi^alpha for p != Q, scale * log(psi) for p == Q."""
 
     def __init__(self, params: SpaceParams, p: float, scale: float = 1.0):
@@ -121,8 +173,7 @@ class FundamentalProfile(ScalarField):
             return (self.scale / (4 * self.params.k)) * hj.log()
         return self.scale * hj**self.exps.w
 
-    def values(self, pts) -> np.ndarray:
-        h = self._h.values(pts)
+    def values_of_h(self, h) -> np.ndarray:
         if self.exps.is_log_case:
             return self.scale / (4 * self.params.k) * np.log(h)
         return self.scale * h**self.exps.w
@@ -185,7 +236,7 @@ class Polynomial(ScalarField):
         )
 
 
-class CutoffBump(ScalarField):
+class CutoffBump(HFunction):
     """Smooth compactly supported bump built from h.
 
     phi = amplitude * exp(-h / (R0^(4k) - h)) on {h < R0^(4k)}, 0 outside.
@@ -212,17 +263,15 @@ class CutoffBump(ScalarField):
         inner = hj.select(outside)
         return (self.amplitude * (-(inner / (self.B - inner))).exp()).select(outside)
 
-    def values(self, pts) -> np.ndarray:
-        h = self._h.values(pts)
+    def values_of_h(self, h) -> np.ndarray:
         inside = h < self.B
         out = np.zeros_like(h)
         hs = h[inside]
         out[inside] = self.amplitude * np.exp(-hs / (self.B - hs))
         return out
 
-    def d_dh(self, pts) -> np.ndarray:
-        """d phi / dh, vectorized (phi is a function of h alone)."""
-        h = self._h.values(pts)
+    def d_dh_of_h(self, h) -> np.ndarray:
+        """d phi / dh as a function of h."""
         inside = h < self.B * (1.0 - 1e-12)
         out = np.zeros_like(h)
         hs = h[inside]
@@ -233,6 +282,10 @@ class CutoffBump(ScalarField):
             * np.exp(-hs / (self.B - hs))
         )
         return out
+
+    def d_dh(self, pts) -> np.ndarray:
+        """d phi / dh at each of an (N, dim) array of points."""
+        return self.d_dh_of_h(gauge_parts(self.params, pts)[2])
 
     def value_at_center(self) -> float:
         return self.amplitude
@@ -249,6 +302,7 @@ class LinearCombination(ScalarField):
         self.dim = fields[0].dim
         if any(f.dim != self.dim for f in fields):
             raise DomainError("all fields must share a dimension")
+        self.h_only = all(f.h_only for f in self.fields)
 
     def jet(self, pts) -> Jet2:
         out = self.weights[0] * self.fields[0].jet(pts)
@@ -256,17 +310,23 @@ class LinearCombination(ScalarField):
             out = out + w * f.jet(pts)
         return out
 
-    def values(self, pts) -> np.ndarray:
-        out = self.weights[0] * self.fields[0].values(pts)
+    def _combine(self, method: str, arg) -> np.ndarray:
+        out = self.weights[0] * getattr(self.fields[0], method)(arg)
         for f, w in zip(self.fields[1:], self.weights[1:]):
-            out = out + w * f.values(pts)
+            out = out + w * getattr(f, method)(arg)
         return out
 
+    def values(self, pts) -> np.ndarray:
+        return self._combine("values", pts)
+
+    def values_of_h(self, h) -> np.ndarray:
+        return self._combine("values_of_h", h)
+
     def d_dh(self, pts) -> np.ndarray:
-        out = self.weights[0] * self.fields[0].d_dh(pts)
-        for f, w in zip(self.fields[1:], self.weights[1:]):
-            out = out + w * f.d_dh(pts)
-        return out
+        return self._combine("d_dh", pts)
+
+    def d_dh_of_h(self, h) -> np.ndarray:
+        return self._combine("d_dh_of_h", h)
 
     def value_at_center(self) -> float:
         return sum(
@@ -274,7 +334,7 @@ class LinearCombination(ScalarField):
         )
 
 
-class AnnulusPotential(ScalarField):
+class AnnulusPotential(HFunction):
     """The explicit p-harmonic potential on the gauge annulus r < psi < R.
 
     (psi^alpha - R^alpha) / (r^alpha - R^alpha) for p != Q, the log analogue
@@ -305,8 +365,7 @@ class AnnulusPotential(ScalarField):
             return (hj.log() / k4 - np.log(self.R)) / self._den
         return (hj ** (self.exps.alpha / k4) - self.R**self.exps.alpha) / self._den
 
-    def values(self, pts) -> np.ndarray:
-        h = self._h.values(pts)
+    def values_of_h(self, h) -> np.ndarray:
         k4 = 4 * self.params.k
         if self.exps.is_log_case:
             return (np.log(h) / k4 - np.log(self.R)) / self._den

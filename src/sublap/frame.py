@@ -268,11 +268,16 @@ def lie_bracket(params: SpaceParams, i: int, j: int, P) -> np.ndarray:
     if not 1 <= i < j <= 2 * params.n:
         raise ConfigurationError(f"need 1 <= i < j <= {2 * params.n}, got ({i}, {j})")
     P = as_point(params, P)
-    E = frame_matrix(params, P)
-    grads = t_coefficient_gradients(params, P)
     out = np.zeros(params.dim)
-    out[2 * params.n] = float(E[i - 1] @ grads[j - 1] - E[j - 1] @ grads[i - 1])
+    out[2 * params.n] = _bracket_t(
+        frame_matrix(params, P), t_coefficient_gradients(params, P), i, j
+    )
     return out
+
+
+def _bracket_t(E: np.ndarray, grads: np.ndarray, i: int, j: int) -> float:
+    """t-coefficient of [X_i, X_j] from the frame matrix and coefficient gradients."""
+    return float(E[i - 1] @ grads[j - 1] - E[j - 1] @ grads[i - 1])
 
 
 def lie_bracket_printed(params: SpaceParams, i: int, j: int, P) -> np.ndarray:
@@ -318,9 +323,11 @@ def bracket_comparison(params: SpaceParams, points) -> list[dict]:
     records = []
     for P in points:
         P = as_point(params, P)
+        E = frame_matrix(params, P)
+        grads = t_coefficient_gradients(params, P)
         for i in range(1, 2 * params.n + 1):
             for j in range(i + 1, 2 * params.n + 1):
-                computed = float(lie_bracket(params, i, j, P)[2 * params.n])
+                computed = _bracket_t(E, grads, i, j)
                 printed = float(lie_bracket_printed(params, i, j, P)[2 * params.n])
                 diff = abs(computed - printed)
                 records.append(

@@ -5,11 +5,23 @@ Sampling is rejection from the anisotropic bounding box of a gauge ball:
 Every run draws from counter-based Philox streams keyed by (seed, stream,
 shard), in fixed-size shards reduced in index order, so results are
 bit-identical for a given seed regardless of the worker count.
+
+Every estimator is one band integrand (a `Band`) fed to one kernel,
+`_mc_over_box`.  A shard draws its uniforms in blocks of BLOCK_ROWS rows;
+Philox yields the same doubles in the same order whatever the block size.
+Each block goes straight to (Sigma, tau, h) one coordinate column at a time
+(`fields.column_gauge_parts`), with no (N, dim) point array.  The band
+lo < h < hi selects the accepted rows, and the band's weight sees only
+their (Sigma, h); a weight that needs the points themselves (a field that is
+not a function of h) rebuilds them for the accepted rows alone.  The values
+of a shard land in one shard-length array, summed once, so the block size
+does not change a bit of the result.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -17,10 +29,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .extrapolation import richardson_even
-from .fields import ScalarField, gauge_parts
+from .fields import ScalarField, column_gauge_parts, gauge_parts  # noqa: F401 (re-exported)
 from .space import SpaceParams
 
 SHARD_SIZE = 1 << 16
+# Rows drawn and mapped at a time: a block's columns stay in cache.
+BLOCK_ROWS = 1 << 14
 _MASK64 = (1 << 64) - 1
 
 # Stream ids keep companion estimates (e.g. the sigma_p run that normalizes
@@ -93,17 +107,39 @@ def _shard_rng(seed: int, stream: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
-    """Plain MC of `integrand` over the box; returns (mean, stderr, accepted).
+@dataclass(frozen=True)
+class Band:
+    """An MC integrand: weight on the band lo < h < hi of the box, 0 elsewhere.
 
-    integrand(pts) -> (per-sample values incl. zeros outside the region,
-    accepted count).  Shards are reduced in index order.
+    weight(Sigma, h, points) gets the accepted rows' Sigma and h;
+    points() returns those rows' points, for weights that need them.
+    lo None means no lower bound.
+    """
+
+    hi: float
+    weight: Callable
+    lo: float | None = None
+
+
+def _box(params: SpaceParams, spec: BallSpec):
+    """Lower corner and widths of the box; its points are lo + U * width."""
+    return params.x0 - spec.half_widths, 2.0 * spec.half_widths
+
+
+def _draw(params: SpaceParams, rng: np.random.Generator, rows: int, lo, width):
+    """rows uniform draws U in the box and the (Sigma, tau, h) of lo + U * width."""
+    U = rng.random((rows, params.dim))
+    return (U, *column_gauge_parts(params, U, lo, width))
+
+
+def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
+    """Plain MC of the band `integrand` over the box; returns (mean, stderr, accepted).
+
+    Shards are reduced in index order.
     """
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
-    center = params.x0
-    lo = center - spec.half_widths
-    width = 2.0 * spec.half_widths
+    lo, width = _box(params, spec)
     n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
     sums = np.zeros(n_shards)
     sqsums = np.zeros(n_shards)
@@ -112,9 +148,20 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     def run_shard(idx: int):
         count = min(SHARD_SIZE, samples - idx * SHARD_SIZE)
         rng = _shard_rng(seed, stream, idx)
-        pts = lo + rng.random((count, params.dim)) * width
-        vals, acc = integrand(pts)
-        return idx, float(vals.sum()), float(np.dot(vals, vals)), int(acc)
+        vals = np.zeros(count)
+        acc = 0
+        for start in range(0, count, BLOCK_ROWS):
+            U, sigma, _, h = _draw(params, rng, min(BLOCK_ROWS, count - start), lo, width)
+            inside = h < integrand.hi
+            if integrand.lo is not None:
+                inside &= h > integrand.lo
+            hits = int(np.count_nonzero(inside))
+            if hits:
+                vals[start : start + U.shape[0]][inside] = integrand.weight(
+                    sigma[inside], h[inside], lambda: lo + U[inside] * width
+                )
+                acc += hits
+        return idx, float(vals.sum()), float(np.dot(vals, vals)), acc
 
     workers = resolve_threads(threads)
     if workers > 1 and n_shards > 1:
@@ -175,16 +222,11 @@ def ball_measure(
                 f"got p={p:g}"
             )
     spec = ball_spec(params, R)
-    bound = R ** (4 * params.k)
-
-    def integrand(pts):
-        sigma, _, h = gauge_parts(params, pts)
-        inside = h < bound
-        vals = np.zeros(pts.shape[0])
-        vals[inside] = grad_psi_norm_sq(params, sigma[inside], h[inside]) ** (p / 2.0)
-        return vals, int(inside.sum())
-
-    mean, stderr, acc = _mc_over_box(params, spec, integrand, samples, seed, stream, threads)
+    band = Band(
+        hi=R ** (4 * params.k),
+        weight=lambda sigma, h, _: grad_psi_norm_sq(params, sigma, h) ** (p / 2.0),
+    )
+    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
 
 
@@ -211,21 +253,14 @@ def shell_integral(
     if not 0 < delta < R / 2:
         raise DomainError(f"need 0 < delta < R/2, got delta={delta}, R={R}")
     spec = ball_spec(params, R + delta)
-    lo_bound = (R - delta) ** (4 * params.k)
-    hi_bound = (R + delta) ** (4 * params.k)
 
-    def integrand(pts):
-        sigma, _, h = gauge_parts(params, pts)
-        inside = (h > lo_bound) & (h < hi_bound)
-        vals = np.zeros(pts.shape[0])
-        sub = pts[inside]
-        vals[inside] = (
-            phi.values(sub)
-            * grad_psi_norm_sq(params, sigma[inside], h[inside]) ** (p / 2.0)
-        )
-        return vals, int(inside.sum())
+    def weight(sigma, h, points):
+        phi_vals = phi.values_of_h(h) if phi.h_only else phi.values(points())
+        return phi_vals * grad_psi_norm_sq(params, sigma, h) ** (p / 2.0)
 
-    mean, stderr, acc = _mc_over_box(params, spec, integrand, samples, seed, stream, threads)
+    band = Band(hi=(R + delta) ** (4 * params.k), weight=weight,
+                lo=(R - delta) ** (4 * params.k))
+    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
     scale = 1.0 / (2.0 * delta)
     return MCEstimate(
         mean=scale * mean, stderr=scale * stderr, samples=samples, seed=seed, accepted=acc
@@ -294,20 +329,16 @@ def sample_points(
     Rejects psi < min_psi and Sigma < min_sigma so that every returned point
     supports the full horizontal calculus for any k.
     """
-    spec = ball_spec(params, box_radius)
-    lo = params.x0 - spec.half_widths
-    width = 2.0 * spec.half_widths
+    lo, width = _box(params, ball_spec(params, box_radius))
     out = np.empty((count, params.dim))
     have = 0
     shard = 0
     while have < count:
         rng = _shard_rng(seed, STREAM_POINTS, shard)
-        pts = lo + rng.random((max(count, 256), params.dim)) * width
-        sigma, _, h = gauge_parts(params, pts)
+        U, sigma, _, h = _draw(params, rng, max(count, 256), lo, width)
         psi = h ** (1.0 / (4 * params.k))
-        good = pts[(psi >= min_psi) & (sigma >= min_sigma)]
-        take = min(count - have, good.shape[0])
-        out[have : have + take] = good[:take]
-        have += take
+        keep = np.flatnonzero((psi >= min_psi) & (sigma >= min_sigma))[: count - have]
+        out[have : have + keep.size] = lo + U[keep] * width
+        have += keep.size
         shard += 1
     return out

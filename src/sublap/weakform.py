@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import DomainError
 from .extrapolation import ExtrapolationResult, geometric_limit
-from .fields import CutoffBump, FundamentalProfile, LinearCombination, gauge_parts
+from .fields import CutoffBump, FundamentalProfile, LinearCombination
 from .montecarlo import (
+    Band,
     MCEstimate,
     STREAM_PAIRING,
     STREAM_SIGMA_COMPANION,
@@ -61,21 +62,13 @@ def weak_pairing(
         raise DomainError(f"u was built for p={u.p}, pairing requested p={p}")
     _check_bump(phi)
     k = params.k
-    spec = ball_spec(params, R)
-    lo_bound = r ** (4 * k)
-    hi_bound = R ** (4 * k)
 
-    def integrand(pts):
-        sigma, _, h = gauge_parts(params, pts)
-        inside = (h > lo_bound) & (h < hi_bound)
-        vals = np.zeros(pts.shape[0])
-        sub = pts[inside]
-        hs = h[inside]
-        psi = hs ** (1.0 / (4 * k))
+    def weight(sigma, h, _):
+        psi = h ** (1.0 / (4 * k))
         s_u = u.eta_prime(psi)
-        s_phi = phi.d_dh(sub)
-        m2 = grad_psi_norm_sq(params, sigma[inside], hs)
-        vals[inside] = (
+        s_phi = phi.d_dh_of_h(h)
+        m2 = grad_psi_norm_sq(params, sigma, h)
+        return (
             np.abs(s_u) ** (p - 2.0)
             * s_u
             * s_phi
@@ -83,9 +76,11 @@ def weak_pairing(
             * psi ** (4 * k - 1.0)
             * m2 ** (p / 2.0)
         )
-        return vals, int(inside.sum())
 
-    mean, stderr, acc = _mc_over_box(params, spec, integrand, samples, seed, stream, threads)
+    band = Band(hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
+    mean, stderr, acc = _mc_over_box(
+        params, ball_spec(params, R), band, samples, seed, stream, threads
+    )
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
 
 

@@ -146,3 +146,98 @@ def radial_capacity_quadrature(Q, p, alpha_or_none, r, R):
     val, _ = quad(lambda rho: abs(eta_prime(rho)) ** p * rho ** (Q - 1.0), r, R,
                   epsrel=1e-12)
     return Q * val
+
+
+# ---------------------------------------------------------------- MC reference pipeline
+#
+# The Monte Carlo estimators as they ran before the block kernel: every
+# shard draws its whole (N, dim) uniform array at once, maps it to the point
+# array lo + U * width, and evaluates the integrand on the points, with
+# (Sigma, tau, h) from an einsum.  The library must reproduce these bit for bit.
+
+
+def reference_gauge_parts(params, pts):
+    u = pts[:, : 2 * params.n] - params.a
+    tau = pts[:, 2 * params.n] - params.s
+    sigma = np.einsum("ij,ij->i", u, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = params.c**2 * sigma ** (2 * params.k) + tau * tau
+    return sigma, tau, h
+
+
+def _reference_box(params, R):
+    from sublap.montecarlo import ball_spec
+
+    spec = ball_spec(params, R)
+    return spec, params.x0 - spec.half_widths, 2.0 * spec.half_widths
+
+
+def reference_mc(params, R, integrand, samples, seed, stream):
+    """(mean, stderr, accepted) of integrand(pts) -> (values, accepted) over
+    the bounding box of B_R, one whole point array per shard."""
+    from sublap.montecarlo import SHARD_SIZE, _shard_rng
+
+    spec, lo, width = _reference_box(params, R)
+    n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
+    sums, sqsums, accepted = np.zeros(n_shards), np.zeros(n_shards), 0
+    for idx in range(n_shards):
+        count = min(SHARD_SIZE, samples - idx * SHARD_SIZE)
+        pts = lo + _shard_rng(seed, stream, idx).random((count, params.dim)) * width
+        vals, acc = integrand(pts)
+        sums[idx], sqsums[idx] = float(vals.sum()), float(np.dot(vals, vals))
+        accepted += acc
+    raw_mean = float(sums.sum()) / samples
+    raw_var = max(float(sqsums.sum()) / samples - raw_mean**2, 0.0)
+    raw_var *= samples / (samples - 1.0)
+    vol = spec.volume
+    return vol * raw_mean, vol * float(np.sqrt(raw_var / samples)), accepted
+
+
+def reference_band(params, lo_h, hi_h, weight):
+    """Integrand of the band lo_h < h < hi_h (lo_h None: h < hi_h) with
+    weight(pts, Sigma, h) on the accepted points."""
+
+    def integrand(pts):
+        sigma, _, h = reference_gauge_parts(params, pts)
+        inside = h < hi_h if lo_h is None else (h > lo_h) & (h < hi_h)
+        vals = np.zeros(pts.shape[0])
+        vals[inside] = weight(pts[inside], sigma[inside], h[inside])
+        return vals, int(inside.sum())
+
+    return integrand
+
+
+def reference_bump(bump, h):
+    out = np.zeros_like(h)
+    inside = h < bump.B
+    hs = h[inside]
+    out[inside] = bump.amplitude * np.exp(-hs / (bump.B - hs))
+    return out
+
+
+def reference_bump_d_dh(bump, h):
+    out = np.zeros_like(h)
+    inside = h < bump.B * (1.0 - 1e-12)
+    hs = h[inside]
+    out[inside] = -bump.amplitude * bump.B / (bump.B - hs) ** 2 * np.exp(-hs / (bump.B - hs))
+    return out
+
+
+def reference_sample_points(params, count, seed, box_radius=2.0, min_psi=0.05,
+                            min_sigma=1e-10):
+    from sublap.montecarlo import STREAM_POINTS, _shard_rng
+
+    _, lo, width = _reference_box(params, box_radius)
+    out = np.empty((count, params.dim))
+    have = shard = 0
+    while have < count:
+        rng = _shard_rng(seed, STREAM_POINTS, shard)
+        pts = lo + rng.random((max(count, 256), params.dim)) * width
+        sigma, _, h = reference_gauge_parts(params, pts)
+        psi = h ** (1.0 / (4 * params.k))
+        good = pts[(psi >= min_psi) & (sigma >= min_sigma)]
+        take = min(count - have, good.shape[0])
+        out[have : have + take] = good[:take]
+        have += take
+        shard += 1
+    return out
