@@ -7,7 +7,7 @@ the gauge psi = h^(1/(4k)).
 
 import numpy as np
 
-from sublap import SpaceParams, dilate, exponents, fundamental_profile, gauge
+from sublap import FundamentalProfile, SpaceParams, dilate, exponents, gauge
 
 params = SpaceParams(n=1, k=1.0, c=1.0)
 print("space: n=1, k=1, c=1  (homogeneous dimension Q =", params.Q, ")")
@@ -34,7 +34,7 @@ for p in (1.5, 2.0, 3.0, 4.0):
 # the fundamental-solution profile psi^alpha (log psi at p = Q)
 print("\nprofile values at", P)
 for p in (2.0, 3.0, 4.0):
-    print(f"  p={p}: {fundamental_profile(params, P, p):+.7f}")
+    print(f"  p={p}: {FundamentalProfile(params, p).value(P):+.7f}")
 
 # a second environment with non-integer k and negative c works the same way
 params_c = SpaceParams(n=2, k=1.5, c=-2.0)

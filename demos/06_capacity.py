@@ -7,9 +7,9 @@ All values are in units of sigma_p (the shared Monte Carlo constant cancels):
 """
 
 from sublap import (
+    AnnulusPotential,
     RadialProfile,
     SpaceParams,
-    annulus_potential,
     capacity_three_way,
     minimize_radial,
     radial_energy,
@@ -20,8 +20,9 @@ r, R = 1.0, 2.0
 
 # the explicit potential interpolates 1 -> 0 across the annulus
 print("potential along the t-axis (psi = |t|^(1/2)):")
+potential = AnnulusPotential(params, 2.0, r, R)
 for t in (1.0, 2.0, 4.0):
-    u = annulus_potential(params, 2.0, r, R, [0.0, 0.0, t])
+    u = potential.value([0.0, 0.0, t])
     print(f"  psi={t**0.5:.4f}: u = {u:.4f}")
 
 # energy of trial profiles vs the minimizer

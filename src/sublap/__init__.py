@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .capacity import (
     CapacityResult,
     RadialProfile,
-    annulus_potential,
     capacity_three_way,
     closed_form_capacity,
     mc_energy,
@@ -33,9 +32,7 @@ from .fields import (
     ScalarField,
 )
 from .frame import (
-    FrameCoefficients,
     bracket_comparison,
-    field_coefficients,
     frame_matrix,
     horizontal_gradient,
     horizontal_hessian_sym,
@@ -65,7 +62,6 @@ from .space import (
     c2_constant,
     dilate,
     exponents,
-    fundamental_profile,
     gauge,
     gauge_regularized,
     is_base_point,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, DomainError
-from .fields import AnnulusPotential, annulus_potential
+from .fields import AnnulusPotential
 from .montecarlo import (
     Band,
     MCEstimate,
@@ -24,7 +24,6 @@ from .montecarlo import (
     STREAM_SIGMA_COMPANION,
     _mc_over_box,
     ball_spec,
-    grad_psi_norm_sq,
     sigma_p,
 )
 from .space import SpaceParams, exponents
@@ -33,7 +32,6 @@ __all__ = [
     "RadialProfile",
     "CapacityResult",
     "closed_form_capacity",
-    "annulus_potential",
     "AnnulusPotential",
     "radial_energy",
     "minimize_radial",
@@ -77,19 +75,6 @@ class RadialProfile:
         knots = np.linspace(r, R, m + 1)
         return RadialProfile(knots, (R - knots) / (R - r))
 
-    @staticmethod
-    def optimal(params: SpaceParams, p: float, r: float, R: float, m: int) -> "RadialProfile":
-        """The explicit extremal profile sampled on m segments."""
-        knots = np.linspace(r, R, m + 1)
-        exps = exponents(params, p)
-        if exps.is_log_case:
-            vals = (np.log(knots) - np.log(R)) / (np.log(r) - np.log(R))
-        else:
-            a = exps.alpha
-            vals = (knots**a - R**a) / (r**a - R**a)
-        vals[0], vals[-1] = 1.0, 0.0
-        return RadialProfile(knots, vals)
-
 
 @dataclass(frozen=True)
 class CapacityResult:
@@ -129,16 +114,16 @@ def radial_energy(
     The integrand is constant-slope per segment, so each segment integrates
     in closed form; no quadrature error.
     """
-    Q = params.Q
-    rho = profile.knots
-    slopes = np.diff(profile.values) / np.diff(rho)
-    weights = np.diff(rho**Q)  # = Q * int rho^(Q-1) over the segment
-    return float(sigma_p * np.sum(np.abs(slopes) ** p * weights))
+    energy, _, _ = _segment_energy(profile.values, profile.knots, p, params.Q)
+    return float(sigma_p * energy)
 
 
-def _energy_interior(vals_int, ends, rho, p, Q):
-    vals = np.concatenate(([ends[0]], vals_int, [ends[1]]))
-    slopes = np.diff(vals) / np.diff(rho)
+def _segment_energy(values, rho, p, Q):
+    """(energy in sigma_p units, slopes, weights) of the profile values at knots rho.
+
+    weight = diff(rho^Q) is Q times the integral of rho^(Q-1) over a segment.
+    """
+    slopes = np.diff(values) / np.diff(rho)
     weights = np.diff(rho**Q)
     return float(np.sum(np.abs(slopes) ** p * weights)), slopes, weights
 
@@ -162,9 +147,11 @@ def minimize_radial(
     rho = np.linspace(r, R, m_knots + 1)
     drho = np.diff(rho)
     x = RadialProfile.linear(r, R, m_knots).values[1:-1].copy()
-    ends = (1.0, 0.0)
 
-    energy, slopes, weights = _energy_interior(x, ends, rho, p, Q)
+    def pinned(interior):
+        return np.concatenate(([1.0], interior, [0.0]))
+
+    energy, slopes, weights = _segment_energy(pinned(x), rho, p, Q)
     for _ in range(max_iter):
         sgn_pow = np.sign(slopes) * np.abs(slopes) ** (p - 1.0)
         seg_g = p * sgn_pow * weights / drho          # d energy / d slope_i / drho_i
@@ -184,7 +171,7 @@ def minimize_radial(
         t = 1.0
         for _ in range(60):
             trial = x + t * step
-            e_trial, s_trial, _ = _energy_interior(trial, ends, rho, p, Q)
+            e_trial, s_trial, _ = _segment_energy(pinned(trial), rho, p, Q)
             if e_trial <= energy + 1e-4 * t * float(grad @ step):
                 x, energy, slopes = trial, e_trial, s_trial
                 break
@@ -194,7 +181,7 @@ def minimize_radial(
     else:
         raise ConvergenceError("radial Newton did not converge", residual)
 
-    profile = RadialProfile(rho, np.concatenate(([1.0], x, [0.0])))
+    profile = RadialProfile(rho, pinned(x))
     return profile, energy
 
 
@@ -210,12 +197,10 @@ def mc_energy(
     potential = AnnulusPotential(params, p, r, R)
     k = params.k
 
-    def weight(Sigma, h, _):
-        psi = h ** (1.0 / (4 * k))
-        m2 = grad_psi_norm_sq(params, Sigma, h)
-        return np.abs(potential.eta_prime(psi)) ** p * m2 ** (p / 2.0)
+    def weight(h, _):
+        return np.abs(potential.eta_prime(h ** (1.0 / (4 * k)))) ** p
 
-    band = Band(hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
+    band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
     mean, stderr, acc = _mc_over_box(
         params, ball_spec(params, R), band, samples, seed, STREAM_ENERGY, threads
     )

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,35 +50,14 @@ COMMANDS = (
     "capacity",
 )
 
-# Default tolerances: scaled 1e-8 for AD operator checks, 3 sigma for MC
-# consistency, 2% for extrapolated limits and capacity cross-checks.
-DEFAULTS = {
-    "n": 1,
-    "k": 1.0,
-    "c": 1.0,
-    "x0": None,
-    "p": 2.0,
-    "seed": 12345,
-    "samples": 10**6,
-    "points": 100,
-    "r": 1.0,
-    "R": 2.0,
-    "radii": None,
-    "bump_radius": 1.0,
-    "knots": 400,
-    "method": "all",
-    "threads": None,
-    "tol": None,
-    "format": "json",
-    "out": None,
-}
-
 RADII_DEFAULTS = {
     "ahlfors": [0.5, 1.0, 2.0],
     "density": [0.4, 0.2, 0.1],
     "dirac": [0.2, 0.1, 0.05],
 }
 
+# Default tolerances: scaled 1e-8 for AD operator checks, 3 sigma for MC
+# consistency, 2% for extrapolated limits and capacity cross-checks.
 TOL_DEFAULTS = {
     "verify-fundamental": 1e-8,
     "verify-infinity": 1e-8,
@@ -102,12 +82,12 @@ class RunConfig:
     points: int = 100
     r: float = 1.0
     R: float = 2.0
-    radii: list[float] = field(default_factory=list)
+    radii: list[float] | None = None  # None: RADII_DEFAULTS of the command
     bump_radius: float = 1.0
     knots: int = 400
     method: str = "all"
     threads: int | None = None
-    tol: float = 0.0
+    tol: float | None = None  # None: TOL_DEFAULTS of the command
     format: str = "json"
     out: str | None = None
 
@@ -118,6 +98,10 @@ class RunConfig:
         d = {k: v for k, v in self.__dict__.items()}
         d["x0"] = list(self.x0) if self.x0 is not None else [0.0] * (2 * self.n + 1)
         return d
+
+
+# The default of every config field but the command, read off RunConfig.
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "command"}
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -233,8 +217,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigurationError("bump radius must be positive")
     if cfg.tol is not None and cfg.tol < 0:
         raise ConfigurationError("tol must be nonnegative")
-    if cfg.threads is not None:
-        resolve_threads(cfg.threads)
+    resolve_threads(cfg.threads)  # also checks SUBLAP_THREADS when --threads is absent
     if cfg.format not in ("json", "csv"):
         raise ConfigurationError(f"unknown format {cfg.format!r}")
 

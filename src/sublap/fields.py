@@ -2,9 +2,10 @@
 
 Each field offers jet(pts) for the calculus, on one point (dim,) or a batch
 (N, dim), and values(pts) for bulk work on an (N, dim) array of points.
-Fields that depend on the point through h alone (HFunction) define their
-value-only code once, as values_of_h(h): the Monte Carlo kernel calls it on
-the h it already holds, and values(pts) computes h first.
+Fields that depend on the point through h alone (HFunction) write their
+formula once, as values_of_h(h), in operations that 2-jets and arrays
+share: the Monte Carlo kernel calls it on the h it already holds,
+values(pts) computes h first, and jet(pts) applies it to the 2-jet of h.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .jets import Jet2
-from .space import SpaceParams, as_points, exponents, gauge, is_base_point
+from .space import SpaceParams, as_points, exponents
 
 
 class ScalarField:
@@ -90,17 +91,33 @@ def gauge_parts(params: SpaceParams, pts: np.ndarray):
     return column_gauge_parts(params, np.asarray(pts, dtype=float))
 
 
+def _log(x):
+    return x.log() if isinstance(x, Jet2) else np.log(x)
+
+
 class HFunction(ScalarField):
-    """A field that depends on the point through h alone."""
+    """A field that depends on the point through h alone.
+
+    values_of_h(h) takes an array of h values or the 2-jet of h.  jet()
+    raises SingularPointError with the message `singular` at the base
+    point (h = 0); subclasses that keep their own jet need no message.
+    """
 
     h_only = True
     params: SpaceParams
+    singular: str
 
-    def values_of_h(self, h: np.ndarray) -> np.ndarray:
+    def values_of_h(self, h):
         raise NotImplementedError
 
     def values(self, pts) -> np.ndarray:
         return self.values_of_h(gauge_parts(self.params, pts)[2])
+
+    def jet(self, pts) -> Jet2:
+        hj = GaugeH(self.params).jet(pts)
+        if np.any(hj.value == 0.0):
+            raise SingularPointError(self.singular)
+        return self.values_of_h(hj)
 
 
 class GaugeH(HFunction):
@@ -126,14 +143,7 @@ class GaugeH(HFunction):
         tau = Jet2.variable(pts[..., n2] - params.s, n2, d)
         return params.c**2 * sigma ** (2 * params.k) + tau * tau
 
-    def jet_off_base(self, pts, message: str) -> Jet2:
-        """The h jet, raising SingularPointError if any point is the base point."""
-        hj = self.jet(pts)
-        if np.any(hj.value == 0.0):
-            raise SingularPointError(message)
-        return hj
-
-    def values_of_h(self, h) -> np.ndarray:
+    def values_of_h(self, h):
         return h
 
 
@@ -141,22 +151,20 @@ class GaugePsi(HFunction):
     """psi = h^(1/(4k)); not differentiable at the base point."""
 
     tag = "gauge-psi"
+    singular = "psi has no 2-jet at the base point"
 
     def __init__(self, params: SpaceParams):
         self.params = params
         self.dim = params.dim
-        self._h = GaugeH(params)
 
-    def jet(self, pts) -> Jet2:
-        hj = self._h.jet_off_base(pts, "psi has no 2-jet at the base point")
-        return hj ** (1.0 / (4 * self.params.k))
-
-    def values_of_h(self, h) -> np.ndarray:
+    def values_of_h(self, h):
         return h ** (1.0 / (4 * self.params.k))
 
 
 class FundamentalProfile(HFunction):
     """scale * psi^alpha for p != Q, scale * log(psi) for p == Q."""
+
+    singular = "profile is singular at the base point"
 
     def __init__(self, params: SpaceParams, p: float, scale: float = 1.0):
         self.params = params
@@ -165,17 +173,10 @@ class FundamentalProfile(HFunction):
         self.scale = float(scale)
         self.exps = exponents(params, p)
         self.tag = "profile-log-psi" if self.exps.is_log_case else "profile-psi-alpha"
-        self._h = GaugeH(params)
 
-    def jet(self, pts) -> Jet2:
-        hj = self._h.jet_off_base(pts, "profile is singular at the base point")
+    def values_of_h(self, h):
         if self.exps.is_log_case:
-            return (self.scale / (4 * self.params.k)) * hj.log()
-        return self.scale * hj**self.exps.w
-
-    def values_of_h(self, h) -> np.ndarray:
-        if self.exps.is_log_case:
-            return self.scale / (4 * self.params.k) * np.log(h)
+            return self.scale / (4 * self.params.k) * _log(h)
         return self.scale * h**self.exps.w
 
     def eta_prime(self, psi: np.ndarray) -> np.ndarray:
@@ -253,10 +254,9 @@ class CutoffBump(HFunction):
         self.support_radius = float(support_radius)
         self.amplitude = float(amplitude)
         self.B = self.support_radius ** (4 * params.k)
-        self._h = GaugeH(params)
 
     def jet(self, pts) -> Jet2:
-        hj = self._h.jet(pts)
+        hj = GaugeH(self.params).jet(pts)
         outside = hj.value >= self.B * (1.0 - 1e-12)
         # Rows outside the support get h = 0 (where the formula is defined)
         # and then the zero jet.
@@ -282,10 +282,6 @@ class CutoffBump(HFunction):
             * np.exp(-hs / (self.B - hs))
         )
         return out
-
-    def d_dh(self, pts) -> np.ndarray:
-        """d phi / dh at each of an (N, dim) array of points."""
-        return self.d_dh_of_h(gauge_parts(self.params, pts)[2])
 
     def value_at_center(self) -> float:
         return self.amplitude
@@ -322,9 +318,6 @@ class LinearCombination(ScalarField):
     def values_of_h(self, h) -> np.ndarray:
         return self._combine("values_of_h", h)
 
-    def d_dh(self, pts) -> np.ndarray:
-        return self._combine("d_dh", pts)
-
     def d_dh_of_h(self, h) -> np.ndarray:
         return self._combine("d_dh_of_h", h)
 
@@ -342,6 +335,7 @@ class AnnulusPotential(HFunction):
     """
 
     tag = "user-composite"
+    singular = "potential is singular at the base point"
 
     def __init__(self, params: SpaceParams, p: float, r: float, R: float):
         if not 0 < r < R:
@@ -352,23 +346,15 @@ class AnnulusPotential(HFunction):
         self.r = float(r)
         self.R = float(R)
         self.exps = exponents(params, p)
-        self._h = GaugeH(params)
         if self.exps.is_log_case:
             self._den = np.log(r) - np.log(R)
         else:
             self._den = r**self.exps.alpha - R**self.exps.alpha
 
-    def jet(self, pts) -> Jet2:
-        hj = self._h.jet_off_base(pts, "potential is singular at the base point")
+    def values_of_h(self, h):
         k4 = 4 * self.params.k
         if self.exps.is_log_case:
-            return (hj.log() / k4 - np.log(self.R)) / self._den
-        return (hj ** (self.exps.alpha / k4) - self.R**self.exps.alpha) / self._den
-
-    def values_of_h(self, h) -> np.ndarray:
-        k4 = 4 * self.params.k
-        if self.exps.is_log_case:
-            return (np.log(h) / k4 - np.log(self.R)) / self._den
+            return (_log(h) / k4 - np.log(self.R)) / self._den
         return (h ** (self.exps.alpha / k4) - self.R**self.exps.alpha) / self._den
 
     def eta_prime(self, psi: np.ndarray) -> np.ndarray:
@@ -376,14 +362,3 @@ class AnnulusPotential(HFunction):
         if self.exps.is_log_case:
             return 1.0 / (psi * self._den)
         return self.exps.alpha * psi ** (self.exps.alpha - 1.0) / self._den
-
-
-def annulus_potential(params: SpaceParams, p: float, r: float, R: float, P) -> float:
-    """Value of the annulus potential at P; P must satisfy r <= psi(P) <= R."""
-    field = AnnulusPotential(params, p, r, R)
-    psi = gauge(params, P).psi
-    if not r <= psi <= R:
-        raise DomainError(f"point has psi={psi:.6g}, outside the annulus [{r}, {R}]")
-    if is_base_point(params, P):
-        raise SingularPointError("potential evaluated at the base point")
-    return float(field.values(np.asarray(P, dtype=float)[None, :])[0])

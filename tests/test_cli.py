@@ -38,6 +38,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "diverges" in captured.err
 
+    @pytest.mark.parametrize("threads", ["0", "abc"])
+    def test_bad_threads_env_var_exits_one(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("SUBLAP_THREADS", threads)
+        assert main(["sigma"] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_k_one_half_sigma_is_finite(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--k", "0.5", "--p", "12"] + FAST)
         assert code == 0

@@ -12,7 +12,7 @@ from sublap import (
     SpaceParams,
     bracket_comparison,
     exponents,
-    field_coefficients,
+    frame_matrix,
     gauge,
     horizontal_gradient,
     horizontal_hessian_sym,
@@ -23,7 +23,7 @@ from sublap import (
     p_laplacian_divergence_form,
     sample_points,
 )
-from sublap.frame import t_coefficients
+from sublap.frame import t_coefficient_gradients, t_coefficients
 
 
 # Constants of the analytic cross-check for the profile's p-Laplacian: the
@@ -39,43 +39,38 @@ def chi_constant(k, p):
 
 
 class TestFieldCoefficients:
+    """Row i-1 of frame_matrix and of t_coefficient_gradients belongs to X_i."""
+
     def test_hand_values_setup_a(self, setup_a):
-        fc1 = field_coefficients(setup_a, 1, [1.0, 2.0, 5.0])
-        assert np.array_equal(fc1.vector, [1.0, 0.0, 4.0])
-        fc2 = field_coefficients(setup_a, 2, [1.0, 2.0, 5.0])
-        assert np.array_equal(fc2.vector, [0.0, 1.0, -2.0])
+        E = frame_matrix(setup_a, [1.0, 2.0, 5.0])
+        assert np.array_equal(E[0], [1.0, 0.0, 4.0])
+        assert np.array_equal(E[1], [0.0, 1.0, -2.0])
 
     def test_hand_values_setup_b(self, setup_b):
-        fc = field_coefficients(setup_b, 1, [1.0, 2.0, 5.0])
-        assert np.array_equal(fc.vector, [1.0, 0.0, 40.0])
+        E = frame_matrix(setup_b, [1.0, 2.0, 5.0])
+        assert np.array_equal(E[0], [1.0, 0.0, 40.0])
 
     def test_basis_structure(self, setup_c, rng):
         P = sample_points(setup_c, 1, 3)[0]
-        for i in range(1, 2 * setup_c.n + 1):
-            fc = field_coefficients(setup_c, i, P)
-            expected = np.zeros(setup_c.dim)
-            expected[i - 1] = 1.0
-            assert np.array_equal(fc.vector[:-1], expected[:-1])
-            assert fc.t_coeff_grad[-1] == 0.0  # t-coefficient is t-independent
-
-    def test_index_out_of_range(self, setup_a):
-        with pytest.raises(ConfigurationError):
-            field_coefficients(setup_a, 0, [1.0, 0.0, 0.0])
-        with pytest.raises(ConfigurationError):
-            field_coefficients(setup_a, 3, [1.0, 0.0, 0.0])
+        E = frame_matrix(setup_c, P)
+        grads = t_coefficient_gradients(setup_c, P)
+        n2 = 2 * setup_c.n
+        assert np.array_equal(E[:, :n2], np.eye(n2))
+        assert not grads[:, -1].any()  # t-coefficients are t-independent
 
     def test_degenerate_point_small_k(self):
         params = SpaceParams(1, 0.5, 1.0)
         with pytest.raises(DegeneratePointError):
-            field_coefficients(params, 1, [0.0, 0.0, 1.0])
+            frame_matrix(params, [0.0, 0.0, 1.0])
+        with pytest.raises(DegeneratePointError):
+            t_coefficient_gradients(params, [0.0, 0.0, 1.0])
 
     def test_axis_points_fine_for_k_above_one(self, setup_c):
         # on {Sigma = 0} the coefficients and their gradients vanish for k > 1
         P = setup_c.x0.copy()
         P[-1] = 1.0
-        fc = field_coefficients(setup_c, 1, P)
-        assert fc.vector[-1] == 0.0
-        assert not fc.t_coeff_grad.any()
+        assert not frame_matrix(setup_c, P)[:, -1].any()
+        assert not t_coefficient_gradients(setup_c, P).any()
 
     def test_gradients_match_fd(self, all_setups, rng):
         for params in all_setups:
@@ -83,9 +78,9 @@ class TestFieldCoefficients:
             for P in pts:
                 step = 1e-6 * (1.0 + np.abs(P).max())
                 fd = fd_jacobian(lambda x: t_coefficients(params, x), P, step)
-                for i in range(1, 2 * params.n + 1):
-                    fc = field_coefficients(params, i, P)
-                    assert close_scaled(fd[i - 1], fc.t_coeff_grad, 1e-6)
+                grads = t_coefficient_gradients(params, P)
+                for i in range(2 * params.n):
+                    assert close_scaled(fd[i], grads[i], 1e-6)
 
 
 class TestHorizontalGradient:

@@ -6,15 +6,19 @@ from sublap import (
     Constant,
     CutoffBump,
     DomainError,
+    FundamentalProfile,
     GaugeH,
+    MCEstimate,
     SpaceParams,
     ball_measure,
     ball_spec,
     density_limit,
+    mc_energy,
     sample_points,
     shell_integral,
     shell_integral_extrapolated,
     sigma_p,
+    weak_pairing,
 )
 from sublap.fields import gauge_parts
 from sublap.montecarlo import STREAM_BALL, grad_psi_norm_sq
@@ -127,6 +131,34 @@ class TestBallMeasure:
             # must bound every inside point's coordinates
             sub = np.abs(pts[inside] - params.x0)
             assert np.all(sub <= spec.half_widths + 1e-12)
+
+
+def _annulus_estimate(name, params, p):
+    """One annulus estimator at (params, p) on 1e4 samples, by name."""
+    bump = CutoffBump(params, 1.0)
+    if name == "shell":
+        return shell_integral(params, p, 0.5, 0.05, bump, 10**4, 3)
+    if name == "pairing":
+        return weak_pairing(params, p, FundamentalProfile(params, p), bump, 0.2, 1.0, 10**4, 3)
+    sigma = MCEstimate(mean=1.0, stderr=0.0, samples=10**4, seed=3)
+    return mc_energy(params, p, 0.5, 1.0, 10**4, 3, sigma=sigma)
+
+
+class TestDivergenceGuard:
+    """|grad_0 psi|^p diverges on the axis for k < 1/2 and p >= 2n/(1-2k),
+    and the axis crosses every annulus, not only every ball."""
+
+    @pytest.mark.parametrize("name", ["shell", "pairing", "energy"])
+    def test_annulus_estimators_raise(self, name):
+        params = SpaceParams(1, 0.4, 1.0)  # bound 2 / 0.2 = 10
+        for p in (10.0, 12.0):
+            with pytest.raises(DomainError, match="diverges"):
+                _annulus_estimate(name, params, p)
+
+    @pytest.mark.parametrize("name", ["shell", "pairing", "energy"])
+    def test_annulus_estimators_run_at_k_one_half(self, name):
+        est = _annulus_estimate(name, SpaceParams(1, 0.5, 1.0), 12.0)
+        assert np.isfinite(est.mean) and est.mean != 0.0
 
 
 class TestShellIntegral:

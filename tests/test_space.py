@@ -6,13 +6,13 @@ import pytest
 from sublap import (
     ConfigurationError,
     DomainError,
+    FundamentalProfile,
     SingularPointError,
     SpaceParams,
     c1_constant,
     c2_constant,
     dilate,
     exponents,
-    fundamental_profile,
     gauge,
     gauge_regularized,
     normalization,
@@ -144,21 +144,19 @@ class TestExponents:
 class TestFundamentalProfile:
     def test_hand_values(self, setup_a):
         P = [1.0, 1.0, 2.0]
-        assert fundamental_profile(setup_a, P, 2.0) == pytest.approx(
-            8.0**-0.5, rel=1e-14
-        )
-        assert fundamental_profile(setup_a, P, 3.0) == pytest.approx(
-            8.0**-0.125, rel=1e-14
-        )
-        assert fundamental_profile(setup_a, P, 4.0) == pytest.approx(
-            math.log(8.0**0.25), rel=1e-14
-        )
-        assert fundamental_profile(setup_a, P, 3.0) == pytest.approx(0.7711054, abs=1e-6)
-        assert fundamental_profile(setup_a, P, 4.0) == pytest.approx(0.5198604, abs=1e-6)
+
+        def profile(p):
+            return FundamentalProfile(setup_a, p).value(P)
+
+        assert profile(2.0) == pytest.approx(8.0**-0.5, rel=1e-14)
+        assert profile(3.0) == pytest.approx(8.0**-0.125, rel=1e-14)
+        assert profile(4.0) == pytest.approx(math.log(8.0**0.25), rel=1e-14)
+        assert profile(3.0) == pytest.approx(0.7711054, abs=1e-6)
+        assert profile(4.0) == pytest.approx(0.5198604, abs=1e-6)
 
     def test_singularity(self, setup_a):
         with pytest.raises(SingularPointError):
-            fundamental_profile(setup_a, [0.0, 0.0, 0.0], 2.0)
+            FundamentalProfile(setup_a, 2.0).value([0.0, 0.0, 0.0])
 
 
 class TestNormalization:
