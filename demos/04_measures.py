@@ -3,6 +3,8 @@
 The weighted volume V(B_R) = integral of |grad_0 psi|^p over {psi < R}
 scales exactly as sigma_p R^Q; thin shells approximate the surface measure
 and drive the density limit back to the center value of the integrand.
+Three nested shells of halving width, Richardson-combined, make one MC run
+per radius.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from sublap import (
     shell_integral_extrapolated,
     sigma_p,
 )
-from sublap.montecarlo import STREAM_BALL
+from sublap.montecarlo import STREAM_BALL, STREAM_SHELL
 
 params = SpaceParams(n=1, k=1.0, c=1.0)
 SAMPLES, SEED = 4 * 10**5, 42
@@ -34,8 +36,9 @@ for i, R in enumerate((0.5, 1.0, 2.0)):
 # surface measure of spheres: S(dB_R) = Q sigma_2 R^(Q-1)
 one = Constant(1.0, params.dim)
 print("\nthin-shell surface measure (target Q sigma_2 R^(Q-1)):")
-for R in (1.0, 2.0):
-    est = shell_integral_extrapolated(params, 2.0, R, one, SAMPLES, SEED)
+for i, R in enumerate((1.0, 2.0)):
+    est = shell_integral_extrapolated(params, 2.0, R, one, SAMPLES, SEED,
+                                      stream=STREAM_SHELL + 16 * i)
     target = 4.0 * sig.mean * R**3
     print(f"  R={R}: {est.mean:9.4f} +- {est.stderr:.4f}   target {target:9.4f}")
 

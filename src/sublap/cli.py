@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .capacity import capacity_three_way, closed_form_capacity, mc_energy, minimize_radial
 from .errors import ConfigurationError, DomainError
-from .extrapolation import geometric_limit
+from .extrapolation import ExtrapolationResult, geometric_limit
 from .fields import CutoffBump, FundamentalProfile, GaugePsi, gauge_parts
 from .frame import bracket_comparison, infinity_laplacian, p_laplacian
 from .montecarlo import (
@@ -235,6 +235,15 @@ def _record(name, value, stderr=None, tol=None, passed=None, exact=False) -> dic
     return rec
 
 
+def _extrapolation_records(extra: ExtrapolationResult) -> list[dict]:
+    """Whether the radius extrapolation fell back to the finest radius, and
+    the fitted rate when it did not (a fallback has none)."""
+    out = [_record("extrapolation_fallback", 1.0 if extra.fallback else 0.0, exact=True)]
+    if not extra.fallback:
+        out.append(_record("extrapolation_rate", extra.rate, exact=True))
+    return out
+
+
 # ---------------------------------------------------------------- commands
 
 def _cmd_verify_fundamental(cfg: RunConfig) -> list[dict]:
@@ -328,6 +337,7 @@ def _cmd_density(cfg: RunConfig) -> list[dict]:
             _record("extrapolated_density_error", err, tol=cfg.tol,
                     passed=err <= cfg.tol, exact=True)
         )
+        out += _extrapolation_records(extra)
     return out
 
 
@@ -346,7 +356,7 @@ def _cmd_dirac(cfg: RunConfig) -> list[dict]:
         _record("extrapolated_limit_error", err, tol=cfg.tol,
                 passed=err <= cfg.tol, exact=True)
     )
-    return out
+    return out + _extrapolation_records(table.extrapolation)
 
 
 def _cmd_capacity(cfg: RunConfig) -> list[dict]:

@@ -5,9 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
+
+
+# Sigmas a successive difference must reach before a rate is fitted.  The
+# samples are independent, so a difference that is only noise passes 2 sigma
+# one time in 22 (3 sigma: one in 370), and a rate fitted to noise can move
+# the limit by many stderrs.
+SIGNIFICANCE = 3.0
 
 
 @dataclass(frozen=True)
@@ -21,9 +26,10 @@ class ExtrapolationResult:
 def geometric_limit(xs, values, stderrs=None) -> ExtrapolationResult:
     """Extrapolate a + b x^q -> a from three samples at geometrically spaced x.
 
-    xs must be strictly decreasing with constant ratio.  When the successive
-    differences are not significant against the supplied stderrs (or the fit
-    is ill-posed) the finest value is returned with fallback=True.
+    xs must be strictly decreasing with constant ratio.  When a successive
+    difference is not significant (SIGNIFICANCE sigmas) against the supplied
+    stderrs, or the fit is ill-posed, the finest value is returned with
+    fallback=True.
     """
     xs = [float(x) for x in xs]
     values = [float(v) for v in values]
@@ -45,7 +51,7 @@ def geometric_limit(xs, values, stderrs=None) -> ExtrapolationResult:
     if stderrs is not None:
         sig1 = math.hypot(s[0], s[1])
         sig2 = math.hypot(s[1], s[2])
-        if abs(d1) < 2.0 * sig1 or abs(d2) < 2.0 * sig2:
+        if abs(d1) < SIGNIFICANCE * sig1 or abs(d2) < SIGNIFICANCE * sig2:
             return finest
     if d2 == 0.0 or d1 / d2 <= 0.0:
         return finest
@@ -62,23 +68,13 @@ def geometric_limit(xs, values, stderrs=None) -> ExtrapolationResult:
     return ExtrapolationResult(limit=limit, stderr=err, rate=q, fallback=False)
 
 
-def richardson_even(values, stderrs=None) -> tuple[float, float | None]:
-    """Eliminate O(step^2) (and O(step^4)) error from samples at step, step/2[, step/4].
+_RICHARDSON_WEIGHTS = {2: (-1.0 / 3.0, 4.0 / 3.0), 3: (1.0 / 45.0, -20.0 / 45.0, 64.0 / 45.0)}
 
-    values are ordered coarsest first with steps halving.
-    """
-    v = [float(x) for x in values]
-    if len(v) == 2:
-        limit = (4.0 * v[1] - v[0]) / 3.0
-        coeffs = np.array([-1.0, 4.0]) / 3.0
-    elif len(v) == 3:
-        a1 = (4.0 * v[1] - v[0]) / 3.0
-        a2 = (4.0 * v[2] - v[1]) / 3.0
-        limit = (16.0 * a2 - a1) / 15.0
-        coeffs = np.array([1.0, -20.0, 64.0]) / 45.0
-    else:
-        raise DomainError("richardson_even needs two or three samples")
-    if stderrs is None:
-        return limit, None
-    s = np.asarray([float(e) for e in stderrs])
-    return limit, float(np.sqrt(np.sum((coeffs * s) ** 2)))
+
+def richardson_weights(m: int) -> tuple[float, ...]:
+    """Weights c, summing to 1, with which sum c_i v_i cancels the O(step^2)
+    (and for m = 3 the O(step^4)) error of m = 2 or 3 samples v_i at halving
+    steps, coarsest first."""
+    if m not in _RICHARDSON_WEIGHTS:
+        raise DomainError("Richardson extrapolation needs two or three samples")
+    return _RICHARDSON_WEIGHTS[m]

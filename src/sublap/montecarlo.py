@@ -12,6 +12,9 @@ Every estimator is one band integrand (a `Band`) fed to one kernel,
 of the gauge); the kernel owns that factor and the one place where it
 diverges: for k < 1/2 and p >= 2n/(1-2k) it blows up on the axis
 {Sigma = 0}, which crosses every band, so every estimator raises there.
+The Richardson limit of the thin-shell surface integrals is one band too:
+the shells of halving widths are nested, so a step weight over the widest
+shell combines them in one run, on one set of draws.
 
 A shard draws its uniforms in blocks of BLOCK_ROWS rows; Philox yields the
 same doubles in the same order whatever the block size.  Each block goes
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .extrapolation import richardson_even
+from .extrapolation import richardson_weights
 from .fields import ScalarField, column_gauge_parts, gauge_parts  # noqa: F401 (re-exported)
 from .space import SpaceParams
 
@@ -45,7 +48,8 @@ _MASK64 = (1 << 64) - 1
 
 # Stream ids keep companion estimates (e.g. the sigma_p run that normalizes
 # a density or capacity check) independent of the main integral while still
-# fully determined by the user seed.
+# fully determined by the user seed.  The radii of one density or dirac
+# check take STREAM_SHELL + 16 * idx and STREAM_PAIRING + 16 * idx.
 STREAM_BALL = 1
 STREAM_SHELL = 2
 STREAM_PAIRING = 3
@@ -252,6 +256,11 @@ def sigma_p(
     return ball_measure(params, p, 1.0, samples, seed, threads, stream=stream)
 
 
+def _phi_values(phi: ScalarField, h, points):
+    """phi on the accepted rows: from their h when phi is a function of h alone."""
+    return phi.values_of_h(h) if phi.h_only else phi.values(points())
+
+
 def shell_integral(
     params: SpaceParams, p: float, R: float, delta: float, phi: ScalarField,
     samples: int, seed: int, threads: int | None = None, stream: int = STREAM_SHELL,
@@ -265,11 +274,8 @@ def shell_integral(
     if not 0 < delta < R / 2:
         raise DomainError(f"need 0 < delta < R/2, got delta={delta}, R={R}")
     spec = ball_spec(params, R + delta)
-
-    def weight(h, points):
-        return phi.values_of_h(h) if phi.h_only else phi.values(points())
-
-    band = Band(p=p, hi=(R + delta) ** (4 * params.k), weight=weight,
+    band = Band(p=p, hi=(R + delta) ** (4 * params.k),
+                weight=lambda h, points: _phi_values(phi, h, points),
                 lo=(R - delta) ** (4 * params.k))
     mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
     scale = 1.0 / (2.0 * delta)
@@ -281,21 +287,40 @@ def shell_integral(
 def shell_integral_extrapolated(
     params: SpaceParams, p: float, R: float, phi: ScalarField,
     samples: int, seed: int, threads: int | None = None,
-    delta_fracs: tuple[float, ...] = (0.1, 0.05, 0.025),
+    delta_fracs: tuple[float, ...] = (0.1, 0.05, 0.025), stream: int = STREAM_SHELL,
 ) -> MCEstimate:
-    """Richardson extrapolation of shell_integral over halving shell widths."""
-    ests = [
-        shell_integral(
-            params, p, R, frac * R, phi, samples, seed, threads,
-            stream=STREAM_SHELL + idx,
-        )
-        for idx, frac in enumerate(delta_fracs)
-    ]
-    limit, err = richardson_even([e.mean for e in ests], [e.stderr for e in ests])
-    return MCEstimate(
-        mean=limit, stderr=err, samples=samples, seed=seed,
-        accepted=sum(e.accepted for e in ests),
+    """Richardson limit of `shell_integral` over halving widths d_i, in one MC run.
+
+    The shells R - d_i < psi < R + d_i are nested, so one run over the box
+    of the widest shell covers them all: the band is the widest shell and
+    its weight is phi times the step function that sums c_i / (2 d_i) over
+    the shells holding the row, c the Richardson weights.  Its mean is
+    exactly the Richardson combination of the shell integrals, and its
+    stderr is the plain MC stderr of one integrand; the widths share their
+    draws, so no independence between them is assumed.
+    """
+    deltas = [frac * R for frac in delta_fracs]
+    coeffs = richardson_weights(len(deltas))
+    if not 0 < deltas[0] < R / 2:
+        raise DomainError(f"need 0 < delta < R/2, got delta={deltas[0]}, R={R}")
+    if any(abs(2.0 * b - a) > 1e-12 * a for a, b in zip(deltas, deltas[1:])):
+        raise DomainError(f"shell widths must halve, got fractions {delta_fracs}")
+    four_k = 4 * params.k
+    # (lo, hi, step) per shell; every accepted row lies in the widest one
+    shells = [((R - d) ** four_k, (R + d) ** four_k, c / (2.0 * d))
+              for c, d in zip(coeffs, deltas)]
+
+    def weight(h, points):
+        step = np.full(h.shape, shells[0][2])
+        for lo, hi, s in shells[1:]:
+            step[(h > lo) & (h < hi)] += s
+        return step * _phi_values(phi, h, points)
+
+    band = Band(p=p, hi=shells[0][1], weight=weight, lo=shells[0][0])
+    mean, stderr, acc = _mc_over_box(
+        params, ball_spec(params, R + deltas[0]), band, samples, seed, stream, threads
     )
+    return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
 
 
 def density_limit(
@@ -314,8 +339,12 @@ def density_limit(
         sigma = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
     Q = params.Q
     out = []
-    for R in radii:
-        shell = shell_integral_extrapolated(params, p, R, phi, samples, seed, threads)
+    for idx, R in enumerate(radii):
+        # one stream per radius: the box sampler is scale-equivariant, so a
+        # shared stream would give every radius the same points
+        shell = shell_integral_extrapolated(
+            params, p, R, phi, samples, seed, threads, stream=STREAM_SHELL + 16 * idx
+        )
         scale = R ** (1.0 - Q) / (Q * sigma.mean)
         value = scale * shell.mean
         rel = np.hypot(

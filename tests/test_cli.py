@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -99,12 +100,27 @@ class TestCommands:
         assert code == 0
 
     def test_density(self, capsys):
+        # at the default 1e6 samples: the finest radius' stderr is 0.0047,
+        # so the default 2% gate sits above 4 sigma
         code, out = run_cli(
             capsys,
-            ["density", "--radii", "0.4,0.2,0.1", "--bump-radius", "1.5",
-             "--samples", "100000", "--seed", "5"],
+            ["density", "--radii", "0.4,0.2,0.1", "--bump-radius", "1.5", "--seed", "5"],
         )
         assert code == 0
+
+    def test_extrapolation_is_reported(self, capsys):
+        # the default density radii fall back to the finest radius; these
+        # dirac radii fit a rate
+        for argv, fallback in (
+            (["density", "--samples", "200000", "--seed", "11"], 1.0),
+            (["dirac", "--radii", "0.8,0.4,0.2", "--samples", "200000", "--seed", "11"], 0.0),
+        ):
+            code, out = run_cli(capsys, argv)
+            assert code == 0
+            values = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+            assert values["extrapolation_fallback"] == fallback
+            assert ("extrapolation_rate" in values) == (fallback == 0.0)
+            assert all(math.isfinite(v) for v in values.values())
 
     def test_dirac(self, capsys):
         code, out = run_cli(

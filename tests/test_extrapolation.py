@@ -1,0 +1,43 @@
+import pytest
+
+from sublap import DomainError
+from sublap.extrapolation import geometric_limit, richardson_weights
+
+RADII = [0.4, 0.2, 0.1]
+
+
+class TestGeometricLimit:
+    def test_exact_power_law(self):
+        values = [1.0 + 0.5 * x**2 for x in RADII]
+        result = geometric_limit(RADII, values)
+        assert not result.fallback
+        assert result.rate == pytest.approx(2.0, rel=1e-12)
+        assert result.limit == pytest.approx(1.0, rel=1e-12)
+
+    def test_significant_differences_fit(self):
+        values = [1.0 - 0.2 * x**2 for x in RADII]  # differences 0.024, 0.006
+        result = geometric_limit(RADII, values, [0.001] * 3)
+        assert not result.fallback and result.limit == pytest.approx(1.0, rel=1e-12)
+
+    def test_noise_level_difference_falls_back(self):
+        # the first difference is real, the second 2.3 sigma of noise: a rate
+        # fitted to it (q = 0.38) would put the limit 0.05 off
+        values, stderrs = [0.9739, 0.9937, 1.0089], [0.0047] * 3
+        result = geometric_limit(RADII, values, stderrs)
+        assert result.fallback and result.rate is None
+        assert result.limit == 1.0089 and result.stderr == 0.0047
+
+
+class TestRichardsonWeights:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_cancel_even_powers(self, m):
+        c = richardson_weights(m)
+        steps = [0.5**i for i in range(m)]
+        assert sum(c) == pytest.approx(1.0, abs=1e-15)
+        for power in range(2, 2 * m, 2):
+            assert sum(ci * s**power for ci, s in zip(c, steps)) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_two_or_three_samples(self, m):
+        with pytest.raises(DomainError):
+            richardson_weights(m)

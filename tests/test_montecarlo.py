@@ -180,13 +180,22 @@ class TestShellIntegral:
         sig = ratio * np.hypot(one.stderr / one.mean, two.stderr / two.mean)
         assert abs(ratio - 8.0) <= 3.0 * sig
 
-    def test_matches_radial_derivative_of_ball_measure(self, setup_a):
+    def test_matches_radial_derivative_of_ball_measure(self, all_setups):
         # extrapolated shell at R equals Q sigma_p R^(Q-1)
-        sig = sigma_p_quadrature(1, 1.0, 1.0, 2.0)
-        for R in (1.0, 2.0):
-            est = shell_integral_extrapolated(setup_a, 2.0, R, Constant(1.0, 3), SAMPLES, 6)
-            target = 4.0 * sig * R**3
-            assert abs(est.mean - target) <= 4.0 * est.stderr
+        for params in all_setups:
+            sig = sigma_p_quadrature(params.n, params.k, params.c, 2.0)
+            one = Constant(1.0, params.dim)
+            for R in (1.0, 2.0):
+                est = shell_integral_extrapolated(params, 2.0, R, one, SAMPLES, 6)
+                target = params.Q * sig * R ** (params.Q - 1.0)
+                assert abs(est.mean - target) <= 4.0 * est.stderr
+
+    @pytest.mark.parametrize("fracs", [(0.6, 0.3), (0.1, 0.06), (0.1,)])
+    def test_width_validation(self, setup_a, fracs):
+        with pytest.raises(DomainError):
+            shell_integral_extrapolated(
+                setup_a, 2.0, 1.0, Constant(1.0, 3), SAMPLES, 2, delta_fracs=fracs
+            )
 
     def test_bump_matches_quadrature_oracle(self, setup_a):
         bump = CutoffBump(setup_a, 1.5)
@@ -210,6 +219,41 @@ class TestDensityLimit:
         rows = density_limit(setup_a, 2.0, bump, radii, SAMPLES, 17)
         extra = geometric_limit(radii, [r.mean for r in rows], [r.stderr for r in rows])
         assert abs(extra.limit - 1.0) <= 0.02
+
+    def test_one_kernel_run_per_radius(self, setup_a, monkeypatch):
+        import sublap.montecarlo as mc
+
+        calls = []
+        kernel = mc._mc_over_box
+
+        def counting(params, spec, band, samples, seed, stream, threads):
+            calls.append((stream, spec.R, band.lo, band.hi))
+            return kernel(params, spec, band, samples, seed, stream, threads)
+
+        monkeypatch.setattr(mc, "_mc_over_box", counting)
+        radii = [0.4, 0.2, 0.1]
+        density_limit(setup_a, 2.0, CutoffBump(setup_a, 1.5), radii, 10**4, 17)
+        assert len(calls) == 1 + len(radii)
+        assert len({c[0] for c in calls}) == len(calls)
+        # each radius: one run over the box and band of its widest shell
+        for (_, box_R, lo, hi), R in zip(calls[1:], radii):
+            assert (box_R, lo, hi) == pytest.approx((1.1 * R, (0.9 * R) ** 4, (1.1 * R) ** 4))
+
+    def test_radii_on_their_own_streams(self, setup_a):
+        # the box sampler is scale-equivariant: radii sharing a stream would
+        # accept the same rows and, for phi = 1, give the same density
+        rows = density_limit(setup_a, 2.0, Constant(1.0, 3), [0.4, 0.2, 0.1], SAMPLES, 11)
+        assert len({r.accepted for r in rows}) == 3
+        means = [r.mean for r in rows]
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            assert abs(means[a] - means[b]) > 1e-9 * abs(means[a])
+
+    def test_bit_identical_across_thread_counts(self, setup_c):
+        # 150001 samples: two full shards and a partial last one
+        bump = CutoffBump(setup_c, 1.0)
+        one = density_limit(setup_c, 2.0, bump, [0.4, 0.2, 0.1], 150001, 5, threads=1)
+        two = density_limit(setup_c, 2.0, bump, [0.4, 0.2, 0.1], 150001, 5, threads=2)
+        assert one == two
 
     def test_field_vanishing_at_center(self, setup_a):
         # phi = h has phi(x0) = 0; entries scale like R^(4k)
