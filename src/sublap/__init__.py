@@ -67,6 +67,7 @@ from .space import (
     is_base_point,
     is_log_case,
     normalization,
+    sigma_p_exact,
 )
 from .weakform import DiracTable, dirac_limit, weak_pairing
 

@@ -6,6 +6,8 @@ the energy of any radial profile eta(psi) into
     Q sigma_p * integral_r^R |eta'(rho)|^p rho^(Q-1) drho,
 
 so the sigma_p factor is common to every method and cancels in comparisons.
+The full-dimensional MC energy is divided by the closed-form sigma_p
+(`space.sigma_p_exact`), so its stderr is the energy run's alone.
 """
 
 from __future__ import annotations
@@ -17,16 +19,8 @@ from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, DomainError
 from .fields import AnnulusPotential
-from .montecarlo import (
-    Band,
-    MCEstimate,
-    STREAM_ENERGY,
-    STREAM_SIGMA_COMPANION,
-    _mc_over_box,
-    ball_spec,
-    sigma_p,
-)
-from .space import SpaceParams, exponents
+from .montecarlo import Band, MCEstimate, STREAM_ENERGY, _mc_over_box, ball_spec
+from .space import SpaceParams, exponents, sigma_p_exact
 
 __all__ = [
     "RadialProfile",
@@ -80,7 +74,6 @@ class RadialProfile:
 class CapacityResult:
     method: str                       # closed-form | radial-variational | mc-energy
     value: float                      # in units of sigma_p
-    sigma_p_used: MCEstimate | None = None  # None = symbolic sigma_p unit
     stderr: float | None = None
 
 
@@ -187,13 +180,10 @@ def minimize_radial(
 
 def mc_energy(
     params: SpaceParams, p: float, r: float, R: float, samples: int, seed: int,
-    threads: int | None = None, sigma: MCEstimate | None = None,
+    threads: int | None = None,
 ) -> MCEstimate:
-    """MC annulus energy of the explicit potential, divided by an independent
-    sigma_p run of the same seed; mean is in sigma_p units.
-
-    sigma_p is estimated on the companion stream unless supplied.
-    """
+    """MC annulus energy of the explicit potential, divided by the closed-form
+    sigma_p; mean and stderr are in sigma_p units."""
     potential = AnnulusPotential(params, p, r, R)
     k = params.k
 
@@ -204,13 +194,9 @@ def mc_energy(
     mean, stderr, acc = _mc_over_box(
         params, ball_spec(params, R), band, samples, seed, STREAM_ENERGY, threads
     )
-    if sigma is None:
-        sigma = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
-    ratio = mean / sigma.mean
-    rel = np.hypot(stderr / mean if mean != 0 else 0.0, sigma.stderr / sigma.mean)
+    sigma = sigma_p_exact(params, p)
     return MCEstimate(
-        mean=ratio, stderr=abs(ratio) * float(rel), samples=samples, seed=seed,
-        accepted=acc,
+        mean=mean / sigma, stderr=stderr / sigma, samples=samples, seed=seed, accepted=acc
     )
 
 
@@ -222,9 +208,6 @@ def capacity_three_way(
     closed = closed_form_capacity(params, p, r, R)
     _, energy = minimize_radial(params, p, r, R, m_knots)
     variational = CapacityResult(method="radial-variational", value=energy)
-    sig = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
-    est = mc_energy(params, p, r, R, samples, seed, threads, sigma=sig)
-    mc = CapacityResult(
-        method="mc-energy", value=est.mean, sigma_p_used=sig, stderr=est.stderr
-    )
+    est = mc_energy(params, p, r, R, samples, seed, threads)
+    mc = CapacityResult(method="mc-energy", value=est.mean, stderr=est.stderr)
     return [closed, variational, mc]

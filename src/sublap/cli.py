@@ -203,10 +203,6 @@ def _validate(cfg: RunConfig) -> None:
         radii = cfg.radii
         if not radii or any(x <= 0 for x in radii):
             raise ConfigurationError("radii must be positive")
-        if cfg.command in ("density", "dirac") and any(
-            b >= a for a, b in zip(radii, radii[1:])
-        ):
-            raise ConfigurationError("radii must be strictly decreasing")
         if cfg.command == "dirac" and radii[0] >= cfg.bump_radius:
             raise ConfigurationError("dirac radii must sit inside the bump support")
     if cfg.knots < 8:
@@ -349,7 +345,6 @@ def _cmd_dirac(cfg: RunConfig) -> list[dict]:
         _record(f"pairing@r={r:g}", e.mean, stderr=e.stderr)
         for r, e in zip(table.radii, table.estimates)
     ]
-    out.append(_record("sigma_p", table.sigma.mean, stderr=table.sigma.stderr))
     out.append(_record("normalization_constant", table.constant, exact=True))
     err = abs(table.limit - table.target)
     out.append(

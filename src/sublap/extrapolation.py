@@ -23,6 +23,15 @@ class ExtrapolationResult:
     fallback: bool           # True when noise swamped the fit; limit = finest value
 
 
+def decreasing_radii(radii) -> list[float]:
+    """The radii of a limit sequence as floats; raises DomainError unless they
+    are strictly decreasing and positive."""
+    radii = [float(r) for r in radii]
+    if not radii or any(b >= a for a, b in zip(radii, radii[1:])) or radii[-1] <= 0:
+        raise DomainError("radii must be strictly decreasing and positive")
+    return radii
+
+
 def geometric_limit(xs, values, stderrs=None) -> ExtrapolationResult:
     """Extrapolate a + b x^q -> a from three samples at geometrically spaced x.
 

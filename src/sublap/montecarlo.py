@@ -37,24 +37,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .extrapolation import richardson_weights
+from .extrapolation import decreasing_radii, richardson_weights
 from .fields import ScalarField, column_gauge_parts, gauge_parts  # noqa: F401 (re-exported)
-from .space import SpaceParams
+from .space import SpaceParams, check_integrable, sigma_p_exact
 
 SHARD_SIZE = 1 << 16
 # Rows drawn and mapped at a time: a block's columns stay in cache.
 BLOCK_ROWS = 1 << 14
 _MASK64 = (1 << 64) - 1
 
-# Stream ids keep companion estimates (e.g. the sigma_p run that normalizes
-# a density or capacity check) independent of the main integral while still
-# fully determined by the user seed.  The radii of one density or dirac
-# check take STREAM_SHELL + 16 * idx and STREAM_PAIRING + 16 * idx.
+# Stream ids keep the estimates of one check independent of each other while
+# still fully determined by the user seed.  The radii of one ahlfors,
+# density or dirac check take STREAM_BALL + idx, STREAM_SHELL + 16 * idx and
+# STREAM_PAIRING + 16 * idx.  Nothing re-estimates sigma_p to normalize a
+# check: density, dirac and capacity divide by `space.sigma_p_exact`.
 STREAM_BALL = 1
 STREAM_SHELL = 2
 STREAM_PAIRING = 3
 STREAM_ENERGY = 5
-STREAM_SIGMA_COMPANION = 7
 STREAM_POINTS = 9
 
 THREADS_ENV_VAR = "SUBLAP_THREADS"
@@ -152,22 +152,10 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     """Plain MC of the band `integrand` over the box; returns (mean, stderr, accepted).
 
     Shards are reduced in index order.  Raises DomainError where the
-    integral diverges: for k < 1/2, |grad_0 psi|^p blows up like
-    Sigma^((2k-1)p/2) on the axis {Sigma = 0}, faster than the horizontal
-    volume Sigma^(n-1) dSigma can absorb once p >= 2n/(1-2k).
+    integral diverges (`space.check_integrable`).
     """
     p = integrand.p
-    if not p > 1:
-        raise DomainError(f"p must exceed 1, got {p!r}")
-    if params.k < 0.5:
-        # the relative slack keeps the divergent endpoint p == 2n/(1-2k)
-        # rejected whichever way the bound rounds
-        p_div = 2 * params.n / (1.0 - 2 * params.k)
-        if p >= p_div * (1.0 - 1e-12):
-            raise DomainError(
-                f"the integral of |grad_0 psi|^p diverges for k < 1/2 and "
-                f"p >= 2n/(1-2k) = {p_div:g}, got p={p:g}"
-            )
+    check_integrable(params, p)
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
     lo, width = _box(params, spec)
@@ -240,7 +228,7 @@ def ball_measure(
 ) -> MCEstimate:
     """V(B_R) = integral over {psi < R} of |grad_0 psi|^p.
 
-    Diverges for k < 1/2 and p >= 2n/(1-2k) (see `_mc_over_box`).
+    Diverges for k < 1/2 and p >= 2n/(1-2k) (see `space.check_integrable`).
     """
     spec = ball_spec(params, R)
     band = Band(p=p, hi=R ** (4 * params.k))
@@ -325,19 +313,17 @@ def shell_integral_extrapolated(
 
 def density_limit(
     params: SpaceParams, p: float, phi: ScalarField, radii, samples: int, seed: int,
-    threads: int | None = None, sigma: MCEstimate | None = None,
+    threads: int | None = None,
 ) -> list[MCEstimate]:
     """R^(1-Q)/(Q sigma_p) * surface integral of phi, for each R in radii.
 
-    The sequence converges to phi(x0) as R -> 0.  sigma_p is re-estimated
-    from a companion stream of the same seed unless supplied.
+    The sequence converges to phi(x0) as R -> 0; radii must be strictly
+    decreasing.  sigma_p is the closed form, so each radius' stderr is its
+    own shell run's, and the radii stay independent.
     """
-    radii = [float(R) for R in radii]
-    if any(R <= 0 for R in radii):
-        raise DomainError("radii must be positive")
-    if sigma is None:
-        sigma = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
+    radii = decreasing_radii(radii)
     Q = params.Q
+    Q_sigma = Q * sigma_p_exact(params, p)
     out = []
     for idx, R in enumerate(radii):
         # one stream per radius: the box sampler is scale-equivariant, so a
@@ -345,15 +331,10 @@ def density_limit(
         shell = shell_integral_extrapolated(
             params, p, R, phi, samples, seed, threads, stream=STREAM_SHELL + 16 * idx
         )
-        scale = R ** (1.0 - Q) / (Q * sigma.mean)
-        value = scale * shell.mean
-        rel = np.hypot(
-            shell.stderr / shell.mean if shell.mean != 0 else 0.0,
-            sigma.stderr / sigma.mean,
-        )
+        scale = R ** (1.0 - Q) / Q_sigma
         out.append(
             MCEstimate(
-                mean=value, stderr=abs(value) * float(rel), samples=samples,
+                mean=scale * shell.mean, stderr=scale * shell.stderr, samples=samples,
                 seed=seed, accepted=shell.accepted,
             )
         )

@@ -177,6 +177,46 @@ def exponents(params: SpaceParams, p: float) -> Exponents:
     return Exponents(p=float(p), Q=Q, w=w, alpha=alpha)
 
 
+def check_integrable(params: SpaceParams, p: float) -> None:
+    """Raise DomainError unless p > 1 and |grad_0 psi|^p is integrable on gauge balls.
+
+    For k < 1/2, |grad_0 psi|^p blows up like Sigma^((2k-1)p/2) on the axis
+    {Sigma = 0}, faster than the horizontal volume Sigma^(n-1) dSigma can
+    absorb once p >= 2n/(1-2k); the axis crosses every ball and annulus.
+    """
+    if not p > 1:
+        raise DomainError(f"p must exceed 1, got {p!r}")
+    if params.k < 0.5:
+        # the relative slack keeps the divergent endpoint p == 2n/(1-2k)
+        # rejected whichever way the bound rounds
+        p_div = 2 * params.n / (1.0 - 2 * params.k)
+        if p >= p_div * (1.0 - 1e-12):
+            raise DomainError(
+                f"the integral of |grad_0 psi|^p diverges for k < 1/2 and "
+                f"p >= 2n/(1-2k) = {p_div:g}, got p={p:g}"
+            )
+
+
+def sigma_p_exact(params: SpaceParams, p: float) -> float:
+    """sigma_p = V(B_1), the integral of |grad_0 psi|^p over {psi < 1}, in closed form.
+
+    The coarea reduction gives
+
+        sigma_p = omega_(2n-1) |c|^((p-2n)/(2k)) B(1/2, (m+1)/2) / (2(n+k)),
+
+    m = p(2k-1)/(2k) + n/k - 1 and omega_(2n-1) = 2 pi^n / Gamma(n), the
+    area of the unit (2n-1)-sphere.  (m+1)/2 reaches 0 exactly at the
+    divergence bound of `check_integrable`.
+    """
+    check_integrable(params, p)
+    n, k = params.n, params.k
+    m = p * (2 * k - 1) / (2 * k) + n / k - 1
+    omega = 2 * math.pi**n / math.gamma(n)
+    a, b = 0.5, (m + 1) / 2
+    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return omega * abs(params.c) ** ((p - 2 * n) / (2 * k)) * beta / (2 * (n + k))
+
+
 def c1_constant(alpha: float, Q: float, sigma_p: float, p: float) -> float:
     """C1 = alpha^(-1) (Q sigma_p)^(1/(1-p))."""
     if not sigma_p > 0:

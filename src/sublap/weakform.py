@@ -15,18 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .extrapolation import ExtrapolationResult, geometric_limit
+from .extrapolation import ExtrapolationResult, decreasing_radii, geometric_limit
 from .fields import CutoffBump, FundamentalProfile, LinearCombination
-from .montecarlo import (
-    Band,
-    MCEstimate,
-    STREAM_PAIRING,
-    STREAM_SIGMA_COMPANION,
-    _mc_over_box,
-    ball_spec,
-    sigma_p,
-)
-from .space import SpaceParams, normalization
+from .montecarlo import Band, MCEstimate, STREAM_PAIRING, _mc_over_box, ball_spec
+from .space import SpaceParams, normalization, sigma_p_exact
 
 
 def _check_bump(phi) -> None:
@@ -83,8 +75,7 @@ class DiracTable:
     estimates: tuple[MCEstimate, ...]
     extrapolation: ExtrapolationResult
     target: float           # -phi(x0)
-    sigma: MCEstimate       # companion sigma_p estimate used for the constant
-    constant: float         # C1 (p != Q) or C2 (p == Q)
+    constant: float         # C1 (p != Q) or C2 (p == Q), from the exact sigma_p
 
     @property
     def limit(self) -> float:
@@ -99,10 +90,9 @@ def dirac_limit(
 
     radii must be strictly decreasing and below the bump support; the
     extrapolated r -> 0 limit is compared against -phi(x0) by the caller.
+    The constant is normalized by the closed-form sigma_p.
     """
-    radii = [float(r) for r in radii]
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])) or radii[-1] <= 0:
-        raise DomainError("radii must be strictly decreasing and positive")
+    radii = decreasing_radii(radii)
     _check_bump(phi)
     support = (
         phi.support_radius
@@ -114,8 +104,7 @@ def dirac_limit(
     R = support if outer_radius is None else float(outer_radius)
     if R < support:
         raise DomainError("outer radius must contain the bump support")
-    sig = sigma_p(params, p, samples, seed, threads, stream=STREAM_SIGMA_COMPANION)
-    constant = normalization(params, p, sig.mean)
+    constant = normalization(params, p, sigma_p_exact(params, p))
     u = FundamentalProfile(params, p, scale=constant)
     estimates = [
         weak_pairing(
@@ -139,6 +128,5 @@ def dirac_limit(
         estimates=tuple(estimates),
         extrapolation=extra,
         target=-center,
-        sigma=sig,
         constant=constant,
     )

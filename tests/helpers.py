@@ -148,6 +148,22 @@ def radial_capacity_quadrature(Q, p, alpha_or_none, r, R):
     return Q * val
 
 
+def coarea_quadrature(params, p, g, lo, hi):
+    """1-D coarea oracle: the integral of g(psi) |grad_0 psi|^p over the band
+    {lo < psi < hi}.
+
+    The measure |grad_0 psi|^p dx gives the ball {psi < R} exactly
+    sigma_p R^Q, so the band integral is Q sigma_p int_lo^hi g(rho) rho^(Q-1)
+    drho, with sigma_p the closed form (itself checked against
+    `sigma_p_quadrature`).  g takes a scalar rho.
+    """
+    from sublap import sigma_p_exact
+
+    Q = params.Q
+    val, _ = quad(lambda rho: g(rho) * rho ** (Q - 1.0), lo, hi, epsrel=1e-11, limit=200)
+    return Q * sigma_p_exact(params, p) * val
+
+
 # ---------------------------------------------------------------- MC reference pipeline
 #
 # The Monte Carlo estimators as they ran before the block kernel: every

@@ -35,7 +35,7 @@ class TestClosedForm:
         res = closed_form_capacity(setup_a, 2.0, 1.0, 2.0)
         assert res.value == pytest.approx(32.0 / 3.0, rel=1e-14)
         assert res.method == "closed-form"
-        assert res.sigma_p_used is None
+        assert res.stderr is None
 
     def test_setup_a_log_case(self, setup_a):
         res = closed_form_capacity(setup_a, 4.0, 1.0, 2.0)
@@ -200,4 +200,4 @@ class TestThreeWay:
             for j in range(i + 1, 3):
                 assert abs(vals[i] - vals[j]) / vals[i] <= 0.02
         mc = next(r for r in results if r.method == "mc-energy")
-        assert mc.sigma_p_used is not None and mc.stderr is not None
+        assert mc.stderr is not None

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sublap
 from sublap.cli import main
 
 FAST = ["--samples", "10000", "--points", "20", "--seed", "7"]
@@ -46,6 +51,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["density", "dirac"])
+    def test_increasing_radii_exit_one(self, capsys, command):
+        # the library checks the order; the CLI reports its error
+        assert main([command, "--radii", "0.05,0.1"] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: radii must be strictly decreasing and positive\n"
 
     def test_k_one_half_sigma_is_finite(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--k", "0.5", "--p", "12"] + FAST)
@@ -198,3 +211,14 @@ class TestReports:
         assert main(["sigma", "--config", str(cfg)]) == 1
         cfg.write_text("unknown_key = 3\n")
         assert main(["sigma", "--config", str(cfg)]) == 1
+
+
+def test_import_does_not_load_quadrature():
+    # scipy.integrate costs about half a second to import; only tests use it
+    src = str(Path(sublap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, sublap, sublap.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -28,18 +28,13 @@ from sublap import (
     normalization,
     sample_points,
     shell_integral,
+    sigma_p_exact,
     weak_pairing,
 )
 from sublap import capacity as capacity_module
 from sublap import frame
 from sublap.fields import AnnulusPotential, column_gauge_parts, gauge_parts
-from sublap.montecarlo import (
-    BLOCK_ROWS,
-    SHARD_SIZE,
-    STREAM_ENERGY,
-    STREAM_SIGMA_COMPANION,
-    grad_psi_norm_sq,
-)
+from sublap.montecarlo import BLOCK_ROWS, SHARD_SIZE, STREAM_ENERGY, grad_psi_norm_sq
 
 SAMPLES = 2 * SHARD_SIZE + BLOCK_ROWS + 2545  # a partial shard ending in a partial block
 SEED = 77
@@ -130,8 +125,10 @@ def test_weak_pairing(params, threads):
     assert_same(est, ref)
 
 
-def test_mc_energy(params, threads):
-    r, R, k4 = 0.6, 1.4, 4 * params.k
+def energy_reference(params, r, R, samples):
+    """The annulus energy in sigma_p units: the reference MC run over the
+    exact sigma_p."""
+    k4 = 4 * params.k
     potential = AnnulusPotential(params, P, r, R)
 
     def weight(pts, sigma, h):
@@ -140,14 +137,14 @@ def test_mc_energy(params, threads):
                 * grad_psi_norm_sq(params, sigma, h) ** (P / 2.0))
 
     mean, stderr, acc = reference_mc(params, R, reference_band(params, r**k4, R**k4, weight),
-                                     SAMPLES, SEED, STREAM_ENERGY)
-    s_mean, s_err, _ = reference_mc(params, 1.0, reference_band(params, None, 1.0,
-                                                                power(params, P)),
-                                    SAMPLES, SEED, STREAM_SIGMA_COMPANION)
-    ratio = mean / s_mean
-    rel = np.hypot(stderr / mean, s_err / s_mean)
-    est = mc_energy(params, P, r, R, SAMPLES, SEED, threads)
-    assert_same(est, (ratio, abs(ratio) * float(rel), acc))
+                                     samples, SEED, STREAM_ENERGY)
+    sigma = sigma_p_exact(params, P)
+    return mean / sigma, stderr / sigma, acc
+
+
+def test_mc_energy(params, threads):
+    est = mc_energy(params, P, 0.6, 1.4, SAMPLES, SEED, threads)
+    assert_same(est, energy_reference(params, 0.6, 1.4, SAMPLES))
 
 
 def test_sample_points_match_reference(params):
@@ -173,22 +170,22 @@ def test_sigma_matches_einsum(n, rng):
         assert np.array_equal(got, want)
 
 
-def test_capacity_estimates_sigma_once(monkeypatch):
+def test_capacity_normalizes_by_exact_sigma(monkeypatch):
+    # one kernel run, the energy's; sigma_p is the closed form
     params = SPACES[1]
-    calls = []
-    real = capacity_module.sigma_p
+    streams = []
+    kernel = capacity_module._mc_over_box
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("stream"))
-        return real(*args, **kwargs)
+    def counted(params, spec, band, samples, seed, stream, threads):
+        streams.append(stream)
+        return kernel(params, spec, band, samples, seed, stream, threads)
 
-    monkeypatch.setattr(capacity_module, "sigma_p", counted)
+    monkeypatch.setattr(capacity_module, "_mc_over_box", counted)
     results = capacity_three_way(params, P, 0.6, 1.4, 2 * 10**4, SEED, m_knots=16)
-    assert calls == [STREAM_SIGMA_COMPANION]
+    assert streams == [STREAM_ENERGY]
     mc = results[-1]
-    monkeypatch.setattr(capacity_module, "sigma_p", real)
-    alone = mc_energy(params, P, 0.6, 1.4, 2 * 10**4, SEED)
-    assert (mc.value, mc.stderr) == (alone.mean, alone.stderr)
+    mean, stderr, _ = energy_reference(params, 0.6, 1.4, 2 * 10**4)
+    assert (mc.value, mc.stderr) == (mean, stderr)
 
 
 def test_bracket_comparison_builds_frame_once_per_point(monkeypatch, setup_c):

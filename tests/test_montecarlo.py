@@ -8,7 +8,6 @@ from sublap import (
     DomainError,
     FundamentalProfile,
     GaugeH,
-    MCEstimate,
     SpaceParams,
     ball_measure,
     ball_spec,
@@ -140,8 +139,7 @@ def _annulus_estimate(name, params, p):
         return shell_integral(params, p, 0.5, 0.05, bump, 10**4, 3)
     if name == "pairing":
         return weak_pairing(params, p, FundamentalProfile(params, p), bump, 0.2, 1.0, 10**4, 3)
-    sigma = MCEstimate(mean=1.0, stderr=0.0, samples=10**4, seed=3)
-    return mc_energy(params, p, 0.5, 1.0, 10**4, 3, sigma=sigma)
+    return mc_energy(params, p, 0.5, 1.0, 10**4, 3)
 
 
 class TestDivergenceGuard:
@@ -233,11 +231,16 @@ class TestDensityLimit:
         monkeypatch.setattr(mc, "_mc_over_box", counting)
         radii = [0.4, 0.2, 0.1]
         density_limit(setup_a, 2.0, CutoffBump(setup_a, 1.5), radii, 10**4, 17)
-        assert len(calls) == 1 + len(radii)
+        assert len(calls) == len(radii)
         assert len({c[0] for c in calls}) == len(calls)
         # each radius: one run over the box and band of its widest shell
-        for (_, box_R, lo, hi), R in zip(calls[1:], radii):
+        for (_, box_R, lo, hi), R in zip(calls, radii):
             assert (box_R, lo, hi) == pytest.approx((1.1 * R, (0.9 * R) ** 4, (1.1 * R) ** 4))
+
+    @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.4, 0.4], [0.4, -0.2], []])
+    def test_radii_must_decrease(self, setup_a, radii):
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            density_limit(setup_a, 2.0, Constant(1.0, 3), radii, 10**4, 8)
 
     def test_radii_on_their_own_streams(self, setup_a):
         # the box sampler is scale-equivariant: radii sharing a stream would
