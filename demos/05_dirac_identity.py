@@ -6,7 +6,7 @@ against a smooth bump phi over the annulus {r < psi < R} converges to
 extrapolated limit should be -1.
 """
 
-from sublap import CutoffBump, SpaceParams, dirac_limit, sigma_p_exact
+from sublap import CutoffBump, SpaceParams, dirac_limit, normalization, sigma_p_exact
 
 params = SpaceParams(n=1, k=1.0, c=1.0)
 bump = CutoffBump(params, support_radius=1.0)
@@ -15,8 +15,9 @@ SAMPLES, SEED = 4 * 10**5, 90210
 for p in (2.0, 3.0, params.Q):
     table = dirac_limit(params, p, bump, [0.2, 0.1, 0.05], SAMPLES, SEED)
     kind = "C2 log psi" if p == params.Q else "C1 psi^alpha"
-    print(f"\np = {p:g}  (u = {kind}, constant = {table.constant:+.6f},"
-          f" sigma_p = {sigma_p_exact(params, p):.5f})")
+    sigma = sigma_p_exact(params, p)
+    print(f"\np = {p:g}  (u = {kind}, constant = {normalization(params, p, sigma):+.6f},"
+          f" sigma_p = {sigma:.5f})")
     for r, est in zip(table.radii, table.estimates):
         print(f"  r={r:<5g} pairing = {est.mean:+.5f} +- {est.stderr:.5f}")
     print(f"  extrapolated limit: {table.limit:+.5f}   target {table.target:+g}")

@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .capacity import (
     CapacityResult,
     RadialProfile,
+    annulus_capacity,
     capacity_three_way,
     closed_form_capacity,
     mc_energy,
@@ -20,6 +21,7 @@ from .errors import (
     DomainError,
     SingularPointError,
 )
+from .extrapolation import LimitTable
 from .fields import (
     AnnulusPotential,
     Constant,
@@ -69,6 +71,6 @@ from .space import (
     normalization,
     sigma_p_exact,
 )
-from .weakform import DiracTable, dirac_limit, weak_pairing
+from .weakform import dirac_limit, weak_pairing
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,6 +30,7 @@ __all__ = [
     "radial_energy",
     "minimize_radial",
     "mc_energy",
+    "annulus_capacity",
     "capacity_three_way",
 ]
 
@@ -134,8 +135,8 @@ def minimize_radial(
         raise DomainError(f"need at least 8 segments, got {m_knots}")
     if not 0 < r < R:
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
-    if not p > 1:
-        raise DomainError(f"p must exceed 1, got {p!r}")
+    if not 1 < p < np.inf:
+        raise DomainError(f"p must exceed 1 and be finite, got {p!r}")
     Q = params.Q
     rho = np.linspace(r, R, m_knots + 1)
     drho = np.diff(rho)
@@ -200,14 +201,35 @@ def mc_energy(
     )
 
 
+METHODS = ("closed-form", "radial-variational", "mc-energy")
+
+
+def annulus_capacity(
+    params: SpaceParams, p: float, r: float, R: float, method: str, samples: int,
+    seed: int, m_knots: int = 400, threads: int | None = None,
+) -> CapacityResult:
+    """The capacity of the annulus by one of METHODS, in sigma_p units.
+
+    samples, seed and threads serve mc-energy only, m_knots
+    radial-variational only.
+    """
+    if method == "closed-form":
+        return closed_form_capacity(params, p, r, R)
+    if method == "radial-variational":
+        _, energy = minimize_radial(params, p, r, R, m_knots)
+        return CapacityResult(method=method, value=energy)
+    if method == "mc-energy":
+        est = mc_energy(params, p, r, R, samples, seed, threads)
+        return CapacityResult(method=method, value=est.mean, stderr=est.stderr)
+    raise DomainError(f"unknown capacity method {method!r}")
+
+
 def capacity_three_way(
     params: SpaceParams, p: float, r: float, R: float, samples: int, seed: int,
     m_knots: int = 400, threads: int | None = None,
 ) -> list[CapacityResult]:
     """closed form, radial minimizer, and MC energy, all in sigma_p units."""
-    closed = closed_form_capacity(params, p, r, R)
-    _, energy = minimize_radial(params, p, r, R, m_knots)
-    variational = CapacityResult(method="radial-variational", value=energy)
-    est = mc_energy(params, p, r, R, samples, seed, threads)
-    mc = CapacityResult(method="mc-energy", value=est.mean, stderr=est.stderr)
-    return [closed, variational, mc]
+    return [
+        annulus_capacity(params, p, r, R, method, samples, seed, m_knots, threads)
+        for method in METHODS
+    ]

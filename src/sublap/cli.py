@@ -1,9 +1,10 @@
 """Command-line entry point: every verification and computation as a subcommand.
 
-Exit codes: 0 all checks passed, 1 invalid configuration, 2 a check exceeded
-its tolerance.  Reports are JSON (default) or a flat CSV projection, and are
-byte-identical across runs with the same configuration apart from the
-duration field.
+Exit codes: 0 all checks passed, 1 invalid configuration, an input outside
+the domain of the command's computation or a solve that did not converge, 2
+a check exceeded its tolerance.  Reports are JSON (default) or a flat CSV
+projection, and are byte-identical across runs with the same configuration
+apart from the duration field.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .capacity import capacity_three_way, closed_form_capacity, mc_energy, minimize_radial
-from .errors import ConfigurationError, DomainError
-from .extrapolation import ExtrapolationResult, geometric_limit
+from .capacity import METHODS, annulus_capacity
+from .errors import ConfigurationError, ConvergenceError, DomainError
+from .extrapolation import LimitTable
 from .fields import CutoffBump, FundamentalProfile, GaugePsi, gauge_parts
 from .frame import bracket_comparison, infinity_laplacian, p_laplacian
 from .montecarlo import (
@@ -34,7 +37,7 @@ from .montecarlo import (
     sample_points,
     sigma_p,
 )
-from .space import SpaceParams, is_log_case
+from .space import SpaceParams, is_log_case, normalization, sigma_p_exact
 from .weakform import dirac_limit
 
 REPORT_SCHEMA = "sublap-report-v1"
@@ -54,6 +57,14 @@ RADII_DEFAULTS = {
     "ahlfors": [0.5, 1.0, 2.0],
     "density": [0.4, 0.2, 0.1],
     "dirac": [0.2, 0.1, 0.05],
+}
+
+# The capacity methods each --method runs.
+CAPACITY_RUNS = {
+    "closed-form": ("closed-form",),
+    "radial": ("radial-variational",),
+    "mc": ("mc-energy",),
+    "all": METHODS,
 }
 
 # Default tolerances: scaled 1e-8 for AD operator checks, 3 sigma for MC
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--radii", type=str, help="comma-separated radii")
         cmd.add_argument("--bump-radius", dest="bump_radius", type=float)
         cmd.add_argument("--knots", type=int)
-        cmd.add_argument("--method", choices=["closed-form", "radial", "mc", "all"])
+        cmd.add_argument("--method", choices=list(CAPACITY_RUNS))
         cmd.add_argument("--threads", type=int)
         cmd.add_argument("--tol", type=float)
         cmd.add_argument("--format", choices=["json", "csv"])
@@ -190,32 +201,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    cfg.space()  # raises ConfigurationError on bad n, k, c, x0
-    if not cfg.p > 1:
-        raise ConfigurationError(f"p must exceed 1, got {cfg.p}")
-    if cfg.samples < 10**4:
-        raise ConfigurationError(f"samples must be >= 1e4, got {cfg.samples}")
-    if cfg.points < 1:
-        raise ConfigurationError("points must be positive")
-    if cfg.command == "capacity" and not 0 < cfg.r < cfg.R:
-        raise ConfigurationError(f"need 0 < r < R, got r={cfg.r}, R={cfg.R}")
-    if cfg.command in RADII_DEFAULTS:
-        radii = cfg.radii
-        if not radii or any(x <= 0 for x in radii):
-            raise ConfigurationError("radii must be positive")
-        if cfg.command == "dirac" and radii[0] >= cfg.bump_radius:
-            raise ConfigurationError("dirac radii must sit inside the bump support")
-    if cfg.knots < 8:
-        raise ConfigurationError("knots must be >= 8")
-    if cfg.method not in ("closed-form", "radial", "mc", "all"):
+    """The checks that no library function makes.  Every other value is
+    checked by the library on the path that uses it, and its error exits 1
+    the same way.  method and format are checked here too because
+    config-file values bypass argparse's choices."""
+    if not 0 <= cfg.tol < math.inf:
+        raise ConfigurationError(f"tol must be nonnegative and finite, got {cfg.tol!r}")
+    if cfg.method not in CAPACITY_RUNS:
         raise ConfigurationError(f"unknown method {cfg.method!r}")
-    if not cfg.bump_radius > 0:
-        raise ConfigurationError("bump radius must be positive")
-    if cfg.tol is not None and cfg.tol < 0:
-        raise ConfigurationError("tol must be nonnegative")
-    resolve_threads(cfg.threads)  # also checks SUBLAP_THREADS when --threads is absent
     if cfg.format not in ("json", "csv"):
         raise ConfigurationError(f"unknown format {cfg.format!r}")
+    resolve_threads(cfg.threads)  # also checks SUBLAP_THREADS when --threads is absent
 
 
 def _record(name, value, stderr=None, tol=None, passed=None, exact=False) -> dict:
@@ -231,10 +227,21 @@ def _record(name, value, stderr=None, tol=None, passed=None, exact=False) -> dic
     return rec
 
 
-def _extrapolation_records(extra: ExtrapolationResult) -> list[dict]:
-    """Whether the radius extrapolation fell back to the finest radius, and
-    the fitted rate when it did not (a fallback has none)."""
-    out = [_record("extrapolation_fallback", 1.0 if extra.fallback else 0.0, exact=True)]
+def _limit_records(table: LimitTable, label: str, error_name: str, tol: float,
+                   notes=()) -> list[dict]:
+    """The estimate at each radius, `notes`, the gated distance of the
+    extrapolated limit from the target, whether the extrapolation fell back
+    to the finest radius, and the fitted rate when it did not (a fallback
+    has none)."""
+    out = [
+        _record(f"{label}={r:g}", e.mean, stderr=e.stderr)
+        for r, e in zip(table.radii, table.estimates)
+    ]
+    out += notes
+    err = abs(table.limit - table.target)
+    out.append(_record(error_name, err, tol=tol, passed=err <= tol, exact=True))
+    extra = table.extrapolation
+    out.append(_record("extrapolation_fallback", 1.0 if extra.fallback else 0.0, exact=True))
     if not extra.fallback:
         out.append(_record("extrapolation_rate", extra.rate, exact=True))
     return out
@@ -294,6 +301,8 @@ def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     Q = params.Q
     radii = cfg.radii
+    if len(radii) < 2:
+        raise ConfigurationError(f"ahlfors needs at least two radii, got {len(radii)}")
     # one substream per radius: the box sampler is scale-equivariant, so a
     # shared stream would make the constancy check vacuous
     ests = [
@@ -321,73 +330,41 @@ def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
 def _cmd_density(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     bump = CutoffBump(params, cfg.bump_radius)
-    rows = density_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
-    out = [
-        _record(f"density@R={R:g}", e.mean, stderr=e.stderr)
-        for R, e in zip(cfg.radii, rows)
-    ]
-    if len(rows) == 3:
-        extra = geometric_limit(cfg.radii, [e.mean for e in rows], [e.stderr for e in rows])
-        err = abs(extra.limit - bump.value_at_center())
-        out.append(
-            _record("extrapolated_density_error", err, tol=cfg.tol,
-                    passed=err <= cfg.tol, exact=True)
-        )
-        out += _extrapolation_records(extra)
-    return out
+    table = density_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
+    return _limit_records(table, "density@R", "extrapolated_density_error", cfg.tol)
 
 
 def _cmd_dirac(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     bump = CutoffBump(params, cfg.bump_radius)
     table = dirac_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
-    out = [
-        _record(f"pairing@r={r:g}", e.mean, stderr=e.stderr)
-        for r, e in zip(table.radii, table.estimates)
-    ]
-    out.append(_record("normalization_constant", table.constant, exact=True))
-    err = abs(table.limit - table.target)
-    out.append(
-        _record("extrapolated_limit_error", err, tol=cfg.tol,
-                passed=err <= cfg.tol, exact=True)
+    constant = normalization(params, cfg.p, sigma_p_exact(params, cfg.p))
+    return _limit_records(
+        table, "pairing@r", "extrapolated_limit_error", cfg.tol,
+        [_record("normalization_constant", constant, exact=True)],
     )
-    return out + _extrapolation_records(table.extrapolation)
 
 
 def _cmd_capacity(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
-    out = []
+    results = [
+        annulus_capacity(params, cfg.p, cfg.r, cfg.R, method, cfg.samples, cfg.seed,
+                         cfg.knots, cfg.threads)
+        for method in CAPACITY_RUNS[cfg.method]
+    ]
+    out = [
+        _record(f"capacity[{res.method}]", res.value, stderr=res.stderr,
+                exact=res.stderr is None)
+        for res in results
+    ]
     if cfg.method == "all":
-        results = capacity_three_way(
-            params, cfg.p, cfg.r, cfg.R, cfg.samples, cfg.seed, cfg.knots, cfg.threads
-        )
-        values = {}
-        for res in results:
-            values[res.method] = res.value
-            out.append(
-                _record(f"capacity[{res.method}]", res.value, stderr=res.stderr)
-            )
-        pairs = [
-            ("closed-form", "radial-variational"),
-            ("closed-form", "mc-energy"),
-            ("radial-variational", "mc-energy"),
-        ]
-        for a, b in pairs:
+        values = {res.method: res.value for res in results}
+        for a, b in itertools.combinations(METHODS, 2):
             rel = abs(values[a] - values[b]) / abs(values[a])
             out.append(
                 _record(f"relative_gap[{a}|{b}]", rel, tol=cfg.tol,
                         passed=rel <= cfg.tol, exact=True)
             )
-    else:
-        if cfg.method == "closed-form":
-            res = closed_form_capacity(params, cfg.p, cfg.r, cfg.R)
-            out.append(_record("capacity[closed-form]", res.value, exact=True))
-        elif cfg.method == "radial":
-            _, energy = minimize_radial(params, cfg.p, cfg.r, cfg.R, cfg.knots)
-            out.append(_record("capacity[radial-variational]", energy, exact=True))
-        else:
-            est = mc_energy(params, cfg.p, cfg.r, cfg.R, cfg.samples, cfg.seed, cfg.threads)
-            out.append(_record("capacity[mc-energy]", est.mean, stderr=est.stderr))
     return out
 
 
@@ -455,20 +432,16 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = build_config(args)
-    except (ConfigurationError, DomainError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         report, code = run(cfg)
-    except DomainError as exc:
+        text = render_json(report) if cfg.format == "json" else render_csv(report)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ConfigurationError, DomainError, ConvergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = render_json(report) if cfg.format == "json" else render_csv(report)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -33,30 +33,30 @@ def decreasing_radii(radii) -> list[float]:
 
 
 def geometric_limit(xs, values, stderrs=None) -> ExtrapolationResult:
-    """Extrapolate a + b x^q -> a from three samples at geometrically spaced x.
+    """Extrapolate a + b x^q -> a from samples at strictly decreasing x > 0.
 
-    xs must be strictly decreasing with constant ratio.  When a successive
-    difference is not significant (SIGNIFICANCE sigmas) against the supplied
-    stderrs, or the fit is ill-posed, the finest value is returned with
-    fallback=True.
+    Only three samples at geometrically spaced x (else DomainError) fit the
+    rate q.  Any other count of samples, a successive difference that is not
+    significant (SIGNIFICANCE sigmas) against the supplied stderrs, or an
+    ill-posed fit returns the finest value with fallback=True.
     """
-    xs = [float(x) for x in xs]
+    xs = decreasing_radii(xs)
     values = [float(v) for v in values]
-    if len(xs) != 3 or len(values) != 3:
-        raise DomainError("geometric_limit needs exactly three samples")
-    if not xs[0] > xs[1] > xs[2] > 0:
-        raise DomainError("xs must be strictly decreasing and positive")
+    if len(values) != len(xs):
+        raise DomainError("geometric_limit needs one value per x")
+    s = [0.0] * len(xs) if stderrs is None else [float(e) for e in stderrs]
+    finest = ExtrapolationResult(
+        limit=values[-1], stderr=(None if stderrs is None else s[-1]),
+        rate=None, fallback=True,
+    )
+    if len(xs) != 3:
+        return finest
     rho1, rho2 = xs[0] / xs[1], xs[1] / xs[2]
     if abs(rho1 - rho2) > 1e-9 * rho1:
         raise DomainError("xs must be geometrically spaced")
     rho = rho1
-    s = [0.0, 0.0, 0.0] if stderrs is None else [float(e) for e in stderrs]
     d1 = values[0] - values[1]
     d2 = values[1] - values[2]
-    finest = ExtrapolationResult(
-        limit=values[2], stderr=(None if stderrs is None else s[2]),
-        rate=None, fallback=True,
-    )
     if stderrs is not None:
         sig1 = math.hypot(s[0], s[1])
         sig2 = math.hypot(s[1], s[2])
@@ -75,6 +75,38 @@ def geometric_limit(xs, values, stderrs=None) -> ExtrapolationResult:
         # limit = v2 (1 + 1/factor) - v1 / factor, treating q as fixed
         err = math.hypot(s[2] * (1.0 + 1.0 / factor), s[1] / factor)
     return ExtrapolationResult(limit=limit, stderr=err, rate=q, fallback=False)
+
+
+@dataclass(frozen=True)
+class LimitTable:
+    """Estimates at shrinking radii, their r -> 0 limit, and the value the
+    limit should reach.
+
+    The paper's two r -> 0 statements are both such a table: the surface
+    averages of `montecarlo.density_limit` tend to phi(x0), the pairings of
+    `weakform.dirac_limit` to -phi(x0).
+    """
+
+    radii: tuple[float, ...]
+    estimates: tuple          # one MCEstimate per radius
+    extrapolation: ExtrapolationResult
+    target: float
+
+    @property
+    def limit(self) -> float:
+        return self.extrapolation.limit
+
+
+def limit_table(radii, estimates, target: float) -> LimitTable:
+    """The table of `estimates` at `radii`, extrapolated by `geometric_limit`."""
+    estimates = tuple(estimates)
+    extrapolation = geometric_limit(
+        radii, [e.mean for e in estimates], [e.stderr for e in estimates]
+    )
+    return LimitTable(
+        radii=tuple(radii), estimates=estimates,
+        extrapolation=extrapolation, target=float(target),
+    )
 
 
 _RICHARDSON_WEIGHTS = {2: (-1.0 / 3.0, 4.0 / 3.0), 3: (1.0 / 45.0, -20.0 / 45.0, 64.0 / 45.0)}

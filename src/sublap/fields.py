@@ -283,9 +283,6 @@ class CutoffBump(HFunction):
         )
         return out
 
-    def value_at_center(self) -> float:
-        return self.amplitude
-
 
 class LinearCombination(ScalarField):
     tag = "user-composite"
@@ -320,11 +317,6 @@ class LinearCombination(ScalarField):
 
     def d_dh_of_h(self, h) -> np.ndarray:
         return self._combine("d_dh_of_h", h)
-
-    def value_at_center(self) -> float:
-        return sum(
-            w * f.value_at_center() for f, w in zip(self.fields, self.weights)
-        )
 
 
 class AnnulusPotential(HFunction):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .extrapolation import decreasing_radii, richardson_weights
+from .extrapolation import LimitTable, decreasing_radii, limit_table, richardson_weights
 from .fields import ScalarField, column_gauge_parts, gauge_parts  # noqa: F401 (re-exported)
 from .space import SpaceParams, check_integrable, sigma_p_exact
 
@@ -314,7 +314,7 @@ def shell_integral_extrapolated(
 def density_limit(
     params: SpaceParams, p: float, phi: ScalarField, radii, samples: int, seed: int,
     threads: int | None = None,
-) -> list[MCEstimate]:
+) -> LimitTable:
     """R^(1-Q)/(Q sigma_p) * surface integral of phi, for each R in radii.
 
     The sequence converges to phi(x0) as R -> 0; radii must be strictly
@@ -338,7 +338,7 @@ def density_limit(
                 seed=seed, accepted=shell.accepted,
             )
         )
-    return out
+    return limit_table(radii, out, phi.values(params.x0[None])[0])
 
 
 def sample_points(
@@ -350,6 +350,8 @@ def sample_points(
     Rejects psi < min_psi and Sigma < min_sigma so that every returned point
     supports the full horizontal calculus for any k.
     """
+    if count < 1:
+        raise DomainError(f"need at least one point, got {count}")
     lo, width = _box(params, ball_spec(params, box_radius))
     out = np.empty((count, params.dim))
     have = 0

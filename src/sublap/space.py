@@ -41,10 +41,10 @@ class SpaceParams:
     def __init__(self, n: int, k: float, c: float, x0=None):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ConfigurationError(f"n must be a positive integer, got {n!r}")
-        if not k > 0:
-            raise ConfigurationError(f"k must be positive, got {k!r}")
-        if c == 0:
-            raise ConfigurationError("c must be nonzero")
+        if not 0 < k < math.inf:
+            raise ConfigurationError(f"k must be positive and finite, got {k!r}")
+        if c == 0 or not math.isfinite(c):
+            raise ConfigurationError(f"c must be finite and nonzero, got {c!r}")
         dim = 2 * n + 1
         if x0 is None:
             x0 = np.zeros(dim)
@@ -53,6 +53,8 @@ class SpaceParams:
             raise ConfigurationError(
                 f"x0 must have {dim} coordinates for n={n}, got shape {x0.shape}"
             )
+        if not np.all(np.isfinite(x0)):
+            raise ConfigurationError(f"x0 must be finite, got {x0.tolist()}")
         x0 = x0.copy()
         x0.setflags(write=False)
         object.__setattr__(self, "n", int(n))
@@ -178,14 +180,15 @@ def exponents(params: SpaceParams, p: float) -> Exponents:
 
 
 def check_integrable(params: SpaceParams, p: float) -> None:
-    """Raise DomainError unless p > 1 and |grad_0 psi|^p is integrable on gauge balls.
+    """Raise DomainError unless 1 < p < inf and |grad_0 psi|^p is integrable
+    on gauge balls.
 
     For k < 1/2, |grad_0 psi|^p blows up like Sigma^((2k-1)p/2) on the axis
     {Sigma = 0}, faster than the horizontal volume Sigma^(n-1) dSigma can
     absorb once p >= 2n/(1-2k); the axis crosses every ball and annulus.
     """
-    if not p > 1:
-        raise DomainError(f"p must exceed 1, got {p!r}")
+    if not 1 < p < math.inf:
+        raise DomainError(f"p must exceed 1 and be finite, got {p!r}")
     if params.k < 0.5:
         # the relative slack keeps the divergent endpoint p == 2n/(1-2k)
         # rejected whichever way the bound rounds

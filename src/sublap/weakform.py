@@ -10,12 +10,10 @@ tends to -phi(x0) as r -> 0 when u is the correctly normalized profile
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-from .extrapolation import ExtrapolationResult, decreasing_radii, geometric_limit
+from .extrapolation import LimitTable, decreasing_radii, limit_table
 from .fields import CutoffBump, FundamentalProfile, LinearCombination
 from .montecarlo import Band, MCEstimate, STREAM_PAIRING, _mc_over_box, ball_spec
 from .space import SpaceParams, normalization, sigma_p_exact
@@ -67,29 +65,14 @@ def weak_pairing(
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
 
 
-@dataclass(frozen=True)
-class DiracTable:
-    """Convergence table of the pairing integral as the inner radius shrinks."""
-
-    radii: tuple[float, ...]
-    estimates: tuple[MCEstimate, ...]
-    extrapolation: ExtrapolationResult
-    target: float           # -phi(x0)
-    constant: float         # C1 (p != Q) or C2 (p == Q), from the exact sigma_p
-
-    @property
-    def limit(self) -> float:
-        return self.extrapolation.limit
-
-
 def dirac_limit(
     params: SpaceParams, p: float, phi, radii, samples: int, seed: int,
     threads: int | None = None, outer_radius: float | None = None,
-) -> DiracTable:
+) -> LimitTable:
     """Pairing of the normalized fundamental solution against phi, per radius.
 
     radii must be strictly decreasing and below the bump support; the
-    extrapolated r -> 0 limit is compared against -phi(x0) by the caller.
+    extrapolated r -> 0 limit should reach the table's target -phi(x0).
     The constant is normalized by the closed-form sigma_p.
     """
     radii = decreasing_radii(radii)
@@ -113,20 +96,4 @@ def dirac_limit(
         )
         for idx, r in enumerate(radii)
     ]
-    if len(radii) == 3:
-        extra = geometric_limit(
-            radii, [e.mean for e in estimates], [e.stderr for e in estimates]
-        )
-    else:
-        last = estimates[-1]
-        extra = ExtrapolationResult(
-            limit=last.mean, stderr=last.stderr, rate=None, fallback=True
-        )
-    center = phi.value_at_center()
-    return DiracTable(
-        radii=tuple(radii),
-        estimates=tuple(estimates),
-        extrapolation=extra,
-        target=-center,
-        constant=constant,
-    )
+    return limit_table(radii, estimates, -phi.values(params.x0[None])[0])

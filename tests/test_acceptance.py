@@ -33,7 +33,6 @@ from sublap import (
     sigma_p,
     shell_integral_extrapolated,
 )
-from sublap.extrapolation import geometric_limit
 from sublap.montecarlo import STREAM_BALL
 
 from test_frame import _fd_commutator_t_coeff, _random_cubic
@@ -207,9 +206,8 @@ def test_criterion_5_surface_and_density():
         params = SETUPS[name]
         bump = CutoffBump(params, 1.0)
         radii = [0.4, 0.2, 0.1]
-        rows = density_limit(params, 2.0, bump, radii, MC_SAMPLES, SEED)
-        extra = geometric_limit(radii, [r.mean for r in rows], [r.stderr for r in rows])
-        err = abs(extra.limit - 1.0)
+        table = density_limit(params, 2.0, bump, radii, MC_SAMPLES, SEED)
+        err = abs(table.limit - 1.0)
         ok = ok and err <= LIMIT_TOL
         details.append(f"{name}: density limit err {err:.3f}")
     elapsed = time.perf_counter() - start

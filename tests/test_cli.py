@@ -60,6 +60,58 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: radii must be strictly decreasing and positive\n"
 
+    # Each input is rejected by the library function that uses it; the CLI
+    # maps the error to exit 1 without a check of its own.
+    @pytest.mark.parametrize("argv,message", [
+        (["sigma", "--p", "1"] + FAST, "p must exceed 1"),
+        (["sigma", "--samples", "9999", "--seed", "7"], "at least 1e4 samples"),
+        (["ahlfors", "--radii", "0,1"] + FAST, "radius must be positive"),
+        (["density", "--radii", "0.4,0"] + FAST, "strictly decreasing and positive"),
+        (["dirac", "--radii", "1.5,0.1"] + FAST, "inside the bump support"),
+        (["capacity", "--r", "2", "--R", "1"] + FAST, "need 0 < r < R"),
+        (["density", "--bump-radius", "0"] + FAST, "support radius must be positive"),
+        (["dirac", "--bump-radius", "-1"] + FAST, "support radius must be positive"),
+        (["capacity", "--method", "radial", "--knots", "4"] + FAST, "at least 8 segments"),
+        (["verify-fundamental", "--points", "0", "--seed", "7"], "at least one point"),
+    ])
+    def test_library_domain_error_exits_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+
+    def test_ignored_flag_is_not_validated(self, capsys):
+        # verify-fundamental draws no MC samples
+        code, _ = run_cli(capsys, ["verify-fundamental", "--samples", "0", "--points", "20"])
+        assert code == 0
+
+    @pytest.mark.parametrize("p,message", [
+        ("1.01", "radial line search stalled"),
+        ("40", "radial Newton did not converge"),
+    ])
+    def test_convergence_error_exits_one(self, capsys, p, message):
+        assert main(["capacity", "--p", p, "--method", "radial"] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--c", "nan"), ("--c", "inf"), ("--k", "inf"), ("--x0", "0,0,nan"),
+        ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_non_finite_input_exits_one(self, capsys, flag, value):
+        assert main(["sigma", flag, value] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_ahlfors_needs_two_radii(self, capsys):
+        assert main(["ahlfors", "--radii", "1"] + FAST) == 1
+        assert capsys.readouterr().err == "error: ahlfors needs at least two radii, got 1\n"
+
+    def test_unwritable_out_exits_one(self, capsys, tmp_path):
+        assert main(["sigma", "--out", str(tmp_path / "missing" / "r.json")] + FAST) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_k_one_half_sigma_is_finite(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--k", "0.5", "--p", "12"] + FAST)
         assert code == 0
@@ -135,6 +187,19 @@ class TestCommands:
             assert ("extrapolation_rate" in values) == (fallback == 0.0)
             assert all(math.isfinite(v) for v in values.values())
 
+    @pytest.mark.parametrize("radii", ["0.4,0.2", "0.8,0.4,0.2,0.1"])
+    def test_density_gated_at_any_radius_count(self, capsys, radii):
+        # two or four radii fall back to the finest one, which is then gated
+        code, out = run_cli(capsys, ["density", "--radii", radii, "--bump-radius", "1.5",
+                                     "--samples", "200000", "--seed", "5"])
+        recs = {r["name"]: r for r in json.loads(out)["results"]}
+        finest = recs[f"density@R={radii.split(',')[-1]}"]["value"]
+        err = recs["extrapolated_density_error"]
+        assert err["value"] == abs(finest - 1.0)
+        assert err["tol"] == 0.02 and err["pass"] is True and code == 0
+        assert recs["extrapolation_fallback"]["value"] == 1.0
+        assert "extrapolation_rate" not in recs
+
     def test_dirac(self, capsys):
         code, out = run_cli(
             capsys, ["dirac", "--p", "2", "--samples", "200000", "--seed", "9"]
@@ -160,6 +225,15 @@ class TestCommands:
         )
         assert code == 0
         assert len(json.loads(out)["results"]) == 1
+
+    @pytest.mark.parametrize("method", ["closed-form", "radial", "mc"])
+    def test_capacity_record_same_alone_and_in_all(self, capsys, method):
+        argv = ["capacity", "--p", "3", "--samples", "20000", "--seed", "13",
+                "--knots", "64", "--tol", "1"]
+        _, out = run_cli(capsys, argv + ["--method", method])
+        (alone,) = json.loads(out)["results"]
+        _, out = run_cli(capsys, argv + ["--method", "all"])
+        assert alone in json.loads(out)["results"]
 
     def test_x0_flag(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--x0", "0.5,-0.5,1.0"] + FAST)

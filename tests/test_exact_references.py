@@ -144,7 +144,7 @@ class TestFiniteRadiusEstimates:
         bump = CutoffBump(params, 1.5)
         g = on_rho(params, lambda h: reference_bump(bump, h))
         radii = [0.4, 0.2, 0.1]
-        rows = density_limit(params, p, bump, radii, SAMPLES, 45)
+        table = density_limit(params, p, bump, radii, SAMPLES, 45)
         Q_sigma = params.Q * sigma_p_exact(params, p)
-        for R, row in zip(radii, rows):
+        for R, row in zip(radii, table.estimates):
             assert_within_z(row, R ** (1.0 - params.Q) / Q_sigma * shell_exact(params, p, g, R))

@@ -32,6 +32,14 @@ class TestSpaceParams:
         with pytest.raises(ConfigurationError):
             SpaceParams(1, 1.0, 1.0, x0=[0.0, 0.0])
 
+    @pytest.mark.parametrize("k,c,x0", [
+        (np.inf, 1.0, None), (np.nan, 1.0, None), (1.0, np.inf, None),
+        (1.0, np.nan, None), (1.0, 1.0, [0.0, 0.0, np.nan]), (1.0, 1.0, [np.inf, 0.0, 0.0]),
+    ])
+    def test_rejects_non_finite_inputs(self, k, c, x0):
+        with pytest.raises(ConfigurationError):
+            SpaceParams(1, k, c, x0)
+
     def test_homogeneous_dimension(self, setup_a, setup_b, setup_c):
         assert setup_a.Q == 4.0
         assert setup_b.Q == 6.0

@@ -32,7 +32,7 @@ class TestBumpField:
     def test_amplitude(self, setup_b):
         bump = CutoffBump(setup_b, 1.2, amplitude=5.0)
         assert bump.value(setup_b.x0) == 5.0
-        assert bump.value_at_center() == 5.0
+        assert bump.values(setup_b.x0[None])[0] == 5.0
 
     def test_smooth_across_support_boundary(self, setup_a):
         bump = CutoffBump(setup_a, 1.0)
@@ -136,6 +136,14 @@ class TestDiracLimit:
         table = dirac_limit(setup_a, 2.0, bump, [0.2, 0.1, 0.05], SAMPLES, 11)
         assert table.target == -5.0
         assert abs(table.limit - (-5.0)) <= 0.075
+
+    def test_combination_target(self, setup_a):
+        # the target is -phi(x0) of the whole combination
+        phi = LinearCombination(
+            [CutoffBump(setup_a, 1.0), CutoffBump(setup_a, 0.8, amplitude=3.0)], [2.0, -0.5]
+        )
+        table = dirac_limit(setup_a, 2.0, phi, [0.2, 0.1, 0.05], 10**4, 5)
+        assert table.target == -0.5
 
     def test_radii_validation(self, setup_a):
         bump = CutoffBump(setup_a, 1.0)
