@@ -2,7 +2,8 @@
 
 All values are in units of sigma_p (the shared Monte Carlo constant cancels):
   * closed form,
-  * 1-D convex minimization over radial profiles (damped Newton),
+  * the exact minimizer of the 1-D convex energy over piecewise-linear
+    radial profiles,
   * full-dimensional Monte Carlo energy of the explicit potential.
 """
 
@@ -10,10 +11,11 @@ from sublap import (
     AnnulusPotential,
     RadialProfile,
     SpaceParams,
-    capacity_three_way,
+    annulus_capacity,
     minimize_radial,
     radial_energy,
 )
+from sublap.capacity import METHODS
 
 params = SpaceParams(n=1, k=1.0, c=1.0)
 r, R = 1.0, 2.0
@@ -35,8 +37,10 @@ print(f"closed form (32/3):          {32/3:.4f} sigma_2")
 # three-way comparison across p, including the log case p = Q
 print("\nthree-way agreement (sigma_p units):")
 for p in (2.0, 3.0, 4.0, 6.0):
-    results = capacity_three_way(params, p, r, R, samples=4 * 10**5, seed=11)
-    vals = {res.method: res for res in results}
+    vals = {
+        method: annulus_capacity(params, p, r, R, method, samples=4 * 10**5, seed=11)
+        for method in METHODS
+    }
     mc = vals["mc-energy"]
     print(f"  p={p:g}: closed={vals['closed-form'].value:9.4f}"
           f"  radial={vals['radial-variational'].value:9.4f}"

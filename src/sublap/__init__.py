@@ -7,7 +7,6 @@ from .capacity import (
     CapacityResult,
     RadialProfile,
     annulus_capacity,
-    capacity_three_way,
     closed_form_capacity,
     mc_energy,
     minimize_radial,
@@ -16,7 +15,6 @@ from .capacity import (
 from .errors import (
     ArithmeticDomainError,
     ConfigurationError,
-    ConvergenceError,
     DegeneratePointError,
     DomainError,
     SingularPointError,

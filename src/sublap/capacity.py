@@ -6,8 +6,10 @@ the energy of any radial profile eta(psi) into
     Q sigma_p * integral_r^R |eta'(rho)|^p rho^(Q-1) drho,
 
 so the sigma_p factor is common to every method and cancels in comparisons.
-The full-dimensional MC energy is divided by the closed-form sigma_p
-(`space.sigma_p_exact`), so its stderr is the energy run's alone.
+The radial method minimizes that integral over piecewise-linear profiles,
+whose minimizer is explicit (`minimize_radial`).  The full-dimensional MC
+energy is divided by the closed-form sigma_p (`space.sigma_p_exact`), so its
+stderr is the energy run's alone.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .fields import AnnulusPotential
 from .montecarlo import Band, MCEstimate, STREAM_ENERGY, _mc_over_box, ball_spec
 from .space import SpaceParams, exponents, sigma_p_exact
@@ -30,8 +31,8 @@ __all__ = [
     "radial_energy",
     "minimize_radial",
     "mc_energy",
+    "METHODS",
     "annulus_capacity",
-    "capacity_three_way",
 ]
 
 
@@ -100,36 +101,28 @@ def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> C
     return CapacityResult(method="closed-form", value=float(value))
 
 
-def radial_energy(
-    params: SpaceParams, p: float, profile: RadialProfile, sigma_p: float = 1.0
-) -> float:
-    """Energy of the radial profile: Q sigma_p int |eta'|^p rho^(Q-1) drho.
+def radial_energy(params: SpaceParams, p: float, profile: RadialProfile) -> float:
+    """Energy of the radial profile in sigma_p units: Q int |eta'|^p rho^(Q-1) drho.
 
     The integrand is constant-slope per segment, so each segment integrates
-    in closed form; no quadrature error.
+    in closed form, to |slope|^p diff(rho^Q); no quadrature error.
     """
-    energy, _, _ = _segment_energy(profile.values, profile.knots, p, params.Q)
-    return float(sigma_p * energy)
-
-
-def _segment_energy(values, rho, p, Q):
-    """(energy in sigma_p units, slopes, weights) of the profile values at knots rho.
-
-    weight = diff(rho^Q) is Q times the integral of rho^(Q-1) over a segment.
-    """
-    slopes = np.diff(values) / np.diff(rho)
-    weights = np.diff(rho**Q)
-    return float(np.sum(np.abs(slopes) ** p * weights)), slopes, weights
+    slopes = np.diff(profile.values) / np.diff(profile.knots)
+    weights = np.diff(profile.knots ** params.Q)
+    return float(np.sum(np.abs(slopes) ** p * weights))
 
 
 def minimize_radial(
-    params: SpaceParams, p: float, r: float, R: float, m_knots: int,
-    max_iter: int = 200,
+    params: SpaceParams, p: float, r: float, R: float, m_knots: int
 ) -> tuple[RadialProfile, float]:
-    """Minimize the radial energy over interior knot values (sigma_p units).
+    """The exact minimizer of the radial energy over m_knots equal segments
+    of [r, R] (sigma_p units), and its energy.
 
-    Damped Newton on the strictly convex problem; converged when the max
-    gradient component drops below 1e-10 * energy.
+    The energy sum_i w_i |s_i|^p, with w_i = diff(rho^Q)_i and the slopes
+    tied by sum_i s_i drho_i = -1, is minimized where p w_i |s_i|^(p-1) is
+    proportional to drho_i: |s_i| = a_i / S with a_i = (drho_i / w_i)^(1/(p-1))
+    and S = sum_j drho_j a_j, at energy S^(1-p).  The drops |s_i| drho_i
+    are a softmax of log(drho_i a_i), so p near 1 neither under- nor overflows.
     """
     if m_knots < 8:
         raise DomainError(f"need at least 8 segments, got {m_knots}")
@@ -140,43 +133,20 @@ def minimize_radial(
     Q = params.Q
     rho = np.linspace(r, R, m_knots + 1)
     drho = np.diff(rho)
-    x = RadialProfile.linear(r, R, m_knots).values[1:-1].copy()
-
-    def pinned(interior):
-        return np.concatenate(([1.0], interior, [0.0]))
-
-    energy, slopes, weights = _segment_energy(pinned(x), rho, p, Q)
-    for _ in range(max_iter):
-        sgn_pow = np.sign(slopes) * np.abs(slopes) ** (p - 1.0)
-        seg_g = p * sgn_pow * weights / drho          # d energy / d slope_i / drho_i
-        grad = seg_g[:-1] - seg_g[1:]                 # interior knot j touches segs j-1, j
-        residual = float(np.max(np.abs(grad)))
-        if residual < 1e-10 * max(energy, 1e-300):
-            break
-        curv = p * (p - 1.0) * np.maximum(np.abs(slopes), 1e-300) ** (p - 2.0)
-        diag_seg = curv * weights / drho**2
-        main = diag_seg[:-1] + diag_seg[1:]
-        off = -diag_seg[1:-1]
-        ab = np.zeros((3, x.size))
-        ab[0, 1:] = off
-        ab[1] = main
-        ab[2, :-1] = off
-        step = solve_banded((1, 1), ab, -grad)
-        t = 1.0
-        for _ in range(60):
-            trial = x + t * step
-            e_trial, s_trial, _ = _segment_energy(pinned(trial), rho, p, Q)
-            if e_trial <= energy + 1e-4 * t * float(grad @ step):
-                x, energy, slopes = trial, e_trial, s_trial
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError("radial line search stalled", residual)
-    else:
-        raise ConvergenceError("radial Newton did not converge", residual)
-
-    profile = RadialProfile(rho, pinned(x))
-    return profile, energy
+    # log w_i, finite where rho^Q overflows
+    log_w = Q * np.log(rho[1:]) + np.log(-np.expm1(-Q * np.log1p(drho / rho[:-1])))
+    log_drops = np.log(drho) + (np.log(drho) - log_w) / (p - 1.0)
+    top = log_drops.max()
+    log_s = top + np.log(np.sum(np.exp(log_drops - top)))
+    with np.errstate(over="ignore"):  # an inf energy is rejected below
+        energy = float(np.exp((1.0 - p) * log_s))
+    if not 0.0 < energy < np.inf:
+        raise DomainError(f"radial energy {energy} is outside the float range")
+    # each value is the drop still to come, so the tail of tiny drops at p
+    # near 1 keeps its digits instead of being 1 minus almost 1
+    values = np.append(np.cumsum(np.exp(log_drops - log_s)[::-1])[::-1], 0.0)
+    values[0] = 1.0
+    return RadialProfile(rho, values), energy
 
 
 def mc_energy(
@@ -222,14 +192,3 @@ def annulus_capacity(
         est = mc_energy(params, p, r, R, samples, seed, threads)
         return CapacityResult(method=method, value=est.mean, stderr=est.stderr)
     raise DomainError(f"unknown capacity method {method!r}")
-
-
-def capacity_three_way(
-    params: SpaceParams, p: float, r: float, R: float, samples: int, seed: int,
-    m_knots: int = 400, threads: int | None = None,
-) -> list[CapacityResult]:
-    """closed form, radial minimizer, and MC energy, all in sigma_p units."""
-    return [
-        annulus_capacity(params, p, r, R, method, samples, seed, m_knots, threads)
-        for method in METHODS
-    ]

@@ -1,10 +1,9 @@
 """Command-line entry point: every verification and computation as a subcommand.
 
-Exit codes: 0 all checks passed, 1 invalid configuration, an input outside
-the domain of the command's computation or a solve that did not converge, 2
-a check exceeded its tolerance.  Reports are JSON (default) or a flat CSV
-projection, and are byte-identical across runs with the same configuration
-apart from the duration field.
+Exit codes: 0 all checks passed, 1 invalid configuration or an input outside
+the domain of the command's computation, 2 a check exceeded its tolerance.
+Reports are JSON (default) or a flat CSV projection, and are byte-identical
+across runs with the same configuration apart from the duration field.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import METHODS, annulus_capacity
-from .errors import ConfigurationError, ConvergenceError, DomainError
+from .errors import ConfigurationError, DomainError
 from .extrapolation import LimitTable
 from .fields import CutoffBump, FundamentalProfile, GaugePsi, gauge_parts
 from .frame import bracket_comparison, infinity_laplacian, p_laplacian
@@ -439,7 +438,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ConfigurationError, DomainError, ConvergenceError, OSError, ValueError) as exc:
+    except (ConfigurationError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -24,10 +24,3 @@ class SingularPointError(DomainError):
 class DegeneratePointError(DomainError):
     """Frame data is undefined at this point (Sigma == 0 with small k)."""
 
-
-class ConvergenceError(RuntimeError):
-    """An iterative solve ended without meeting its tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(f"{message} (residual {residual:.3e})")

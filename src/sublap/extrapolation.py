@@ -25,10 +25,15 @@ class ExtrapolationResult:
 
 def decreasing_radii(radii) -> list[float]:
     """The radii of a limit sequence as floats; raises DomainError unless they
-    are strictly decreasing and positive."""
+    are strictly decreasing and positive and, when three (the count that
+    `geometric_limit` fits a rate to), geometrically spaced."""
     radii = [float(r) for r in radii]
     if not radii or any(b >= a for a, b in zip(radii, radii[1:])) or radii[-1] <= 0:
         raise DomainError("radii must be strictly decreasing and positive")
+    if len(radii) == 3:
+        rho1, rho2 = radii[0] / radii[1], radii[1] / radii[2]
+        if abs(rho1 - rho2) > 1e-9 * rho1:
+            raise DomainError(f"three radii must be geometrically spaced, got {radii}")
     return radii
 
 
@@ -51,10 +56,7 @@ def geometric_limit(xs, values, stderrs=None) -> ExtrapolationResult:
     )
     if len(xs) != 3:
         return finest
-    rho1, rho2 = xs[0] / xs[1], xs[1] / xs[2]
-    if abs(rho1 - rho2) > 1e-9 * rho1:
-        raise DomainError("xs must be geometrically spaced")
-    rho = rho1
+    rho = xs[0] / xs[1]
     d1 = values[0] - values[1]
     d2 = values[1] - values[2]
     if stderrs is not None:

@@ -318,8 +318,9 @@ def density_limit(
     """R^(1-Q)/(Q sigma_p) * surface integral of phi, for each R in radii.
 
     The sequence converges to phi(x0) as R -> 0; radii must be strictly
-    decreasing.  sigma_p is the closed form, so each radius' stderr is its
-    own shell run's, and the radii stay independent.
+    decreasing, and three radii geometrically spaced.  sigma_p is the closed
+    form, so each radius' stderr is its own shell run's, and the radii stay
+    independent.
     """
     radii = decreasing_radii(radii)
     Q = params.Q

@@ -71,8 +71,9 @@ def dirac_limit(
 ) -> LimitTable:
     """Pairing of the normalized fundamental solution against phi, per radius.
 
-    radii must be strictly decreasing and below the bump support; the
-    extrapolated r -> 0 limit should reach the table's target -phi(x0).
+    radii must be strictly decreasing (three of them geometrically spaced)
+    and below the bump support; the extrapolated r -> 0 limit should reach
+    the table's target -phi(x0).
     The constant is normalized by the closed-form sigma_p.
     """
     radii = decreasing_radii(radii)

@@ -16,9 +16,9 @@ from sublap import (
     FundamentalProfile,
     GaugePsi,
     SpaceParams,
+    annulus_capacity,
     ball_measure,
     bracket_comparison,
-    capacity_three_way,
     closed_form_capacity,
     density_limit,
     dirac_limit,
@@ -33,6 +33,7 @@ from sublap import (
     sigma_p,
     shell_integral_extrapolated,
 )
+from sublap.capacity import METHODS
 from sublap.montecarlo import STREAM_BALL
 
 from test_frame import _fd_commutator_t_coeff, _random_cubic
@@ -238,8 +239,10 @@ def test_criterion_7_capacity_three_way():
     for name, params in (("A", SETUPS["A"]), ("B", SETUPS["B"])):
         Q = params.Q
         for p in (2.0, 3.0, Q, Q + 2.0):
-            results = capacity_three_way(params, p, 1.0, 2.0, 4 * 10**5, SEED, 400)
-            vals = {res.method: res for res in results}
+            vals = {
+                method: annulus_capacity(params, p, 1.0, 2.0, method, 4 * 10**5, SEED, 400)
+                for method in METHODS
+            }
             closed = vals["closed-form"].value
             radial = vals["radial-variational"].value
             mc = vals["mc-energy"]

@@ -22,8 +22,8 @@ from sublap import (
     LinearCombination,
     Polynomial,
     SpaceParams,
+    annulus_capacity,
     ball_measure,
-    capacity_three_way,
     mc_energy,
     normalization,
     sample_points,
@@ -181,7 +181,10 @@ def test_capacity_normalizes_by_exact_sigma(monkeypatch):
         return kernel(params, spec, band, samples, seed, stream, threads)
 
     monkeypatch.setattr(capacity_module, "_mc_over_box", counted)
-    results = capacity_three_way(params, P, 0.6, 1.4, 2 * 10**4, SEED, m_knots=16)
+    results = [
+        annulus_capacity(params, P, 0.6, 1.4, method, 2 * 10**4, SEED, m_knots=16)
+        for method in capacity_module.METHODS
+    ]
     assert streams == [STREAM_ENERGY]
     mc = results[-1]
     mean, stderr, _ = energy_reference(params, 0.6, 1.4, 2 * 10**4)

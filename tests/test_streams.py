@@ -47,3 +47,15 @@ def test_one_run_per_estimate_on_distinct_streams(case, kernel_streams, capsys):
     capsys.readouterr()
     assert len(kernel_streams) == runs
     assert len(set(kernel_streams)) == len(kernel_streams)
+
+
+@pytest.mark.parametrize("command,radii", [
+    ("density", "0.4,0.3,0.1"),
+    ("dirac", "0.2,0.15,0.05"),
+])
+def test_radii_spacing_checked_before_any_run(command, radii, kernel_streams, capsys):
+    assert main([command, "--radii", radii] + COMMON) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: three radii must be geometrically spaced")
+    assert kernel_streams == []
