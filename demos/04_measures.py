@@ -30,7 +30,7 @@ print(f"sigma_2 = V(B_1) = {sig.mean:.5f} +- {sig.stderr:.5f}"
 # Ahlfors Q-regularity: V(B_R) / R^Q is constant
 print("\nAhlfors scaling (Q = 4):")
 for i, R in enumerate((0.5, 1.0, 2.0)):
-    est = ball_measure(params, 2.0, R, SAMPLES, SEED, stream=STREAM_BALL + i)
+    est = ball_measure(params, 2.0, R, SAMPLES, SEED, stream=(STREAM_BALL, i))
     print(f"  R={R}: V(B_R)/R^Q = {est.mean / R**4:.5f} +- {est.stderr / R**4:.5f}")
 
 # surface measure of spheres: S(dB_R) = Q sigma_2 R^(Q-1)
@@ -38,7 +38,7 @@ one = Constant(1.0, params.dim)
 print("\nthin-shell surface measure (target Q sigma_2 R^(Q-1)):")
 for i, R in enumerate((1.0, 2.0)):
     est = shell_integral_extrapolated(params, 2.0, R, one, SAMPLES, SEED,
-                                      stream=STREAM_SHELL + 16 * i)
+                                      stream=(STREAM_SHELL, i))
     target = 4.0 * sig.mean * R**3
     print(f"  R={R}: {est.mean:9.4f} +- {est.stderr:.4f}   target {target:9.4f}")
 

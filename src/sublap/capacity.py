@@ -86,19 +86,29 @@ def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> C
     swapped for p > Q); Q (log R - log r)^(1-Q) at p == Q.  The absolute
     value on alpha is deliberate: the signed power is negative or undefined
     for 1 < p < Q, while |alpha|^(p-1) is exactly the energy of the extremal
-    profile computed by the one-dimensional coarea reduction.
+    profile computed by the one-dimensional coarea reduction.  Evaluated in
+    logs, with the gap as the larger power times -expm1(-|alpha| log(R/r)),
+    so radii or p whose powers leave the float range still give the value
+    when it is a float, and a DomainError when it is not.
     """
     if not 0 < r < R:
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
     exps = exponents(params, p)
     Q = exps.Q
+    log_ratio = np.log(R) - np.log(r)
     if exps.is_log_case:
-        value = Q * (np.log(R) - np.log(r)) ** (1.0 - Q)
+        log_value = np.log(Q) + (1.0 - Q) * np.log(log_ratio)
     else:
         a = exps.alpha
-        gap = r**a - R**a if p < Q else R**a - r**a
-        value = abs(a) ** (p - 1.0) * Q * gap ** (1.0 - p)
-    return CapacityResult(method="closed-form", value=float(value))
+        log_gap = a * np.log(r if a < 0 else R) + np.log(-np.expm1(-abs(a) * log_ratio))
+        log_value = (p - 1.0) * np.log(abs(a)) + np.log(Q) + (1.0 - p) * log_gap
+    with np.errstate(over="ignore"):  # an inf capacity is rejected below
+        value = float(np.exp(log_value))
+    if not 0.0 < value < np.inf:
+        raise DomainError(
+            f"closed-form capacity exp({log_value:.6g}) is outside the float range"
+        )
+    return CapacityResult(method="closed-form", value=value)
 
 
 def radial_energy(params: SpaceParams, p: float, profile: RadialProfile) -> float:
@@ -163,7 +173,7 @@ def mc_energy(
 
     band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
     mean, stderr, acc = _mc_over_box(
-        params, ball_spec(params, R), band, samples, seed, STREAM_ENERGY, threads
+        params, ball_spec(params, R), band, samples, seed, (STREAM_ENERGY, 0), threads
     )
     sigma = sigma_p_exact(params, p)
     return MCEstimate(

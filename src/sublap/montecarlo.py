@@ -2,8 +2,9 @@
 
 Sampling is rejection from the anisotropic bounding box of a gauge ball:
 {psi < R} sits inside |x_l - a_l| <= R |c|^(-1/(2k)), |t - s| <= R^(2k).
-Every run draws from counter-based Philox streams keyed by (seed, stream,
-shard), in fixed-size shards reduced in index order, so results are
+Every run draws in fixed-size shards reduced in index order.  Each shard
+has its own SFC64 generator, seeded by numpy's SeedSequence from the user
+seed with the spawn key (purpose, index, shard), so results are
 bit-identical for a given seed regardless of the worker count.
 
 Every estimator is one band integrand (a `Band`) fed to one kernel,
@@ -16,10 +17,10 @@ The Richardson limit of the thin-shell surface integrals is one band too:
 the shells of halving widths are nested, so a step weight over the widest
 shell combines them in one run, on one set of draws.
 
-A shard draws its uniforms in blocks of BLOCK_ROWS rows; Philox yields the
-same doubles in the same order whatever the block size.  Each block goes
-straight to (Sigma, tau, h) one coordinate column at a time
-(`fields.column_gauge_parts`), with no (N, dim) point array.  The band
+A shard draws its uniforms in blocks of BLOCK_ROWS rows, row-major; its
+generator yields the same doubles in the same order whatever the block
+size.  Each block goes straight to (Sigma, tau, h) one coordinate column at
+a time (`fields.column_gauge_parts`), with no (N, dim) point array.  The band
 selects the accepted rows, and the band's weight sees only their h; a
 weight that needs the points themselves (a field that is not a function of
 h) rebuilds them for the accepted rows alone.  The values of a shard land
@@ -46,16 +47,20 @@ SHARD_SIZE = 1 << 16
 BLOCK_ROWS = 1 << 14
 _MASK64 = (1 << 64) - 1
 
-# Stream ids keep the estimates of one check independent of each other while
-# still fully determined by the user seed.  The radii of one ahlfors,
-# density or dirac check take STREAM_BALL + idx, STREAM_SHELL + 16 * idx and
-# STREAM_PAIRING + 16 * idx.  Nothing re-estimates sigma_p to normalize a
-# check: density, dirac and capacity divide by `space.sigma_p_exact`.
+# A stream is (purpose, index): the purpose names what a run estimates, the
+# index tells apart the runs of one purpose in one check (the i-th radius of
+# ahlfors, density or dirac takes (STREAM_BALL, i), (STREAM_SHELL, i) or
+# (STREAM_PAIRING, i)).  With the shard it is the SeedSequence spawn key, so
+# the estimates of one check are independent of each other while still
+# fully determined by the user seed.  Nothing re-estimates sigma_p to
+# normalize a check: density, dirac and capacity divide by
+# `space.sigma_p_exact`.
 STREAM_BALL = 1
 STREAM_SHELL = 2
 STREAM_PAIRING = 3
 STREAM_ENERGY = 5
 STREAM_POINTS = 9
+Stream = tuple[int, int]
 
 THREADS_ENV_VAR = "SUBLAP_THREADS"
 
@@ -114,12 +119,9 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def _shard_rng(seed: int, stream: int, shard: int) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed & _MASK64), np.uint64(((stream & 0xFFFF) << 40) | shard)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+def _shard_rng(seed: int, stream: Stream, shard: int) -> np.random.Generator:
+    key = np.random.SeedSequence(seed & _MASK64, spawn_key=(*stream, shard))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ def grad_psi_norm_sq(params: SpaceParams, sigma, h) -> np.ndarray:
 
 def ball_measure(
     params: SpaceParams, p: float, R: float, samples: int, seed: int,
-    threads: int | None = None, stream: int = STREAM_BALL,
+    threads: int | None = None, stream: Stream = (STREAM_BALL, 0),
 ) -> MCEstimate:
     """V(B_R) = integral over {psi < R} of |grad_0 psi|^p.
 
@@ -238,7 +240,7 @@ def ball_measure(
 
 def sigma_p(
     params: SpaceParams, p: float, samples: int, seed: int,
-    threads: int | None = None, stream: int = STREAM_BALL,
+    threads: int | None = None, stream: Stream = (STREAM_BALL, 0),
 ) -> MCEstimate:
     """sigma_p = V(B_1), the normalizing constant of the Ahlfors scaling."""
     return ball_measure(params, p, 1.0, samples, seed, threads, stream=stream)
@@ -251,7 +253,8 @@ def _phi_values(phi: ScalarField, h, points):
 
 def shell_integral(
     params: SpaceParams, p: float, R: float, delta: float, phi: ScalarField,
-    samples: int, seed: int, threads: int | None = None, stream: int = STREAM_SHELL,
+    samples: int, seed: int, threads: int | None = None,
+    stream: Stream = (STREAM_SHELL, 0),
 ) -> MCEstimate:
     """Thin-shell estimate of the surface integral of phi over {psi = R}.
 
@@ -275,7 +278,8 @@ def shell_integral(
 def shell_integral_extrapolated(
     params: SpaceParams, p: float, R: float, phi: ScalarField,
     samples: int, seed: int, threads: int | None = None,
-    delta_fracs: tuple[float, ...] = (0.1, 0.05, 0.025), stream: int = STREAM_SHELL,
+    delta_fracs: tuple[float, ...] = (0.1, 0.05, 0.025),
+    stream: Stream = (STREAM_SHELL, 0),
 ) -> MCEstimate:
     """Richardson limit of `shell_integral` over halving widths d_i, in one MC run.
 
@@ -330,7 +334,7 @@ def density_limit(
         # one stream per radius: the box sampler is scale-equivariant, so a
         # shared stream would give every radius the same points
         shell = shell_integral_extrapolated(
-            params, p, R, phi, samples, seed, threads, stream=STREAM_SHELL + 16 * idx
+            params, p, R, phi, samples, seed, threads, stream=(STREAM_SHELL, idx)
         )
         scale = R ** (1.0 - Q) / Q_sigma
         out.append(
@@ -358,7 +362,7 @@ def sample_points(
     have = 0
     shard = 0
     while have < count:
-        rng = _shard_rng(seed, STREAM_POINTS, shard)
+        rng = _shard_rng(seed, (STREAM_POINTS, 0), shard)
         U, sigma, _, h = _draw(params, rng, max(count, 256), lo, width)
         psi = h ** (1.0 / (4 * params.k))
         keep = np.flatnonzero((psi >= min_psi) & (sigma >= min_sigma))[: count - have]

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .extrapolation import LimitTable, decreasing_radii, limit_table
 from .fields import CutoffBump, FundamentalProfile, LinearCombination
-from .montecarlo import Band, MCEstimate, STREAM_PAIRING, _mc_over_box, ball_spec
+from .montecarlo import Band, MCEstimate, STREAM_PAIRING, Stream, _mc_over_box, ball_spec
 from .space import SpaceParams, normalization, sigma_p_exact
 
 
@@ -31,7 +31,8 @@ def _check_bump(phi) -> None:
 
 def weak_pairing(
     params: SpaceParams, p: float, u: FundamentalProfile, phi, r: float, R: float,
-    samples: int, seed: int, threads: int | None = None, stream: int = STREAM_PAIRING,
+    samples: int, seed: int, threads: int | None = None,
+    stream: Stream = (STREAM_PAIRING, 0),
 ) -> MCEstimate:
     """MC estimate of the annulus pairing integral for 0 < r < R.
 
@@ -91,10 +92,8 @@ def dirac_limit(
     constant = normalization(params, p, sigma_p_exact(params, p))
     u = FundamentalProfile(params, p, scale=constant)
     estimates = [
-        weak_pairing(
-            params, p, u, phi, r, R, samples, seed, threads,
-            stream=STREAM_PAIRING + 16 * idx,
-        )
+        weak_pairing(params, p, u, phi, r, R, samples, seed, threads,
+                     stream=(STREAM_PAIRING, idx))
         for idx, r in enumerate(radii)
     ]
     return limit_table(radii, estimates, -phi.values(params.x0[None])[0])

@@ -247,7 +247,7 @@ def reference_sample_points(params, count, seed, box_radius=2.0, min_psi=0.05,
     out = np.empty((count, params.dim))
     have = shard = 0
     while have < count:
-        rng = _shard_rng(seed, STREAM_POINTS, shard)
+        rng = _shard_rng(seed, (STREAM_POINTS, 0), shard)
         pts = lo + rng.random((max(count, 256), params.dim)) * width
         sigma, _, h = reference_gauge_parts(params, pts)
         psi = h ** (1.0 / (4 * params.k))

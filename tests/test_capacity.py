@@ -74,6 +74,14 @@ class TestClosedForm:
                     oracle, rel=1e-10
                 )
 
+    @pytest.mark.parametrize("dp", [1e-6, 1e-8, 1e-10, -1e-10, 1e-11, -5e-12])
+    def test_continuous_across_log_case(self, setup_a, dp):
+        # the gap as the larger power times -expm1(-|alpha| log(R/r)) does
+        # not cancel as alpha -> 0; the capacity moves by about 2e-2 |p - Q|
+        log_case = closed_form_capacity(setup_a, 4.0, 1.0, 2.0).value
+        near = closed_form_capacity(setup_a, 4.0 + dp, 1.0, 2.0).value
+        assert abs(near / log_case - 1.0) <= 0.1 * abs(dp) + 1e-13
+
     def test_blow_up_as_annulus_shrinks(self, setup_a):
         vals = [
             closed_form_capacity(setup_a, 2.0, 1.0, 1.0 + eps).value

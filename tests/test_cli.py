@@ -102,6 +102,26 @@ class TestExitCodes:
         assert math.isfinite(radial)
         assert abs(radial - closed) <= 5e-3 * closed
 
+    @pytest.mark.parametrize("argv", [
+        ["--r", "1e-300", "--R", "1e-299"],          # 8.1e-600
+        ["--r", "1e100", "--R", "2e100", "--p", "40"],  # 1.3e-3599
+    ], ids=["tiny-radii", "huge-radii-p40"])
+    def test_closed_form_capacity_beyond_float_range_exits_one(self, capsys, argv):
+        assert main(["capacity", *argv, "--method", "closed-form"] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: closed-form capacity")
+        assert "outside the float range" in captured.err
+
+    def test_closed_form_capacity_p_near_one_is_finite(self, capsys):
+        argv = ["capacity", "--r", "0.001", "--R", "0.002", "--p", "1.01",
+                "--method", "closed-form"]
+        code, out = run_cli(capsys, argv + FAST)
+        assert code == 0
+        # the same formula evaluated at 50 digits (mpmath)
+        value = json.loads(out)["results"][0]["value"]
+        assert value == pytest.approx(4.537500680863949e-09, rel=1e-12)
+
     @pytest.mark.parametrize("flag,value", [
         ("--c", "nan"), ("--c", "inf"), ("--k", "inf"), ("--x0", "0,0,nan"),
         ("--tol", "nan"), ("--tol", "inf"),

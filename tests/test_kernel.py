@@ -71,9 +71,9 @@ def test_samples_split_into_partial_shard_and_block():
 
 
 def test_ball_measure(params, threads):
-    est = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=4)
+    est = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
     ref = reference_mc(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
-                                                   power(params, P)), SAMPLES, SEED, 4)
+                                                   power(params, P)), SAMPLES, SEED, (4, 0))
     assert_same(est, ref)
 
 
@@ -90,8 +90,8 @@ def shell_reference(params, phi_values, R, delta, stream):
 
 def test_shell_integral_with_bump(params, threads):
     bump = CutoffBump(params, 1.1, amplitude=1.7)
-    est = shell_integral(params, P, 1.0, 0.1, bump, SAMPLES, SEED, threads, stream=6)
-    ref = shell_reference(params, lambda pts, h: reference_bump(bump, h), 1.0, 0.1, 6)
+    est = shell_integral(params, P, 1.0, 0.1, bump, SAMPLES, SEED, threads, stream=(6, 0))
+    ref = shell_reference(params, lambda pts, h: reference_bump(bump, h), 1.0, 0.1, (6, 0))
     assert_same(est, ref)
 
 
@@ -100,8 +100,8 @@ def test_shell_integral_with_polynomial(params, threads):
     e = np.zeros((2, params.dim), dtype=int)
     e[0, 0], e[1, -1], e[1, 1] = 1, 2, 1
     phi = Polynomial([(1.0, e[0]), (-0.5, e[1])], params.dim)
-    est = shell_integral(params, P, 1.0, 0.1, phi, SAMPLES, SEED, threads, stream=6)
-    ref = shell_reference(params, lambda pts, h: phi.values(pts), 1.0, 0.1, 6)
+    est = shell_integral(params, P, 1.0, 0.1, phi, SAMPLES, SEED, threads, stream=(6, 0))
+    ref = shell_reference(params, lambda pts, h: phi.values(pts), 1.0, 0.1, (6, 0))
     assert_same(est, ref)
     assert est.mean != 0.0
 
@@ -119,9 +119,9 @@ def test_weak_pairing(params, threads):
         return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (4 * k - 1.0)
                 * grad_psi_norm_sq(params, sigma, h) ** (P / 2.0))
 
-    est = weak_pairing(params, P, u, phi, r, R, SAMPLES, SEED, threads, stream=8)
+    est = weak_pairing(params, P, u, phi, r, R, SAMPLES, SEED, threads, stream=(8, 0))
     ref = reference_mc(params, R, reference_band(params, r**k4, R**k4, weight),
-                       SAMPLES, SEED, 8)
+                       SAMPLES, SEED, (8, 0))
     assert_same(est, ref)
 
 
@@ -137,7 +137,7 @@ def energy_reference(params, r, R, samples):
                 * grad_psi_norm_sq(params, sigma, h) ** (P / 2.0))
 
     mean, stderr, acc = reference_mc(params, R, reference_band(params, r**k4, R**k4, weight),
-                                     samples, SEED, STREAM_ENERGY)
+                                     samples, SEED, (STREAM_ENERGY, 0))
     sigma = sigma_p_exact(params, P)
     return mean / sigma, stderr / sigma, acc
 
@@ -185,7 +185,7 @@ def test_capacity_normalizes_by_exact_sigma(monkeypatch):
         annulus_capacity(params, P, 0.6, 1.4, method, 2 * 10**4, SEED, m_knots=16)
         for method in capacity_module.METHODS
     ]
-    assert streams == [STREAM_ENERGY]
+    assert streams == [(STREAM_ENERGY, 0)]
     mc = results[-1]
     mean, stderr, _ = energy_reference(params, 0.6, 1.4, 2 * 10**4)
     assert (mc.value, mc.stderr) == (mean, stderr)

@@ -79,8 +79,8 @@ class TestSigmaP:
 class TestBallMeasure:
     def test_ahlfors_ratio(self, setup_a, setup_b):
         for params, target in ((setup_a, 16.0), (setup_b, 64.0)):
-            one = ball_measure(params, 2.0, 1.0, SAMPLES, 3, stream=STREAM_BALL)
-            two = ball_measure(params, 2.0, 2.0, SAMPLES, 3, stream=STREAM_BALL + 1)
+            one = ball_measure(params, 2.0, 1.0, SAMPLES, 3, stream=(STREAM_BALL, 0))
+            two = ball_measure(params, 2.0, 2.0, SAMPLES, 3, stream=(STREAM_BALL, 1))
             ratio = two.mean / one.mean
             sig = ratio * np.hypot(one.stderr / one.mean, two.stderr / two.mean)
             assert abs(ratio - target) <= 3.0 * sig
@@ -112,8 +112,8 @@ class TestBallMeasure:
                 assert vals.max() <= bound + 1e-12
 
     def test_acceptance_ratio_scale_invariant(self, setup_a):
-        lo = ball_measure(setup_a, 2.0, 0.5, SAMPLES, 23, stream=STREAM_BALL)
-        hi = ball_measure(setup_a, 2.0, 2.0, SAMPLES, 23, stream=STREAM_BALL + 1)
+        lo = ball_measure(setup_a, 2.0, 0.5, SAMPLES, 23, stream=(STREAM_BALL, 0))
+        hi = ball_measure(setup_a, 2.0, 2.0, SAMPLES, 23, stream=(STREAM_BALL, 1))
         f_lo, f_hi = lo.accept_fraction, hi.accept_fraction
         sig = np.sqrt(
             f_lo * (1 - f_lo) / lo.samples + f_hi * (1 - f_hi) / hi.samples

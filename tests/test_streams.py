@@ -1,12 +1,15 @@
-"""What the MC subcommands run: one kernel run per estimate, each on its own
-stream, and no run that only re-estimates sigma_p."""
+"""The MC streams: what a key draws, and what the MC subcommands run (one
+kernel run per estimate, each on its own stream, and no run that only
+re-estimates sigma_p)."""
 
 import sys
 
+import numpy as np
 import pytest
 
-from sublap import montecarlo
+from sublap import SpaceParams, montecarlo, sigma_p, sigma_p_exact
 from sublap.cli import main
+from sublap.montecarlo import STREAM_BALL, STREAM_SHELL, _shard_rng
 
 COMMON = ["--samples", "10000", "--seed", "3", "--threads", "1"]
 
@@ -59,3 +62,39 @@ def test_radii_spacing_checked_before_any_run(command, radii, kernel_streams, ca
     assert captured.out == ""
     assert captured.err.startswith("error: three radii must be geometrically spaced")
     assert kernel_streams == []
+
+
+def draws(seed, stream, shard, rows=1000):
+    return _shard_rng(seed, stream, shard).random((rows, 3))
+
+
+def test_same_key_gives_identical_draws():
+    assert np.array_equal(draws(7, (STREAM_BALL, 2), 3), draws(7, (STREAM_BALL, 2), 3))
+
+
+@pytest.mark.parametrize("seed,stream,shard", [
+    (8, (STREAM_BALL, 2), 3),   # seed
+    (7, (STREAM_SHELL, 2), 3),  # purpose
+    (7, (STREAM_BALL, 0), 3),   # index
+    (7, (STREAM_BALL, 2), 4),   # shard
+])
+def test_any_other_key_gives_other_draws(seed, stream, shard):
+    base = draws(7, (STREAM_BALL, 2), 3)
+    other = draws(seed, stream, shard)
+    assert not np.any(base == other)
+
+
+@pytest.mark.parametrize("params,p", [
+    (SpaceParams(1, 1.0, 1.0), 2.0),
+    (SpaceParams(3, 1.5, -2.0, [0.3, -0.2, 0.1, 0.5, -0.4, 0.2, 0.7]), 3.0),
+], ids=["A", "n=3-offset"])
+def test_sigma_z_scores_over_seeds(params, p):
+    # the MC against the closed form over seeds 1-64: the z-scores must look
+    # like draws of a standard normal (mean 0, SD 1)
+    exact = sigma_p_exact(params, p)
+    z = []
+    for seed in range(1, 65):
+        est = sigma_p(params, p, 10**4, seed, threads=1)
+        z.append((est.mean - exact) / est.stderr)
+    assert abs(np.mean(z)) <= 0.5
+    assert 0.65 <= np.std(z, ddof=1) <= 1.35
