@@ -44,7 +44,12 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo=None, width=None):
+def gauge_work(rows: int) -> np.ndarray:
+    """Work array for `column_gauge_parts` over up to `rows` points."""
+    return np.empty((5, rows))
+
+
+def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: np.ndarray):
     """(Sigma, tau, h) of N points, built one coordinate column at a time.
 
     The points are the rows of `cols` (N, dim) or, given a box, the rows of
@@ -54,41 +59,58 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo=None, width=Non
     two-lane (SSE2) baseline: even and odd columns in separate lanes, each
     run of eight columns folded in last to first, the two lanes added at
     the end.  Sigma is then bit-identical to the einsum of the offsets.
+
+    Everything is written into the first N columns of `work` (from
+    `gauge_work`): the two lanes, a temporary, tau and h.  The returned
+    arrays are views of it, valid until `work` is used again.
     """
     n2 = 2 * params.n
     x0 = params.x0
+    rows = cols.shape[0]
+    lanes, tmp, tau, h = work[:2, :rows], work[2, :rows], work[3, :rows], work[4, :rows]
 
-    def offset(j):
+    def offset(j, out):
+        """out = coordinate j of the points minus x0[j]."""
         if width is None:
-            return cols[:, j] - x0[j]
-        u = cols[:, j] * width[j]
-        u += lo[j]
-        u -= x0[j]
-        return u
+            np.subtract(cols[:, j], x0[j], out=out)
+        else:
+            np.multiply(cols[:, j], width[j], out=out)
+            out += lo[j]
+            out -= x0[j]
 
     order = []
     while n2 - len(order) >= 8:
         j = len(order)
         order += [j + 6, j + 4, j + 2, j, j + 7, j + 5, j + 3, j + 1]
     order += range(len(order), n2)
-    lanes = [None, None]
+    written = [False, False]
     for j in order:
-        sq = offset(j)
-        sq *= sq
-        if lanes[j % 2] is None:
-            lanes[j % 2] = sq
+        lane = lanes[j % 2]
+        if written[j % 2]:
+            offset(j, tmp)
+            tmp *= tmp
+            lane += tmp
         else:
-            lanes[j % 2] += sq
-    sigma = lanes[0] + lanes[1]
-    tau = offset(n2)
+            offset(j, lane)
+            lane *= lane
+            written[j % 2] = True
+    sigma = lanes[0]
+    sigma += lanes[1]
+    offset(n2, tau)
+    # h = c^2 Sigma^(2k) + tau^2, with the ufuncs of that expression
+    np.copyto(h, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = params.c**2 * sigma ** (2 * params.k) + tau * tau
+        h **= 2 * params.k
+        h *= params.c**2
+        np.multiply(tau, tau, out=tmp)
+        h += tmp
     return sigma, tau, h
 
 
 def gauge_parts(params: SpaceParams, pts: np.ndarray):
     """Vectorized (Sigma, tau, h) over an (N, dim) array of points."""
-    return column_gauge_parts(params, np.asarray(pts, dtype=float))
+    pts = np.asarray(pts, dtype=float)
+    return column_gauge_parts(params, pts, None, None, gauge_work(pts.shape[0]))
 
 
 def _log(x):

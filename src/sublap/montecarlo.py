@@ -26,11 +26,17 @@ weight that needs the points themselves (a field that is not a function of
 h) rebuilds them for the accepted rows alone.  The values of a shard land
 in one shard-length array, summed once, so the block size does not change a
 bit of the result.
+
+Each worker thread of a run makes one set of block buffers (the uniforms,
+the work array of `column_gauge_parts`, the band mask and the shard's
+values) and reuses it for every block and shard it runs; the set goes when
+the run returns.  Per block, only the arrays of the accepted rows are new.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +45,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .extrapolation import LimitTable, decreasing_radii, limit_table, richardson_weights
-from .fields import ScalarField, column_gauge_parts, gauge_parts  # noqa: F401 (re-exported)
+from .fields import (  # noqa: F401 (gauge_parts re-exported)
+    ScalarField, column_gauge_parts, gauge_parts, gauge_work,
+)
 from .space import SpaceParams, check_integrable, sigma_p_exact
 
 SHARD_SIZE = 1 << 16
@@ -144,10 +152,15 @@ def _box(params: SpaceParams, spec: BallSpec):
     return params.x0 - spec.half_widths, 2.0 * spec.half_widths
 
 
-def _draw(params: SpaceParams, rng: np.random.Generator, rows: int, lo, width):
-    """rows uniform draws U in the box and the (Sigma, tau, h) of lo + U * width."""
-    U = rng.random((rows, params.dim))
-    return (U, *column_gauge_parts(params, U, lo, width))
+class _BlockBuffers:
+    """One worker's arrays for `_mc_over_box`, reused by every block and shard it runs."""
+
+    def __init__(self, dim: int):
+        self.uniforms = np.empty((BLOCK_ROWS, dim))
+        self.gauge = gauge_work(BLOCK_ROWS)
+        self.inside = np.empty(BLOCK_ROWS, dtype=bool)
+        self.above_lo = np.empty(BLOCK_ROWS, dtype=bool)
+        self.vals = np.empty(SHARD_SIZE)
 
 
 def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
@@ -166,29 +179,37 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     sums = np.zeros(n_shards)
     sqsums = np.zeros(n_shards)
     accepted = np.zeros(n_shards, dtype=np.int64)
+    # each worker thread makes its buffers once and keeps them for this call
+    local = threading.local()
 
     def run_shard(idx: int):
+        bufs = getattr(local, "bufs", None)
+        if bufs is None:
+            bufs = local.bufs = _BlockBuffers(params.dim)
         count = min(SHARD_SIZE, samples - idx * SHARD_SIZE)
         rng = _shard_rng(seed, stream, idx)
-        vals = np.zeros(count)
+        vals = bufs.vals[:count]
+        vals.fill(0.0)
         acc = 0
         for start in range(0, count, BLOCK_ROWS):
-            U, sigma, _, h = _draw(params, rng, min(BLOCK_ROWS, count - start), lo, width)
-            inside = h < integrand.hi
+            rows = min(BLOCK_ROWS, count - start)
+            U = rng.random(out=bufs.uniforms[:rows])
+            sigma, _, h = column_gauge_parts(params, U, lo, width, bufs.gauge)
+            inside = np.less(h, integrand.hi, out=bufs.inside[:rows])
             if integrand.lo is not None:
-                inside &= h > integrand.lo
+                inside &= np.greater(h, integrand.lo, out=bufs.above_lo[:rows])
             hits = int(np.count_nonzero(inside))
             if hits:
                 h_in = h[inside]
                 val = grad_psi_norm_sq(params, sigma[inside], h_in) ** half_p
                 if weight is not None:
                     val = weight(h_in, lambda: lo + U[inside] * width) * val
-                vals[start : start + U.shape[0]][inside] = val
+                vals[start : start + rows][inside] = val
                 acc += hits
         return idx, float(vals.sum()), float(np.dot(vals, vals)), acc
 
-    workers = resolve_threads(threads)
-    if workers > 1 and n_shards > 1:
+    workers = min(resolve_threads(threads), n_shards)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for idx, s, ss, acc in pool.map(run_shard, range(n_shards)):
                 sums[idx], sqsums[idx], accepted[idx] = s, ss, acc
@@ -362,8 +383,9 @@ def sample_points(
     have = 0
     shard = 0
     while have < count:
-        rng = _shard_rng(seed, (STREAM_POINTS, 0), shard)
-        U, sigma, _, h = _draw(params, rng, max(count, 256), lo, width)
+        rows = max(count, 256)
+        U = _shard_rng(seed, (STREAM_POINTS, 0), shard).random((rows, params.dim))
+        sigma, _, h = column_gauge_parts(params, U, lo, width, gauge_work(rows))
         psi = h ** (1.0 / (4 * params.k))
         keep = np.flatnonzero((psi >= min_psi) & (sigma >= min_sigma))[: count - have]
         out[have : have + keep.size] = lo + U[keep] * width

@@ -33,7 +33,7 @@ from sublap import (
 )
 from sublap import capacity as capacity_module
 from sublap import frame
-from sublap.fields import AnnulusPotential, column_gauge_parts, gauge_parts
+from sublap.fields import AnnulusPotential, column_gauge_parts, gauge_parts, gauge_work
 from sublap.montecarlo import BLOCK_ROWS, SHARD_SIZE, STREAM_ENERGY, grad_psi_norm_sq
 
 SAMPLES = 2 * SHARD_SIZE + BLOCK_ROWS + 2545  # a partial shard ending in a partial block
@@ -162,10 +162,13 @@ def test_sigma_matches_einsum(n, rng):
     assert np.array_equal(sigma, ref[0])
     assert np.array_equal(tau, ref[1])
     assert np.array_equal(h, ref[2])
-    # the box form maps lo + U * width with the same roundings
+    # the box form maps lo + U * width with the same roundings, in the first
+    # rows of a larger work array whatever it held before
     lo, width = params.x0 - 1.5, np.full(params.dim, 3.0)
     U = rng.random((5000, params.dim))
-    boxed = column_gauge_parts(params, U, lo, width)
+    work = gauge_work(8000)
+    work.fill(np.nan)
+    boxed = column_gauge_parts(params, U, lo, width, work)
     for got, want in zip(boxed, reference_gauge_parts(params, lo + U * width)):
         assert np.array_equal(got, want)
 
