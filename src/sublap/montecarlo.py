@@ -24,8 +24,10 @@ a time (`fields.column_gauge_parts`), with no (N, dim) point array.  The band
 selects the accepted rows, and the band's weight sees only their h; a
 weight that needs the points themselves (a field that is not a function of
 h) rebuilds them for the accepted rows alone.  The values of a shard land
-in one shard-length array, summed once, so the block size does not change a
-bit of the result.
+in one shard-length array, summed once, and then squared in place and
+summed again, both by numpy's own reduction and not by a BLAS dot product,
+so neither the block size nor the BLAS thread count changes a bit of the
+result.
 
 Each worker thread of a run makes one set of block buffers (the uniforms,
 the work array of `column_gauge_parts`, the band mask and the shard's
@@ -206,7 +208,10 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
                     val = weight(h_in, lambda: lo + U[inside] * width) * val
                 vals[start : start + rows][inside] = val
                 acc += hits
-        return idx, float(vals.sum()), float(np.dot(vals, vals)), acc
+        total = float(vals.sum())
+        # numpy's own pairwise sum: a BLAS dot's bits depend on its thread count
+        vals *= vals
+        return idx, total, float(vals.sum()), acc
 
     workers = min(resolve_threads(threads), n_shards)
     if workers > 1:

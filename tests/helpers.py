@@ -200,7 +200,7 @@ def reference_mc(params, R, integrand, samples, seed, stream):
         count = min(SHARD_SIZE, samples - idx * SHARD_SIZE)
         pts = lo + _shard_rng(seed, stream, idx).random((count, params.dim)) * width
         vals, acc = integrand(pts)
-        sums[idx], sqsums[idx] = float(vals.sum()), float(np.dot(vals, vals))
+        sums[idx], sqsums[idx] = float(vals.sum()), float((vals * vals).sum())
         accepted += acc
     raw_mean = float(sums.sum()) / samples
     raw_var = max(float(sqsums.sum()) / samples - raw_mean**2, 0.0)

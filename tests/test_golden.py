@@ -13,10 +13,14 @@ and says why in CHANGES.md.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sublap
 from sublap.cli import COMMANDS, main, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,12 +51,37 @@ def golden_path(space: str, command: str) -> Path:
     return GOLDEN / f"{space}_{command}.json"
 
 
+def golden_text(space: str, command: str) -> tuple[str, int]:
+    """The checked-in report and its exit code, in the form of `report_text`."""
+    golden = json.loads(golden_path(space, command).read_text(encoding="utf-8"))
+    code = golden.pop("exit_code")
+    return render_json(golden), code
+
+
+def mismatches() -> list[str]:
+    """The cases whose report or exit code differs from the golden one."""
+    return [f"{space}_{command}" for space, command in CASES
+            if report_text(space, command) != golden_text(space, command)]
+
+
 @pytest.mark.parametrize("space,command", CASES)
 def test_report_matches_golden(space, command):
     text, code = report_text(space, command)
-    golden = json.loads(golden_path(space, command).read_text(encoding="utf-8"))
-    assert code == golden.pop("exit_code")
-    assert text == render_json(golden)
+    golden, golden_code = golden_text(space, command)
+    assert code == golden_code
+    assert text == golden
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_goldens_hold_at_any_blas_thread_count(blas_threads):
+    # OpenBLAS sizes its pool when numpy loads, so each count needs a process
+    paths = [str(Path(sublap.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+               OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
+    code = "import test_golden; print(*test_golden.mismatches())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []
 
 
 if __name__ == "__main__":
