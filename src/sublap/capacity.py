@@ -136,8 +136,8 @@ def minimize_radial(
     """
     if m_knots < 8:
         raise DomainError(f"need at least 8 segments, got {m_knots}")
-    if not 0 < r < R:
-        raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
+    if not 0 < r < R < np.inf:
+        raise DomainError(f"need 0 < r < R < inf, got r={r}, R={R}")
     if not 1 < p < np.inf:
         raise DomainError(f"p must exceed 1 and be finite, got {p!r}")
     Q = params.Q

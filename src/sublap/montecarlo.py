@@ -103,8 +103,8 @@ class BallSpec:
 
 
 def ball_spec(params: SpaceParams, R: float) -> BallSpec:
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R!r}")
+    if not 0 < R < np.inf:
+        raise DomainError(f"radius must be positive and finite, got {R!r}")
     hw = np.empty(params.dim)
     hw[: 2 * params.n] = R * abs(params.c) ** (-1.0 / (2 * params.k))
     hw[2 * params.n] = R ** (2 * params.k)

@@ -122,6 +122,25 @@ class TestExitCodes:
         value = json.loads(out)["results"][0]["value"]
         assert value == pytest.approx(4.537500680863949e-09, rel=1e-12)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["capacity", "--R", "inf", "--method", "mc"], "radius must be positive and finite"),
+        (["capacity", "--R", "inf", "--method", "radial"], "need 0 < r < R < inf"),
+        (["ahlfors", "--radii", "1,inf"], "radius must be positive and finite"),
+    ], ids=["capacity-mc", "capacity-radial", "ahlfors"])
+    def test_infinite_radius_exits_one(self, capsys, recwarn, argv, message):
+        # rejected before any array sees the radius: no NaN, no numpy warning
+        assert main(argv + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+        assert not recwarn.list
+
+    def test_closed_form_capacity_at_infinite_R_is_its_limit(self, capsys):
+        # A, p = 2: |alpha|^(p-1) Q r^(alpha (1-p)) = 2 * 4 * 1
+        code, out = run_cli(capsys, ["capacity", "--R", "inf", "--method", "closed-form"] + FAST)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == pytest.approx(8.0, rel=1e-12)
+
     @pytest.mark.parametrize("flag,value", [
         ("--c", "nan"), ("--c", "inf"), ("--k", "inf"), ("--x0", "0,0,nan"),
         ("--tol", "nan"), ("--tol", "inf"),
