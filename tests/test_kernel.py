@@ -34,7 +34,15 @@ from sublap import (
 from sublap import capacity as capacity_module
 from sublap import frame
 from sublap.fields import AnnulusPotential, column_gauge_parts, gauge_parts, gauge_work
-from sublap.montecarlo import BLOCK_ROWS, SHARD_SIZE, STREAM_ENERGY, grad_psi_norm_sq
+from sublap.montecarlo import (
+    BLOCK_ROWS,
+    SHARD_SIZE,
+    STREAM_ENERGY,
+    Band,
+    _mc_over_box,
+    ball_spec,
+    grad_psi_norm_sq,
+)
 
 SAMPLES = 2 * SHARD_SIZE + BLOCK_ROWS + 2545  # a partial shard ending in a partial block
 SEED = 77
@@ -145,6 +153,35 @@ def energy_reference(params, r, R, samples):
 def test_mc_energy(params, threads):
     est = mc_energy(params, P, 0.6, 1.4, SAMPLES, SEED, threads)
     assert_same(est, energy_reference(params, 0.6, 1.4, SAMPLES))
+
+
+def test_back_to_back_runs_match_reference():
+    # Each worker reuses one set of buffers for every block and shard of a
+    # run.  On one thread, a run that fills its shard values, then a sparse
+    # band in another dimension and a run shorter than one block; then more
+    # threads than shards.  A value left from an earlier shard, or a buffer
+    # kept from a run in another dimension, would move a bit.
+    seven, three = SPACES[3], SPACES[1]
+    hi = 64 * 1.3 ** (4 * seven.k)  # 86% of the box
+    mean, stderr, acc = _mc_over_box(seven, ball_spec(seven, 1.3), Band(p=P, hi=hi),
+                                     SAMPLES, SEED, (4, 0), 1)
+    ref = reference_mc(seven, 1.3, reference_band(seven, None, hi, power(seven, P)),
+                       SAMPLES, SEED, (4, 0))
+    assert (mean, stderr, acc) == ref
+    assert acc > 0.8 * SAMPLES
+
+    bump = CutoffBump(three, 1.1, amplitude=1.7)
+    est = shell_integral(three, P, 1.0, 0.01, bump, SAMPLES, SEED, 1, stream=(6, 0))
+    assert_same(est, shell_reference(three, lambda pts, h: reference_bump(bump, h),
+                                     1.0, 0.01, (6, 0)))
+    assert 0 < est.accepted < 0.05 * SAMPLES
+
+    for params, samples, threads in ((three, 10**4, 1), (seven, SAMPLES, 8)):
+        est = ball_measure(params, P, 1.3, samples, SEED, threads, stream=(4, 0))
+        ref = reference_mc(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
+                                                       power(params, P)), samples, SEED, (4, 0))
+        assert_same(est, ref)
+    assert 10**4 < BLOCK_ROWS and 8 > -(-SAMPLES // SHARD_SIZE)
 
 
 def test_sample_points_match_reference(params):
