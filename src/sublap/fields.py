@@ -60,8 +60,8 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: n
     run of eight columns folded in last to first, the two lanes added at
     the end.  Sigma is then bit-identical to the einsum of the offsets.
 
-    Everything is written into the first N columns of `work` (from
-    `gauge_work`): the two lanes, a temporary, tau and h.  The returned
+    Everything is written into the first N columns of `work` (5, >= N),
+    from `gauge_work`: the two lanes, a temporary, tau and h.  The returned
     arrays are views of it, valid until `work` is used again.
     """
     n2 = 2 * params.n
@@ -83,21 +83,19 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: n
         j = len(order)
         order += [j + 6, j + 4, j + 2, j, j + 7, j + 5, j + 3, j + 1]
     order += range(len(order), n2)
-    written = [False, False]
-    for j in order:
-        lane = lanes[j % 2]
-        if written[j % 2]:
+    for parity, lane in enumerate(lanes):
+        first, *rest = [j for j in order if j % 2 == parity]
+        offset(first, lane)
+        lane *= lane
+        for j in rest:
             offset(j, tmp)
             tmp *= tmp
             lane += tmp
-        else:
-            offset(j, lane)
-            lane *= lane
-            written[j % 2] = True
     sigma = lanes[0]
     sigma += lanes[1]
     offset(n2, tau)
-    # h = c^2 Sigma^(2k) + tau^2, with the ufuncs of that expression
+    # h = c^2 Sigma^(2k) + tau^2 by the ufuncs of that expression: `**=`
+    # takes numpy's scalar-exponent shortcuts (2k = 2 squares) as `**` does
     np.copyto(h, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
         h **= 2 * params.k

@@ -5,6 +5,8 @@ the reference in helpers.py, at 1 and 2 threads, with a sample count that
 is a multiple of neither BLOCK_ROWS nor SHARD_SIZE and an offset base point.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from helpers import (
@@ -182,6 +184,21 @@ def test_back_to_back_runs_match_reference():
                                                        power(params, P)), samples, SEED, (4, 0))
         assert_same(est, ref)
     assert 10**4 < BLOCK_ROWS and 8 > -(-SAMPLES // SHARD_SIZE)
+
+
+def test_more_threads_than_cores_match_reference():
+    # every worker thread must write only its own buffers; switching
+    # threads every few microseconds interleaves their blocks
+    params, samples = SPACES[2], 6 * SHARD_SIZE + 321
+    band = reference_band(params, None, 1.3 ** (4 * params.k), power(params, P))
+    ref = reference_mc(params, 1.3, band, samples, SEED, (4, 0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        est = ball_measure(params, P, 1.3, samples, SEED, 6, stream=(4, 0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same(est, ref)
 
 
 def test_sample_points_match_reference(params):
