@@ -30,7 +30,7 @@ so neither the block size nor the BLAS thread count changes a bit of the
 result.
 
 Each worker thread of a run makes one set of block buffers (the uniforms,
-the work array of `column_gauge_parts`, the band mask and the shard's
+the work array of `column_gauge_parts`, the band masks and the shard's
 values) and reuses it for every block and shard it runs; the set goes when
 the run returns.  Per block, only the arrays of the accepted rows are new.
 """

@@ -216,8 +216,8 @@ def test_sigma_matches_einsum(n, rng):
     assert np.array_equal(sigma, ref[0])
     assert np.array_equal(tau, ref[1])
     assert np.array_equal(h, ref[2])
-    # the box form maps lo + U * width with the same roundings, in the first
-    # rows of a larger work array whatever it held before
+    # the box form maps lo + U * width with the same roundings, into the
+    # first 5000 columns of a larger work array, whatever it held before
     lo, width = params.x0 - 1.5, np.full(params.dim, 3.0)
     U = rng.random((5000, params.dim))
     work = gauge_work(8000)
