@@ -29,7 +29,8 @@ print("k=2 at x0:", lie_bracket(params_b, 1, 2, params_b.x0)[-1])
 
 # full comparison report over a few random points
 rng = np.random.default_rng(3)
-pts = [params_b.x0 + rng.uniform(-2, 2, 3) for _ in range(4)]
+pts = params_b.x0 + rng.uniform(-2, 2, (4, 3))
+print("\n[X_1, X_2] over a batch of points:", lie_bracket(params_b, 1, 2, pts)[:, -1])
 print("\ncomparison report (k=2):")
 for rec in bracket_comparison(params_b, pts):
     print(f"  (i,j)=({rec['i']},{rec['j']})  computed={rec['computed']:+10.4f}"

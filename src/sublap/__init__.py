@@ -42,7 +42,7 @@ from .frame import (
     p_laplacian,
     p_laplacian_divergence_form,
 )
-from .jets import Jet2, coordinate_jets
+from .jets import Jet2
 from .montecarlo import (
     BallSpec,
     MCEstimate,
@@ -50,21 +50,14 @@ from .montecarlo import (
     ball_spec,
     density_limit,
     sample_points,
-    shell_integral,
     shell_integral_extrapolated,
     sigma_p,
 )
 from .space import (
     Exponents,
-    GaugeValues,
     SpaceParams,
-    c1_constant,
-    c2_constant,
     dilate,
     exponents,
-    gauge,
-    gauge_regularized,
-    is_base_point,
     is_log_case,
     normalization,
     sigma_p_exact,

@@ -166,6 +166,7 @@ def mc_energy(
     """MC annulus energy of the explicit potential, divided by the closed-form
     sigma_p; mean and stderr are in sigma_p units."""
     potential = AnnulusPotential(params, p, r, R)
+    spec = ball_spec(params, R)
     k = params.k
 
     def weight(h, _):
@@ -173,7 +174,7 @@ def mc_energy(
 
     band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
     mean, stderr, acc = _mc_over_box(
-        params, ball_spec(params, R), band, samples, seed, (STREAM_ENERGY, 0), threads
+        params, spec, band, samples, seed, (STREAM_ENERGY, 0), threads
     )
     sigma = sigma_p_exact(params, p)
     return MCEstimate(

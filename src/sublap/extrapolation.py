@@ -31,8 +31,8 @@ def decreasing_radii(radii) -> list[float]:
     if not radii or any(b >= a for a, b in zip(radii, radii[1:])) or radii[-1] <= 0:
         raise DomainError("radii must be strictly decreasing and positive")
     if len(radii) == 3:
-        rho1, rho2 = radii[0] / radii[1], radii[1] / radii[2]
-        if abs(rho1 - rho2) > 1e-9 * rho1:
+        # unlike a scaled difference, isclose never matches a finite ratio to inf
+        if not math.isclose(radii[0] / radii[1], radii[1] / radii[2], rel_tol=1e-9):
             raise DomainError(f"three radii must be geometrically spaced, got {radii}")
     return radii
 

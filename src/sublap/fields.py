@@ -10,17 +10,18 @@ values(pts) computes h first, and jet(pts) applies it to the 2-jet of h.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DomainError, SingularPointError
+from .errors import ConfigurationError, DomainError, SingularPointError
 from .jets import Jet2
 from .space import SpaceParams, as_points, exponents
 
 
 class ScalarField:
-    """Base class; subclasses set `tag` and implement jet()."""
+    """Base class; subclasses implement jet()."""
 
-    tag = "user-composite"
     dim: int
     # True when the field is a function of h alone and defines values_of_h.
     h_only = False
@@ -107,7 +108,9 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: n
 
 def gauge_parts(params: SpaceParams, pts: np.ndarray):
     """Vectorized (Sigma, tau, h) over an (N, dim) array of points."""
-    pts = np.asarray(pts, dtype=float)
+    pts = as_points(params, pts)
+    if pts.ndim != 2:
+        raise ConfigurationError(f"points must have shape (N, {params.dim}), got {pts.shape}")
     return column_gauge_parts(params, pts, None, None, gauge_work(pts.shape[0]))
 
 
@@ -143,8 +146,6 @@ class HFunction(ScalarField):
 class GaugeH(HFunction):
     """h = c^2 Sigma^(2k) + (t-s)^2; polynomial-exact when 2k is an integer."""
 
-    tag = "gauge-h"
-
     def __init__(self, params: SpaceParams):
         self.params = params
         self.dim = params.dim
@@ -170,7 +171,6 @@ class GaugeH(HFunction):
 class GaugePsi(HFunction):
     """psi = h^(1/(4k)); not differentiable at the base point."""
 
-    tag = "gauge-psi"
     singular = "psi has no 2-jet at the base point"
 
     def __init__(self, params: SpaceParams):
@@ -192,7 +192,6 @@ class FundamentalProfile(HFunction):
         self.p = float(p)
         self.scale = float(scale)
         self.exps = exponents(params, p)
-        self.tag = "profile-log-psi" if self.exps.is_log_case else "profile-psi-alpha"
 
     def values_of_h(self, h):
         if self.exps.is_log_case:
@@ -207,8 +206,6 @@ class FundamentalProfile(HFunction):
 
 
 class Constant(ScalarField):
-    tag = "polynomial"
-
     def __init__(self, value: float, dim: int):
         self.c = float(value)
         self.dim = dim
@@ -222,8 +219,6 @@ class Polynomial(ScalarField):
 
     terms: iterable of (coeff, exponents) with len(exponents) == dim.
     """
-
-    tag = "polynomial"
 
     def __init__(self, terms, dim: int):
         self.dim = dim
@@ -264,8 +259,6 @@ class CutoffBump(HFunction):
     Equals `amplitude` at the base point and is smooth everywhere h is.
     """
 
-    tag = "test-bump"
-
     def __init__(self, params: SpaceParams, support_radius: float, amplitude: float = 1.0):
         if not support_radius > 0:
             raise DomainError("support radius must be positive")
@@ -273,7 +266,15 @@ class CutoffBump(HFunction):
         self.dim = params.dim
         self.support_radius = float(support_radius)
         self.amplitude = float(amplitude)
-        self.B = self.support_radius ** (4 * params.k)
+        try:
+            self.B = self.support_radius ** (4 * params.k)
+        except OverflowError:
+            self.B = math.inf
+        if not 0 < self.B < math.inf:
+            raise DomainError(
+                f"support radius {support_radius!r} gives the h bound R0^(4k) = "
+                f"{self.B!r}, which is not a positive finite float"
+            )
 
     def jet(self, pts) -> Jet2:
         hj = GaugeH(self.params).jet(pts)
@@ -305,8 +306,6 @@ class CutoffBump(HFunction):
 
 
 class LinearCombination(ScalarField):
-    tag = "user-composite"
-
     def __init__(self, fields, weights):
         if len(fields) != len(weights) or not fields:
             raise DomainError("need matching, nonempty fields and weights")
@@ -346,7 +345,6 @@ class AnnulusPotential(HFunction):
     at p == Q.  Equals 1 at psi = r and 0 at psi = R.
     """
 
-    tag = "user-composite"
     singular = "potential is singular at the base point"
 
     def __init__(self, params: SpaceParams, p: float, r: float, R: float):

@@ -14,12 +14,13 @@ the closed-form coefficient gradients below.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePointError
 from .fields import ScalarField
-from .space import SpaceParams, as_point, as_points
+from .space import SpaceParams, as_points
 
 # Rows per block when an operator runs over a batch of points: bounds the
 # (rows, d, d) jet temporaries to about a megabyte whatever the batch size.
@@ -34,17 +35,6 @@ def _over_blocks(fn, P: np.ndarray):
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(col) for col in zip(*parts))
     return np.concatenate(parts)
-
-
-def _sigma_power(sigma: float, e: float, where: str) -> float:
-    # Sigma^e for e possibly negative or zero at Sigma == 0.
-    if e == 0.0:
-        return 1.0
-    if sigma == 0.0:
-        if e > 0.0:
-            return 0.0
-        raise DegeneratePointError(f"{where}: undefined at Sigma = 0 for this k")
-    return sigma**e
 
 
 def _horizontal_offsets(params: SpaceParams, P: np.ndarray):
@@ -230,86 +220,93 @@ def p_laplacian_divergence_form(params: SpaceParams, field: ScalarField, P, p: f
     return _over_blocks(block, as_points(params, P))
 
 
+def _check_pair(params: SpaceParams, i: int, j: int) -> None:
+    if not 1 <= i < j <= 2 * params.n:
+        raise ConfigurationError(f"need 1 <= i < j <= {2 * params.n}, got ({i}, {j})")
+
+
+def _along_t(params: SpaceParams, coeff) -> np.ndarray:
+    """The field coeff * d/dt as (2n+1)-coefficient vectors, one per entry of coeff."""
+    out = np.zeros(np.shape(coeff) + (params.dim,))
+    out[..., 2 * params.n] = coeff
+    return out
+
+
+def _bracket_coefficients(params: SpaceParams, P: np.ndarray) -> np.ndarray:
+    """(2n, 2n) array (per row of a batch): entry (i-1, j-1) is the
+    t-coefficient X_i b_j - X_j b_i of [X_i, X_j]."""
+    # X_i b_j = E_i . grad b_j, as in _horizontal_parts
+    xb = frame_matrix(params, P) @ np.swapaxes(t_coefficient_gradients(params, P), -1, -2)
+    return xb - np.swapaxes(xb, -1, -2)
+
+
 def lie_bracket(params: SpaceParams, i: int, j: int, P) -> np.ndarray:
-    """[X_i, X_j] at P as a (2n+1)-coefficient vector; only d/dt survives.
+    """[X_i, X_j] at P (dim,), or per row of P (N, dim), as (2n+1)-coefficient
+    vectors; only d/dt survives.
 
     Computed from the closed-form coefficient gradients:
     [X_i, X_j] = (X_i b_j - X_j b_i) d/dt.
     """
-    if not 1 <= i < j <= 2 * params.n:
-        raise ConfigurationError(f"need 1 <= i < j <= {2 * params.n}, got ({i}, {j})")
-    P = as_point(params, P)
-    out = np.zeros(params.dim)
-    out[2 * params.n] = _bracket_t(
-        frame_matrix(params, P), t_coefficient_gradients(params, P), i, j
-    )
-    return out
-
-
-def _bracket_t(E: np.ndarray, grads: np.ndarray, i: int, j: int) -> float:
-    """t-coefficient of [X_i, X_j] from the frame matrix and coefficient gradients."""
-    return float(E[i - 1] @ grads[j - 1] - E[j - 1] @ grads[i - 1])
+    _check_pair(params, i, j)
+    coeffs = _bracket_coefficients(params, as_points(params, P))
+    return _along_t(params, coeffs[..., i - 1, j - 1])
 
 
 def lie_bracket_printed(params: SpaceParams, i: int, j: int, P) -> np.ndarray:
-    """Legacy case-split bracket formulas, evaluated verbatim.
+    """Legacy case-split bracket formulas at P (dim,), or per row of P (N, dim).
 
     Kept for comparison reporting only: they agree with lie_bracket at k = 1
-    but are known to disagree for k != 1 (see bracket_comparison).
+    but are known to disagree for k != 1 (see bracket_comparison).  Their
+    three index cases share one cross term, negated when j <= n.
     """
-    if not 1 <= i < j <= 2 * params.n:
-        raise ConfigurationError(f"need 1 <= i < j <= {2 * params.n}, got ({i}, {j})")
-    P = as_point(params, P)
-    u, sigma = _horizontal_offsets(params, P)
+    _check_pair(params, i, j)
+    u, sigma = _horizontal_offsets(params, as_points(params, P))
     n, k, c = params.n, params.k, params.c
-    ii, jj = i - 1, j - 1
+    a, b = i - 1, j - 1
 
-    def us(idx: int) -> float:
-        return float(u[idx])
+    def sigma_power(e: float):
+        # 0^0 = 1 and 0^e = 0 for e > 0; a Sigma = 0 row has no negative power
+        if e < 0.0 and _any(sigma == 0.0):
+            raise DegeneratePointError("printed bracket: undefined at Sigma = 0 for this k")
+        return sigma**e
 
-    if k == 1.0:
-        lead = 0.0
-    else:
-        sk2 = _sigma_power(sigma, k - 2.0, "printed bracket")
-        if j <= n:
-            lead = 8 * k * c * (k - 1) * sk2 * (us(jj + n) * us(ii) - us(ii + n) * us(jj))
-        elif i > n:
-            lead = 8 * k * c * (k - 1) * sk2 * (us(ii - n) * us(jj) - us(jj - n) * us(ii))
-        else:
-            lead = 8 * k * c * (k - 1) * sk2 * (us(ii + n) * us(jj) - us(jj - n) * us(ii))
-    out = np.zeros(params.dim)
-    out[2 * params.n] = lead
-    if i <= n < j and i == j - n:
-        sk1 = _sigma_power(sigma, k - 1.0, "printed bracket")
-        out[2 * params.n] -= 4 * k * c * sk1
-    return out
+    t = np.zeros(np.shape(sigma))
+    if k != 1.0:
+        partner = _partners(n)[0]
+        cross = u[..., partner[a]] * u[..., b] - u[..., partner[b]] * u[..., a]
+        t = 8 * k * c * (k - 1) * sigma_power(k - 2.0) * (-cross if j <= n else cross)
+    if i == j - n:
+        t = t - 4 * k * c * sigma_power(k - 1.0)
+    return _along_t(params, t)
 
 
 def bracket_comparison(params: SpaceParams, points) -> list[dict]:
     """Compare lie_bracket with lie_bracket_printed over all pairs and points.
 
-    Returns one record per (i, j, point) with both t-coefficients and an
-    agreement flag at relative 1e-9.
+    Returns one record per (point, i, j) with both t-coefficients and an
+    agreement flag at relative 1e-9.  The frame is evaluated once, over all
+    points together.
     """
+    pts = np.atleast_2d(as_points(params, points))
+    n2 = 2 * params.n
+    computed = _bracket_coefficients(params, pts)
+    pairs = list(itertools.combinations(range(1, n2 + 1), 2))
+    printed = {(i, j): lie_bracket_printed(params, i, j, pts)[:, n2] for i, j in pairs}
     records = []
-    for P in points:
-        P = as_point(params, P)
-        E = frame_matrix(params, P)
-        grads = t_coefficient_gradients(params, P)
-        for i in range(1, 2 * params.n + 1):
-            for j in range(i + 1, 2 * params.n + 1):
-                computed = _bracket_t(E, grads, i, j)
-                printed = float(lie_bracket_printed(params, i, j, P)[2 * params.n])
-                diff = abs(computed - printed)
-                records.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "point": [float(x) for x in P],
-                        "computed": computed,
-                        "printed": printed,
-                        "abs_diff": diff,
-                        "agree": bool(diff <= 1e-9 * (1.0 + abs(computed))),
-                    }
-                )
+    for row, P in enumerate(pts):
+        for i, j in pairs:
+            comp = float(computed[row, i - 1, j - 1])
+            prnt = float(printed[i, j][row])
+            diff = abs(comp - prnt)
+            records.append(
+                {
+                    "i": i,
+                    "j": j,
+                    "point": P.tolist(),
+                    "computed": comp,
+                    "printed": prnt,
+                    "abs_diff": diff,
+                    "agree": bool(diff <= 1e-9 * (1.0 + abs(comp))),
+                }
+            )
     return records

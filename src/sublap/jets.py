@@ -180,16 +180,3 @@ class Jet2:
     def exp(self) -> "Jet2":
         ev = np.exp(self.value)
         return self._chain(ev, ev, ev)
-
-    def sqrt(self) -> "Jet2":
-        v = self.value
-        if np.any(v < 0.0):
-            raise ArithmeticDomainError("sqrt", f"argument {_first(v, v < 0.0)} negative")
-        return self**0.5
-
-
-def coordinate_jets(P) -> list[Jet2]:
-    """One Jet2 variable per coordinate of a point (d,) or a batch (N, d)."""
-    P = np.asarray(P, dtype=float)
-    d = P.shape[-1]
-    return [Jet2.variable(P[..., i], i, d) for i in range(d)]

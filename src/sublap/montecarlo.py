@@ -37,6 +37,7 @@ the run returns.  Per block, only the arrays of the accepted rows are new.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections.abc import Callable
@@ -56,6 +57,7 @@ SHARD_SIZE = 1 << 16
 # Rows drawn and mapped at a time: a block's columns stay in cache.
 BLOCK_ROWS = 1 << 14
 _MASK64 = (1 << 64) - 1
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # A stream is (purpose, index): the purpose names what a run estimates, the
 # index tells apart the runs of one purpose in one check (the i-th radius of
@@ -103,8 +105,23 @@ class BallSpec:
 
 
 def ball_spec(params: SpaceParams, R: float) -> BallSpec:
+    """The box of {psi < R}, where Sigma reaches 2n R^2 |c|^(-1/k) and
+    tau^2 reaches R^(4k).  DomainError unless the largest Sigma, Sigma^(2k)
+    (formed before the factor c^2) and h, and the volume, are floats."""
     if not 0 < R < np.inf:
         raise DomainError(f"radius must be positive and finite, got {R!r}")
+    k, n2 = params.k, 2 * params.n
+    log_r, log_c = math.log(R), math.log(abs(params.c))
+    log_hw = log_r - log_c / (2 * k)  # of the horizontal half-widths
+    log_sigma = math.log(n2) + 2 * log_hw
+    log_tau2 = 4 * k * log_r
+    log_h = np.logaddexp(2 * log_c + 2 * k * log_sigma, log_tau2)
+    log_volume = params.dim * math.log(2.0) + n2 * log_hw + log_tau2 / 2
+    if max(log_sigma, 2 * k * log_sigma, log_h, log_volume) >= _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"the box of the gauge ball of radius {R!r} leaves the float range: "
+            "its largest Sigma, Sigma^(2k) or h, or its volume, is not a finite float"
+        )
     hw = np.empty(params.dim)
     hw[: 2 * params.n] = R * abs(params.c) ** (-1.0 / (2 * params.k))
     hw[2 * params.n] = R ** (2 * params.k)
@@ -272,50 +289,24 @@ def sigma_p(
     return ball_measure(params, p, 1.0, samples, seed, threads, stream=stream)
 
 
-def _phi_values(phi: ScalarField, h, points):
-    """phi on the accepted rows: from their h when phi is a function of h alone."""
-    return phi.values_of_h(h) if phi.h_only else phi.values(points())
-
-
-def shell_integral(
-    params: SpaceParams, p: float, R: float, delta: float, phi: ScalarField,
-    samples: int, seed: int, threads: int | None = None,
-    stream: Stream = (STREAM_SHELL, 0),
-) -> MCEstimate:
-    """Thin-shell estimate of the surface integral of phi over {psi = R}.
-
-    (1/(2 delta)) * integral over {R-delta < psi < R+delta} of
-    phi |grad_0 psi|^p, an O(delta^2)-biased approximation of the coarea
-    disintegration.
-    """
-    if not 0 < delta < R / 2:
-        raise DomainError(f"need 0 < delta < R/2, got delta={delta}, R={R}")
-    spec = ball_spec(params, R + delta)
-    band = Band(p=p, hi=(R + delta) ** (4 * params.k),
-                weight=lambda h, points: _phi_values(phi, h, points),
-                lo=(R - delta) ** (4 * params.k))
-    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
-    scale = 1.0 / (2.0 * delta)
-    return MCEstimate(
-        mean=scale * mean, stderr=scale * stderr, samples=samples, seed=seed, accepted=acc
-    )
-
-
 def shell_integral_extrapolated(
     params: SpaceParams, p: float, R: float, phi: ScalarField,
     samples: int, seed: int, threads: int | None = None,
     delta_fracs: tuple[float, ...] = (0.1, 0.05, 0.025),
     stream: Stream = (STREAM_SHELL, 0),
 ) -> MCEstimate:
-    """Richardson limit of `shell_integral` over halving widths d_i, in one MC run.
+    """Surface integral of phi over {psi = R}: the Richardson limit over
+    halving widths d_i of the thin shells, in one MC run.
 
-    The shells R - d_i < psi < R + d_i are nested, so one run over the box
-    of the widest shell covers them all: the band is the widest shell and
-    its weight is phi times the step function that sums c_i / (2 d_i) over
-    the shells holding the row, c the Richardson weights.  Its mean is
-    exactly the Richardson combination of the shell integrals, and its
-    stderr is the plain MC stderr of one integrand; the widths share their
-    draws, so no independence between them is assumed.
+    The thin shell of width d is (1/(2 d)) times the integral of
+    phi |grad_0 psi|^p over R - d < psi < R + d, an O(d^2)-biased
+    approximation of the coarea disintegration.  The shells are nested, so
+    one run over the box of the widest shell covers them all: the band is
+    the widest shell and its weight is phi times the step function that
+    sums c_i / (2 d_i) over the shells holding the row, c the Richardson
+    weights.  Its mean is exactly the Richardson combination of the shell
+    integrals, and its stderr is the plain MC stderr of one integrand; the
+    widths share their draws, so no independence between them is assumed.
     """
     deltas = [frac * R for frac in delta_fracs]
     coeffs = richardson_weights(len(deltas))
@@ -323,6 +314,7 @@ def shell_integral_extrapolated(
         raise DomainError(f"need 0 < delta < R/2, got delta={deltas[0]}, R={R}")
     if any(abs(2.0 * b - a) > 1e-12 * a for a, b in zip(deltas, deltas[1:])):
         raise DomainError(f"shell widths must halve, got fractions {delta_fracs}")
+    spec = ball_spec(params, R + deltas[0])
     four_k = 4 * params.k
     # (lo, hi, step) per shell; every accepted row lies in the widest one
     shells = [((R - d) ** four_k, (R + d) ** four_k, c / (2.0 * d))
@@ -332,12 +324,11 @@ def shell_integral_extrapolated(
         step = np.full(h.shape, shells[0][2])
         for lo, hi, s in shells[1:]:
             step[(h > lo) & (h < hi)] += s
-        return step * _phi_values(phi, h, points)
+        # phi from the rows' h when phi is a function of h alone
+        return step * (phi.values_of_h(h) if phi.h_only else phi.values(points()))
 
     band = Band(p=p, hi=shells[0][1], weight=weight, lo=shells[0][0])
-    mean, stderr, acc = _mc_over_box(
-        params, ball_spec(params, R + deltas[0]), band, samples, seed, stream, threads
-    )
+    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
 
 

@@ -1,4 +1,4 @@
-"""Space parameters, gauge functions, and the fundamental-solution exponents.
+"""Space parameters, the fundamental-solution exponents and their constants.
 
 The ambient space is R^(2n+1) with coordinates (x_1, ..., x_2n, t) and a
 distinguished base point x0 = (a_1, ..., a_2n, s).  Everything radial is
@@ -8,7 +8,8 @@ driven by
     h     = c^2 * Sigma^(2k) + (t - s)^2,
     psi   = h^(1 / (4k)),
 
-with homogeneous dimension Q = 2n + 2k.
+with homogeneous dimension Q = 2n + 2k.  `fields.gauge_parts` evaluates
+(Sigma, tau, h) over a batch of points and `fields.GaugePsi` is psi.
 """
 
 from __future__ import annotations
@@ -99,26 +100,6 @@ class Exponents:
         return self.w is None
 
 
-@dataclass(frozen=True)
-class GaugeValues:
-    """Gauge data at a point: Sigma, tau = t - s, h, and psi = h^(1/(4k))."""
-
-    Sigma: float
-    tau: float
-    h: float
-    psi: float
-
-
-def as_point(params: SpaceParams, P) -> np.ndarray:
-    """Validate and convert a point to a float array of the right dimension."""
-    P = np.asarray(P, dtype=float)
-    if P.shape != (params.dim,):
-        raise ConfigurationError(
-            f"point must have {params.dim} coordinates, got shape {P.shape}"
-        )
-    return P
-
-
 def as_points(params: SpaceParams, pts) -> np.ndarray:
     """Validate a point (dim,) or a batch of points (N, dim) as a float array."""
     pts = np.asarray(pts, dtype=float)
@@ -127,40 +108,6 @@ def as_points(params: SpaceParams, pts) -> np.ndarray:
             f"points must have shape ({params.dim},) or (N, {params.dim}), got {pts.shape}"
         )
     return pts
-
-
-def is_base_point(params: SpaceParams, P) -> bool:
-    """Exact coordinate equality with x0 (callers wanting a tolerance use psi)."""
-    return bool(np.all(as_point(params, P) == params.x0))
-
-
-def _sigma_pow(sigma: float, e: float) -> float:
-    # Sigma^e with the Sigma == 0 branch explicit (e > 0 always here).
-    if sigma == 0.0:
-        return 0.0
-    return sigma**e
-
-
-def gauge(params: SpaceParams, P) -> GaugeValues:
-    """Evaluate Sigma, h, psi at P."""
-    P = as_point(params, P)
-    u = P[: 2 * params.n] - params.a
-    tau = float(P[2 * params.n] - params.s)
-    sigma = float(u @ u)
-    h = params.c**2 * _sigma_pow(sigma, 2 * params.k) + tau * tau
-    psi = h ** (1.0 / (4 * params.k)) if h > 0 else 0.0
-    return GaugeValues(Sigma=sigma, tau=tau, h=h, psi=psi)
-
-
-def gauge_regularized(params: SpaceParams, P, eps: float) -> float:
-    """h_eps = c^2 (Sigma + eps^2)^(2k) + (t-s)^2; decreases to h as eps -> 0."""
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    P = as_point(params, P)
-    u = P[: 2 * params.n] - params.a
-    tau = float(P[2 * params.n] - params.s)
-    sigma = float(u @ u)
-    return params.c**2 * (sigma + eps * eps) ** (2 * params.k) + tau * tau
 
 
 def is_log_case(params: SpaceParams, p: float) -> bool:
@@ -220,35 +167,27 @@ def sigma_p_exact(params: SpaceParams, p: float) -> float:
     return omega * abs(params.c) ** ((p - 2 * n) / (2 * k)) * beta / (2 * (n + k))
 
 
-def c1_constant(alpha: float, Q: float, sigma_p: float, p: float) -> float:
-    """C1 = alpha^(-1) (Q sigma_p)^(1/(1-p))."""
+def normalization(params: SpaceParams, p: float, sigma_p: float) -> float:
+    """The constant making the profile a fundamental solution.
+
+    C1 = alpha^(-1) (Q sigma_p)^(1/(1-p)), or C2 = (Q sigma_Q)^(1/(1-Q)) at
+    p == Q.
+    """
+    exps = exponents(params, p)
     if not sigma_p > 0:
         raise DomainError(f"sigma_p must be positive, got {sigma_p!r}")
-    return (Q * sigma_p) ** (1.0 / (1.0 - p)) / alpha
-
-
-def c2_constant(Q: float, sigma_q: float) -> float:
-    """C2 = (Q sigma_Q)^(1/(1-Q))."""
-    if not sigma_q > 0:
-        raise DomainError(f"sigma_p must be positive, got {sigma_q!r}")
-    return (Q * sigma_q) ** (1.0 / (1.0 - Q))
-
-
-def normalization(params: SpaceParams, p: float, sigma_p: float) -> float:
-    """The constant making the profile a fundamental solution: C1, or C2 at p == Q."""
-    exps = exponents(params, p)
     if exps.is_log_case:
-        return c2_constant(exps.Q, sigma_p)
-    return c1_constant(exps.alpha, exps.Q, sigma_p, p)
+        return (exps.Q * sigma_p) ** (1.0 / (1.0 - exps.Q))
+    return (exps.Q * sigma_p) ** (1.0 / (1.0 - p)) / exps.alpha
 
 
 def dilate(params: SpaceParams, P, lam: float) -> np.ndarray:
-    """Anisotropic dilation about x0: u -> lam u, tau -> lam^(2k) tau.
+    """Anisotropic dilation about x0 of P (dim,), or of each row of P (N, dim):
+    u -> lam u, tau -> lam^(2k) tau.
 
     Multiplies psi by lam; useful for scaling checks.
     """
-    P = as_point(params, P)
-    out = params.x0.copy()
-    out[: 2 * params.n] += lam * (P[: 2 * params.n] - params.a)
-    out[2 * params.n] += lam ** (2 * params.k) * (P[2 * params.n] - params.s)
-    return out
+    out = as_points(params, P) - params.x0
+    out[..., : 2 * params.n] *= lam
+    out[..., 2 * params.n] *= lam ** (2 * params.k)
+    return out + params.x0

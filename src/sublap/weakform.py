@@ -51,6 +51,7 @@ def weak_pairing(
     if abs(u.p - p) > 1e-12 * max(1.0, abs(p)):
         raise DomainError(f"u was built for p={u.p}, pairing requested p={p}")
     _check_bump(phi)
+    spec = ball_spec(params, R)
     k = params.k
 
     def weight(h, _):
@@ -60,9 +61,7 @@ def weak_pairing(
         return np.abs(s_u) ** (p - 2.0) * s_u * s_phi * (4 * k) * psi ** (4 * k - 1.0)
 
     band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
-    mean, stderr, acc = _mc_over_box(
-        params, ball_spec(params, R), band, samples, seed, stream, threads
-    )
+    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
 
 

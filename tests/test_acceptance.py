@@ -23,7 +23,6 @@ from sublap import (
     density_limit,
     dirac_limit,
     exponents,
-    gauge,
     horizontal_gradient,
     infinity_laplacian,
     lie_bracket,
@@ -34,6 +33,7 @@ from sublap import (
     shell_integral_extrapolated,
 )
 from sublap.capacity import METHODS
+from sublap.fields import gauge_parts
 from sublap.montecarlo import STREAM_BALL
 
 from test_frame import _fd_commutator_t_coeff, _random_cubic
@@ -68,9 +68,8 @@ def test_criterion_1_fundamental_solution_harmonicity():
         p_values.append(params.Q)  # log case
         for p in p_values:
             field = FundamentalProfile(params, p)
-            for P in pts:
+            for P, psi in zip(pts, GaugePsi(params).values(pts)):
                 hg = horizontal_gradient(params, field, P)
-                psi = gauge(params, P).psi
                 scale = 1.0 + float(hg @ hg) ** ((p - 1.0) / 2.0) / psi
                 worst = max(worst, abs(p_laplacian(params, field, P, p)) / scale)
         psi_field = GaugePsi(params)
@@ -92,13 +91,13 @@ def test_criterion_2_closed_form_gradient_identities():
     for params in SETUPS.values():
         pts = _points(params)
         psi_field = GaugePsi(params)
-        for P in pts:
-            g = gauge(params, P)
+        sigmas, _, hs = gauge_parts(params, pts)
+        for P, sigma, h in zip(pts, sigmas, hs):
             hg = horizontal_gradient(params, psi_field, P)
             closed = (
                 params.c**2
-                * g.Sigma ** (2 * params.k - 1.0)
-                * g.h ** ((1.0 - 2 * params.k) / (2 * params.k))
+                * sigma ** (2 * params.k - 1.0)
+                * h ** ((1.0 - 2 * params.k) / (2 * params.k))
             )
             worst = max(worst, abs(float(hg @ hg) - closed) / closed)
         for p in (1.5, 2.0, 3.0, 7.0):
@@ -106,14 +105,13 @@ def test_criterion_2_closed_form_gradient_identities():
             if e.is_log_case:
                 continue
             field = FundamentalProfile(params, p)
-            for P in pts[:40]:
-                g = gauge(params, P)
+            for P, sigma, h in zip(pts[:40], sigmas, hs):
                 hg = horizontal_gradient(params, field, P)
                 closed = (
                     e.alpha**2
                     * params.c**2
-                    * g.h ** (2 * e.w - 1.0)
-                    * g.Sigma ** (2 * params.k - 1.0)
+                    * h ** (2 * e.w - 1.0)
+                    * sigma ** (2 * params.k - 1.0)
                 )
                 worst = max(worst, abs(float(hg @ hg) - closed) / closed)
     _verdict(

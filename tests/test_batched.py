@@ -21,7 +21,6 @@ from sublap import (
     SingularPointError,
     SpaceParams,
     exponents,
-    gauge,
     sample_points,
 )
 
@@ -43,7 +42,7 @@ def _polynomial(dim, rng):
 
 
 def _median_psi(params, pts):
-    return float(np.median([gauge(params, P).psi for P in pts]))
+    return float(np.median(GaugePsi(params).values(pts)))
 
 
 def _fields(params, pts, rng):
@@ -86,7 +85,7 @@ class TestFieldJets:
         for params, pts in setup_points:
             support = _median_psi(params, pts)
             bump = CutoffBump(params, support)
-            outside = np.array([gauge(params, P).psi >= support for P in pts])
+            outside = GaugePsi(params).values(pts) >= support
             assert outside.any() and not outside.all()
             jet = bump.jet(pts)
             assert not jet.value[outside].any()
@@ -115,8 +114,6 @@ class TestJetArithmetic:
             good / bad
         with pytest.raises(ArithmeticDomainError, match="log"):
             bad.log()
-        with pytest.raises(ArithmeticDomainError, match="sqrt"):
-            neg.sqrt()
         with pytest.raises(ArithmeticDomainError, match="pow"):
             neg**0.5
         with pytest.raises(ArithmeticDomainError, match="pow"):

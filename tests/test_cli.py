@@ -135,6 +135,40 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and message in captured.err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("argv,message", [
+        # Sigma^(2k) of the box overflows: a warning and 0.0 with exit 0 before
+        (["sigma", "--c", "1e-300"], "leaves the float range"),
+        (["sigma", "--c", "1e-200"], "leaves the float range"),
+        (["capacity", "--c", "1e-300", "--method", "mc"], "leaves the float range"),
+        # Sigma itself (k < 1/2), and the volume in R^7: NaN or an OverflowError
+        (["sigma", "--k", "0.25", "--c", "1e-150"], "leaves the float range"),
+        (["ahlfors", "--n", "3", "--k", "0.5", "--radii", "1e100,1e101"],
+         "leaves the float range"),
+        # R^(4k) as a Python float: an uncaught OverflowError before
+        (["ahlfors", "--radii", "1e100,1e101"], "leaves the float range"),
+        (["density", "--radii", "1e200,1e100,1"], "leaves the float range"),
+        (["capacity", "--R", "1e100", "--method", "mc"], "leaves the float range"),
+        (["density", "--radii", "1e308,0.1,0.05"], "geometrically spaced"),
+        (["density", "--bump-radius", "1e100"], "not a positive finite float"),
+        (["dirac", "--bump-radius", "1e100"], "not a positive finite float"),
+        (["density", "--bump-radius", "1e-100"], "not a positive finite float"),
+    ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
+            "ahlfors-volume-R7", "ahlfors-huge-radii", "density-huge-radii",
+            "capacity-mc-huge-R", "density-inf-ratio", "density-huge-bump", "dirac-huge-bump",
+            "density-tiny-bump"])
+    def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
+        assert main(argv + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not recwarn.list
+
+    def test_small_c_still_runs(self, capsys):
+        code, out = run_cli(capsys, ["sigma", "--c", "1e-100"] + FAST)
+        assert code == 0
+        assert 3.0 < json.loads(out)["results"][0]["value"] < 3.3
+
     def test_closed_form_capacity_at_infinite_R_is_its_limit(self, capsys):
         # A, p = 2: |alpha|^(p-1) Q r^(alpha (1-p)) = 2 * 4 * 1
         code, out = run_cli(capsys, ["capacity", "--R", "inf", "--method", "closed-form"] + FAST)

@@ -13,7 +13,6 @@ from sublap import (
     bracket_comparison,
     exponents,
     frame_matrix,
-    gauge,
     horizontal_gradient,
     horizontal_hessian_sym,
     infinity_laplacian,
@@ -23,6 +22,7 @@ from sublap import (
     p_laplacian_divergence_form,
     sample_points,
 )
+from sublap.fields import gauge_parts
 from sublap.frame import t_coefficient_gradients, t_coefficients
 
 
@@ -97,13 +97,14 @@ class TestHorizontalGradient:
         # |grad_0 psi|^2 = c^2 Sigma^(2k-1) h^((1-2k)/(2k))
         for params in all_setups:
             psi = GaugePsi(params)
-            for P in sample_points(params, 100, 21):
-                g = gauge(params, P)
+            pts = sample_points(params, 100, 21)
+            sigmas, _, hs = gauge_parts(params, pts)
+            for P, sigma, h in zip(pts, sigmas, hs):
                 hg = horizontal_gradient(params, psi, P)
                 closed = (
                     params.c**2
-                    * g.Sigma ** (2 * params.k - 1.0)
-                    * g.h ** ((1.0 - 2 * params.k) / (2 * params.k))
+                    * sigma ** (2 * params.k - 1.0)
+                    * h ** ((1.0 - 2 * params.k) / (2 * params.k))
                 )
                 assert float(hg @ hg) == pytest.approx(closed, rel=1e-10)
 
@@ -115,14 +116,15 @@ class TestHorizontalGradient:
                 if exps.is_log_case:
                     continue
                 field = FundamentalProfile(params, p)
-                for P in sample_points(params, 40, 22):
-                    g = gauge(params, P)
+                pts = sample_points(params, 40, 22)
+                sigmas, _, hs = gauge_parts(params, pts)
+                for P, sigma, h in zip(pts, sigmas, hs):
                     hg = horizontal_gradient(params, field, P)
                     closed = (
                         exps.alpha**2
                         * params.c**2
-                        * g.h ** (2 * exps.w - 1.0)
-                        * g.Sigma ** (2 * params.k - 1.0)
+                        * h ** (2 * exps.w - 1.0)
+                        * sigma ** (2 * params.k - 1.0)
                     )
                     assert float(hg @ hg) == pytest.approx(closed, rel=1e-10)
 
@@ -179,9 +181,8 @@ class TestPLaplacian:
                 if exponents(params, p).is_log_case:
                     continue
                 field = FundamentalProfile(params, p)
-                for P in pts:
+                for P, psi in zip(pts, GaugePsi(params).values(pts)):
                     hg = horizontal_gradient(params, field, P)
-                    psi = gauge(params, P).psi
                     scale = 1.0 + float(hg @ hg) ** ((p - 1.0) / 2.0) / psi
                     assert abs(p_laplacian(params, field, P, p)) <= 1e-8 * scale
 
@@ -189,9 +190,9 @@ class TestPLaplacian:
         for params in all_setups:
             p = params.Q
             field = FundamentalProfile(params, p)
-            for P in sample_points(params, 25, 42):
+            pts = sample_points(params, 25, 42)
+            for P, psi in zip(pts, GaugePsi(params).values(pts)):
                 hg = horizontal_gradient(params, field, P)
-                psi = gauge(params, P).psi
                 scale = 1.0 + float(hg @ hg) ** ((p - 1.0) / 2.0) / psi
                 assert abs(p_laplacian(params, field, P, p)) <= 1e-8 * scale
 
@@ -201,11 +202,10 @@ class TestPLaplacian:
             pts = sample_points(params, 10, 43)
             for p in (1.5, 2.0, 3.0, 7.0):
                 field = FundamentalProfile(params, p if not exponents(params, p).is_log_case else 2.5)
-                for P in pts:
+                for P, psi in zip(pts, GaugePsi(params).values(pts)):
                     a = p_laplacian(params, field, P, p)
                     b = p_laplacian_divergence_form(params, field, P, p)
                     hg = horizontal_gradient(params, field, P)
-                    psi = gauge(params, P).psi
                     scale = 1.0 + float(hg @ hg) ** ((p - 1.0) / 2.0) / psi
                     assert abs(a - b) <= 1e-9 * scale
 
@@ -351,10 +351,26 @@ class TestLieBracket:
                             assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
     def test_index_validation(self, setup_a):
-        with pytest.raises(ConfigurationError):
-            lie_bracket(setup_a, 2, 1, [1.0, 0.0, 0.0])
-        with pytest.raises(ConfigurationError):
-            lie_bracket(setup_a, 1, 3, [1.0, 0.0, 0.0])
+        for P in ([1.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.5, 0.2, 0.1]]):
+            for fn in (lie_bracket, lie_bracket_printed):
+                with pytest.raises(ConfigurationError):
+                    fn(setup_a, 2, 1, P)
+                with pytest.raises(ConfigurationError):
+                    fn(setup_a, 1, 3, P)
+
+    def test_batch_rows_match_points(self, all_setups):
+        for params in [*all_setups, SpaceParams(2, 0.75, 1.3)]:
+            pts = sample_points(params, 20, 52)
+            n2 = 2 * params.n
+            for i in range(1, n2 + 1):
+                for j in range(i + 1, n2 + 1):
+                    for fn in (lie_bracket, lie_bracket_printed):
+                        batched = fn(params, i, j, pts)
+                        rows = np.stack([fn(params, i, j, P) for P in pts])
+                        assert batched.shape == (20, params.dim)
+                        assert not batched[:, :-1].any()
+                        # a batch takes numpy's vector powers, a point the scalar ones
+                        assert np.max(np.abs(batched - rows)) <= 1e-12 * np.max(np.abs(rows))
 
 
 class TestPrintedBracket:
@@ -371,6 +387,21 @@ class TestPrintedBracket:
         # 16 (u2^2 - u1^2) - 8 Sigma = 48 - 40 = 8
         out = lie_bracket_printed(setup_b, 1, 2, [1.0, 2.0, 5.0])
         assert np.allclose(out, [0.0, 0.0, 8.0], rtol=1e-14)
+
+    def test_axis_row_raises_where_the_power_is_negative(self):
+        # Sigma^(k-2) on every pair for k != 1, Sigma^(k-1) on the pairs (i, i+n)
+        cases = [(1.5, (1, 2), True), (0.75, (1, 3), True), (3.0, (1, 2), False),
+                 (3.0, (1, 3), False)]
+        for k, (i, j), raises in cases:
+            params = SpaceParams(2, k, 1.0)
+            pts = sample_points(params, 4, 53)
+            pts[2, :-1] = params.a
+            if raises:
+                for P in (pts[2], pts):
+                    with pytest.raises(DegeneratePointError):
+                        lie_bracket_printed(params, i, j, P)
+            else:
+                assert not lie_bracket_printed(params, i, j, pts)[2].any()
 
     def test_comparison_report(self, setup_a, setup_b):
         pts_a = sample_points(setup_a, 4, 61)

@@ -12,7 +12,6 @@ from sublap import (
     Jet2,
     Polynomial,
     SingularPointError,
-    coordinate_jets,
 )
 
 
@@ -60,8 +59,6 @@ class TestJetArithmetic:
             Jet2.constant(1.0, 2) / zero
         with pytest.raises(ArithmeticDomainError, match="log"):
             zero.log()
-        with pytest.raises(ArithmeticDomainError, match="sqrt"):
-            neg.sqrt()
         with pytest.raises(ArithmeticDomainError, match="pow"):
             neg**0.5
         with pytest.raises(ArithmeticDomainError, match="pow"):
@@ -200,7 +197,7 @@ class TestPolynomialDualRoute:
                 continue
             poly = Polynomial(terms, 3)
             P = rng.uniform(-2, 2, 3)
-            xs = coordinate_jets(P)
+            xs = [Jet2.variable(x, m, 3) for m, x in enumerate(P)]
             composed = Jet2.constant(0.0, 3)
             for coeff, exps in terms:
                 term = Jet2.constant(coeff, 3)

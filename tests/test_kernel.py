@@ -29,7 +29,7 @@ from sublap import (
     mc_energy,
     normalization,
     sample_points,
-    shell_integral,
+    shell_integral_extrapolated,
     sigma_p_exact,
     weak_pairing,
 )
@@ -87,21 +87,29 @@ def test_ball_measure(params, threads):
     assert_same(est, ref)
 
 
-def shell_reference(params, phi_values, R, delta, stream):
+def shell_reference(params, phi_values, R, stream, fracs=(0.1, 0.05, 0.025)):
+    """The Richardson limit over three halving shell widths d_i as one
+    integrand: phi times the sum of c_i / (2 d_i) over the shells holding
+    the point, c = (1, -20, 64) / 45."""
     k4 = 4 * params.k
-    band = reference_band(
-        params, (R - delta) ** k4, (R + delta) ** k4,
-        lambda pts, sigma, h: phi_values(pts, h) * power(params, P)(pts, sigma, h),
-    )
-    mean, stderr, acc = reference_mc(params, R + delta, band, SAMPLES, SEED, stream)
-    scale = 1.0 / (2.0 * delta)
-    return scale * mean, scale * stderr, acc
+    shells = [((R - f * R) ** k4, (R + f * R) ** k4, c / (2.0 * f * R))
+              for f, c in zip(fracs, (1 / 45, -20 / 45, 64 / 45))]
+
+    def weight(pts, sigma, h):
+        step = np.zeros(h.shape)
+        for lo, hi, s in shells:
+            step += np.where((h > lo) & (h < hi), s, 0.0)
+        return step * phi_values(pts, h) * power(params, P)(pts, sigma, h)
+
+    band = reference_band(params, shells[0][0], shells[0][1], weight)
+    return reference_mc(params, R + fracs[0] * R, band, SAMPLES, SEED, stream)
 
 
 def test_shell_integral_with_bump(params, threads):
     bump = CutoffBump(params, 1.1, amplitude=1.7)
-    est = shell_integral(params, P, 1.0, 0.1, bump, SAMPLES, SEED, threads, stream=(6, 0))
-    ref = shell_reference(params, lambda pts, h: reference_bump(bump, h), 1.0, 0.1, (6, 0))
+    est = shell_integral_extrapolated(params, P, 1.0, bump, SAMPLES, SEED, threads,
+                                      stream=(6, 0))
+    ref = shell_reference(params, lambda pts, h: reference_bump(bump, h), 1.0, (6, 0))
     assert_same(est, ref)
 
 
@@ -110,8 +118,9 @@ def test_shell_integral_with_polynomial(params, threads):
     e = np.zeros((2, params.dim), dtype=int)
     e[0, 0], e[1, -1], e[1, 1] = 1, 2, 1
     phi = Polynomial([(1.0, e[0]), (-0.5, e[1])], params.dim)
-    est = shell_integral(params, P, 1.0, 0.1, phi, SAMPLES, SEED, threads, stream=(6, 0))
-    ref = shell_reference(params, lambda pts, h: phi.values(pts), 1.0, 0.1, (6, 0))
+    est = shell_integral_extrapolated(params, P, 1.0, phi, SAMPLES, SEED, threads,
+                                      stream=(6, 0))
+    ref = shell_reference(params, lambda pts, h: phi.values(pts), 1.0, (6, 0))
     assert_same(est, ref)
     assert est.mean != 0.0
 
@@ -173,9 +182,11 @@ def test_back_to_back_runs_match_reference():
     assert acc > 0.8 * SAMPLES
 
     bump = CutoffBump(three, 1.1, amplitude=1.7)
-    est = shell_integral(three, P, 1.0, 0.01, bump, SAMPLES, SEED, 1, stream=(6, 0))
+    fracs = (0.01, 0.005, 0.0025)
+    est = shell_integral_extrapolated(three, P, 1.0, bump, SAMPLES, SEED, 1,
+                                      delta_fracs=fracs, stream=(6, 0))
     assert_same(est, shell_reference(three, lambda pts, h: reference_bump(bump, h),
-                                     1.0, 0.01, (6, 0)))
+                                     1.0, (6, 0), fracs))
     assert 0 < est.accepted < 0.05 * SAMPLES
 
     for params, samples, threads in ((three, 10**4, 1), (seven, SAMPLES, 8)):
@@ -248,7 +259,7 @@ def test_capacity_normalizes_by_exact_sigma(monkeypatch):
     assert (mc.value, mc.stderr) == (mean, stderr)
 
 
-def test_bracket_comparison_builds_frame_once_per_point(monkeypatch, setup_c):
+def test_bracket_comparison_builds_frame_once(monkeypatch, setup_c):
     pts = sample_points(setup_c, 3, 4)
     counts = {"frame_matrix": 0, "t_coefficient_gradients": 0}
     for name in counts:
@@ -260,7 +271,10 @@ def test_bracket_comparison_builds_frame_once_per_point(monkeypatch, setup_c):
 
         monkeypatch.setattr(frame, name, counted)
     records = frame.bracket_comparison(setup_c, pts)
-    assert counts == {"frame_matrix": 3, "t_coefficient_gradients": 3}
-    for rec, P_ in zip(records, np.repeat(pts, 6, axis=0)):
-        want = frame.lie_bracket(setup_c, rec["i"], rec["j"], P_)[setup_c.dim - 1]
-        assert rec["computed"] == want
+    assert counts == {"frame_matrix": 1, "t_coefficient_gradients": 1}
+    assert len(records) == 3 * 6
+    for row, rec in enumerate(records):
+        a, i, j = row // 6, rec["i"], rec["j"]
+        assert rec["point"] == pts[a].tolist()
+        assert rec["computed"] == frame.lie_bracket(setup_c, i, j, pts)[a, -1]
+        assert rec["printed"] == frame.lie_bracket_printed(setup_c, i, j, pts)[a, -1]

@@ -14,7 +14,6 @@ from sublap import (
     density_limit,
     mc_energy,
     sample_points,
-    shell_integral,
     shell_integral_extrapolated,
     sigma_p,
     weak_pairing,
@@ -136,7 +135,7 @@ def _annulus_estimate(name, params, p):
     """One annulus estimator at (params, p) on 1e4 samples, by name."""
     bump = CutoffBump(params, 1.0)
     if name == "shell":
-        return shell_integral(params, p, 0.5, 0.05, bump, 10**4, 3)
+        return shell_integral_extrapolated(params, p, 0.5, bump, 10**4, 3)
     if name == "pairing":
         return weak_pairing(params, p, FundamentalProfile(params, p), bump, 0.2, 1.0, 10**4, 3)
     return mc_energy(params, p, 0.5, 1.0, 10**4, 3)
@@ -161,14 +160,15 @@ class TestDivergenceGuard:
 
 class TestShellIntegral:
     def test_zero_field(self, setup_a):
-        est = shell_integral(setup_a, 2.0, 1.0, 0.05, Constant(0.0, 3), SAMPLES, 2)
+        est = shell_integral_extrapolated(setup_a, 2.0, 1.0, Constant(0.0, 3), SAMPLES, 2)
         assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_delta_validation(self, setup_a):
-        with pytest.raises(DomainError):
-            shell_integral(setup_a, 2.0, 1.0, 0.6, Constant(1.0, 3), SAMPLES, 2)
-        with pytest.raises(DomainError):
-            shell_integral(setup_a, 2.0, 1.0, 0.0, Constant(1.0, 3), SAMPLES, 2)
+        # the widest shell must keep 0 < delta < R/2
+        for fracs in ((0.6, 0.3, 0.15), (0.0, 0.0, 0.0), (-0.1, -0.05, -0.025)):
+            with pytest.raises(DomainError):
+                shell_integral_extrapolated(setup_a, 2.0, 1.0, Constant(1.0, 3), SAMPLES, 2,
+                                            delta_fracs=fracs)
 
     def test_surface_ratio(self, setup_a):
         # S(dB_2)/S(dB_1) = 2^(Q-1) = 8 after width extrapolation
@@ -196,10 +196,12 @@ class TestShellIntegral:
             )
 
     def test_bump_matches_quadrature_oracle(self, setup_a):
+        # the estimate's mean is the Richardson sum of the three shells
         bump = CutoffBump(setup_a, 1.5)
         sig = sigma_p_quadrature(1, 1.0, 1.0, 2.0)
-        est = shell_integral(setup_a, 2.0, 1.0, 0.05, bump, SAMPLES, 13)
-        target = shell_bump_quadrature(4.0, 1.0, 1.5**4, sig, 1.0, 0.05)
+        est = shell_integral_extrapolated(setup_a, 2.0, 1.0, bump, SAMPLES, 13)
+        target = sum(c / 45 * shell_bump_quadrature(4.0, 1.0, 1.5**4, sig, 1.0, d)
+                     for c, d in ((1, 0.1), (-20, 0.05), (64, 0.025)))
         assert abs(est.mean - target) <= 4.0 * est.stderr
 
 

@@ -7,16 +7,21 @@ from sublap import (
     ConfigurationError,
     DomainError,
     FundamentalProfile,
+    GaugePsi,
     SingularPointError,
     SpaceParams,
-    c1_constant,
-    c2_constant,
     dilate,
     exponents,
-    gauge,
-    gauge_regularized,
     normalization,
 )
+from sublap.fields import gauge_parts
+
+
+def batched_gauge(params, pts):
+    """(Sigma, h, psi) per row of pts, from the library's batched gauge."""
+    pts = np.atleast_2d(pts)
+    sigma, _, h = gauge_parts(params, pts)
+    return sigma, h, GaugePsi(params).values(pts)
 
 
 class TestSpaceParams:
@@ -47,40 +52,35 @@ class TestSpaceParams:
 
     def test_point_dimension_mismatch(self, setup_a):
         with pytest.raises(ConfigurationError):
-            gauge(setup_a, [1.0, 2.0])
+            gauge_parts(setup_a, [[1.0, 2.0]])
 
 
 class TestGauge:
     def test_singular_point(self, setup_a):
-        g = gauge(setup_a, [0.0, 0.0, 0.0])
-        assert (g.Sigma, g.h, g.psi) == (0.0, 0.0, 0.0)
+        assert batched_gauge(setup_a, [0.0, 0.0, 0.0]) == ([0.0], [0.0], [0.0])
 
     def test_hand_values_setup_a(self, setup_a):
-        g = gauge(setup_a, [1.0, 1.0, 2.0])
-        assert g.Sigma == 2.0
-        assert g.h == 8.0
-        assert g.psi == pytest.approx(8.0**0.25, rel=1e-15)
-        assert g.psi == pytest.approx(1.681793, abs=1e-6)
+        (sigma,), (h,), (psi,) = batched_gauge(setup_a, [1.0, 1.0, 2.0])
+        assert sigma == 2.0
+        assert h == 8.0
+        assert psi == pytest.approx(8.0**0.25, rel=1e-15)
+        assert psi == pytest.approx(1.681793, abs=1e-6)
 
     def test_hand_values_setup_b(self, setup_b):
-        g = gauge(setup_b, [1.0, 0.0, 0.0])
-        assert (g.Sigma, g.h, g.psi) == (1.0, 1.0, 1.0)
+        assert batched_gauge(setup_b, [1.0, 0.0, 0.0]) == ([1.0], [1.0], [1.0])
 
     def test_psi_power_recovers_h(self, all_setups, rng):
         for params in all_setups:
-            for _ in range(50):
-                P = params.x0 + rng.uniform(-2, 2, params.dim)
-                g = gauge(params, P)
-                assert g.psi ** (4 * params.k) == pytest.approx(g.h, rel=1e-12)
+            pts = params.x0 + rng.uniform(-2, 2, (50, params.dim))
+            _, h, psi = batched_gauge(params, pts)
+            assert psi ** (4 * params.k) == pytest.approx(h, rel=1e-12)
 
     def test_psi_vanishes_only_at_x0(self, all_setups, rng):
         for params in all_setups:
-            assert gauge(params, params.x0).psi == 0.0
-            for _ in range(20):
-                P = params.x0 + rng.uniform(-2, 2, params.dim)
-                if np.all(P == params.x0):
-                    continue
-                assert gauge(params, P).psi > 0.0
+            assert batched_gauge(params, params.x0)[2] == [0.0]
+            pts = params.x0 + rng.uniform(-2, 2, (20, params.dim))
+            pts = pts[np.any(pts != params.x0, axis=1)]
+            assert np.all(batched_gauge(params, pts)[2] > 0.0)
 
     def test_anisotropic_scaling(self, all_setups, rng):
         for params in all_setups:
@@ -88,8 +88,8 @@ class TestGauge:
                 P = params.x0 + rng.uniform(-2, 2, params.dim)
                 lam = rng.uniform(0.2, 3.0)
                 scaled = dilate(params, P, lam)
-                assert gauge(params, scaled).psi == pytest.approx(
-                    lam * gauge(params, P).psi, rel=1e-12
+                assert batched_gauge(params, scaled)[2][0] == pytest.approx(
+                    lam * batched_gauge(params, P)[2][0], rel=1e-12
                 )
 
     def test_translation_invariance(self, rng):
@@ -97,27 +97,15 @@ class TestGauge:
         shift = rng.uniform(-1, 1, 3)
         moved = SpaceParams(1, 1.5, -0.7, x0=shift)
         P = rng.uniform(-2, 2, 3)
-        assert gauge(moved, P + shift).h == pytest.approx(gauge(base, P).h, rel=1e-12)
+        assert batched_gauge(moved, P + shift)[1] == pytest.approx(batched_gauge(base, P)[1], rel=1e-12)
 
-
-class TestRegularized:
-    def test_hand_values(self, setup_a, setup_b):
-        assert gauge_regularized(setup_a, [0.0, 0.0, 0.0], 1.0) == 1.0
-        assert gauge_regularized(setup_b, [0.0, 0.0, 0.0], 0.5) == 0.25**4
-
-    def test_monotone_limit(self, setup_a):
-        P = [1.0, 1.0, 2.0]
-        h = gauge(setup_a, P).h
-        values = [gauge_regularized(setup_a, P, eps) for eps in (1.0, 0.5, 0.1, 1e-4)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert all(v >= h for v in values)
-        assert values[-1] == pytest.approx(h, rel=1e-6)
-
-    def test_rejects_bad_eps(self, setup_a):
-        with pytest.raises(DomainError):
-            gauge_regularized(setup_a, [1.0, 0.0, 0.0], 0.0)
-        with pytest.raises(DomainError):
-            gauge_regularized(setup_a, [1.0, 0.0, 0.0], -1.0)
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 5)])
+    def test_values_reject_a_bad_point_shape(self, setup_a, shape):
+        # values takes (N, dim) only, and truncates or broadcasts nothing
+        with pytest.raises(ConfigurationError):
+            gauge_parts(setup_a, np.ones(shape))
+        with pytest.raises(ConfigurationError):
+            GaugePsi(setup_a).values(np.ones(shape))
 
 
 class TestExponents:
@@ -178,13 +166,18 @@ class TestNormalization:
         )
         assert normalization(setup_a, 4.0, 1.0) == pytest.approx(0.6299605, abs=1e-6)
 
-    def test_identity_case(self):
-        # alpha = 1 with Q sigma_p = 1 gives C1 = 1 for any p
-        for p, Q in ((2.0, 4.0), (3.0, 6.0)):
-            assert c1_constant(1.0, Q, 1.0 / Q, p) == pytest.approx(1.0, rel=1e-14)
+    def test_identity_case(self, all_setups):
+        # Q sigma_p = 1 leaves C1 = 1 / alpha for any p, and C2 = 1
+        for params in all_setups:
+            for p in (1.5, 2.0, 3.0):
+                exps = exponents(params, p)
+                assert normalization(params, p, 1.0 / params.Q) == pytest.approx(
+                    1.0 / exps.alpha, rel=1e-14
+                )
+            assert normalization(params, params.Q, 1.0 / params.Q) == 1.0
 
     def test_rejects_bad_sigma(self, setup_a):
         with pytest.raises(DomainError):
             normalization(setup_a, 2.0, 0.0)
         with pytest.raises(DomainError):
-            c2_constant(4.0, -1.0)
+            normalization(setup_a, 4.0, -1.0)
