@@ -7,12 +7,16 @@ seeded number on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  Before it overwrites a golden, that command
+prints whether the report moved, the largest relative change of a record's
+`value`, and any change of the exit code, so the list of moved goldens
+comes from the tool.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +68,38 @@ def mismatches() -> list[str]:
             if report_text(space, command) != golden_text(space, command)]
 
 
+def largest_value_change(old: dict, new: dict) -> float:
+    """The largest relative change of a record's `value` from report old to new."""
+    worst = 0.0
+    for before, after in zip(old["results"], new["results"]):
+        x, y = before.get("value"), after.get("value")
+        if x != y:
+            worst = max(worst, abs(y - x) / abs(x) if x else math.inf)
+    return worst
+
+
+def regenerate(space: str, command: str) -> str:
+    """Write the golden of one case anew; return how it changed."""
+    text, code = report_text(space, command)
+    path = golden_path(space, command)
+    note = f"{space}_{command}: exit {code}"
+    if not path.exists():
+        note += ", new"
+    else:
+        old_text, old_code = golden_text(space, command)
+        if old_text == text:
+            note += ", unchanged"
+        else:
+            change = largest_value_change(json.loads(old_text), json.loads(text))
+            note += f", moved (largest relative value change {change:.2g})"
+        if old_code != code:
+            note += f", exit code was {old_code}"
+    report = json.loads(text)
+    report["exit_code"] = code
+    path.write_text(render_json(report), encoding="utf-8")
+    return note
+
+
 @pytest.mark.parametrize("space,command", CASES)
 def test_report_matches_golden(space, command):
     text, code = report_text(space, command)
@@ -87,8 +123,4 @@ def test_goldens_hold_at_any_blas_thread_count(blas_threads):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for space, command in CASES:
-        text, code = report_text(space, command)
-        report = json.loads(text)
-        report["exit_code"] = code
-        golden_path(space, command).write_text(render_json(report), encoding="utf-8")
-        print(f"{space} {command}: exit {code}")
+        print(regenerate(space, command))
