@@ -6,6 +6,8 @@ Fields that depend on the point through h alone (HFunction) write their
 formula once, as values_of_h(h), in operations that 2-jets and arrays
 share: the Monte Carlo kernel calls it on the h it already holds,
 values(pts) computes h first, and jet(pts) applies it to the 2-jet of h.
+The hand-written derivatives are eta_prime of the one power profile (which
+the annulus potential is, scaled and offset) and the bump's d_dh_of_h.
 """
 
 from __future__ import annotations
@@ -114,8 +116,35 @@ def gauge_parts(params: SpaceParams, pts: np.ndarray):
     return column_gauge_parts(params, pts, None, None, gauge_work(pts.shape[0]))
 
 
+def grad_psi_norm_pow(params: SpaceParams, sigma, h, q: float) -> np.ndarray:
+    """|grad_0 psi|^q = (c^2 Sigma^(2k-1) h^((1-2k)/(2k)))^(q/2) over arrays, q > 0.
+
+    One exp of q log|c| + q/2 ((2k-1) log Sigma + (1-2k)/(2k) log h); the
+    Sigma = 0 (or h = 0) limit is explicit: 0 for k > 1/2, |c|^q at 1/2, inf below.
+    """
+    k = params.k
+    log_cq = q * math.log(abs(params.c))
+    a = 0.5 * q * (2 * k - 1.0)
+    b = 0.5 * q * (1.0 - 2 * k) / (2 * k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.exp(log_cq + a * np.log(sigma) + b * np.log(h))
+    degenerate = (sigma == 0.0) | (h == 0.0)
+    if np.any(degenerate):
+        out[degenerate] = 0.0 if k > 0.5 else math.exp(log_cq) if k == 0.5 else np.inf
+    return out
+
+
 def _log(x):
     return x.log() if isinstance(x, Jet2) else np.log(x)
+
+
+def _exp(x):
+    return x.exp() if isinstance(x, Jet2) else np.exp(x)
+
+
+def _zero_where(rows, x):
+    """x with the rows where `rows` holds set to 0 (for a jet, its derivatives too)."""
+    return x.select(rows) if isinstance(x, Jet2) else np.where(rows, 0.0, x)
 
 
 class HFunction(ScalarField):
@@ -123,12 +152,15 @@ class HFunction(ScalarField):
 
     values_of_h(h) takes an array of h values or the 2-jet of h.  jet()
     raises SingularPointError with the message `singular` at the base
-    point (h = 0); subclasses that keep their own jet need no message.
+    point (h = 0); a field smooth there leaves `singular` None.
     """
 
     h_only = True
-    params: SpaceParams
-    singular: str
+    singular: str | None = None
+
+    def __init__(self, params: SpaceParams):
+        self.params = params
+        self.dim = params.dim
 
     def values_of_h(self, h):
         raise NotImplementedError
@@ -138,17 +170,13 @@ class HFunction(ScalarField):
 
     def jet(self, pts) -> Jet2:
         hj = GaugeH(self.params).jet(pts)
-        if np.any(hj.value == 0.0):
+        if self.singular is not None and np.any(hj.value == 0.0):
             raise SingularPointError(self.singular)
         return self.values_of_h(hj)
 
 
 class GaugeH(HFunction):
     """h = c^2 Sigma^(2k) + (t-s)^2; polynomial-exact when 2k is an integer."""
-
-    def __init__(self, params: SpaceParams):
-        self.params = params
-        self.dim = params.dim
 
     def jet(self, pts) -> Jet2:
         params = self.params
@@ -173,30 +201,26 @@ class GaugePsi(HFunction):
 
     singular = "psi has no 2-jet at the base point"
 
-    def __init__(self, params: SpaceParams):
-        self.params = params
-        self.dim = params.dim
-
     def values_of_h(self, h):
         return h ** (1.0 / (4 * self.params.k))
 
 
 class FundamentalProfile(HFunction):
-    """scale * psi^alpha for p != Q, scale * log(psi) for p == Q."""
+    """scale * psi^alpha + offset for p != Q, scale * log(psi) + offset for p == Q."""
 
     singular = "profile is singular at the base point"
 
-    def __init__(self, params: SpaceParams, p: float, scale: float = 1.0):
-        self.params = params
-        self.dim = params.dim
+    def __init__(self, params: SpaceParams, p: float, scale: float = 1.0, offset: float = 0.0):
+        super().__init__(params)
         self.p = float(p)
         self.scale = float(scale)
+        self.offset = float(offset)
         self.exps = exponents(params, p)
 
     def values_of_h(self, h):
         if self.exps.is_log_case:
-            return self.scale / (4 * self.params.k) * _log(h)
-        return self.scale * h**self.exps.w
+            return self.scale / (4 * self.params.k) * _log(h) + self.offset
+        return self.scale * h**self.exps.w + self.offset
 
     def eta_prime(self, psi: np.ndarray) -> np.ndarray:
         """d/drho of the radial profile (scale * rho^alpha or scale * log rho)."""
@@ -255,15 +279,14 @@ class Polynomial(ScalarField):
 class CutoffBump(HFunction):
     """Smooth compactly supported bump built from h.
 
-    phi = amplitude * exp(-h / (R0^(4k) - h)) on {h < R0^(4k)}, 0 outside.
+    phi = amplitude * exp(-h / (B - h)) on {h < B}, B = R0^(4k), 0 outside.
     Equals `amplitude` at the base point and is smooth everywhere h is.
     """
 
     def __init__(self, params: SpaceParams, support_radius: float, amplitude: float = 1.0):
         if not support_radius > 0:
             raise DomainError("support radius must be positive")
-        self.params = params
-        self.dim = params.dim
+        super().__init__(params)
         self.support_radius = float(support_radius)
         self.amplitude = float(amplitude)
         try:
@@ -275,34 +298,21 @@ class CutoffBump(HFunction):
                 f"support radius {support_radius!r} gives the h bound R0^(4k) = "
                 f"{self.B!r}, which is not a positive finite float"
             )
+        # the support's edge: past it exp(-h/(B - h)) is 0, B/(B - h)^2 may overflow
+        self.edge = self.B * (1.0 - 1e-12)
 
-    def jet(self, pts) -> Jet2:
-        hj = GaugeH(self.params).jet(pts)
-        outside = hj.value >= self.B * (1.0 - 1e-12)
-        # Rows outside the support get h = 0 (where the formula is defined)
-        # and then the zero jet.
-        inner = hj.select(outside)
-        return (self.amplitude * (-(inner / (self.B - inner))).exp()).select(outside)
-
-    def values_of_h(self, h) -> np.ndarray:
-        inside = h < self.B
-        out = np.zeros_like(h)
-        hs = h[inside]
-        out[inside] = self.amplitude * np.exp(-hs / (self.B - hs))
-        return out
+    def values_of_h(self, h):
+        outside = (h.value if isinstance(h, Jet2) else h) >= self.edge
+        # rows outside get h = 0, where the formula is defined, and then 0
+        inner = _zero_where(outside, h)
+        return _zero_where(outside, self.amplitude * _exp(-(inner / (self.B - inner))))
 
     def d_dh_of_h(self, h) -> np.ndarray:
         """d phi / dh as a function of h."""
-        inside = h < self.B * (1.0 - 1e-12)
-        out = np.zeros_like(h)
-        hs = h[inside]
-        out[inside] = (
-            -self.amplitude
-            * self.B
-            / (self.B - hs) ** 2
-            * np.exp(-hs / (self.B - hs))
-        )
-        return out
+        outside = h >= self.edge
+        inner = np.where(outside, 0.0, h)
+        gap = self.B - inner
+        return np.where(outside, 0.0, -self.amplitude * self.B / gap**2 * np.exp(-inner / gap))
 
 
 class LinearCombination(ScalarField):
@@ -338,37 +348,20 @@ class LinearCombination(ScalarField):
         return self._combine("d_dh_of_h", h)
 
 
-class AnnulusPotential(HFunction):
+class AnnulusPotential(FundamentalProfile):
     """The explicit p-harmonic potential on the gauge annulus r < psi < R.
 
-    (psi^alpha - R^alpha) / (r^alpha - R^alpha) for p != Q, the log analogue
-    at p == Q.  Equals 1 at psi = r and 0 at psi = R.
+    (g(psi) - g(R)) / (g(r) - g(R)) with g(rho) = rho^alpha for p != Q and
+    log rho at p == Q: the fundamental profile with scale 1/(g(r) - g(R))
+    and offset -g(R)/(g(r) - g(R)).  Equals 1 at psi = r and 0 at psi = R.
     """
-
-    singular = "potential is singular at the base point"
 
     def __init__(self, params: SpaceParams, p: float, r: float, R: float):
         if not 0 < r < R:
             raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
-        self.params = params
-        self.dim = params.dim
-        self.p = float(p)
+        alpha, radii = exponents(params, p).alpha, np.array([r, R], dtype=float)
+        g = np.log(radii) if alpha is None else radii**alpha  # g(r), g(R)
+        scale = 1.0 / (g[0] - g[1])
+        super().__init__(params, p, scale=float(scale), offset=float(-g[1] * scale))
         self.r = float(r)
         self.R = float(R)
-        self.exps = exponents(params, p)
-        if self.exps.is_log_case:
-            self._den = np.log(r) - np.log(R)
-        else:
-            self._den = r**self.exps.alpha - R**self.exps.alpha
-
-    def values_of_h(self, h):
-        k4 = 4 * self.params.k
-        if self.exps.is_log_case:
-            return (_log(h) / k4 - np.log(self.R)) / self._den
-        return (h ** (self.exps.alpha / k4) - self.R**self.exps.alpha) / self._den
-
-    def eta_prime(self, psi: np.ndarray) -> np.ndarray:
-        """Radial derivative of the profile at gauge radius psi."""
-        if self.exps.is_log_case:
-            return 1.0 / (psi * self._den)
-        return self.exps.alpha * psi ** (self.exps.alpha - 1.0) / self._den

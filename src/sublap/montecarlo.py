@@ -10,7 +10,8 @@ bit-identical for a given seed regardless of the worker count.
 Every estimator is one band integrand (a `Band`) fed to one kernel,
 `_mc_over_box`.  A band is a radial weight on lo < h < hi times the measure
 |grad_0 psi|^p that every estimate integrates against (the coarea measure
-of the gauge); the kernel owns that factor and the one place where it
+of the gauge); the kernel owns that factor (`fields.grad_psi_norm_pow`,
+one exp of the rows' log Sigma and log h) and the one place where it
 diverges: for k < 1/2 and p >= 2n/(1-2k) it blows up on the axis
 {Sigma = 0}, which crosses every band, so every estimator raises there.
 The Richardson limit of the thin-shell surface integrals is one band too:
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .extrapolation import LimitTable, decreasing_radii, limit_table, richardson_weights
 from .fields import (  # noqa: F401 (gauge_parts re-exported)
-    ScalarField, column_gauge_parts, gauge_parts, gauge_work,
+    ScalarField, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
 )
 from .space import SpaceParams, check_integrable, sigma_p_exact
 
@@ -193,7 +194,7 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
     lo, width = _box(params, spec)
-    weight, half_p = integrand.weight, p / 2.0
+    weight = integrand.weight
     n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
     sums = np.zeros(n_shards)
     sqsums = np.zeros(n_shards)
@@ -220,7 +221,7 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
             hits = int(np.count_nonzero(inside))
             if hits:
                 h_in = h[inside]
-                val = grad_psi_norm_sq(params, sigma[inside], h_in) ** half_p
+                val = grad_psi_norm_pow(params, sigma[inside], h_in, p)
                 if weight is not None:
                     val = weight(h_in, lambda: lo + U[inside] * width) * val
                 vals[start : start + rows][inside] = val
@@ -248,23 +249,6 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     mean = vol * raw_mean
     stderr = vol * float(np.sqrt(raw_var / samples))
     return mean, stderr, int(accepted.sum())
-
-
-def grad_psi_norm_sq(params: SpaceParams, sigma, h) -> np.ndarray:
-    """|grad_0 psi|^2 = c^2 Sigma^(2k-1) h^((1-2k)/(2k)), vectorized.
-
-    Bounded by |c|^(1/k) for k >= 1/2; the Sigma = 0 limit is taken
-    explicitly (0 for k > 1/2, c^2 at k = 1/2).
-    """
-    k, c = params.k, params.c
-    sigma = np.asarray(sigma, dtype=float)
-    h = np.asarray(h, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = c**2 * sigma ** (2 * k - 1.0) * h ** ((1.0 - 2 * k) / (2 * k))
-    degenerate = (sigma == 0.0) | (h == 0.0)
-    if np.any(degenerate):
-        out = np.where(degenerate, 0.0 if k > 0.5 else c**2 if k == 0.5 else np.inf, out)
-    return out
 
 
 def ball_measure(

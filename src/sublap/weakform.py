@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extrapolation import LimitTable, decreasing_radii, limit_table
-from .fields import CutoffBump, FundamentalProfile, LinearCombination
+from .fields import AnnulusPotential, CutoffBump, FundamentalProfile, LinearCombination
 from .montecarlo import Band, MCEstimate, STREAM_PAIRING, Stream, _mc_over_box, ball_spec
 from .space import SpaceParams, normalization, sigma_p_exact
 
@@ -41,7 +41,8 @@ def weak_pairing(
     """
     if not 0 < r < R:
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
-    if not isinstance(u, FundamentalProfile):
+    # an AnnulusPotential is a FundamentalProfile too, but not the one paired here
+    if not isinstance(u, FundamentalProfile) or isinstance(u, AnnulusPotential):
         raise DomainError("u must be a FundamentalProfile (psi^alpha or log psi, scaled)")
     if u.params is not params and not (
         u.params.n == params.n and u.params.k == params.k

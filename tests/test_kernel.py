@@ -35,7 +35,9 @@ from sublap import (
 )
 from sublap import capacity as capacity_module
 from sublap import frame
-from sublap.fields import AnnulusPotential, column_gauge_parts, gauge_parts, gauge_work
+from sublap.fields import (
+    AnnulusPotential, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
+)
 from sublap.montecarlo import (
     BLOCK_ROWS,
     SHARD_SIZE,
@@ -43,7 +45,6 @@ from sublap.montecarlo import (
     Band,
     _mc_over_box,
     ball_spec,
-    grad_psi_norm_sq,
 )
 
 SAMPLES = 2 * SHARD_SIZE + BLOCK_ROWS + 2545  # a partial shard ending in a partial block
@@ -62,7 +63,7 @@ def assert_same(est, ref):
 
 
 def power(params, p):
-    return lambda pts, sigma, h: grad_psi_norm_sq(params, sigma, h) ** (p / 2.0)
+    return lambda pts, sigma, h: grad_psi_norm_pow(params, sigma, h, p)
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"n={n}")
@@ -136,7 +137,7 @@ def test_weak_pairing(params, threads):
         s_phi = reference_bump_d_dh(phi.fields[0], h) + 0.5 * reference_bump_d_dh(
             phi.fields[1], h)
         return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (4 * k - 1.0)
-                * grad_psi_norm_sq(params, sigma, h) ** (P / 2.0))
+                * grad_psi_norm_pow(params, sigma, h, P))
 
     est = weak_pairing(params, P, u, phi, r, R, SAMPLES, SEED, threads, stream=(8, 0))
     ref = reference_mc(params, R, reference_band(params, r**k4, R**k4, weight),
@@ -153,7 +154,7 @@ def energy_reference(params, r, R, samples):
     def weight(pts, sigma, h):
         psi = h ** (1.0 / k4)
         return (np.abs(potential.eta_prime(psi)) ** P
-                * grad_psi_norm_sq(params, sigma, h) ** (P / 2.0))
+                * grad_psi_norm_pow(params, sigma, h, P))
 
     mean, stderr, acc = reference_mc(params, R, reference_band(params, r**k4, R**k4, weight),
                                      samples, SEED, (STREAM_ENERGY, 0))
