@@ -165,8 +165,8 @@ def mc_energy(
 ) -> MCEstimate:
     """MC annulus energy of the explicit potential, divided by the closed-form
     sigma_p; mean and stderr are in sigma_p units."""
-    potential = AnnulusPotential(params, p, r, R)
     spec = ball_spec(params, R)
+    potential = AnnulusPotential(params, p, r, R)
     k = params.k
 
     def weight(h, _):

@@ -360,8 +360,12 @@ class AnnulusPotential(FundamentalProfile):
         if not 0 < r < R:
             raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
         alpha, radii = exponents(params, p).alpha, np.array([r, R], dtype=float)
-        g = np.log(radii) if alpha is None else radii**alpha  # g(r), g(R)
-        scale = 1.0 / (g[0] - g[1])
+        with np.errstate(all="ignore"):
+            g = np.log(radii) if alpha is None else radii**alpha  # g(r), g(R)
+            scale = 1.0 / (g[0] - g[1])
+        if not np.all(np.isfinite([*g, scale, g[1] * scale])):
+            raise DomainError("the annulus potential leaves the float range: r^alpha, "
+                              "R^alpha or their gap is not a finite nonzero float")
         super().__init__(params, p, scale=float(scale), offset=float(-g[1] * scale))
         self.r = float(r)
         self.R = float(R)

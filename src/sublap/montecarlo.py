@@ -354,11 +354,15 @@ def sample_points(
     """Random points in the bounding box of B_box_radius, away from the gauge axis.
 
     Rejects psi < min_psi and Sigma < min_sigma so that every returned point
-    supports the full horizontal calculus for any k.
+    supports the full horizontal calculus for any k.  DomainError, before any
+    draw, when no point of the box reaches min_sigma.
     """
     if count < 1:
         raise DomainError(f"need at least one point, got {count}")
-    lo, width = _box(params, ball_spec(params, box_radius))
+    spec = ball_spec(params, box_radius)
+    if 2 * params.n * spec.half_widths[0] ** 2 < min_sigma:  # the box's largest Sigma
+        raise DomainError(f"the box of B_{box_radius!r} holds no point with Sigma >= {min_sigma!r}")
+    lo, width = _box(params, spec)
     out = np.empty((count, params.dim))
     have = 0
     shard = 0

@@ -46,6 +46,8 @@ class SpaceParams:
             raise ConfigurationError(f"k must be positive and finite, got {k!r}")
         if c == 0 or not math.isfinite(c):
             raise ConfigurationError(f"c must be finite and nonzero, got {c!r}")
+        if not math.isfinite(c * c):
+            raise ConfigurationError(f"c^2 must be a finite float, got c={c!r}")
         dim = 2 * n + 1
         if x0 is None:
             x0 = np.zeros(dim)

@@ -152,10 +152,15 @@ class TestExitCodes:
         (["density", "--bump-radius", "1e100"], "not a positive finite float"),
         (["dirac", "--bump-radius", "1e100"], "not a positive finite float"),
         (["density", "--bump-radius", "1e-100"], "not a positive finite float"),
+        # Python float overflows: c^2, and r^alpha at alpha = -299
+        (["sigma", "--c", "1e200"], "c^2 must be a finite float"),
+        (["capacity", "--r", "1e-5", "--p", "1.01", "--method", "mc"], "leaves the float range"),
+        (["capacity", "--r", "1e-5", "--p", "1.01", "--method", "all"], "leaves the float range"),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "density-huge-radii",
             "capacity-mc-huge-R", "density-inf-ratio", "density-huge-bump", "dirac-huge-bump",
-            "density-tiny-bump"])
+            "density-tiny-bump", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
+            "capacity-all-tiny-r-p-1.01"])
     def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
         assert main(argv + FAST) == 1
         captured = capsys.readouterr()
@@ -163,6 +168,28 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and message in captured.err
         assert captured.err.count("\n") == 1
         assert not recwarn.list
+
+    def test_closed_form_capacity_at_tiny_r_and_p_near_one(self, capsys):
+        # the annulus potential leaves the float range here, the closed form not
+        argv = ["capacity", "--r", "1e-5", "--p", "1.01", "--method", "closed-form"]
+        code, out = run_cli(capsys, argv + FAST)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == 4.751346499732997e-15
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-fundamental", "--c", "1e150"],
+        ["verify-infinity", "--k", "0.1", "--c", "1e60"],
+    ], ids=["verify-fundamental-c-1e150", "verify-infinity-k-0.1-c-1e60"])
+    def test_box_without_off_axis_points_exits_one(self, argv):
+        # No point of the box reaches Sigma >= 1e-10: sample_points used to
+        # redraw forever, so the run gets its own process and a timeout.
+        env = dict(os.environ, PYTHONPATH=str(Path(sublap.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublap.cli", *argv, *FAST],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "holds no point" in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     def test_small_c_still_runs(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--c", "1e-100"] + FAST)
