@@ -21,19 +21,23 @@ shell combines them in one run, on one set of draws.
 A shard draws its uniforms in blocks of BLOCK_ROWS rows, row-major; its
 generator yields the same doubles in the same order whatever the block
 size.  Each block goes straight to (Sigma, tau, h) one coordinate column at
-a time (`fields.column_gauge_parts`), with no (N, dim) point array.  The band
-selects the accepted rows, and the band's weight sees only their h; a
-weight that needs the points themselves (a field that is not a function of
-h) rebuilds them for the accepted rows alone.  The values of a shard land
-in one shard-length array, summed once, and then squared in place and
-summed again, both by numpy's own reduction and not by a BLAS dot product,
-so neither the block size nor the BLAS thread count changes a bit of the
-result.
+a time (`fields.column_gauge_parts`), with no (N, dim) point array.  The
+band's mask becomes the accepted rows' indices (`np.flatnonzero`), which
+gather their Sigma and h with `take`, and the band's weight sees only their
+h; a weight that needs the points themselves (a field that is not a
+function of h) rebuilds them from the uniforms of those rows alone.  The
+accepted rows' values are scattered by index into one shard-length array.
+Indices gather and scatter the same elements in the same order as the
+mask, several times faster.  The shard's values are summed once, and then
+squared in place and summed again, both by numpy's own reduction and not
+by a BLAS dot product, so neither the block size nor the BLAS thread count
+changes a bit of the result.
 
 Each worker thread of a run makes one set of block buffers (the uniforms,
 the work array of `column_gauge_parts`, the band masks and the shard's
 values) and reuses it for every block and shard it runs; the set goes when
-the run returns.  Per block, only the arrays of the accepted rows are new.
+the run returns.  Per block, only the accepted rows' indices and arrays
+are new.
 """
 
 from __future__ import annotations
@@ -218,13 +222,14 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
             inside = np.less(h, integrand.hi, out=bufs.inside[:rows])
             if integrand.lo is not None:
                 inside &= np.greater(h, integrand.lo, out=bufs.above_lo[:rows])
-            hits = int(np.count_nonzero(inside))
+            rows_in = np.flatnonzero(inside)
+            hits = rows_in.size
             if hits:
-                h_in = h[inside]
-                val = grad_psi_norm_pow(params, sigma[inside], h_in, p)
+                h_in = h.take(rows_in)
+                val = grad_psi_norm_pow(params, sigma.take(rows_in), h_in, p)
                 if weight is not None:
-                    val = weight(h_in, lambda: lo + U[inside] * width) * val
-                vals[start : start + rows][inside] = val
+                    val = weight(h_in, lambda: lo + U.take(rows_in, axis=0) * width) * val
+                vals[start : start + rows][rows_in] = val
                 acc += hits
         total = float(vals.sum())
         # numpy's own pairwise sum: a BLAS dot's bits depend on its thread count
@@ -307,7 +312,7 @@ def shell_integral_extrapolated(
     def weight(h, points):
         step = np.full(h.shape, shells[0][2])
         for lo, hi, s in shells[1:]:
-            step[(h > lo) & (h < hi)] += s
+            np.add(step, s, out=step, where=(h > lo) & (h < hi))
         # phi from the rows' h when phi is a function of h alone
         return step * (phi.values_of_h(h) if phi.h_only else phi.values(points()))
 

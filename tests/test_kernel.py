@@ -35,6 +35,7 @@ from sublap import (
 )
 from sublap import capacity as capacity_module
 from sublap import frame
+from sublap import montecarlo
 from sublap.fields import (
     AnnulusPotential, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
 )
@@ -211,6 +212,40 @@ def test_more_threads_than_cores_match_reference():
     finally:
         sys.setswitchinterval(interval)
     assert_same(est, ref)
+
+
+@pytest.mark.parametrize("block_rows", [1000, 4096, 1 << 16])
+def test_block_size_changes_no_bit(monkeypatch, threads, block_rows):
+    # a block boundary moves where the rows of a shard are drawn, gathered
+    # and scattered, never which rows or in what order
+    params = SPACES[2]
+    e = np.zeros((2, params.dim), dtype=int)
+    e[0, 0], e[1, -1] = 2, 1
+    phi = Polynomial([(1.0, e[0]), (-0.5, e[1])], params.dim)
+
+    def run():
+        return [ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0)),
+                shell_integral_extrapolated(params, P, 1.0, phi, SAMPLES, SEED, threads,
+                                            stream=(6, 0))]
+
+    default = run()
+    monkeypatch.setattr(montecarlo, "BLOCK_ROWS", block_rows)
+    for est, ref in zip(run(), default):
+        assert_same(est, (ref.mean, ref.stderr, ref.accepted))
+
+
+def test_blocks_accepting_no_row_or_every_row(params, threads):
+    # h >= 0, so hi = 0 accepts no row; the box's largest h is
+    # ((2n)^(2k) + 1) R^(4k), at its corners
+    R, stream = 1.3, (4, 0)
+    spec = ball_spec(params, R)
+    empty = _mc_over_box(params, spec, Band(p=P, hi=0.0), SAMPLES, SEED, stream, threads)
+    assert empty == (0.0, 0.0, 0)
+    hi = 2.0 * ((2 * params.n) ** (2 * params.k) + 1.0) * R ** (4 * params.k)
+    full = _mc_over_box(params, spec, Band(p=P, hi=hi), SAMPLES, SEED, stream, threads)
+    assert full == reference_mc(params, R, reference_band(params, None, hi, power(params, P)),
+                                SAMPLES, SEED, stream)
+    assert full[2] == SAMPLES
 
 
 def test_sample_points_match_reference(params):
