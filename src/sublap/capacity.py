@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import AnnulusPotential
 from .montecarlo import Band, MCEstimate, STREAM_ENERGY, _mc_over_box, ball_spec
-from .space import SpaceParams, exponents, sigma_p_exact
+from .space import SpaceParams, check_p, exponents, sigma_p_exact
 
 __all__ = [
     "RadialProfile",
@@ -138,8 +138,7 @@ def minimize_radial(
         raise DomainError(f"need at least 8 segments, got {m_knots}")
     if not 0 < r < R < np.inf:
         raise DomainError(f"need 0 < r < R < inf, got r={r}, R={R}")
-    if not 1 < p < np.inf:
-        raise DomainError(f"p must exceed 1 and be finite, got {p!r}")
+    check_p(p)
     Q = params.Q
     rho = np.linspace(r, R, m_knots + 1)
     drho = np.diff(rho)

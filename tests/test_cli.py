@@ -73,6 +73,7 @@ class TestExitCodes:
         (["dirac", "--bump-radius", "-1"] + FAST, "support radius must be positive"),
         (["capacity", "--method", "radial", "--knots", "4"] + FAST, "at least 8 segments"),
         (["verify-fundamental", "--points", "0", "--seed", "7"], "at least one point"),
+        (["capacity", "--p", "1e12"] + FAST, "p must exceed 1"),
     ])
     def test_library_domain_error_exits_one(self, capsys, argv, message):
         assert main(argv) == 1

@@ -14,7 +14,9 @@ from sublap import (
     exponents,
     normalization,
 )
+from sublap.capacity import minimize_radial
 from sublap.fields import gauge_parts
+from sublap.space import P_MAX, check_integrable
 
 
 def batched_gauge(params, pts):
@@ -125,6 +127,17 @@ class TestExponents:
             exponents(setup_a, 1.0)
         with pytest.raises(DomainError):
             exponents(setup_a, 0.5)
+
+    def test_one_p_range_with_a_cap(self, setup_a):
+        # the radial minimizer loses 5.5e-4 relative at p = 1e12 with exit 0
+        checks = (lambda p: exponents(setup_a, p), lambda p: check_integrable(setup_a, p),
+                  lambda p: minimize_radial(setup_a, p, 1.0, 2.0, 16))
+        for check in checks:
+            for p in (1.0, 1e12, math.inf, math.nan):
+                with pytest.raises(DomainError, match="p must exceed 1 and be at most 1e"):
+                    check(p)
+            check(P_MAX)
+        assert math.isfinite(minimize_radial(setup_a, P_MAX, 1.0, 2.0, 16)[1])
 
     def test_consistency_identities(self, all_setups, rng):
         for params in all_setups:
