@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -131,7 +132,13 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and shared by every
+    `main` call after it.  `parse_args` leaves a parser as it was, and help
+    and usage text go to the sys.stdout or sys.stderr of the call, so the
+    shared parser answers each call as a fresh one would.  Callers must not
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="sublap",
         description="Verify gauge operators, measures, the Dirac identity, "

@@ -5,7 +5,9 @@ Sampling is rejection from the anisotropic bounding box of a gauge ball:
 Every run draws in fixed-size shards reduced in index order.  Each shard
 has its own SFC64 generator, seeded by numpy's SeedSequence from the user
 seed with the spawn key (purpose, index, shard), so results are
-bit-identical for a given seed regardless of the worker count.
+bit-identical for a given seed regardless of the worker count.  A run
+starts at most one worker thread per shard and per usable CPU, whatever
+thread count it is given.
 
 Every estimator is one band integrand (a `Band`) fed to one kernel,
 `_mc_over_box`.  A band is a radial weight on lo < h < hi times the measure
@@ -134,6 +136,14 @@ def ball_spec(params: SpaceParams, R: float) -> BallSpec:
     return BallSpec(R=float(R), half_widths=hw)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_threads(threads: int | None = None) -> int:
     if threads is None:
         env = os.environ.get(THREADS_ENV_VAR)
@@ -145,7 +155,7 @@ def resolve_threads(threads: int | None = None) -> int:
                     f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
                 ) from None
         else:
-            threads = os.cpu_count() or 1
+            threads = usable_cpus()
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
     return threads
@@ -236,7 +246,8 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
         vals *= vals
         return idx, total, float(vals.sum()), acc
 
-    workers = min(resolve_threads(threads), n_shards)
+    # more workers than CPUs only add threads and buffers: no bit depends on the count
+    workers = min(resolve_threads(threads), usable_cpus(), n_shards)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for idx, s, ss, acc in pool.map(run_shard, range(n_shards)):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sublap
-from sublap.cli import main
+from sublap.cli import COMMANDS, build_parser, main
 
 FAST = ["--samples", "10000", "--points", "20", "--seed", "7"]
 
@@ -393,6 +394,69 @@ class TestReports:
         assert main(["sigma", "--config", str(cfg)]) == 1
         cfg.write_text("unknown_key = 3\n")
         assert main(["sigma", "--config", str(cfg)]) == 1
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process; no call leaves state in it."""
+
+    def test_flags_do_not_carry_over(self, capsys):
+        code, _ = run_cli(capsys, ["sigma", "--n", "2", "--tol", "0.5"] + FAST)
+        assert code == 0
+        code, out = run_cli(capsys, ["sigma"] + FAST)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["n"], config["tol"]) == (1, 0.0)
+
+    @pytest.mark.parametrize("bad", [["--bogus"], ["--method", "nope"]])
+    def test_usage_error_after_good_call_exits_one(self, capsys, bad):
+        assert main(["sigma"] + FAST) == 0
+        assert main(["sigma"] + bad + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: sublap") and "error:" in captured.err
+
+    def test_help_is_that_of_a_fresh_parser(self, capsys):
+        assert main(["sigma"] + FAST) == 0
+        capsys.readouterr()
+        for command in COMMANDS:
+            assert main([command, "--help"]) == 0
+            shared = capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                build_parser.__wrapped__().parse_args([command, "--help"])
+            assert exc.value.code == 0
+            fresh = capsys.readouterr()
+            assert shared.out == fresh.out and shared.out.startswith(f"usage: sublap {command}")
+            assert shared.err == fresh.err == ""
+
+    def test_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser.cache_clear()
+        assert main(["verify-infinity"] + FAST) == 0
+        assert len(built) == 1 + len(COMMANDS)  # the parser and one per command
+        assert main(["sigma"] + FAST) == 0
+        assert len(built) == 1 + len(COMMANDS)
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main call, so importing the CLI
+    # (part of the benchmark's setup time) formats no argparse help
+    src = str(Path(sublap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **kw):\n"
+            "    built.append(1); init(self, *a, **kw)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import sublap, sublap.cli\n"
+            "print(len(built))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_import_does_not_load_quadrature():

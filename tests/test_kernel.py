@@ -168,12 +168,14 @@ def test_mc_energy(params, threads):
     assert_same(est, energy_reference(params, 0.6, 1.4, SAMPLES))
 
 
-def test_back_to_back_runs_match_reference():
+def test_back_to_back_runs_match_reference(monkeypatch):
     # Each worker reuses one set of buffers for every block and shard of a
     # run.  On one thread, a run that fills its shard values, then a sparse
     # band in another dimension and a run shorter than one block; then more
-    # threads than shards.  A value left from an earlier shard, or a buffer
-    # kept from a run in another dimension, would move a bit.
+    # threads than shards, on a machine that claims eight CPUs.  A value
+    # left from an earlier shard, or a buffer kept from a run in another
+    # dimension, would move a bit.
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
     seven, three = SPACES[3], SPACES[1]
     hi = 64 * 1.3 ** (4 * seven.k)  # 86% of the box
     mean, stderr, acc = _mc_over_box(seven, ball_spec(seven, 1.3), Band(p=P, hi=hi),
@@ -199,9 +201,11 @@ def test_back_to_back_runs_match_reference():
     assert 10**4 < BLOCK_ROWS and 8 > -(-SAMPLES // SHARD_SIZE)
 
 
-def test_more_threads_than_cores_match_reference():
+def test_more_threads_than_cores_match_reference(monkeypatch):
     # every worker thread must write only its own buffers; switching
-    # threads every few microseconds interleaves their blocks
+    # threads every few microseconds interleaves their blocks.  The pool
+    # caps its workers at the usable CPUs, so claim six of them.
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 6)
     params, samples = SPACES[2], 6 * SHARD_SIZE + 321
     band = reference_band(params, None, 1.3 ** (4 * params.k), power(params, P))
     ref = reference_mc(params, 1.3, band, samples, SEED, (4, 0))
@@ -212,6 +216,42 @@ def test_more_threads_than_cores_match_reference():
     finally:
         sys.setswitchinterval(interval)
     assert_same(est, ref)
+
+
+@pytest.mark.parametrize("threads, workers", [(2, 2), (3, 2), (100000, 2)])
+def test_workers_capped_at_usable_cpus(monkeypatch, threads, workers):
+    # no thread starts: on a machine that claims two CPUs, a serial
+    # stand-in for the pool records the worker count it is given
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    params, spec, band = SPACES[1], ball_spec(SPACES[1], 1.3), Band(p=P, hi=1.3 ** 3)
+    samples = 5 * SHARD_SIZE
+    est = _mc_over_box(params, spec, band, samples, SEED, (4, 0), threads)
+    assert est == _mc_over_box(params, spec, band, samples, SEED, (4, 0), 1)
+    assert sizes == [workers]  # one thread maps without a pool
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    assert montecarlo.usable_cpus() == 3
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert montecarlo.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("block_rows", [1000, 4096, 1 << 16])
