@@ -27,7 +27,6 @@ from .fields import (
     FundamentalProfile,
     GaugeH,
     GaugePsi,
-    LinearCombination,
     Polynomial,
     ScalarField,
 )

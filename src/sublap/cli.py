@@ -150,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--n", type=int)
         cmd.add_argument("--k", type=float)
         cmd.add_argument("--c", type=float)
-        cmd.add_argument("--x0", type=str, help="comma-separated coordinates")
+        cmd.add_argument("--x0", type=str, help="comma-separated coordinates; "
+                         "write --x0=-1,0,0 when the first is negative")
         cmd.add_argument("--p", type=float)
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--samples", type=int)
@@ -216,7 +217,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigurationError(f"unknown method {cfg.method!r}")
     if cfg.format not in ("json", "csv"):
         raise ConfigurationError(f"unknown format {cfg.format!r}")
-    resolve_threads(cfg.threads)  # also checks SUBLAP_THREADS when --threads is absent
+    resolve_threads(cfg.threads)  # so a bad --threads exits 1 for every command
 
 
 def _record(name, value, stderr=None, tol=None, passed=None, exact=False) -> dict:
@@ -288,13 +289,11 @@ def _cmd_bracket_report(cfg: RunConfig) -> list[dict]:
     records = bracket_comparison(params, pts)
     max_diff = max(r["abs_diff"] for r in records)
     agree_all = all(r["agree"] for r in records)
-    out = [
+    # both records are informational: neither has a gate, so the report passes
+    return [
         _record("printed_vs_computed_max_abs_diff", max_diff, exact=True),
         _record("printed_matches_computed", 1.0 if agree_all else 0.0, exact=True),
     ]
-    # comparison is informational; the command passes unless the FD-style
-    # consistency of the computed bracket itself is broken (checked in tests)
-    return out
 
 
 def _cmd_sigma(cfg: RunConfig) -> list[dict]:

@@ -1,4 +1,4 @@
-"""Limit extrapolation for radius and shell-width sequences."""
+"""Limit extrapolation for radius sequences."""
 
 from __future__ import annotations
 
@@ -109,15 +109,3 @@ def limit_table(radii, estimates, target: float) -> LimitTable:
         radii=tuple(radii), estimates=estimates,
         extrapolation=extrapolation, target=float(target),
     )
-
-
-_RICHARDSON_WEIGHTS = {2: (-1.0 / 3.0, 4.0 / 3.0), 3: (1.0 / 45.0, -20.0 / 45.0, 64.0 / 45.0)}
-
-
-def richardson_weights(m: int) -> tuple[float, ...]:
-    """Weights c, summing to 1, with which sum c_i v_i cancels the O(step^2)
-    (and for m = 3 the O(step^4)) error of m = 2 or 3 samples v_i at halving
-    steps, coarsest first."""
-    if m not in _RICHARDSON_WEIGHTS:
-        raise DomainError("Richardson extrapolation needs two or three samples")
-    return _RICHARDSON_WEIGHTS[m]

@@ -38,14 +38,6 @@ class ScalarField:
     def values(self, pts: np.ndarray) -> np.ndarray:
         return self.jet(pts).value
 
-    def __add__(self, other: "ScalarField") -> "LinearCombination":
-        return LinearCombination([self, other], [1.0, 1.0])
-
-    def __mul__(self, weight: float) -> "LinearCombination":
-        return LinearCombination([self], [float(weight)])
-
-    __rmul__ = __mul__
-
 
 def gauge_work(rows: int) -> np.ndarray:
     """Work array for `column_gauge_parts` over up to `rows` points."""
@@ -279,16 +271,15 @@ class Polynomial(ScalarField):
 class CutoffBump(HFunction):
     """Smooth compactly supported bump built from h.
 
-    phi = amplitude * exp(-h / (B - h)) on {h < B}, B = R0^(4k), 0 outside.
-    Equals `amplitude` at the base point and is smooth everywhere h is.
+    phi = exp(-h / (B - h)) on {h < B}, B = R0^(4k), 0 outside.
+    Equals 1 at the base point and is smooth everywhere h is.
     """
 
-    def __init__(self, params: SpaceParams, support_radius: float, amplitude: float = 1.0):
+    def __init__(self, params: SpaceParams, support_radius: float):
         if not support_radius > 0:
             raise DomainError("support radius must be positive")
         super().__init__(params)
         self.support_radius = float(support_radius)
-        self.amplitude = float(amplitude)
         try:
             self.B = self.support_radius ** (4 * params.k)
         except OverflowError:
@@ -305,47 +296,14 @@ class CutoffBump(HFunction):
         outside = (h.value if isinstance(h, Jet2) else h) >= self.edge
         # rows outside get h = 0, where the formula is defined, and then 0
         inner = _zero_where(outside, h)
-        return _zero_where(outside, self.amplitude * _exp(-(inner / (self.B - inner))))
+        return _zero_where(outside, _exp(-(inner / (self.B - inner))))
 
     def d_dh_of_h(self, h) -> np.ndarray:
         """d phi / dh as a function of h."""
         outside = h >= self.edge
         inner = np.where(outside, 0.0, h)
         gap = self.B - inner
-        return np.where(outside, 0.0, -self.amplitude * self.B / gap**2 * np.exp(-inner / gap))
-
-
-class LinearCombination(ScalarField):
-    def __init__(self, fields, weights):
-        if len(fields) != len(weights) or not fields:
-            raise DomainError("need matching, nonempty fields and weights")
-        self.fields = list(fields)
-        self.weights = [float(w) for w in weights]
-        self.dim = fields[0].dim
-        if any(f.dim != self.dim for f in fields):
-            raise DomainError("all fields must share a dimension")
-        self.h_only = all(f.h_only for f in self.fields)
-
-    def jet(self, pts) -> Jet2:
-        out = self.weights[0] * self.fields[0].jet(pts)
-        for f, w in zip(self.fields[1:], self.weights[1:]):
-            out = out + w * f.jet(pts)
-        return out
-
-    def _combine(self, method: str, arg) -> np.ndarray:
-        out = self.weights[0] * getattr(self.fields[0], method)(arg)
-        for f, w in zip(self.fields[1:], self.weights[1:]):
-            out = out + w * getattr(f, method)(arg)
-        return out
-
-    def values(self, pts) -> np.ndarray:
-        return self._combine("values", pts)
-
-    def values_of_h(self, h) -> np.ndarray:
-        return self._combine("values_of_h", h)
-
-    def d_dh_of_h(self, h) -> np.ndarray:
-        return self._combine("d_dh_of_h", h)
+        return np.where(outside, 0.0, -self.B / gap**2 * np.exp(-inner / gap))
 
 
 class AnnulusPotential(FundamentalProfile):

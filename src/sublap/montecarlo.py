@@ -3,11 +3,11 @@
 Sampling is rejection from the anisotropic bounding box of a gauge ball:
 {psi < R} sits inside |x_l - a_l| <= R |c|^(-1/(2k)), |t - s| <= R^(2k).
 Every run draws in fixed-size shards reduced in index order.  Each shard
-has its own SFC64 generator, seeded by numpy's SeedSequence from the user
-seed with the spawn key (purpose, index, shard), so results are
-bit-identical for a given seed regardless of the worker count.  A run
-starts at most one worker thread per shard and per usable CPU, whatever
-thread count it is given.
+has its own SFC64 generator, seeded by numpy's SeedSequence from the
+nonnegative user seed, taken whole, with the spawn key (purpose, index,
+shard), so results are bit-identical for a given seed regardless of the
+worker count.  A run starts at most one worker thread per shard and per
+usable CPU, whatever thread count it is given.
 
 Every estimator is one band integrand (a `Band`) fed to one kernel,
 `_mc_over_box`.  A band is a radial weight on lo < h < hi times the measure
@@ -17,8 +17,8 @@ one exp of the rows' log Sigma and log h) and the one place where it
 diverges: for k < 1/2 and p >= 2n/(1-2k) it blows up on the axis
 {Sigma = 0}, which crosses every band, so every estimator raises there.
 The Richardson limit of the thin-shell surface integrals is one band too:
-the shells of halving widths are nested, so a step weight over the widest
-shell combines them in one run, on one set of draws.
+the shells of halving widths (`SHELL_FRACTIONS`) are nested, so a step
+weight over the widest shell combines them in one run, on one set of draws.
 
 A shard draws its uniforms in blocks of BLOCK_ROWS rows, row-major; its
 generator yields the same doubles in the same order whatever the block
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .extrapolation import LimitTable, decreasing_radii, limit_table, richardson_weights
+from .extrapolation import LimitTable, decreasing_radii, limit_table
 from .fields import (  # noqa: F401 (gauge_parts re-exported)
     ScalarField, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
 )
@@ -63,7 +63,6 @@ from .space import SpaceParams, check_integrable, sigma_p_exact
 SHARD_SIZE = 1 << 16
 # Rows drawn and mapped at a time: a block's columns stay in cache.
 BLOCK_ROWS = 1 << 14
-_MASK64 = (1 << 64) - 1
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # A stream is (purpose, index): the purpose names what a run estimates, the
@@ -81,7 +80,19 @@ STREAM_ENERGY = 5
 STREAM_POINTS = 9
 Stream = tuple[int, int]
 
-THREADS_ENV_VAR = "SUBLAP_THREADS"
+# The thin shells' half-widths as fractions of the radius, halving, and
+# their Richardson weights, coarsest first: the weights sum to 1 and cancel
+# the O(d^2) and O(d^4) bias of a shell of half-width d.
+SHELL_FRACTIONS = (0.1, 0.05, 0.025)
+SHELL_WEIGHTS = (1.0 / 45.0, -20.0 / 45.0, 64.0 / 45.0)
+
+# sample_points draws from the box of the gauge ball of radius
+# POINTS_BOX_RADIUS and keeps the points with psi >= POINTS_MIN_PSI and
+# Sigma >= POINTS_MIN_SIGMA, where the full horizontal calculus is defined
+# for every k.
+POINTS_BOX_RADIUS = 2.0
+POINTS_MIN_PSI = 0.05
+POINTS_MIN_SIGMA = 1e-10
 
 
 @dataclass(frozen=True)
@@ -145,24 +156,24 @@ def usable_cpus() -> int:
 
 
 def resolve_threads(threads: int | None = None) -> int:
+    """The thread count asked for, or the usable CPUs when None."""
     if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            threads = usable_cpus()
+        return usable_cpus()
     if threads < 1:
         raise ConfigurationError(f"thread count must be >= 1, got {threads}")
     return threads
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ConfigurationError unless the seed is nonnegative: SeedSequence
+    takes every nonnegative integer whole, so distinct seeds draw distinct
+    streams."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+
+
 def _shard_rng(seed: int, stream: Stream, shard: int) -> np.random.Generator:
-    key = np.random.SeedSequence(seed & _MASK64, spawn_key=(*stream, shard))
+    key = np.random.SeedSequence(seed, spawn_key=(*stream, shard))
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -201,12 +212,14 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     """Plain MC of the band `integrand` over the box; returns (mean, stderr, accepted).
 
     Shards are reduced in index order.  Raises DomainError where the
-    integral diverges (`space.check_integrable`).
+    integral diverges (`space.check_integrable`), and ConfigurationError
+    for a negative seed, before any draw.
     """
     p = integrand.p
     check_integrable(params, p)
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
+    _check_seed(seed)
     lo, width = _box(params, spec)
     weight = integrand.weight
     n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
@@ -292,33 +305,29 @@ def sigma_p(
 def shell_integral_extrapolated(
     params: SpaceParams, p: float, R: float, phi: ScalarField,
     samples: int, seed: int, threads: int | None = None,
-    delta_fracs: tuple[float, ...] = (0.1, 0.05, 0.025),
     stream: Stream = (STREAM_SHELL, 0),
 ) -> MCEstimate:
     """Surface integral of phi over {psi = R}: the Richardson limit over
-    halving widths d_i of the thin shells, in one MC run.
+    the halving half-widths d_i = SHELL_FRACTIONS[i] * R of the thin shells,
+    in one MC run.
 
     The thin shell of width d is (1/(2 d)) times the integral of
     phi |grad_0 psi|^p over R - d < psi < R + d, an O(d^2)-biased
     approximation of the coarea disintegration.  The shells are nested, so
     one run over the box of the widest shell covers them all: the band is
     the widest shell and its weight is phi times the step function that
-    sums c_i / (2 d_i) over the shells holding the row, c the Richardson
-    weights.  Its mean is exactly the Richardson combination of the shell
+    sums c_i / (2 d_i) over the shells holding the row, c = SHELL_WEIGHTS.
+    Its mean is exactly the Richardson combination of the shell
     integrals, and its stderr is the plain MC stderr of one integrand; the
     widths share their draws, so no independence between them is assumed.
     """
-    deltas = [frac * R for frac in delta_fracs]
-    coeffs = richardson_weights(len(deltas))
-    if not 0 < deltas[0] < R / 2:
-        raise DomainError(f"need 0 < delta < R/2, got delta={deltas[0]}, R={R}")
-    if any(abs(2.0 * b - a) > 1e-12 * a for a, b in zip(deltas, deltas[1:])):
-        raise DomainError(f"shell widths must halve, got fractions {delta_fracs}")
+    deltas = [frac * R for frac in SHELL_FRACTIONS]
+    # rejects R <= 0 (and so d <= 0) before any shell bound is formed
     spec = ball_spec(params, R + deltas[0])
     four_k = 4 * params.k
     # (lo, hi, step) per shell; every accepted row lies in the widest one
     shells = [((R - d) ** four_k, (R + d) ** four_k, c / (2.0 * d))
-              for c, d in zip(coeffs, deltas)]
+              for c, d in zip(SHELL_WEIGHTS, deltas)]
 
     def weight(h, points):
         step = np.full(h.shape, shells[0][2])
@@ -363,21 +372,21 @@ def density_limit(
     return limit_table(radii, out, phi.values(params.x0[None])[0])
 
 
-def sample_points(
-    params: SpaceParams, count: int, seed: int,
-    box_radius: float = 2.0, min_psi: float = 0.05, min_sigma: float = 1e-10,
-) -> np.ndarray:
-    """Random points in the bounding box of B_box_radius, away from the gauge axis.
+def sample_points(params: SpaceParams, count: int, seed: int) -> np.ndarray:
+    """Random points in the bounding box of B_POINTS_BOX_RADIUS, away from the gauge axis.
 
-    Rejects psi < min_psi and Sigma < min_sigma so that every returned point
-    supports the full horizontal calculus for any k.  DomainError, before any
-    draw, when no point of the box reaches min_sigma.
+    Rejects psi < POINTS_MIN_PSI and Sigma < POINTS_MIN_SIGMA so that every
+    returned point supports the full horizontal calculus for any k.  Before
+    any draw: DomainError when no point of the box reaches POINTS_MIN_SIGMA,
+    ConfigurationError for a negative seed.
     """
     if count < 1:
         raise DomainError(f"need at least one point, got {count}")
-    spec = ball_spec(params, box_radius)
-    if 2 * params.n * spec.half_widths[0] ** 2 < min_sigma:  # the box's largest Sigma
-        raise DomainError(f"the box of B_{box_radius!r} holds no point with Sigma >= {min_sigma!r}")
+    _check_seed(seed)
+    spec = ball_spec(params, POINTS_BOX_RADIUS)
+    if 2 * params.n * spec.half_widths[0] ** 2 < POINTS_MIN_SIGMA:  # the box's largest Sigma
+        raise DomainError(f"the box of B_{POINTS_BOX_RADIUS!r} holds no point with "
+                          f"Sigma >= {POINTS_MIN_SIGMA!r}")
     lo, width = _box(params, spec)
     out = np.empty((count, params.dim))
     have = 0
@@ -387,7 +396,8 @@ def sample_points(
         U = _shard_rng(seed, (STREAM_POINTS, 0), shard).random((rows, params.dim))
         sigma, _, h = column_gauge_parts(params, U, lo, width, gauge_work(rows))
         psi = h ** (1.0 / (4 * params.k))
-        keep = np.flatnonzero((psi >= min_psi) & (sigma >= min_sigma))[: count - have]
+        keep = np.flatnonzero((psi >= POINTS_MIN_PSI) & (sigma >= POINTS_MIN_SIGMA))
+        keep = keep[: count - have]
         out[have : have + keep.size] = lo + U[keep] * width
         have += keep.size
         shard += 1

@@ -181,14 +181,26 @@ def normalization(params: SpaceParams, p: float, sigma_p: float) -> float:
     """The constant making the profile a fundamental solution.
 
     C1 = alpha^(-1) (Q sigma_p)^(1/(1-p)), or C2 = (Q sigma_Q)^(1/(1-Q)) at
-    p == Q.
+    p == Q.  DomainError unless it is a nonzero finite float: near p = 1 the
+    power 1/(1-p) takes Q sigma_p out of the float range (to -0.0 at Q = 4,
+    p = 1.003).
     """
     exps = exponents(params, p)
     if not sigma_p > 0:
         raise DomainError(f"sigma_p must be positive, got {sigma_p!r}")
-    if exps.is_log_case:
-        return (exps.Q * sigma_p) ** (1.0 / (1.0 - exps.Q))
-    return (exps.Q * sigma_p) ** (1.0 / (1.0 - p)) / exps.alpha
+    try:
+        if exps.is_log_case:
+            constant = (exps.Q * sigma_p) ** (1.0 / (1.0 - exps.Q))
+        else:
+            constant = (exps.Q * sigma_p) ** (1.0 / (1.0 - p)) / exps.alpha
+    except OverflowError:
+        constant = math.inf
+    if constant == 0.0 or not math.isfinite(constant):
+        raise DomainError(
+            f"the normalization constant at p={p!r} is {constant!r}, "
+            "not a nonzero finite float"
+        )
+    return constant
 
 
 def dilate(params: SpaceParams, P, lam: float) -> np.ndarray:

@@ -14,19 +14,29 @@ import numpy as np
 
 from .errors import DomainError
 from .extrapolation import LimitTable, decreasing_radii, limit_table
-from .fields import AnnulusPotential, CutoffBump, FundamentalProfile, LinearCombination
+from .fields import AnnulusPotential, CutoffBump, FundamentalProfile
 from .montecarlo import Band, MCEstimate, STREAM_PAIRING, Stream, _mc_over_box, ball_spec
 from .space import SpaceParams, normalization, sigma_p_exact
 
 
 def _check_bump(phi) -> None:
-    if isinstance(phi, CutoffBump):
-        return
-    if isinstance(phi, LinearCombination) and all(
-        isinstance(f, CutoffBump) for f in phi.fields
-    ):
-        return
-    raise DomainError("phi must be a CutoffBump or a combination of bumps")
+    if not isinstance(phi, CutoffBump):
+        raise DomainError("phi must be a CutoffBump")
+
+
+def _check_slopes(u: FundamentalProfile, p: float, r: float, R: float) -> None:
+    """Raise DomainError unless |eta'| and |eta'|^(p-1) are nonzero finite
+    floats at psi = r and psi = R.  |eta'| is monotone in psi, so the two
+    ends bound every row of the annulus r < psi < R.  (At Q = 4 and
+    p = 1.01, alpha = -299 and psi^(alpha-1) overflows below psi = 0.094.)"""
+    with np.errstate(all="ignore"):
+        slope = np.abs(u.eta_prime(np.array([r, R], dtype=float)))
+        both = np.concatenate([slope, slope ** (p - 1.0)])
+    if not np.all(np.isfinite(both) & (both > 0.0)):
+        raise DomainError(
+            f"the profile's slope |eta'| or |eta'|^(p-1) at psi = {r!r} or {R!r} "
+            f"is not a nonzero finite float at p={p!r}"
+        )
 
 
 def weak_pairing(
@@ -36,8 +46,9 @@ def weak_pairing(
 ) -> MCEstimate:
     """MC estimate of the annulus pairing integral for 0 < r < R.
 
-    u must be a FundamentalProfile for the same parameters and p (any scale);
-    phi a bump (or combination) supported inside B_R.
+    u must be a FundamentalProfile for the same parameters and p (any scale),
+    whose slope stays a nonzero finite float on the annulus (`_check_slopes`);
+    phi a bump supported inside B_R.
     """
     if not 0 < r < R:
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
@@ -53,6 +64,7 @@ def weak_pairing(
         raise DomainError(f"u was built for p={u.p}, pairing requested p={p}")
     _check_bump(phi)
     spec = ball_spec(params, R)
+    _check_slopes(u, p, r, R)
     k = params.k
 
     def weight(h, _):
@@ -68,29 +80,24 @@ def weak_pairing(
 
 def dirac_limit(
     params: SpaceParams, p: float, phi, radii, samples: int, seed: int,
-    threads: int | None = None, outer_radius: float | None = None,
+    threads: int | None = None,
 ) -> LimitTable:
     """Pairing of the normalized fundamental solution against phi, per radius.
 
     radii must be strictly decreasing (three of them geometrically spaced)
-    and below the bump support; the extrapolated r -> 0 limit should reach
-    the table's target -phi(x0).
-    The constant is normalized by the closed-form sigma_p.
+    and below the bump support, which is the annulus' outer radius; the
+    extrapolated r -> 0 limit should reach the table's target -phi(x0).
+    The constant is normalized by the closed-form sigma_p.  Every input is
+    checked before the first radius draws.
     """
     radii = decreasing_radii(radii)
     _check_bump(phi)
-    support = (
-        phi.support_radius
-        if isinstance(phi, CutoffBump)
-        else max(f.support_radius for f in phi.fields)
-    )
-    if radii[0] >= support:
+    R = phi.support_radius
+    if radii[0] >= R:
         raise DomainError("all radii must sit inside the bump support")
-    R = support if outer_radius is None else float(outer_radius)
-    if R < support:
-        raise DomainError("outer radius must contain the bump support")
     constant = normalization(params, p, sigma_p_exact(params, p))
     u = FundamentalProfile(params, p, scale=constant)
+    _check_slopes(u, p, radii[-1], R)  # the smallest radius bounds them all
     estimates = [
         weak_pairing(params, p, u, phi, r, R, samples, seed, threads,
                      stream=(STREAM_PAIRING, idx))

@@ -227,7 +227,7 @@ def reference_bump(bump, h):
     out = np.zeros_like(h)
     inside = h < bump.B
     hs = h[inside]
-    out[inside] = bump.amplitude * np.exp(-hs / (bump.B - hs))
+    out[inside] = np.exp(-hs / (bump.B - hs))
     return out
 
 
@@ -235,15 +235,15 @@ def reference_bump_d_dh(bump, h):
     out = np.zeros_like(h)
     inside = h < bump.B * (1.0 - 1e-12)
     hs = h[inside]
-    out[inside] = -bump.amplitude * bump.B / (bump.B - hs) ** 2 * np.exp(-hs / (bump.B - hs))
+    out[inside] = -bump.B / (bump.B - hs) ** 2 * np.exp(-hs / (bump.B - hs))
     return out
 
 
-def reference_sample_points(params, count, seed, box_radius=2.0, min_psi=0.05,
-                            min_sigma=1e-10):
+def reference_sample_points(params, count, seed):
+    """`sample_points` by whole point arrays: the box of B_2, psi >= 0.05, Sigma >= 1e-10."""
     from sublap.montecarlo import STREAM_POINTS, _shard_rng
 
-    _, lo, width = _reference_box(params, box_radius)
+    _, lo, width = _reference_box(params, 2.0)
     out = np.empty((count, params.dim))
     have = shard = 0
     while have < count:
@@ -251,7 +251,7 @@ def reference_sample_points(params, count, seed, box_radius=2.0, min_psi=0.05,
         pts = lo + rng.random((max(count, 256), params.dim)) * width
         sigma, _, h = reference_gauge_parts(params, pts)
         psi = h ** (1.0 / (4 * params.k))
-        good = pts[(psi >= min_psi) & (sigma >= min_sigma)]
+        good = pts[(psi >= 0.05) & (sigma >= 1e-10)]
         take = min(count - have, good.shape[0])
         out[have : have + take] = good[:take]
         have += take

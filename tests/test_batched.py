@@ -16,7 +16,6 @@ from sublap import (
     GaugeH,
     GaugePsi,
     Jet2,
-    LinearCombination,
     Polynomial,
     SingularPointError,
     SpaceParams,
@@ -48,7 +47,7 @@ def _median_psi(params, pts):
 def _fields(params, pts, rng):
     # the bump support splits the points in half
     support = _median_psi(params, pts)
-    bump = CutoffBump(params, support, amplitude=2.0)
+    bump = CutoffBump(params, support)
     p = 2.5 if not exponents(params, 2.5).is_log_case else 3.0
     return {
         "gauge-h": GaugeH(params),
@@ -58,7 +57,6 @@ def _fields(params, pts, rng):
         "bump": bump,
         "constant": Constant(2.0, params.dim),
         "polynomial": _polynomial(params.dim, rng),
-        "combination": LinearCombination([bump, CutoffBump(params, 0.6 * support)], [1.0, -0.5]),
         "potential": AnnulusPotential(params, p, 0.5, 3.0),
         "log-potential": AnnulusPotential(params, params.Q, 0.5, 3.0),
     }

@@ -45,14 +45,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "diverges" in captured.err
 
-    @pytest.mark.parametrize("threads", ["0", "abc"])
-    def test_bad_threads_env_var_exits_one(self, capsys, monkeypatch, threads):
-        monkeypatch.setenv("SUBLAP_THREADS", threads)
-        assert main(["sigma"] + FAST) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-
     @pytest.mark.parametrize("command", ["density", "dirac"])
     def test_increasing_radii_exit_one(self, capsys, command):
         # the library checks the order; the CLI reports its error
@@ -75,6 +67,12 @@ class TestExitCodes:
         (["capacity", "--method", "radial", "--knots", "4"] + FAST, "at least 8 segments"),
         (["verify-fundamental", "--points", "0", "--seed", "7"], "at least one point"),
         (["capacity", "--p", "1e12"] + FAST, "p must exceed 1"),
+        # checked for every command, whether it runs threads or not
+        (["sigma", "--threads", "0"] + FAST, "thread count must be >= 1"),
+        (["verify-fundamental", "--threads", "-2"] + FAST, "thread count must be >= 1"),
+        # SeedSequence takes a seed whole; a negative one has no stream
+        (["sigma", "--samples", "10000", "--seed", "-1"], "seed must be nonnegative"),
+        (["verify-fundamental", "--points", "20", "--seed", "-1"], "seed must be nonnegative"),
     ])
     def test_library_domain_error_exits_one(self, capsys, argv, message):
         assert main(argv) == 1
@@ -158,11 +156,15 @@ class TestExitCodes:
         (["sigma", "--c", "1e200"], "c^2 must be a finite float"),
         (["capacity", "--r", "1e-5", "--p", "1.01", "--method", "mc"], "leaves the float range"),
         (["capacity", "--r", "1e-5", "--p", "1.01", "--method", "all"], "leaves the float range"),
+        # near p = 1: the slope psi^(alpha-1) at r = 0.05 (a NaN pairing
+        # before), and the normalization constant itself (-0.0 before)
+        (["dirac", "--p", "1.01", "--seed", "3"], "not a nonzero finite float"),
+        (["dirac", "--p", "1.003"], "normalization constant"),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "density-huge-radii",
             "capacity-mc-huge-R", "density-inf-ratio", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
-            "capacity-all-tiny-r-p-1.01"])
+            "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003"])
     def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
         assert main(argv + FAST) == 1
         captured = capsys.readouterr()
@@ -317,6 +319,14 @@ class TestCommands:
         names = [r["name"] for r in json.loads(out)["results"]]
         assert "normalization_constant" in names
 
+    def test_dirac_near_p_one_is_finite(self, capsys):
+        # alpha = -149: the slope psi^(alpha-1) is a float down to r = 0.05
+        assert main(["dirac", "--p", "1.02", "--seed", "3", "--samples", "10000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = [r["value"] for r in json.loads(captured.out)["results"]]
+        assert all(math.isfinite(v) for v in values)
+
     def test_capacity_all_methods(self, capsys):
         code, out = run_cli(
             capsys,
@@ -348,6 +358,19 @@ class TestCommands:
         code, out = run_cli(capsys, ["sigma", "--x0", "0.5,-0.5,1.0"] + FAST)
         assert code == 0
         assert json.loads(out)["config"]["x0"] == [0.5, -0.5, 1.0]
+
+    def test_negative_first_x0_coordinate(self, capsys, tmp_path):
+        # argparse takes a bare "-1,0,0" for an option; "--x0=-1,0,0" is a value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x0 = -1,0,0\n")
+        reports = []
+        for argv in (["--x0=-1,0,0"], ["--config", str(cfg)]):
+            code, out = run_cli(capsys, ["verify-infinity"] + argv + FAST)
+            assert code == 0
+            reports.append(json.loads(out))
+            del reports[-1]["duration_s"]
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["x0"] == [-1.0, 0.0, 0.0]
 
 
 class TestReports:

@@ -16,7 +16,6 @@ from sublap import (
     FundamentalProfile,
     GaugePsi,
     Jet2,
-    LinearCombination,
     SpaceParams,
     horizontal_gradient,
     sample_points,
@@ -67,17 +66,10 @@ def bump_h(bump):
 
 
 def test_bump_d_dh_is_the_derivative_of_the_bump(params):
-    bump = CutoffBump(params, 1.3, amplitude=1.7)
+    bump = CutoffBump(params, 1.3)
     h = bump_h(bump)
     np.testing.assert_allclose(bump.d_dh_of_h(h), d_dh(bump, h), rtol=RTOL, atol=0.0)
     assert not bump.d_dh_of_h(h)[-2:].any()
-
-
-def test_combination_d_dh_is_the_derivative_of_the_combination(params):
-    outer = CutoffBump(params, 1.3, amplitude=1.7)
-    phi = LinearCombination([outer, CutoffBump(params, 0.8)], [2.0, -0.5])
-    h = bump_h(outer)
-    np.testing.assert_allclose(phi.d_dh_of_h(h), d_dh(phi, h), rtol=RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, P])

@@ -106,7 +106,7 @@ class TestFiniteRadiusEstimates:
 
     def test_shell_integral_extrapolated(self, setup):
         params, p = setup
-        bump = CutoffBump(params, 1.5, amplitude=1.3)
+        bump = CutoffBump(params, 1.5)
         g = on_rho(params, lambda h: reference_bump(bump, h))
         est = shell_integral_extrapolated(params, p, 1.0, bump, SAMPLES, 42)
         assert_within_z(est, shell_exact(params, p, g, 1.0))

@@ -1,7 +1,7 @@
 import pytest
 
 from sublap import DomainError
-from sublap.extrapolation import geometric_limit, limit_table, richardson_weights
+from sublap.extrapolation import geometric_limit, limit_table
 from sublap.montecarlo import MCEstimate
 
 RADII = [0.4, 0.2, 0.1]
@@ -55,17 +55,3 @@ class TestLimitTable:
         assert not table.extrapolation.fallback
         assert table.limit == table.extrapolation.limit == pytest.approx(1.0, rel=1e-9)
 
-
-class TestRichardsonWeights:
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_cancel_even_powers(self, m):
-        c = richardson_weights(m)
-        steps = [0.5**i for i in range(m)]
-        assert sum(c) == pytest.approx(1.0, abs=1e-15)
-        for power in range(2, 2 * m, 2):
-            assert sum(ci * s**power for ci, s in zip(c, steps)) == pytest.approx(0.0, abs=1e-15)
-
-    @pytest.mark.parametrize("m", [1, 4])
-    def test_two_or_three_samples(self, m):
-        with pytest.raises(DomainError):
-            richardson_weights(m)

@@ -19,9 +19,9 @@ from helpers import (
 )
 
 from sublap import (
+    ConfigurationError,
     CutoffBump,
     FundamentalProfile,
-    LinearCombination,
     Polynomial,
     SpaceParams,
     annulus_capacity,
@@ -89,11 +89,12 @@ def test_ball_measure(params, threads):
     assert_same(est, ref)
 
 
-def shell_reference(params, phi_values, R, stream, fracs=(0.1, 0.05, 0.025)):
+def shell_reference(params, phi_values, R, stream):
     """The Richardson limit over three halving shell widths d_i as one
     integrand: phi times the sum of c_i / (2 d_i) over the shells holding
     the point, c = (1, -20, 64) / 45."""
     k4 = 4 * params.k
+    fracs = (0.1, 0.05, 0.025)
     shells = [((R - f * R) ** k4, (R + f * R) ** k4, c / (2.0 * f * R))
               for f, c in zip(fracs, (1 / 45, -20 / 45, 64 / 45))]
 
@@ -108,7 +109,7 @@ def shell_reference(params, phi_values, R, stream, fracs=(0.1, 0.05, 0.025)):
 
 
 def test_shell_integral_with_bump(params, threads):
-    bump = CutoffBump(params, 1.1, amplitude=1.7)
+    bump = CutoffBump(params, 1.1)
     est = shell_integral_extrapolated(params, P, 1.0, bump, SAMPLES, SEED, threads,
                                       stream=(6, 0))
     ref = shell_reference(params, lambda pts, h: reference_bump(bump, h), 1.0, (6, 0))
@@ -129,14 +130,13 @@ def test_shell_integral_with_polynomial(params, threads):
 
 def test_weak_pairing(params, threads):
     u = FundamentalProfile(params, P, scale=normalization(params, P, 1.9))
-    phi = LinearCombination([CutoffBump(params, 1.0), CutoffBump(params, 0.8)], [1.0, 0.5])
+    phi = CutoffBump(params, 1.0)
     r, R, k, k4 = 0.2, 1.2, params.k, 4 * params.k
 
     def weight(pts, sigma, h):
         psi = h ** (1.0 / k4)
         s_u = u.eta_prime(psi)
-        s_phi = reference_bump_d_dh(phi.fields[0], h) + 0.5 * reference_bump_d_dh(
-            phi.fields[1], h)
+        s_phi = reference_bump_d_dh(phi, h)
         return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (4 * k - 1.0)
                 * grad_psi_norm_pow(params, sigma, h, P))
 
@@ -185,13 +185,17 @@ def test_back_to_back_runs_match_reference(monkeypatch):
     assert (mean, stderr, acc) == ref
     assert acc > 0.8 * SAMPLES
 
-    bump = CutoffBump(three, 1.1, amplitude=1.7)
-    fracs = (0.01, 0.005, 0.0025)
-    est = shell_integral_extrapolated(three, P, 1.0, bump, SAMPLES, SEED, 1,
-                                      delta_fracs=fracs, stream=(6, 0))
-    assert_same(est, shell_reference(three, lambda pts, h: reference_bump(bump, h),
-                                     1.0, (6, 0), fracs))
-    assert 0 < est.accepted < 0.05 * SAMPLES
+    # a thin weighted band 0.99 < psi < 1.01 in R^3
+    bump = CutoffBump(three, 1.1)
+    k4 = 4 * three.k
+    band = Band(p=P, hi=1.01**k4, weight=lambda h, _: bump.values_of_h(h), lo=0.99**k4)
+    est = _mc_over_box(three, ball_spec(three, 1.01), band, SAMPLES, SEED, (6, 0), 1)
+    ref = reference_mc(three, 1.01, reference_band(
+        three, 0.99**k4, 1.01**k4,
+        lambda pts, sigma, h: reference_bump(bump, h) * power(three, P)(pts, sigma, h)),
+        SAMPLES, SEED, (6, 0))
+    assert est == ref
+    assert 0 < est[2] < 0.05 * SAMPLES
 
     for params, samples, threads in ((three, 10**4, 1), (seven, SAMPLES, 8)):
         est = ball_measure(params, P, 1.3, samples, SEED, threads, stream=(4, 0))
@@ -252,6 +256,15 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert montecarlo.usable_cpus() == 3
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     assert montecarlo.usable_cpus() == 1
+
+
+def test_thread_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
+    assert montecarlo.resolve_threads(None) == 3
+    assert montecarlo.resolve_threads(5) == 5
+    for bad in (0, -2):
+        with pytest.raises(ConfigurationError, match="thread count must be >= 1"):
+            montecarlo.resolve_threads(bad)
 
 
 @pytest.mark.parametrize("block_rows", [1000, 4096, 1 << 16])

@@ -3,6 +3,7 @@ import pytest
 from helpers import shell_bump_quadrature, sigma_p_quadrature
 
 from sublap import (
+    ConfigurationError,
     Constant,
     CutoffBump,
     DomainError,
@@ -19,7 +20,7 @@ from sublap import (
     weak_pairing,
 )
 from sublap.fields import gauge_parts, grad_psi_norm_pow
-from sublap.montecarlo import STREAM_BALL
+from sublap.montecarlo import SHELL_FRACTIONS, SHELL_WEIGHTS, STREAM_BALL
 
 SAMPLES = 2 * 10**5
 
@@ -37,10 +38,16 @@ class TestDeterminism:
         e2 = ball_measure(setup_b, 3.0, 1.5, SAMPLES, 7)
         assert e1 == e2
 
-    def test_env_var_thread_override(self, setup_a, monkeypatch):
-        monkeypatch.setenv("SUBLAP_THREADS", "2")
-        e = sigma_p(setup_a, 2.0, SAMPLES, 42)
-        assert e.mean == sigma_p(setup_a, 2.0, SAMPLES, 42, threads=1).mean
+    def test_seeds_do_not_alias_modulo_two_to_the_64(self, setup_a):
+        # SeedSequence takes the seed whole: 1 and 2^64 + 1 are two streams
+        one = sigma_p(setup_a, 2.0, 10**4, 1)
+        assert one.mean != sigma_p(setup_a, 2.0, 10**4, 2**64 + 1).mean
+
+    def test_negative_seed_raises(self, setup_a):
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            sigma_p(setup_a, 2.0, 10**4, -1)
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            sample_points(setup_a, 5, -1)
 
 
 class TestSigmaP:
@@ -164,11 +171,19 @@ class TestShellIntegral:
         assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_delta_validation(self, setup_a):
-        # the widest shell must keep 0 < delta < R/2
-        for fracs in ((0.6, 0.3, 0.15), (0.0, 0.0, 0.0), (-0.1, -0.05, -0.025)):
-            with pytest.raises(DomainError):
-                shell_integral_extrapolated(setup_a, 2.0, 1.0, Constant(1.0, 3), SAMPLES, 2,
-                                            delta_fracs=fracs)
+        # the half-widths are fractions of R: R <= 0 makes them <= 0
+        for R in (0.0, -1.0):
+            with pytest.raises(DomainError, match="radius must be positive"):
+                shell_integral_extrapolated(setup_a, 2.0, R, Constant(1.0, 3), SAMPLES, 2)
+
+    def test_widths_halve_and_weights_cancel_d2_and_d4(self):
+        fracs, weights = SHELL_FRACTIONS, SHELL_WEIGHTS
+        assert len(fracs) == len(weights) == 3
+        assert all(b == a / 2 for a, b in zip(fracs, fracs[1:]))
+        assert sum(weights) == pytest.approx(1.0, abs=1e-15)
+        for power in (2, 4):
+            bias = sum(c * (f / fracs[0]) ** power for c, f in zip(weights, fracs))
+            assert bias == pytest.approx(0.0, abs=1e-15)
 
     def test_surface_ratio(self, setup_a):
         # S(dB_2)/S(dB_1) = 2^(Q-1) = 8 after width extrapolation
@@ -187,13 +202,6 @@ class TestShellIntegral:
                 est = shell_integral_extrapolated(params, 2.0, R, one, SAMPLES, 6)
                 target = params.Q * sig * R ** (params.Q - 1.0)
                 assert abs(est.mean - target) <= 4.0 * est.stderr
-
-    @pytest.mark.parametrize("fracs", [(0.6, 0.3), (0.1, 0.06), (0.1,)])
-    def test_width_validation(self, setup_a, fracs):
-        with pytest.raises(DomainError):
-            shell_integral_extrapolated(
-                setup_a, 2.0, 1.0, Constant(1.0, 3), SAMPLES, 2, delta_fracs=fracs
-            )
 
     def test_bump_matches_quadrature_oracle(self, setup_a):
         # the estimate's mean is the Richardson sum of the three shells

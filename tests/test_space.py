@@ -194,3 +194,11 @@ class TestNormalization:
             normalization(setup_a, 2.0, 0.0)
         with pytest.raises(DomainError):
             normalization(setup_a, 4.0, -1.0)
+
+    @pytest.mark.parametrize("sigma_p,constant", [(3.0, "-0.0"), (1e-3, "inf")],
+                             ids=["underflow", "overflow"])
+    def test_rejects_a_constant_outside_the_float_range(self, setup_a, sigma_p, constant):
+        # p = 1.003: the power 1/(1-p) = -333.3 takes Q sigma_p to 0, or
+        # raises a Python OverflowError
+        with pytest.raises(DomainError, match=f"is {constant}, not a nonzero finite float"):
+            normalization(setup_a, 1.003, sigma_p)
