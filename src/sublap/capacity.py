@@ -6,21 +6,22 @@ the energy of any radial profile eta(psi) into
     Q sigma_p * integral_r^R |eta'(rho)|^p rho^(Q-1) drho,
 
 so the sigma_p factor is common to every method and cancels in comparisons.
-The radial method minimizes that integral over piecewise-linear profiles,
-whose minimizer is explicit (`minimize_radial`).  The full-dimensional MC
+The radial method minimizes that integral over piecewise-linear profiles
+on knots that crowd where the extremal profile falls, whose minimizer is
+explicit (`minimize_radial`).  The full-dimensional MC
 energy is divided by the closed-form sigma_p (`space.sigma_p_exact`), so its
 stderr is the energy run's alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .fields import AnnulusPotential
-from .montecarlo import Band, MCEstimate, STREAM_ENERGY, _mc_over_box, ball_spec
+from .montecarlo import Band, MCEstimate, STREAM_ENERGY, _estimate, _mc_over_box, ball_spec
 from .space import SpaceParams, check_p, exponents, sigma_p_exact
 
 __all__ = [
@@ -77,6 +78,8 @@ class CapacityResult:
     method: str                       # closed-form | radial-variational | mc-energy
     value: float                      # in units of sigma_p
     stderr: float | None = None
+    samples: int | None = None        # mc-energy: the points used and the replicates
+    replicates: int | None = None
 
 
 def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> CapacityResult:
@@ -122,17 +125,46 @@ def radial_energy(params: SpaceParams, p: float, profile: RadialProfile) -> floa
     return float(np.sum(np.abs(slopes) ** p * weights))
 
 
+def _log_knots(params: SpaceParams, p: float, r: float, R: float, m_knots: int) -> np.ndarray:
+    """log rho_i of m_knots segments of [r, R] equal in rho^beta, beta =
+    alpha / 3, and in log rho at p == Q: log rho_i = log r + log1p(t_i
+    expm1(beta log(R/r))) / beta, t_i = i / m_knots, with the ends log r and
+    log R exactly.
+
+    A segment of width d at rho adds about d^3 |eta''|^2 |eta'|^(p-2)
+    rho^(Q-1) to the energy of the extremal profile eta = rho^alpha, which
+    is rho^(alpha - 3) d^3 for every p; equal shares take a knot density
+    rho^(alpha/3 - 1), the knots equal in rho^(alpha/3).  They crowd where
+    the profile falls, so Q = 202 or R/r = 1e10 keep the accuracy of the
+    mild setups (there, knots equal in rho are off by up to 1e104, and
+    knots equal in rho^alpha by 3e-3).
+    """
+    alpha = exponents(params, p).alpha
+    log_r, log_ratio = np.log(r), np.log(R) - np.log(r)
+    t = np.arange(m_knots + 1) / m_knots
+    if alpha is None:
+        steps = t * log_ratio
+    else:
+        beta = alpha / 3.0
+        with np.errstate(divide="ignore"):  # log1p(-1) at t = 1 when the ratio underflows
+            steps = np.log1p(t * np.expm1(beta * log_ratio)) / beta
+    out = log_r + steps
+    out[0], out[-1] = log_r, np.log(R)
+    return out
+
+
 def minimize_radial(
     params: SpaceParams, p: float, r: float, R: float, m_knots: int
 ) -> tuple[RadialProfile, float]:
-    """The exact minimizer of the radial energy over m_knots equal segments
-    of [r, R] (sigma_p units), and its energy.
+    """The exact minimizer of the radial energy over the m_knots segments of
+    `_log_knots`, in sigma_p units, and its energy.
 
     The energy sum_i w_i |s_i|^p, with w_i = diff(rho^Q)_i and the slopes
     tied by sum_i s_i drho_i = -1, is minimized where p w_i |s_i|^(p-1) is
     proportional to drho_i: |s_i| = a_i / S with a_i = (drho_i / w_i)^(1/(p-1))
     and S = sum_j drho_j a_j, at energy S^(1-p).  The drops |s_i| drho_i
-    are a softmax of log(drho_i a_i), so p near 1 neither under- nor overflows.
+    are a softmax of log(drho_i a_i), so p near 1 neither under- nor
+    overflows, and drho_i and w_i stay in logs, finite where rho^Q overflows.
     """
     if m_knots < 8:
         raise DomainError(f"need at least 8 segments, got {m_knots}")
@@ -140,11 +172,13 @@ def minimize_radial(
         raise DomainError(f"need 0 < r < R < inf, got r={r}, R={R}")
     check_p(p)
     Q = params.Q
-    rho = np.linspace(r, R, m_knots + 1)
-    drho = np.diff(rho)
-    # log w_i, finite where rho^Q overflows
-    log_w = Q * np.log(rho[1:]) + np.log(-np.expm1(-Q * np.log1p(drho / rho[:-1])))
-    log_drops = np.log(drho) + (np.log(drho) - log_w) / (p - 1.0)
+    log_rho = _log_knots(params, p, r, R, m_knots)
+    dlog = np.diff(log_rho)
+    if not np.all(dlog > 0):
+        raise DomainError(f"the knots of [{r!r}, {R!r}] at p={p!r} are not distinct floats")
+    log_drho = log_rho[:-1] + np.log(np.expm1(dlog))
+    log_w = Q * log_rho[1:] + np.log(-np.expm1(-Q * dlog))
+    log_drops = log_drho + (log_drho - log_w) / (p - 1.0)
     top = log_drops.max()
     log_s = top + np.log(np.sum(np.exp(log_drops - top)))
     with np.errstate(over="ignore"):  # an inf energy is rejected below
@@ -155,6 +189,8 @@ def minimize_radial(
     # near 1 keeps its digits instead of being 1 minus almost 1
     values = np.append(np.cumsum(np.exp(log_drops - log_s)[::-1])[::-1], 0.0)
     values[0] = 1.0
+    rho = np.exp(log_rho)
+    rho[0], rho[-1] = r, R
     return RadialProfile(rho, values), energy
 
 
@@ -172,13 +208,12 @@ def mc_energy(
         return np.abs(potential.eta_prime(h ** (1.0 / (4 * k)))) ** p
 
     band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
-    mean, stderr, acc = _mc_over_box(
-        params, spec, band, samples, seed, (STREAM_ENERGY, 0), threads
+    est = _estimate(
+        _mc_over_box(params, spec, band, samples, seed, (STREAM_ENERGY, 0), threads),
+        samples, seed,
     )
     sigma = sigma_p_exact(params, p)
-    return MCEstimate(
-        mean=mean / sigma, stderr=stderr / sigma, samples=samples, seed=seed, accepted=acc
-    )
+    return replace(est, mean=est.mean / sigma, stderr=est.stderr / sigma)
 
 
 METHODS = ("closed-form", "radial-variational", "mc-energy")
@@ -200,5 +235,6 @@ def annulus_capacity(
         return CapacityResult(method=method, value=energy)
     if method == "mc-energy":
         est = mc_energy(params, p, r, R, samples, seed, threads)
-        return CapacityResult(method=method, value=est.mean, stderr=est.stderr)
+        return CapacityResult(method=method, value=est.mean, stderr=est.stderr,
+                              samples=est.samples, replicates=est.replicates)
     raise DomainError(f"unknown capacity method {method!r}")

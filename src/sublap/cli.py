@@ -220,12 +220,17 @@ def _validate(cfg: RunConfig) -> None:
     resolve_threads(cfg.threads)  # so a bad --threads exits 1 for every command
 
 
-def _record(name, value, stderr=None, tol=None, passed=None, exact=False) -> dict:
+def _record(name, value, stderr=None, tol=None, passed=None, exact=False, run=None) -> dict:
+    """One report record; `run`, an MC estimate (or capacity result) with
+    samples, adds the points it used and its replicates."""
     rec = {"name": name, "value": float(value)}
     if stderr is not None:
         rec["stderr"] = float(stderr)
     else:
         rec["exact"] = bool(exact)
+    if run is not None and run.samples is not None:
+        rec["samples"] = int(run.samples)
+        rec["replicates"] = int(run.replicates)
     if tol is not None:
         rec["tol"] = float(tol)
     if passed is not None:
@@ -240,7 +245,7 @@ def _limit_records(table: LimitTable, label: str, error_name: str, tol: float,
     to the finest radius, and the fitted rate when it did not (a fallback
     has none)."""
     out = [
-        _record(f"{label}={r:g}", e.mean, stderr=e.stderr)
+        _record(f"{label}={r:g}", e.mean, stderr=e.stderr, run=e)
         for r, e in zip(table.radii, table.estimates)
     ]
     out += notes
@@ -260,14 +265,28 @@ def _cmd_verify_fundamental(cfg: RunConfig) -> list[dict]:
     pts = sample_points(params, cfg.points, cfg.seed)
     profile = FundamentalProfile(params, cfg.p)
     log_case = is_log_case(params, cfg.p)
-    lap = p_laplacian(params, profile, pts, cfg.p)
-    # scale 1 + |grad_0 f|^(p-1) / psi, with |grad_0 f| = |eta'(psi)| |grad_0 psi|
     sigma, _, h = gauge_parts(params, pts)
     psi = h ** (1.0 / (4 * params.k))
-    q = cfg.p - 1.0
-    grad_pow = np.abs(profile.eta_prime(psi)) ** q * grad_psi_norm_pow(params, sigma, h, q)
-    scale = 1.0 + grad_pow / psi
-    worst = float(np.max(np.abs(lap) / scale))
+    # near p = 1, alpha = (Q - p)/(1 - p) takes the slope of psi^alpha out of
+    # the float range before any jet is formed (Q = 4, p = 1.003), or only the
+    # p-Laplacian's powers of |grad_0 f| at some rows (Q = 4, p = 1.01):
+    # either way the run has no residual to report
+    with np.errstate(all="ignore"):
+        slope = np.abs(profile.eta_prime(psi))
+        slope_sq = slope * slope
+    if not (np.all(np.isfinite(slope_sq)) and np.all(slope_sq > 0.0)):
+        raise DomainError(f"the profile's slope leaves the float range at p={cfg.p!r} "
+                          f"on the sampled psi in [{psi.min():.6g}, {psi.max():.6g}]")
+    with np.errstate(all="ignore"):
+        lap = p_laplacian(params, profile, pts, cfg.p)
+        # scale 1 + |grad_0 f|^(p-1) / psi, with |grad_0 f| = |eta'(psi)| |grad_0 psi|
+        q = cfg.p - 1.0
+        grad_pow = slope**q * grad_psi_norm_pow(params, sigma, h, q)
+        scaled = np.abs(lap) / (1.0 + grad_pow / psi)
+    if not np.all(np.isfinite(scaled)):
+        raise DomainError(f"the scaled p-Laplacian of the profile leaves the float range "
+                          f"at p={cfg.p!r}")
+    worst = float(np.max(scaled))
     name = "max_scaled_p_laplacian_log_profile" if log_case else "max_scaled_p_laplacian_profile"
     return [_record(name, worst, tol=cfg.tol, passed=worst <= cfg.tol, exact=True)]
 
@@ -299,7 +318,7 @@ def _cmd_bracket_report(cfg: RunConfig) -> list[dict]:
 def _cmd_sigma(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     est = sigma_p(params, cfg.p, cfg.samples, cfg.seed, cfg.threads)
-    return [_record("sigma_p", est.mean, stderr=est.stderr)]
+    return [_record("sigma_p", est.mean, stderr=est.stderr, run=est)]
 
 
 def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
@@ -317,8 +336,8 @@ def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
     ]
     out = []
     normalized = [(e.mean / R**Q, e.stderr / R**Q) for e, R in zip(ests, radii)]
-    for Ri, (vi, si) in zip(radii, normalized):
-        out.append(_record(f"ball_measure_over_R^Q@R={Ri:g}", vi, stderr=si))
+    for Ri, (vi, si), e in zip(radii, normalized, ests):
+        out.append(_record(f"ball_measure_over_R^Q@R={Ri:g}", vi, stderr=si, run=e))
     for idx in range(len(radii) - 1):
         (va, sa), (vb, sb) = normalized[idx], normalized[idx + 1]
         gap = abs(va - vb)
@@ -359,7 +378,7 @@ def _cmd_capacity(cfg: RunConfig) -> list[dict]:
     ]
     out = [
         _record(f"capacity[{res.method}]", res.value, stderr=res.stderr,
-                exact=res.stderr is None)
+                exact=res.stderr is None, run=res)
         for res in results
     ]
     if cfg.method == "all":

@@ -47,8 +47,9 @@ def gauge_work(rows: int) -> np.ndarray:
 def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: np.ndarray):
     """(Sigma, tau, h) of N points, built one coordinate column at a time.
 
-    The points are the rows of `cols` (N, dim) or, given a box, the rows of
-    lo + cols * width (then `cols` holds uniform draws in [0, 1)); no
+    `cols` (dim, N) holds one row per coordinate, contiguous for the MC
+    kernel's blocks: the points are its columns or, given a box, the
+    columns of lo + cols * width (then `cols` holds uniforms in [0, 1)); no
     (N, dim) point array is formed.  Sigma adds the squared horizontal
     offsets in the order of numpy's einsum("ij,ij->i") kernel on its
     two-lane (SSE2) baseline: even and odd columns in separate lanes, each
@@ -61,15 +62,15 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: n
     """
     n2 = 2 * params.n
     x0 = params.x0
-    rows = cols.shape[0]
+    rows = cols.shape[1]
     lanes, tmp, tau, h = work[:2, :rows], work[2, :rows], work[3, :rows], work[4, :rows]
 
     def offset(j, out):
         """out = coordinate j of the points minus x0[j]."""
         if width is None:
-            np.subtract(cols[:, j], x0[j], out=out)
+            np.subtract(cols[j], x0[j], out=out)
         else:
-            np.multiply(cols[:, j], width[j], out=out)
+            np.multiply(cols[j], width[j], out=out)
             out += lo[j]
             out -= x0[j]
 
@@ -105,7 +106,7 @@ def gauge_parts(params: SpaceParams, pts: np.ndarray):
     pts = as_points(params, pts)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must have shape (N, {params.dim}), got {pts.shape}")
-    return column_gauge_parts(params, pts, None, None, gauge_work(pts.shape[0]))
+    return column_gauge_parts(params, pts.T, None, None, gauge_work(pts.shape[0]))
 
 
 def grad_psi_norm_pow(params: SpaceParams, sigma, h, q: float) -> np.ndarray:

@@ -1,11 +1,24 @@
-"""Seeded, shard-parallel Monte Carlo over gauge balls and shells.
+"""Seeded, shard-parallel randomized quasi-Monte Carlo over gauge balls and shells.
 
 Sampling is rejection from the anisotropic bounding box of a gauge ball:
 {psi < R} sits inside |x_l - a_l| <= R |c|^(-1/(2k)), |t - s| <= R^(2k).
-Every run draws in fixed-size shards reduced in index order.  Each shard
-has its own SFC64 generator, seeded by numpy's SeedSequence from the
-nonnegative user seed, taken whole, with the spawn key (purpose, index,
-shard), so results are bit-identical for a given seed regardless of the
+The points in the box's unit cube are a randomly shifted rank-1 lattice: R
+replicates of N = 2^m points, point i of replicate j at frac(i z / N +
+shift_j).  z is the Korobov vector (1, a, a^2, ...) mod N of the multiplier
+`KOROBOV[m][n - 1]` (n > 8 extends the n = 8 vector), which
+tools/korobov_search.py found by the P_2 criterion.  Each shift makes its
+replicate mean an unbiased estimate, and the R means are independent, so
+the stderr is their sample standard deviation over sqrt(R).  A run asked
+for `samples` points uses R N of them (`lattice_shape`): N the largest power
+of two, up to 2^16, with R = samples // N at least MIN_REPLICATES, so more
+than 96% of those asked for, and that count is what an MCEstimate reports.
+
+The R shifts are drawn at once, (R, dim), by one SFC64 generator per run,
+seeded by numpy's SeedSequence from the nonnegative user seed, taken whole,
+with the spawn key (purpose, index).  The unshifted lattice (dim, N) is
+built once per run and shared read-only by the workers.  A run's R N points
+are cut into fixed-size shards, each holding whole replicates, reduced in
+index order, so results are bit-identical for a given seed regardless of the
 worker count.  A run starts at most one worker thread per shard and per
 usable CPU, whatever thread count it is given.
 
@@ -18,22 +31,22 @@ diverges: for k < 1/2 and p >= 2n/(1-2k) it blows up on the axis
 {Sigma = 0}, which crosses every band, so every estimator raises there.
 The Richardson limit of the thin-shell surface integrals is one band too:
 the shells of halving widths (`SHELL_FRACTIONS`) are nested, so a step
-weight over the widest shell combines them in one run, on one set of draws.
+weight over the widest shell combines them in one run, on one set of points.
 
-A shard draws its uniforms in blocks of BLOCK_ROWS rows, row-major; its
-generator yields the same doubles in the same order whatever the block
-size.  Each block goes straight to (Sigma, tau, h) one coordinate column at
-a time (`fields.column_gauge_parts`), with no (N, dim) point array.  The
-band's mask becomes the accepted rows' indices (`np.flatnonzero`), which
-gather their Sigma and h with `take`, and the band's weight sees only their
-h; a weight that needs the points themselves (a field that is not a
-function of h) rebuilds them from the uniforms of those rows alone.  The
-accepted rows' values are scattered by index into one shard-length array.
-Indices gather and scatter the same elements in the same order as the
-mask, several times faster.  The shard's values are summed once, and then
-squared in place and summed again, both by numpy's own reduction and not
-by a BLAS dot product, so neither the block size nor the BLAS thread count
-changes a bit of the result.
+A shard maps its points in blocks of BLOCK_ROWS rows; a block covers whole
+replicates or part of one.  Its uniforms are one contiguous column per
+coordinate, (dim, rows): the unshifted lattice's columns plus the shift,
+wrapped into [0, 1) by np.floor and a subtract.  Each block goes straight to
+(Sigma, tau, h) one coordinate column at a time (`fields.column_gauge_parts`),
+with no (N, dim) point array.  The band's mask becomes the accepted rows'
+indices (`np.flatnonzero`), which gather their Sigma and h with `take`, and
+the band's weight sees only their h; a weight that needs the points
+themselves (a field that is not a function of h) rebuilds them from the
+uniforms of those rows alone.  The accepted rows' values are scattered by
+index into one shard-length array, and each replicate's values are summed
+once, by numpy's own pairwise reduction over its N contiguous values and
+not by a BLAS dot product, so neither the block size nor the BLAS thread
+count changes a bit of the result.
 
 Each worker thread of a run makes one set of block buffers (the uniforms,
 the work array of `column_gauge_parts`, the band masks and the shard's
@@ -49,7 +62,7 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,16 +74,39 @@ from .fields import (  # noqa: F401 (gauge_parts re-exported)
 from .space import SpaceParams, check_integrable, sigma_p_exact
 
 SHARD_SIZE = 1 << 16
-# Rows drawn and mapped at a time: a block's columns stay in cache.
+# Rows mapped at a time: a block's columns stay in cache.
 BLOCK_ROWS = 1 << 14
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+# The lattice of a run has N = 2^m points, 8 <= m <= LATTICE_MAX_LOG2 (N
+# divides SHARD_SIZE, so a shard holds whole replicates), and at least
+# MIN_REPLICATES replicates, so that a z-gate on the replicate stderr (a t
+# statistic with R - 1 degrees of freedom) keeps near-Gaussian tails:
+# P(|t_31| > 4) is about 4e-4.
+LATTICE_MAX_LOG2 = 16
+MIN_REPLICATES = 32
+# KOROBOV[m][n - 1]: the odd multiplier a of the generating vector
+# (1, a, a^2, ...) mod 2^m in 2n + 1 dimensions, printed by
+# `python3 tools/korobov_search.py`.
+KOROBOV = {
+    8: (55, 21, 221, 243, 213, 243, 219, 219),
+    9: (119, 477, 203, 109, 285, 221, 373, 221),
+    10: (393, 131, 821, 563, 981, 43, 291, 373),
+    11: (1669, 899, 153, 615, 1755, 109, 109, 773),
+    12: (563, 805, 1191, 3687, 2263, 3893, 3863, 3261),
+    13: (4533, 2899, 567, 6893, 293, 6491, 1731, 5773),
+    14: (13169, 1705, 12249, 11851, 451, 13715, 10565, 3123),
+    15: (22627, 29387, 7309, 11837, 14539, 24323, 31395, 19531),
+    16: (5907, 40245, 26393, 4201, 6573, 14573, 64565, 25883),
+}
 
 # A stream is (purpose, index): the purpose names what a run estimates, the
 # index tells apart the runs of one purpose in one check (the i-th radius of
 # ahlfors, density or dirac takes (STREAM_BALL, i), (STREAM_SHELL, i) or
-# (STREAM_PAIRING, i)).  With the shard it is the SeedSequence spawn key, so
-# the estimates of one check are independent of each other while still
-# fully determined by the user seed.  Nothing re-estimates sigma_p to
+# (STREAM_PAIRING, i)).  It is the SeedSequence spawn key of a run's shifts
+# (with the shard, of sample_points' draws), so the estimates of one check
+# are independent of each other while still fully determined by the user
+# seed.  Nothing re-estimates sigma_p to
 # normalize a check: density, dirac and capacity divide by
 # `space.sigma_p_exact`.
 STREAM_BALL = 1
@@ -97,17 +133,52 @@ POINTS_MIN_SIGMA = 1e-10
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo integral: mean, standard error, sample count, seed."""
+    """A Monte Carlo integral: mean, standard error, the points used, seed,
+    the accepted points and the replicates whose means give the stderr."""
 
     mean: float
     stderr: float
     samples: int
     seed: int
     accepted: int = 0
+    replicates: int = 0
 
     @property
     def accept_fraction(self) -> float:
         return self.accepted / self.samples
+
+
+def lattice_shape(samples: int) -> tuple[int, int]:
+    """(N, R) of a run asked for `samples` points: N = 2^m the largest power
+    of two with samples / N >= MIN_REPLICATES, m capped at LATTICE_MAX_LOG2,
+    and R = samples // N replicates.  Any samples >= 1e4 gives m >= 8."""
+    m = min(LATTICE_MAX_LOG2, (samples // MIN_REPLICATES).bit_length() - 1)
+    return 1 << m, samples // (1 << m)
+
+
+def _estimate(run, samples: int, seed: int) -> MCEstimate:
+    """The MCEstimate of a kernel run's (mean, stderr, accepted) asked for `samples`."""
+    mean, stderr, accepted = run
+    points, replicates = lattice_shape(samples)
+    return MCEstimate(mean=mean, stderr=stderr, samples=points * replicates, seed=seed,
+                      accepted=accepted, replicates=replicates)
+
+
+def generating_vector(points: int, dim: int) -> np.ndarray:
+    """The Korobov vector z = (1, a, a^2, ...) mod N of the lattice of N =
+    `points` points in `dim` = 2n + 1 dimensions (the n = 8 multiplier for n > 8)."""
+    a = KOROBOV[points.bit_length() - 1][min((dim - 1) // 2, 8) - 1]
+    z = np.empty(dim, dtype=np.int64)
+    z[0] = 1
+    for j in range(1, dim):
+        z[j] = z[j - 1] * a % points
+    return z
+
+
+def unshifted_lattice(points: int, dim: int) -> np.ndarray:
+    """The lattice's points i z / N mod 1, one contiguous row per coordinate: (dim, N)."""
+    i = np.arange(points, dtype=np.int64)
+    return (generating_vector(points, dim)[:, None] * i % points) / points
 
 
 @dataclass(frozen=True)
@@ -177,6 +248,11 @@ def _shard_rng(seed: int, stream: Stream, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
+def _stream_rng(seed: int, stream: Stream) -> np.random.Generator:
+    """The generator of a kernel run's shifts."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=stream)))
+
+
 @dataclass(frozen=True)
 class Band:
     """An MC integrand: weight * |grad_0 psi|^p on the band lo < h < hi, 0 elsewhere.
@@ -201,19 +277,39 @@ class _BlockBuffers:
     """One worker's arrays for `_mc_over_box`, reused by every block and shard it runs."""
 
     def __init__(self, dim: int):
-        self.uniforms = np.empty((BLOCK_ROWS, dim))
+        self.uniforms = np.empty((dim, BLOCK_ROWS))
         self.gauge = gauge_work(BLOCK_ROWS)
         self.inside = np.empty(BLOCK_ROWS, dtype=bool)
         self.above_lo = np.empty(BLOCK_ROWS, dtype=bool)
         self.vals = np.empty(SHARD_SIZE)
 
 
-def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
-    """Plain MC of the band `integrand` over the box; returns (mean, stderr, accepted).
+def _lattice_block(lattice, shifts, first: int, out, scratch):
+    """Fill `out` (dim, rows) with the uniforms of the run's points first,
+    first + 1, ...: point i of replicate j, i + j N, is frac(lattice[:, i] +
+    shifts[j]).  `scratch` holds at least `rows` floats."""
+    points = lattice.shape[1]
+    rows = out.shape[1]
+    done = 0
+    while done < rows:
+        rep, i = divmod(first + done, points)
+        seg = min(rows - done, points - i)
+        np.add(lattice[:, i : i + seg], shifts[rep][:, None], out=out[:, done : done + seg])
+        done += seg
+    wrap = scratch[:rows]
+    for col in out:
+        np.floor(col, out=wrap)
+        col -= wrap
+    return out
 
-    Shards are reduced in index order.  Raises DomainError where the
-    integral diverges (`space.check_integrable`), and ConfigurationError
-    for a negative seed, before any draw.
+
+def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
+    """Lattice MC of the band `integrand` over the box; returns (mean, stderr, accepted).
+
+    Runs the R N points of `lattice_shape(samples)`.  Shards are reduced in
+    index order.  Raises DomainError where the integral diverges
+    (`space.check_integrable`), and ConfigurationError for a negative seed,
+    before any draw.
     """
     p = integrand.p
     check_integrable(params, p)
@@ -222,9 +318,12 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     _check_seed(seed)
     lo, width = _box(params, spec)
     weight = integrand.weight
-    n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
-    sums = np.zeros(n_shards)
-    sqsums = np.zeros(n_shards)
+    points, reps = lattice_shape(samples)
+    total = points * reps
+    lattice = unshifted_lattice(points, params.dim)
+    shifts = _stream_rng(seed, stream).random((reps, params.dim))
+    n_shards = (total + SHARD_SIZE - 1) // SHARD_SIZE
+    rep_sums = np.zeros(reps)
     accepted = np.zeros(n_shards, dtype=np.int64)
     # each worker thread makes its buffers once and keeps them for this call
     local = threading.local()
@@ -233,14 +332,16 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
         bufs = getattr(local, "bufs", None)
         if bufs is None:
             bufs = local.bufs = _BlockBuffers(params.dim)
-        count = min(SHARD_SIZE, samples - idx * SHARD_SIZE)
-        rng = _shard_rng(seed, stream, idx)
+        first = idx * SHARD_SIZE
+        count = min(SHARD_SIZE, total - first)
         vals = bufs.vals[:count]
         vals.fill(0.0)
         acc = 0
         for start in range(0, count, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, count - start)
-            U = rng.random(out=bufs.uniforms[:rows])
+            # the work array is free until column_gauge_parts fills it
+            U = _lattice_block(lattice, shifts, first + start, bufs.uniforms[:, :rows],
+                               bufs.gauge[0])
             sigma, _, h = column_gauge_parts(params, U, lo, width, bufs.gauge)
             inside = np.less(h, integrand.hi, out=bufs.inside[:rows])
             if integrand.lo is not None:
@@ -251,32 +352,31 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
                 h_in = h.take(rows_in)
                 val = grad_psi_norm_pow(params, sigma.take(rows_in), h_in, p)
                 if weight is not None:
-                    val = weight(h_in, lambda: lo + U.take(rows_in, axis=0) * width) * val
+                    val = weight(h_in, lambda: lo + U.take(rows_in, axis=1).T * width) * val
                 vals[start : start + rows][rows_in] = val
                 acc += hits
-        total = float(vals.sum())
-        # numpy's own pairwise sum: a BLAS dot's bits depend on its thread count
-        vals *= vals
-        return idx, total, float(vals.sum()), acc
+        # a shard holds whole replicates; numpy's own pairwise sum of each,
+        # since a BLAS dot's bits depend on its thread count
+        return idx, vals.reshape(-1, points).sum(axis=1), acc
+
+    def store(idx, sums, acc):
+        rep_sums[idx * SHARD_SIZE // points :][: sums.size] = sums
+        accepted[idx] = acc
 
     # more workers than CPUs only add threads and buffers: no bit depends on the count
     workers = min(resolve_threads(threads), usable_cpus(), n_shards)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, s, ss, acc in pool.map(run_shard, range(n_shards)):
-                sums[idx], sqsums[idx], accepted[idx] = s, ss, acc
+            for result in pool.map(run_shard, range(n_shards)):
+                store(*result)
     else:
         for idx in range(n_shards):
-            _, s, ss, acc = run_shard(idx)
-            sums[idx], sqsums[idx], accepted[idx] = s, ss, acc
+            store(*run_shard(idx))
 
-    vol = spec.volume
-    raw_mean = float(sums.sum()) / samples
-    raw_var = max(float(sqsums.sum()) / samples - raw_mean**2, 0.0)
-    if samples > 1:
-        raw_var *= samples / (samples - 1.0)
-    mean = vol * raw_mean
-    stderr = vol * float(np.sqrt(raw_var / samples))
+    means = rep_sums * (spec.volume / points)
+    mean = float(means.sum()) / reps
+    means -= mean
+    stderr = math.sqrt(float((means * means).sum()) / (reps * (reps - 1.0)))
     return mean, stderr, int(accepted.sum())
 
 
@@ -290,8 +390,8 @@ def ball_measure(
     """
     spec = ball_spec(params, R)
     band = Band(p=p, hi=R ** (4 * params.k))
-    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
+    return _estimate(_mc_over_box(params, spec, band, samples, seed, stream, threads),
+                     samples, seed)
 
 
 def sigma_p(
@@ -309,7 +409,7 @@ def shell_integral_extrapolated(
 ) -> MCEstimate:
     """Surface integral of phi over {psi = R}: the Richardson limit over
     the halving half-widths d_i = SHELL_FRACTIONS[i] * R of the thin shells,
-    in one MC run.
+    in one lattice run.
 
     The thin shell of width d is (1/(2 d)) times the integral of
     phi |grad_0 psi|^p over R - d < psi < R + d, an O(d^2)-biased
@@ -318,8 +418,8 @@ def shell_integral_extrapolated(
     the widest shell and its weight is phi times the step function that
     sums c_i / (2 d_i) over the shells holding the row, c = SHELL_WEIGHTS.
     Its mean is exactly the Richardson combination of the shell
-    integrals, and its stderr is the plain MC stderr of one integrand; the
-    widths share their draws, so no independence between them is assumed.
+    integrals, and its stderr is the replicate stderr of one integrand; the
+    widths share their points, so no independence between them is assumed.
     """
     deltas = [frac * R for frac in SHELL_FRACTIONS]
     # rejects R <= 0 (and so d <= 0) before any shell bound is formed
@@ -337,8 +437,8 @@ def shell_integral_extrapolated(
         return step * (phi.values_of_h(h) if phi.h_only else phi.values(points()))
 
     band = Band(p=p, hi=shells[0][1], weight=weight, lo=shells[0][0])
-    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
+    return _estimate(_mc_over_box(params, spec, band, samples, seed, stream, threads),
+                     samples, seed)
 
 
 def density_limit(
@@ -363,12 +463,7 @@ def density_limit(
             params, p, R, phi, samples, seed, threads, stream=(STREAM_SHELL, idx)
         )
         scale = R ** (1.0 - Q) / Q_sigma
-        out.append(
-            MCEstimate(
-                mean=scale * shell.mean, stderr=scale * shell.stderr, samples=samples,
-                seed=seed, accepted=shell.accepted,
-            )
-        )
+        out.append(replace(shell, mean=scale * shell.mean, stderr=scale * shell.stderr))
     return limit_table(radii, out, phi.values(params.x0[None])[0])
 
 
@@ -394,7 +489,7 @@ def sample_points(params: SpaceParams, count: int, seed: int) -> np.ndarray:
     while have < count:
         rows = max(count, 256)
         U = _shard_rng(seed, (STREAM_POINTS, 0), shard).random((rows, params.dim))
-        sigma, _, h = column_gauge_parts(params, U, lo, width, gauge_work(rows))
+        sigma, _, h = column_gauge_parts(params, U.T, lo, width, gauge_work(rows))
         psi = h ** (1.0 / (4 * params.k))
         keep = np.flatnonzero((psi >= POINTS_MIN_PSI) & (sigma >= POINTS_MIN_SIGMA))
         keep = keep[: count - have]

@@ -15,7 +15,9 @@ import numpy as np
 from .errors import DomainError
 from .extrapolation import LimitTable, decreasing_radii, limit_table
 from .fields import AnnulusPotential, CutoffBump, FundamentalProfile
-from .montecarlo import Band, MCEstimate, STREAM_PAIRING, Stream, _mc_over_box, ball_spec
+from .montecarlo import (
+    Band, MCEstimate, STREAM_PAIRING, Stream, _estimate, _mc_over_box, ball_spec,
+)
 from .space import SpaceParams, normalization, sigma_p_exact
 
 
@@ -74,8 +76,8 @@ def weak_pairing(
         return np.abs(s_u) ** (p - 2.0) * s_u * s_phi * (4 * k) * psi ** (4 * k - 1.0)
 
     band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
-    mean, stderr, acc = _mc_over_box(params, spec, band, samples, seed, stream, threads)
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed, accepted=acc)
+    return _estimate(_mc_over_box(params, spec, band, samples, seed, stream, threads),
+                     samples, seed)
 
 
 def dirac_limit(

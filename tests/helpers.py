@@ -209,6 +209,29 @@ def reference_mc(params, R, integrand, samples, seed, stream):
     return vol * raw_mean, vol * float(np.sqrt(raw_var / samples)), accepted
 
 
+def reference_lattice(params, R, integrand, samples, seed, stream):
+    """(mean, stderr, accepted) of integrand(pts) -> (values, accepted) over
+    the bounding box of B_R by the randomly shifted lattice, one whole point
+    array per replicate: point i of replicate j is frac(i z / N + shift_j)."""
+    from sublap.montecarlo import _stream_rng, generating_vector, lattice_shape
+
+    spec, lo, width = _reference_box(params, R)
+    N, reps = lattice_shape(samples)
+    lattice = np.outer(np.arange(N), generating_vector(N, params.dim)) % N / N  # (N, dim)
+    shifts = _stream_rng(seed, stream).random((reps, params.dim))
+    sums, accepted = np.zeros(reps), 0
+    for j in range(reps):
+        U = lattice + shifts[j]
+        U -= np.floor(U)
+        vals, acc = integrand(lo + U * width)
+        sums[j] = vals.sum()
+        accepted += acc
+    means = sums * (spec.volume / N)
+    mean = float(means.sum()) / reps
+    dev = means - mean
+    return mean, float(np.sqrt(float((dev * dev).sum()) / (reps * (reps - 1.0)))), accepted
+
+
 def reference_band(params, lo_h, hi_h, weight):
     """Integrand of the band lo_h < h < hi_h (lo_h None: h < hi_h) with
     weight(pts, Sigma, h) on the accepted points."""

@@ -182,6 +182,9 @@ class TestMinimizeRadial:
             minimize_radial(setup_a, 2.0, 1.0, 2.0, 4)
         with pytest.raises(DomainError):
             minimize_radial(setup_a, 2.0, 2.0, 1.0, 100)
+        # R one ulp above r: 400 knots cannot be distinct floats
+        with pytest.raises(DomainError, match="not distinct floats"):
+            minimize_radial(setup_a, 2.0, 2.0, 2.0000000000000004, 400)
 
     def test_weights_beyond_float_range(self):
         # rho^Q overflows at rho = 2 for Q > 1024; the weights stay in logs
@@ -189,6 +192,35 @@ class TestMinimizeRadial:
         _, energy = minimize_radial(params, 2.0, 1.0, 2.0, 400)
         assert np.isfinite(energy)
         assert energy >= closed_form_capacity(params, 2.0, 1.0, 2.0).value
+
+    @pytest.mark.parametrize("n,p,r,R", [
+        (100, 2.0, 1.0, 1000.0),   # alpha = -200: 1.1e109 on knots equal in rho
+        (1, 1.5, 1e-5, 1e5),       # R/r = 1e10: 9.9e5 against 2.8e-12
+        (600, 2.0, 1.0, 2.0),      # Q = 1202: off by 100%
+    ])
+    def test_knots_follow_the_profile(self, n, p, r, R):
+        params = SpaceParams(n, 1.0, 1.0)
+        _, energy = minimize_radial(params, p, r, R, 400)
+        closed = closed_form_capacity(params, p, r, R).value
+        assert closed <= energy <= closed * (1.0 + 1e-4)
+
+    @pytest.mark.parametrize("params,p", [
+        (SpaceParams(1, 1.0, 1.0), 2.0),
+        (SpaceParams(1, 2.0, 1.0), 2.0),
+        (SpaceParams(2, 1.5, -2.0), 2.0),
+        (SpaceParams(3, 1.5, -2.0), 3.0),
+    ], ids=["A", "B", "C", "D"])
+    def test_default_setups_within_2e_5(self, params, p):
+        # the golden setups at the CLI's r = 1, R = 2 and 400 knots
+        _, energy = minimize_radial(params, p, 1.0, 2.0, 400)
+        closed = closed_form_capacity(params, p, 1.0, 2.0).value
+        assert abs(energy - closed) <= 2e-5 * closed
+
+    def test_log_case_knots_are_geometric(self, setup_a):
+        # p = Q: knots equal in log rho
+        profile, _ = minimize_radial(setup_a, 4.0, 1.0, 2.0, 16)
+        ratios = profile.knots[1:] / profile.knots[:-1]
+        assert ratios == pytest.approx(np.full(16, 2.0 ** (1 / 16)), rel=1e-13)
 
     @pytest.mark.parametrize("r,R", [(1e-300, 1e-299), (1e200, 2e200)])
     def test_energy_beyond_float_range(self, setup_a, r, R):
@@ -218,16 +250,18 @@ class TestMinimizeRadial:
 
     @pytest.mark.parametrize("name,p", RADIAL_CASES)
     def test_bfgs_never_beats_the_formula(self, name, p):
-        # an independent numerical minimizer over the 15 interior values
+        # an independent numerical minimizer over the 15 interior values, on
+        # the formula's knots
         params = RADIAL_SETUPS[name]
-        start = RadialProfile.linear(1.0, 2.0, 16)
+        profile, energy = minimize_radial(params, p, 1.0, 2.0, 16)
+        knots = profile.knots
+        start = (2.0 - knots[1:-1]) / (2.0 - 1.0)  # the linear profile
 
         def energy_of(interior):
             values = np.concatenate(([1.0], interior, [0.0]))
-            return radial_energy(params, p, RadialProfile(start.knots, values))
+            return radial_energy(params, p, RadialProfile(knots, values))
 
-        found = minimize(energy_of, start.values[1:-1], method="BFGS")
-        _, energy = minimize_radial(params, p, 1.0, 2.0, 16)
+        found = minimize(energy_of, start, method="BFGS")
         assert found.fun >= energy * (1.0 - 1e-12)
         if p >= 1.5:  # near p = 1 BFGS stops short of the minimum
             assert found.fun <= energy * (1.0 + 1e-8)

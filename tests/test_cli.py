@@ -160,11 +160,16 @@ class TestExitCodes:
         # before), and the normalization constant itself (-0.0 before)
         (["dirac", "--p", "1.01", "--seed", "3"], "not a nonzero finite float"),
         (["dirac", "--p", "1.003"], "normalization constant"),
+        # the profile's slope at some sampled psi, and |grad_0 f|^(p-4) at
+        # some rows (NaN with exit 2 and a RuntimeWarning before)
+        (["verify-fundamental", "--p", "1.003"], "slope leaves the float range"),
+        (["verify-fundamental", "--p", "1.01"], "leaves the float range"),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "density-huge-radii",
             "capacity-mc-huge-R", "density-inf-ratio", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
-            "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003"])
+            "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",
+            "verify-fundamental-p-1.003", "verify-fundamental-p-1.01"])
     def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
         assert main(argv + FAST) == 1
         captured = capsys.readouterr()
@@ -389,6 +394,23 @@ class TestReports:
         assert {"command", "config", "results", "passed", "duration_s", "version"} <= set(report)
         for rec in report["results"]:
             assert "stderr" in rec or rec.get("exact") is not None
+
+    @pytest.mark.parametrize("argv,mc_records", [
+        (["sigma"], 1),
+        (["ahlfors"], 3),
+        (["density"], 3),
+        (["dirac"], 3),
+        (["capacity"], 1),
+        (["verify-fundamental"], 0),
+    ])
+    def test_mc_records_carry_points_and_replicates(self, capsys, argv, mc_records):
+        # 10000 samples: 39 replicates of 256 points
+        _, out = run_cli(capsys, argv + FAST)
+        counted = [r for r in json.loads(out)["results"] if "samples" in r]
+        assert len(counted) == mc_records
+        for rec in counted:
+            assert "stderr" in rec
+            assert (rec["samples"], rec["replicates"]) == (256 * 39, 39)
 
     def test_csv_projection(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--format", "csv"] + FAST)

@@ -8,7 +8,14 @@ value, and its error is pure MC error: it must sit within Z stderr.
 
 import numpy as np
 import pytest
-from helpers import coarea_quadrature, reference_bump, reference_bump_d_dh, sigma_p_quadrature
+from helpers import (
+    coarea_quadrature,
+    reference_band,
+    reference_bump,
+    reference_bump_d_dh,
+    reference_mc,
+    sigma_p_quadrature,
+)
 
 from sublap import (
     CutoffBump,
@@ -21,9 +28,11 @@ from sublap import (
     mc_energy,
     normalization,
     shell_integral_extrapolated,
+    sigma_p,
     sigma_p_exact,
     weak_pairing,
 )
+from sublap.fields import grad_psi_norm_pow
 
 SAMPLES = 2 * 10**5
 Z = 4.0
@@ -38,6 +47,12 @@ SETUPS = {
 # the default shell widths and their Richardson weights, coarsest first
 DELTA_FRACS = (0.1, 0.05, 0.025)
 RICHARDSON = (1.0 / 45.0, -20.0 / 45.0, 64.0 / 45.0)
+
+
+# setups A-D and the 9-D space at n = 4, where the box accepts 0.84% of the points
+SEED_SETUPS = dict(SETUPS, n4=(SpaceParams(4, 1.0, 1.0), 2.0))
+SEEDS = range(1, 25)
+SEED_SAMPLES = 5 * 10**4  # 48 replicates of 1024 points
 
 
 @pytest.fixture(params=sorted(SETUPS), ids=lambda name: f"setup={name}")
@@ -148,3 +163,29 @@ class TestFiniteRadiusEstimates:
         Q_sigma = params.Q * sigma_p_exact(params, p)
         for R, row in zip(radii, table.estimates):
             assert_within_z(row, R ** (1.0 - params.Q) / Q_sigma * shell_exact(params, p, g, R))
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SETUPS))
+def test_lattice_stderr_is_honest_over_seeds(name):
+    # The replicate stderr against the spread of sigma_p over 24 seeds: the
+    # mean over seeds sits within 4 of its stderrs of the closed form, and
+    # the empirical SD across seeds over the mean reported stderr lies in
+    # [0.5, 2].  A stderr that missed the lattice's variance, or a biased
+    # shift, fails one of the two.
+    params, p = SEED_SETUPS[name]
+    exact = sigma_p_exact(params, p)
+    ests = [sigma_p(params, p, SEED_SAMPLES, seed, threads=1) for seed in SEEDS]
+    means = np.array([e.mean for e in ests])
+    reported = np.mean([e.stderr for e in ests])
+    assert abs(means.mean() - exact) <= Z * reported / np.sqrt(len(ests))
+    assert 0.5 <= means.std(ddof=1) / reported <= 2.0
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SETUPS))
+def test_lattice_agrees_with_plain_mc(name):
+    params, p = SEED_SETUPS[name]
+    lattice = sigma_p(params, p, SEED_SAMPLES, 7)
+    band = reference_band(params, None, 1.0, lambda pts, sigma, h:
+                          grad_psi_norm_pow(params, sigma, h, p))
+    mean, stderr, _ = reference_mc(params, 1.0, band, SEED_SAMPLES, 7, (1, 0))
+    assert abs(lattice.mean - mean) <= Z * np.hypot(lattice.stderr, stderr)

@@ -1,8 +1,10 @@
-"""The block MC kernel against the point-array pipeline it replaced.
+"""The block lattice kernel against a whole-replicate reference.
 
 Every estimator must give exactly the mean, stderr and accepted count of
-the reference in helpers.py, at 1 and 2 threads, with a sample count that
-is a multiple of neither BLOCK_ROWS nor SHARD_SIZE and an offset base point.
+`helpers.reference_lattice`, which builds each replicate as one point
+array, at 1 and 2 threads, with a sample count that rounds down to R N
+points filling neither a whole shard nor a whole block, and an offset base
+point.
 """
 
 import sys
@@ -14,7 +16,7 @@ from helpers import (
     reference_bump,
     reference_bump_d_dh,
     reference_gauge_parts,
-    reference_mc,
+    reference_lattice,
     reference_sample_points,
 )
 
@@ -46,9 +48,11 @@ from sublap.montecarlo import (
     Band,
     _mc_over_box,
     ball_spec,
+    lattice_shape,
 )
 
-SAMPLES = 2 * SHARD_SIZE + BLOCK_ROWS + 2545  # a partial shard ending in a partial block
+# 37 replicates of 4096 points: a partial shard ending in a partial block
+SAMPLES = 37 * 4096 + 2545
 SEED = 77
 P = 2.5
 
@@ -78,13 +82,16 @@ def threads(request):
 
 
 def test_samples_split_into_partial_shard_and_block():
-    assert SAMPLES % BLOCK_ROWS and SAMPLES % SHARD_SIZE
-    assert SAMPLES % SHARD_SIZE > BLOCK_ROWS
+    points, reps = lattice_shape(SAMPLES)
+    used = points * reps
+    assert (points, reps) == (4096, 37) and used < SAMPLES
+    assert used % BLOCK_ROWS and used % SHARD_SIZE
+    assert used % SHARD_SIZE > BLOCK_ROWS
 
 
 def test_ball_measure(params, threads):
     est = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
-    ref = reference_mc(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
+    ref = reference_lattice(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
                                                    power(params, P)), SAMPLES, SEED, (4, 0))
     assert_same(est, ref)
 
@@ -105,7 +112,7 @@ def shell_reference(params, phi_values, R, stream):
         return step * phi_values(pts, h) * power(params, P)(pts, sigma, h)
 
     band = reference_band(params, shells[0][0], shells[0][1], weight)
-    return reference_mc(params, R + fracs[0] * R, band, SAMPLES, SEED, stream)
+    return reference_lattice(params, R + fracs[0] * R, band, SAMPLES, SEED, stream)
 
 
 def test_shell_integral_with_bump(params, threads):
@@ -141,7 +148,7 @@ def test_weak_pairing(params, threads):
                 * grad_psi_norm_pow(params, sigma, h, P))
 
     est = weak_pairing(params, P, u, phi, r, R, SAMPLES, SEED, threads, stream=(8, 0))
-    ref = reference_mc(params, R, reference_band(params, r**k4, R**k4, weight),
+    ref = reference_lattice(params, R, reference_band(params, r**k4, R**k4, weight),
                        SAMPLES, SEED, (8, 0))
     assert_same(est, ref)
 
@@ -157,7 +164,7 @@ def energy_reference(params, r, R, samples):
         return (np.abs(potential.eta_prime(psi)) ** P
                 * grad_psi_norm_pow(params, sigma, h, P))
 
-    mean, stderr, acc = reference_mc(params, R, reference_band(params, r**k4, R**k4, weight),
+    mean, stderr, acc = reference_lattice(params, R, reference_band(params, r**k4, R**k4, weight),
                                      samples, SEED, (STREAM_ENERGY, 0))
     sigma = sigma_p_exact(params, P)
     return mean / sigma, stderr / sigma, acc
@@ -180,17 +187,17 @@ def test_back_to_back_runs_match_reference(monkeypatch):
     hi = 64 * 1.3 ** (4 * seven.k)  # 86% of the box
     mean, stderr, acc = _mc_over_box(seven, ball_spec(seven, 1.3), Band(p=P, hi=hi),
                                      SAMPLES, SEED, (4, 0), 1)
-    ref = reference_mc(seven, 1.3, reference_band(seven, None, hi, power(seven, P)),
+    ref = reference_lattice(seven, 1.3, reference_band(seven, None, hi, power(seven, P)),
                        SAMPLES, SEED, (4, 0))
     assert (mean, stderr, acc) == ref
-    assert acc > 0.8 * SAMPLES
+    assert acc > 0.8 * np.prod(lattice_shape(SAMPLES))
 
     # a thin weighted band 0.99 < psi < 1.01 in R^3
     bump = CutoffBump(three, 1.1)
     k4 = 4 * three.k
     band = Band(p=P, hi=1.01**k4, weight=lambda h, _: bump.values_of_h(h), lo=0.99**k4)
     est = _mc_over_box(three, ball_spec(three, 1.01), band, SAMPLES, SEED, (6, 0), 1)
-    ref = reference_mc(three, 1.01, reference_band(
+    ref = reference_lattice(three, 1.01, reference_band(
         three, 0.99**k4, 1.01**k4,
         lambda pts, sigma, h: reference_bump(bump, h) * power(three, P)(pts, sigma, h)),
         SAMPLES, SEED, (6, 0))
@@ -199,7 +206,7 @@ def test_back_to_back_runs_match_reference(monkeypatch):
 
     for params, samples, threads in ((three, 10**4, 1), (seven, SAMPLES, 8)):
         est = ball_measure(params, P, 1.3, samples, SEED, threads, stream=(4, 0))
-        ref = reference_mc(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
+        ref = reference_lattice(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
                                                        power(params, P)), samples, SEED, (4, 0))
         assert_same(est, ref)
     assert 10**4 < BLOCK_ROWS and 8 > -(-SAMPLES // SHARD_SIZE)
@@ -212,7 +219,7 @@ def test_more_threads_than_cores_match_reference(monkeypatch):
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 6)
     params, samples = SPACES[2], 6 * SHARD_SIZE + 321
     band = reference_band(params, None, 1.3 ** (4 * params.k), power(params, P))
-    ref = reference_mc(params, 1.3, band, samples, SEED, (4, 0))
+    ref = reference_lattice(params, 1.3, band, samples, SEED, (4, 0))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -269,22 +276,21 @@ def test_thread_count_defaults_to_usable_cpus(monkeypatch):
 
 @pytest.mark.parametrize("block_rows", [1000, 4096, 1 << 16])
 def test_block_size_changes_no_bit(monkeypatch, threads, block_rows):
-    # a block boundary moves where the rows of a shard are drawn, gathered
-    # and scattered, never which rows or in what order
+    # a block boundary moves where the rows of a shard are mapped, gathered
+    # and scattered, never which rows or in what order: blocks of 1000 rows
+    # end inside replicates of 4096 points, blocks of 2^16 hold 16 of them
     params = SPACES[2]
     e = np.zeros((2, params.dim), dtype=int)
     e[0, 0], e[1, -1] = 2, 1
     phi = Polynomial([(1.0, e[0]), (-0.5, e[1])], params.dim)
-
-    def run():
-        return [ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0)),
-                shell_integral_extrapolated(params, P, 1.0, phi, SAMPLES, SEED, threads,
-                                            stream=(6, 0))]
-
-    default = run()
     monkeypatch.setattr(montecarlo, "BLOCK_ROWS", block_rows)
-    for est, ref in zip(run(), default):
-        assert_same(est, (ref.mean, ref.stderr, ref.accepted))
+    ball = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
+    assert_same(ball, reference_lattice(
+        params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k), power(params, P)),
+        SAMPLES, SEED, (4, 0)))
+    shell = shell_integral_extrapolated(params, P, 1.0, phi, SAMPLES, SEED, threads,
+                                        stream=(6, 0))
+    assert_same(shell, shell_reference(params, lambda pts, h: phi.values(pts), 1.0, (6, 0)))
 
 
 def test_blocks_accepting_no_row_or_every_row(params, threads):
@@ -296,9 +302,9 @@ def test_blocks_accepting_no_row_or_every_row(params, threads):
     assert empty == (0.0, 0.0, 0)
     hi = 2.0 * ((2 * params.n) ** (2 * params.k) + 1.0) * R ** (4 * params.k)
     full = _mc_over_box(params, spec, Band(p=P, hi=hi), SAMPLES, SEED, stream, threads)
-    assert full == reference_mc(params, R, reference_band(params, None, hi, power(params, P)),
+    assert full == reference_lattice(params, R, reference_band(params, None, hi, power(params, P)),
                                 SAMPLES, SEED, stream)
-    assert full[2] == SAMPLES
+    assert full[2] == np.prod(lattice_shape(SAMPLES))
 
 
 def test_sample_points_match_reference(params):
@@ -322,7 +328,7 @@ def test_sigma_matches_einsum(n, rng):
     U = rng.random((5000, params.dim))
     work = gauge_work(8000)
     work.fill(np.nan)
-    boxed = column_gauge_parts(params, U, lo, width, work)
+    boxed = column_gauge_parts(params, U.T, lo, width, work)  # one row per coordinate
     for got, want in zip(boxed, reference_gauge_parts(params, lo + U * width)):
         assert np.array_equal(got, want)
 

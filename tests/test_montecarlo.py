@@ -57,10 +57,13 @@ class TestSigmaP:
         assert abs(a.mean - b.mean) <= 3.0 * np.hypot(a.stderr, b.stderr)
 
     def test_stderr_monte_carlo_rate(self, setup_a):
+        # 100 times the points: plain MC's stderr falls 10-fold, the
+        # lattice's at least as fast (about 24-fold here: N grows from 2^8
+        # to 2^14), and no stderr of a discontinuous band falls like 1/n
         small = sigma_p(setup_a, 2.0, 10**4, 11)
         large = sigma_p(setup_a, 2.0, 10**6, 11)
         ratio = small.stderr / large.stderr
-        assert 7.0 <= ratio <= 14.0
+        assert 7.0 <= ratio <= 100.0
 
     def test_positive_and_finite(self, setup_b):
         est = sigma_p(setup_b, 2.0, SAMPLES, 5)
