@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     SingularPointError,
 )
-from .extrapolation import LimitTable
 from .fields import (
     AnnulusPotential,
     Constant,

@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .capacity import METHODS, annulus_capacity
 from .errors import ConfigurationError, DomainError
-from .extrapolation import LimitTable
 from .fields import CutoffBump, FundamentalProfile, GaugePsi, gauge_parts, grad_psi_norm_pow
 from .frame import bracket_comparison, infinity_laplacian, p_laplacian
 from .montecarlo import (
@@ -67,7 +66,8 @@ CAPACITY_RUNS = {
 }
 
 # Default tolerances: scaled 1e-8 for AD operator checks, 3 sigma for MC
-# consistency, 2% for extrapolated limits and capacity cross-checks.
+# consistency, 0.02 absolute for each density and pairing against its
+# closed-form value, and 2% for capacity cross-checks.
 # bracket-report gates nothing, so it has none (its report echoes tol 0).
 TOL_DEFAULTS = {
     "verify-fundamental": 1e-8,
@@ -238,23 +238,19 @@ def _record(name, value, stderr=None, tol=None, passed=None, exact=False, run=No
     return rec
 
 
-def _limit_records(table: LimitTable, label: str, error_name: str, tol: float,
-                   notes=()) -> list[dict]:
-    """The estimate at each radius, `notes`, the gated distance of the
-    extrapolated limit from the target, whether the extrapolation fell back
-    to the finest radius, and the fitted rate when it did not (a fallback
-    has none)."""
-    out = [
-        _record(f"{label}={r:g}", e.mean, stderr=e.stderr, run=e)
-        for r, e in zip(table.radii, table.estimates)
-    ]
-    out += notes
-    err = abs(table.limit - table.target)
-    out.append(_record(error_name, err, tol=tol, passed=err <= tol, exact=True))
-    extra = table.extrapolation
-    out.append(_record("extrapolation_fallback", 1.0 if extra.fallback else 0.0, exact=True))
-    if not extra.fallback:
-        out.append(_record("extrapolation_rate", extra.rate, exact=True))
+def _radius_records(name: str, symbol: str, radii, estimates, exact, tol: float) -> list[dict]:
+    """Per radius: the estimate `name@symbol=radius`, its closed-form value
+    from `exact` (`name_exact@...`), and the gated distance between them
+    (`name_error@...`), which carries the estimate's stderr."""
+    out = []
+    for radius, est, value in zip(radii, estimates, exact):
+        at = f"@{symbol}={radius:g}"
+        err = abs(est.mean - value)
+        out += [
+            _record(f"{name}{at}", est.mean, stderr=est.stderr, run=est),
+            _record(f"{name}_exact{at}", value, exact=True),
+            _record(f"{name}_error{at}", err, stderr=est.stderr, tol=tol, passed=err <= tol),
+        ]
     return out
 
 
@@ -341,32 +337,40 @@ def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
     for idx in range(len(radii) - 1):
         (va, sa), (vb, sb) = normalized[idx], normalized[idx + 1]
         gap = abs(va - vb)
-        lim = cfg.tol * float(np.hypot(sa, sb))
+        sigma = float(np.hypot(sa, sb))
+        lim = cfg.tol * sigma
         out.append(
             _record(
                 f"constancy_gap@R={radii[idx]:g}vs{radii[idx+1]:g}", gap,
-                tol=lim, passed=gap <= lim, exact=True,
+                stderr=sigma, tol=lim, passed=gap <= lim,
             )
         )
     return out
 
 
+def _bump_at_radii(params: SpaceParams, bump: CutoffBump, radii) -> list[float]:
+    """phi(h = radius^(4k)) at each radius: the closed-form density there,
+    and minus the closed-form pairing (see `weakform`)."""
+    return [float(bump.values_of_h(radius ** (4 * params.k))) for radius in radii]
+
+
 def _cmd_density(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     bump = CutoffBump(params, cfg.bump_radius)
-    table = density_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
-    return _limit_records(table, "density@R", "extrapolated_density_error", cfg.tol)
+    ests = density_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
+    exact = _bump_at_radii(params, bump, cfg.radii)
+    return _radius_records("density", "R", cfg.radii, ests, exact, cfg.tol)
 
 
 def _cmd_dirac(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     bump = CutoffBump(params, cfg.bump_radius)
-    table = dirac_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
+    ests = dirac_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
+    exact = [-v for v in _bump_at_radii(params, bump, cfg.radii)]
     constant = normalization(params, cfg.p, sigma_p_exact(params, cfg.p))
-    return _limit_records(
-        table, "pairing@r", "extrapolated_limit_error", cfg.tol,
-        [_record("normalization_constant", constant, exact=True)],
-    )
+    return _radius_records("pairing", "r", cfg.radii, ests, exact, cfg.tol) + [
+        _record("normalization_constant", constant, exact=True)
+    ]
 
 
 def _cmd_capacity(cfg: RunConfig) -> list[dict]:
@@ -382,12 +386,13 @@ def _cmd_capacity(cfg: RunConfig) -> list[dict]:
         for res in results
     ]
     if cfg.method == "all":
-        values = {res.method: res.value for res in results}
-        for a, b in itertools.combinations(METHODS, 2):
-            rel = abs(values[a] - values[b]) / abs(values[a])
+        for a, b in itertools.combinations(results, 2):
+            rel = abs(a.value - b.value) / abs(a.value)
+            # mc-energy, the one random method, runs last: only b has a stderr
+            stderr = None if b.stderr is None else b.stderr / abs(a.value)
             out.append(
-                _record(f"relative_gap[{a}|{b}]", rel, tol=cfg.tol,
-                        passed=rel <= cfg.tol, exact=True)
+                _record(f"relative_gap[{a.method}|{b.method}]", rel, stderr=stderr,
+                        tol=cfg.tol, passed=rel <= cfg.tol, exact=True)
             )
     return out
 

@@ -67,7 +67,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .extrapolation import LimitTable, decreasing_radii, limit_table
+from .extrapolation import decreasing_radii
 from .fields import (  # noqa: F401 (gauge_parts re-exported)
     ScalarField, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
 )
@@ -444,13 +444,16 @@ def shell_integral_extrapolated(
 def density_limit(
     params: SpaceParams, p: float, phi: ScalarField, radii, samples: int, seed: int,
     threads: int | None = None,
-) -> LimitTable:
-    """R^(1-Q)/(Q sigma_p) * surface integral of phi, for each R in radii.
+) -> list[MCEstimate]:
+    """R^(1-Q)/(Q sigma_p) * surface integral of phi, one estimate per R in
+    radii, which must be strictly decreasing.
 
-    The sequence converges to phi(x0) as R -> 0; radii must be strictly
-    decreasing, and three radii geometrically spaced.  sigma_p is the closed
-    form, so each radius' stderr is its own shell run's, and the radii stay
-    independent.
+    The surface measure of {psi = R} is Q sigma_p R^(Q-1), the R-derivative
+    of V(B_R) = sigma_p R^Q, so each value is the average of phi over the
+    sphere: exactly phi(h = R^(4k)) when phi is a function of h alone, and
+    phi(x0) in the limit R -> 0 for any continuous phi.  sigma_p is the
+    closed form, so each radius' stderr is its own shell run's, and the
+    radii stay independent.
     """
     radii = decreasing_radii(radii)
     Q = params.Q
@@ -464,7 +467,7 @@ def density_limit(
         )
         scale = R ** (1.0 - Q) / Q_sigma
         out.append(replace(shell, mean=scale * shell.mean, stderr=scale * shell.stderr))
-    return limit_table(radii, out, phi.values(params.x0[None])[0])
+    return out
 
 
 def sample_points(params: SpaceParams, count: int, seed: int) -> np.ndarray:

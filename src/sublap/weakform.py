@@ -4,8 +4,13 @@ The pairing integral over the annulus {r < psi < R},
 
     integral of |grad_0 u|^(p-2) <grad_0 u, grad_0 phi>,
 
-tends to -phi(x0) as r -> 0 when u is the correctly normalized profile
-(C1 psi^alpha for p != Q, C2 log psi for p == Q).
+equals -phi(h = r^(4k)) at every r when u is the correctly normalized
+profile (C1 psi^alpha for p != Q, C2 log psi for p == Q) and phi a
+`CutoffBump` supported in B_R.  Integration by parts on the annulus leaves
+only boundary terms: u is p-harmonic inside it, phi vanishes on
+{psi = R}, phi is the constant phi(h = r^(4k)) on {psi = r}, and the
+normalization makes the flux of |grad_0 u|^(p-2) grad_0 u through that
+sphere 1.  As r -> 0 the value tends to -phi(x0), the Dirac identity.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .extrapolation import LimitTable, decreasing_radii, limit_table
+from .extrapolation import decreasing_radii
 from .fields import AnnulusPotential, CutoffBump, FundamentalProfile
 from .montecarlo import (
     Band, MCEstimate, STREAM_PAIRING, Stream, _estimate, _mc_over_box, ball_spec,
@@ -83,14 +88,15 @@ def weak_pairing(
 def dirac_limit(
     params: SpaceParams, p: float, phi, radii, samples: int, seed: int,
     threads: int | None = None,
-) -> LimitTable:
-    """Pairing of the normalized fundamental solution against phi, per radius.
+) -> list[MCEstimate]:
+    """Pairing of the normalized fundamental solution against phi, one
+    estimate per radius.
 
-    radii must be strictly decreasing (three of them geometrically spaced)
-    and below the bump support, which is the annulus' outer radius; the
-    extrapolated r -> 0 limit should reach the table's target -phi(x0).
-    The constant is normalized by the closed-form sigma_p.  Every input is
-    checked before the first radius draws.
+    radii must be strictly decreasing and below the bump support, which is
+    the annulus' outer radius.  The estimate at r should reach
+    -phi(h = r^(4k)), exactly, by integration by parts on the annulus (see
+    the module docstring).  The constant is normalized by the closed-form
+    sigma_p.  Every input is checked before the first radius draws.
     """
     radii = decreasing_radii(radii)
     _check_bump(phi)
@@ -100,9 +106,8 @@ def dirac_limit(
     constant = normalization(params, p, sigma_p_exact(params, p))
     u = FundamentalProfile(params, p, scale=constant)
     _check_slopes(u, p, radii[-1], R)  # the smallest radius bounds them all
-    estimates = [
+    return [
         weak_pairing(params, p, u, phi, r, R, samples, seed, threads,
                      stream=(STREAM_PAIRING, idx))
         for idx, r in enumerate(radii)
     ]
-    return limit_table(radii, estimates, -phi.values(params.x0[None])[0])

@@ -205,10 +205,12 @@ def test_criterion_5_surface_and_density():
         params = SETUPS[name]
         bump = CutoffBump(params, 1.0)
         radii = [0.4, 0.2, 0.1]
-        table = density_limit(params, 2.0, bump, radii, MC_SAMPLES, SEED)
-        err = abs(table.limit - 1.0)
-        ok = ok and err <= LIMIT_TOL
-        details.append(f"{name}: density limit err {err:.3f}")
+        estimates = density_limit(params, 2.0, bump, radii, MC_SAMPLES, SEED)
+        # the exact surface average at R is phi(h = R^(4k)), -> phi(x0) = 1
+        exact = [float(bump.values_of_h(R ** (4 * params.k))) for R in radii]
+        err = max(abs(e.mean - v) for e, v in zip(estimates, exact))
+        ok = ok and err <= LIMIT_TOL and abs(exact[-1] - 1.0) <= 1e-3
+        details.append(f"{name}: density err {err:.3f} (worst radius)")
     elapsed = time.perf_counter() - start
     _verdict(5, ok, "; ".join(details) + f" ({elapsed:.1f}s)")
 
@@ -217,13 +219,16 @@ def test_criterion_6_dirac_identity():
     start = time.perf_counter()
     params = SETUPS["A"]
     bump = CutoffBump(params, 1.0)
-    ok = True
     details = []
+    radii = [0.2, 0.1, 0.05]
+    # integration by parts: the pairing at r is -phi(h = r^4), -> -phi(x0) = -1
+    exact = [-float(bump.values_of_h(r**4)) for r in radii]
+    ok = abs(exact[-1] + 1.0) <= 1e-3
     for p in (2.0, 3.0, params.Q):
-        table = dirac_limit(params, p, bump, [0.2, 0.1, 0.05], MC_SAMPLES, SEED)
-        err = abs(table.limit - (-1.0))
+        estimates = dirac_limit(params, p, bump, radii, MC_SAMPLES, SEED)
+        err = max(abs(e.mean - v) for e, v in zip(estimates, exact))
         ok = ok and err <= LIMIT_TOL
-        details.append(f"p={p:g}: limit {table.limit:+.4f} (err {err:.3f})")
+        details.append(f"p={p:g}: finest {estimates[-1].mean:+.4f} (worst err {err:.3f})")
     elapsed = time.perf_counter() - start
     _verdict(6, ok, "; ".join(details) + f"; tol {LIMIT_TOL} ({elapsed:.1f}s)")
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import SPACES
 
 import sublap
 from sublap.cli import COMMANDS, build_parser, main
@@ -148,7 +149,6 @@ class TestExitCodes:
         (["ahlfors", "--radii", "1e100,1e101"], "leaves the float range"),
         (["density", "--radii", "1e200,1e100,1"], "leaves the float range"),
         (["capacity", "--R", "1e100", "--method", "mc"], "leaves the float range"),
-        (["density", "--radii", "1e308,0.1,0.05"], "geometrically spaced"),
         (["density", "--bump-radius", "1e100"], "not a positive finite float"),
         (["dirac", "--bump-radius", "1e100"], "not a positive finite float"),
         (["density", "--bump-radius", "1e-100"], "not a positive finite float"),
@@ -166,7 +166,7 @@ class TestExitCodes:
         (["verify-fundamental", "--p", "1.01"], "leaves the float range"),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "density-huge-radii",
-            "capacity-mc-huge-R", "density-inf-ratio", "density-huge-bump", "dirac-huge-bump",
+            "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
             "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",
             "verify-fundamental-p-1.003", "verify-fundamental-p-1.01"])
@@ -289,32 +289,45 @@ class TestCommands:
         )
         assert code == 0
 
-    def test_extrapolation_is_reported(self, capsys):
-        # the default density radii fall back to the finest radius; these
-        # dirac radii fit a rate
-        for argv, fallback in (
-            (["density", "--samples", "200000", "--seed", "11"], 1.0),
-            (["dirac", "--radii", "0.8,0.4,0.2", "--samples", "200000", "--seed", "11"], 0.0),
-        ):
-            code, out = run_cli(capsys, argv)
-            assert code == 0
-            values = {r["name"]: r["value"] for r in json.loads(out)["results"]}
-            assert values["extrapolation_fallback"] == fallback
-            assert ("extrapolation_rate" in values) == (fallback == 0.0)
-            assert all(math.isfinite(v) for v in values.values())
-
     @pytest.mark.parametrize("radii", ["0.4,0.2", "0.8,0.4,0.2,0.1"])
     def test_density_gated_at_any_radius_count(self, capsys, radii):
-        # two or four radii fall back to the finest one, which is then gated
+        # every radius is gated against its own exact value
         code, out = run_cli(capsys, ["density", "--radii", radii, "--bump-radius", "1.5",
                                      "--samples", "200000", "--seed", "5"])
         recs = {r["name"]: r for r in json.loads(out)["results"]}
-        finest = recs[f"density@R={radii.split(',')[-1]}"]["value"]
-        err = recs["extrapolated_density_error"]
-        assert err["value"] == abs(finest - 1.0)
-        assert err["tol"] == 0.02 and err["pass"] is True and code == 0
-        assert recs["extrapolation_fallback"]["value"] == 1.0
-        assert "extrapolation_rate" not in recs
+        for R in radii.split(","):
+            est, exact = recs[f"density@R={R}"], recs[f"density_exact@R={R}"]
+            err = recs[f"density_error@R={R}"]
+            assert err["value"] == abs(est["value"] - exact["value"])
+            assert err["stderr"] == est["stderr"] and "exact" not in err
+            assert err["tol"] == 0.02 and err["pass"] is True
+        assert len(recs) == 3 * len(radii.split(",")) and code == 0
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    @pytest.mark.parametrize("command,name,symbol,sign", [
+        ("density", "density", "R", 1.0), ("dirac", "pairing", "r", -1.0),
+    ])
+    def test_errors_against_the_bump_at_each_radius(self, capsys, space, command,
+                                                    name, symbol, sign):
+        # density(R) = phi(h = R^(4k)) and pairing(r) = -phi(h = r^(4k)) exactly,
+        # for the bump phi = exp(-h / (B - h)), B = R0^(4k), R0 = --bump-radius 1
+        code, out = run_cli(capsys, [command, *SPACES[space], *FAST])
+        report = json.loads(out)
+        k = report["config"]["k"]
+        recs = {r["name"]: r for r in report["results"]}
+        phis = []
+        for radius in report["config"]["radii"]:
+            at = f"@{symbol}={radius:g}"
+            h = radius ** (4 * k)
+            value = sign * math.exp(-h / (1.0 - h))
+            assert recs[f"{name}_exact{at}"]["value"] == pytest.approx(value, rel=1e-14)
+            est, err = recs[f"{name}{at}"], recs[f"{name}_error{at}"]
+            assert err["value"] == pytest.approx(abs(est["value"] - value), abs=1e-15)
+            assert err["pass"] == (err["value"] <= err["tol"])
+            phis.append(sign * value)
+        # phi(h = r^(4k)) climbs to phi(x0) = 1 as the radius shrinks
+        assert phis == sorted(phis) and 1.0 - phis[-1] < 1e-3
+        assert code == (0 if report["passed"] else 2)
 
     def test_dirac(self, capsys):
         code, out = run_cli(

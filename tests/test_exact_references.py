@@ -159,9 +159,9 @@ class TestFiniteRadiusEstimates:
         bump = CutoffBump(params, 1.5)
         g = on_rho(params, lambda h: reference_bump(bump, h))
         radii = [0.4, 0.2, 0.1]
-        table = density_limit(params, p, bump, radii, SAMPLES, 45)
+        estimates = density_limit(params, p, bump, radii, SAMPLES, 45)
         Q_sigma = params.Q * sigma_p_exact(params, p)
-        for R, row in zip(radii, table.estimates):
+        for R, row in zip(radii, estimates):
             assert_within_z(row, R ** (1.0 - params.Q) / Q_sigma * shell_exact(params, p, g, R))
 
 

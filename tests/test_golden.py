@@ -8,9 +8,10 @@ seeded number on purpose regenerates them with
     PYTHONPATH=src python tests/test_golden.py
 
 and says why in CHANGES.md.  Before it overwrites a golden, that command
-prints whether the report moved, the largest relative change of a record's
-`value`, and any change of the exit code, so the list of moved goldens
-comes from the tool.
+prints whether the report moved, the records added, removed and changed
+(matched by name), the largest relative change of a kept record's `value`,
+and any change of the exit code, so the list of moved goldens comes from
+the tool.
 """
 
 import contextlib
@@ -68,14 +69,24 @@ def mismatches() -> list[str]:
             if report_text(space, command) != golden_text(space, command)]
 
 
-def largest_value_change(old: dict, new: dict) -> float:
-    """The largest relative change of a record's `value` from report old to new."""
+def record_changes(old: dict, new: dict) -> dict:
+    """How the records of report old became those of new, matched by `name`:
+    the names added, removed and changed in any key, and the largest
+    relative change of a kept record's `value`."""
+    before = {r["name"]: r for r in old["results"]}
+    after = {r["name"]: r for r in new["results"]}
+    kept = [name for name in after if name in before]
     worst = 0.0
-    for before, after in zip(old["results"], new["results"]):
-        x, y = before.get("value"), after.get("value")
+    for name in kept:
+        x, y = before[name]["value"], after[name]["value"]
         if x != y:
             worst = max(worst, abs(y - x) / abs(x) if x else math.inf)
-    return worst
+    return {
+        "added": [name for name in after if name not in before],
+        "removed": [name for name in before if name not in after],
+        "changed": [name for name in kept if before[name] != after[name]],
+        "largest_value_change": worst,
+    }
 
 
 def regenerate(space: str, command: str) -> str:
@@ -83,6 +94,7 @@ def regenerate(space: str, command: str) -> str:
     text, code = report_text(space, command)
     path = golden_path(space, command)
     note = f"{space}_{command}: exit {code}"
+    lists = ""
     if not path.exists():
         note += ", new"
     else:
@@ -90,14 +102,30 @@ def regenerate(space: str, command: str) -> str:
         if old_text == text:
             note += ", unchanged"
         else:
-            change = largest_value_change(json.loads(old_text), json.loads(text))
-            note += f", moved (largest relative value change {change:.2g})"
+            changes = record_changes(json.loads(old_text), json.loads(text))
+            note += (f", moved (largest relative value change "
+                     f"{changes['largest_value_change']:.2g})")
+            for kind in ("added", "removed", "changed"):
+                if changes[kind]:
+                    lists += f"\n  {kind}: {', '.join(changes[kind])}"
         if old_code != code:
             note += f", exit code was {old_code}"
     report = json.loads(text)
     report["exit_code"] = code
     path.write_text(render_json(report), encoding="utf-8")
-    return note
+    return note + lists
+
+
+def test_record_changes_match_records_by_name():
+    old = {"results": [{"name": "a", "value": 1.0}, {"name": "b", "value": 2.0},
+                       {"name": "c", "value": 3.0}]}
+    new = {"results": [{"name": "a", "value": 1.0}, {"name": "x", "value": 9.0},
+                       {"name": "c", "value": 3.3, "stderr": 0.1}]}
+    changes = record_changes(old, new)
+    assert changes["added"] == ["x"] and changes["removed"] == ["b"]
+    assert changes["changed"] == ["c"]
+    # by position, b -> x would have read as a change of 3.5
+    assert changes["largest_value_change"] == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize("space,command", CASES)

@@ -218,16 +218,21 @@ class TestShellIntegral:
 
 class TestDensityLimit:
     def test_constant_function(self, setup_a):
-        table = density_limit(setup_a, 2.0, Constant(1.0, 3), [1.0, 0.5], SAMPLES, 8)
-        assert table.target == 1.0
-        for row in table.estimates:
+        rows = density_limit(setup_a, 2.0, Constant(1.0, 3), [1.0, 0.5], SAMPLES, 8)
+        assert len(rows) == 2
+        for row in rows:
             assert abs(row.mean - 1.0) <= 3.0 * row.stderr + 0.01
 
     def test_bump_converges_to_center_value(self, setup_a):
+        # each radius against its exact average phi(h = R^4), which tends to
+        # phi(x0) = 1 as R shrinks
         bump = CutoffBump(setup_a, 1.5)
-        table = density_limit(setup_a, 2.0, bump, [0.4, 0.2, 0.1], SAMPLES, 17)
-        assert table.target == 1.0
-        assert abs(table.limit - 1.0) <= 0.02
+        radii = [0.4, 0.2, 0.1]
+        rows = density_limit(setup_a, 2.0, bump, radii, SAMPLES, 17)
+        exact = [float(bump.values_of_h(R**4)) for R in radii]
+        assert exact == sorted(exact) and exact[-1] == pytest.approx(1.0, abs=1e-4)
+        for row, value in zip(rows, exact):
+            assert abs(row.mean - value) <= 0.02
 
     def test_one_kernel_run_per_radius(self, setup_a, monkeypatch):
         import sublap.montecarlo as mc
@@ -256,9 +261,9 @@ class TestDensityLimit:
     def test_radii_on_their_own_streams(self, setup_a):
         # the box sampler is scale-equivariant: radii sharing a stream would
         # accept the same rows and, for phi = 1, give the same density
-        table = density_limit(setup_a, 2.0, Constant(1.0, 3), [0.4, 0.2, 0.1], SAMPLES, 11)
-        assert len({r.accepted for r in table.estimates}) == 3
-        means = [r.mean for r in table.estimates]
+        rows = density_limit(setup_a, 2.0, Constant(1.0, 3), [0.4, 0.2, 0.1], SAMPLES, 11)
+        assert len({r.accepted for r in rows}) == 3
+        means = [r.mean for r in rows]
         for a, b in [(0, 1), (0, 2), (1, 2)]:
             assert abs(means[a] - means[b]) > 1e-9 * abs(means[a])
 
@@ -271,9 +276,7 @@ class TestDensityLimit:
 
     def test_field_vanishing_at_center(self, setup_a):
         # phi = h has phi(x0) = 0; entries scale like R^(4k)
-        table = density_limit(setup_a, 2.0, GaugeH(setup_a), [0.4, 0.1], SAMPLES, 19)
-        rows = table.estimates
-        assert table.target == 0.0
+        rows = density_limit(setup_a, 2.0, GaugeH(setup_a), [0.4, 0.1], SAMPLES, 19)
         assert abs(rows[-1].mean) <= abs(rows[0].mean)
         assert abs(rows[-1].mean) <= 3.0 * rows[-1].stderr + 1e-3
 

@@ -52,16 +52,21 @@ def test_one_run_per_estimate_on_distinct_streams(case, kernel_streams, capsys):
     assert len(set(kernel_streams)) == len(kernel_streams)
 
 
-@pytest.mark.parametrize("command,radii", [
-    ("density", "0.4,0.3,0.1"),
-    ("dirac", "0.2,0.15,0.05"),
-])
-def test_radii_spacing_checked_before_any_run(command, radii, kernel_streams, capsys):
-    assert main([command, "--radii", radii] + COMMON) == 1
+@pytest.mark.parametrize("command,radii,unordered", [
+    ("density", "0.4,0.3,0.1", "0.1,0.2,0.4"),
+    ("dirac", "0.2,0.15,0.05", "0.05,0.1,0.2"),
+], ids=["density-0.4,0.3,0.1", "dirac-0.2,0.15,0.05"])
+def test_radii_spacing_checked_before_any_run(command, radii, unordered, kernel_streams,
+                                              capsys):
+    # only the order is checked: radii out of order exit 1 before any run,
+    # and decreasing radii run whatever their spacing, one stream each
+    assert main([command, "--radii", unordered] + COMMON) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: three radii must be geometrically spaced")
+    assert captured.err.startswith("error: radii must be strictly decreasing")
     assert kernel_streams == []
+    assert main([command, "--radii", radii] + COMMON) in (0, 2)
+    assert len(set(kernel_streams)) == len(kernel_streams) == 3
 
 
 def draws(seed, stream, shard, rows=1000):

@@ -109,17 +109,23 @@ class TestWeakPairing:
 
 
 class TestDiracLimit:
+    @staticmethod
+    def assert_exact_per_radius(params, p):
+        # integration by parts on the annulus: the pairing at r is exactly
+        # -phi(h = r^(4k)), which tends to -phi(x0) = -1 as r shrinks
+        bump, radii = CutoffBump(params, 1.0), [0.2, 0.1, 0.05]
+        estimates = dirac_limit(params, p, bump, radii, 4 * 10**5, 33)
+        assert len(estimates) == len(radii)
+        exact = [-float(bump.values_of_h(r ** (4 * params.k))) for r in radii]
+        assert exact[-1] == pytest.approx(-1.0, abs=1e-4)
+        for est, value in zip(estimates, exact):
+            assert abs(est.mean - value) <= 0.015
+
     def test_p2_limit(self, setup_a):
-        bump = CutoffBump(setup_a, 1.0)
-        table = dirac_limit(setup_a, 2.0, bump, [0.2, 0.1, 0.05], 4 * 10**5, 33)
-        assert abs(table.limit - table.target) <= 0.015
-        assert table.target == -1.0
-        assert len(table.estimates) == 3
+        self.assert_exact_per_radius(setup_a, 2.0)
 
     def test_log_case_limit(self, setup_a):
-        bump = CutoffBump(setup_a, 1.0)
-        table = dirac_limit(setup_a, 4.0, bump, [0.2, 0.1, 0.05], 4 * 10**5, 33)
-        assert abs(table.limit - (-1.0)) <= 0.015
+        self.assert_exact_per_radius(setup_a, 4.0)
 
     def test_p_near_one_raises_before_any_draw(self, setup_a, monkeypatch):
         import sublap.weakform as weakform
