@@ -48,7 +48,6 @@ from .montecarlo import (
     ball_spec,
     density_limit,
     sample_points,
-    shell_integral_extrapolated,
     sigma_p,
 )
 from .space import (

@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--n", type=int)
         cmd.add_argument("--k", type=float)
         cmd.add_argument("--c", type=float)
-        cmd.add_argument("--x0", type=str, help="comma-separated coordinates; "
+        cmd.add_argument("--x0", type=_parse_floats, help="comma-separated coordinates; "
                          "write --x0=-1,0,0 when the first is negative")
         cmd.add_argument("--p", type=float)
         cmd.add_argument("--seed", type=int)
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--points", type=int)
         cmd.add_argument("--r", type=float)
         cmd.add_argument("--R", type=float)
-        cmd.add_argument("--radii", type=str, help="comma-separated radii")
+        cmd.add_argument("--radii", type=_parse_floats, help="comma-separated radii")
         cmd.add_argument("--bump-radius", dest="bump_radius", type=float)
         cmd.add_argument("--knots", type=int)
         cmd.add_argument("--method", choices=list(CAPACITY_RUNS))
@@ -195,7 +195,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = _COERCERS[key](flag) if isinstance(flag, str) and key in ("x0", "radii") else flag
+            merged[key] = flag
     command = args.command
     if merged["radii"] is None:
         merged["radii"] = list(RADII_DEFAULTS.get(command, []))

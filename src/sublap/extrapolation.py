@@ -5,8 +5,10 @@ radius, and for a bump that depends on the point through h alone each value
 is known in closed form at every radius, so no limit is extrapolated:
 
 - the normalized surface average of phi over {psi = R} is phi(h = R^(4k)),
-  because phi is constant on the sphere and the sphere's measure is the
-  R-derivative of V(B_R) = sigma_p R^Q, that is Q sigma_p R^(Q-1);
+  because phi is constant on the sphere.  It is estimated as the integral
+  of (phi + Z phi / Q) |grad_0 psi|^p over B_R, Z phi = 4k h phi'(h), over
+  sigma_p R^Q, which is exact: the dilations scale the measure by R^Q and
+  leave |grad_0 psi| unchanged (see `montecarlo`);
 - the pairing over {r < psi < R0} is -phi(h = r^(4k)): integration by parts
   on the annulus leaves only its boundary terms, as the normalized
   fundamental solution is p-harmonic inside it, phi vanishes on {psi = R0},

@@ -6,8 +6,9 @@ Fields that depend on the point through h alone (HFunction) write their
 formula once, as values_of_h(h), in operations that 2-jets and arrays
 share: the Monte Carlo kernel calls it on the h it already holds,
 values(pts) computes h first, and jet(pts) applies it to the 2-jet of h.
-The hand-written derivatives are eta_prime of the one power profile (which
-the annulus potential is, scaled and offset) and the bump's d_dh_of_h.
+Every HFunction's d_dh_of_h is the 1-D 2-jet of values_of_h; the
+hand-written derivatives are eta_prime of the one power profile (which the
+annulus potential is, scaled and offset) and the bump's d_dh_of_h.
 """
 
 from __future__ import annotations
@@ -158,6 +159,10 @@ class HFunction(ScalarField):
     def values_of_h(self, h):
         raise NotImplementedError
 
+    def d_dh_of_h(self, h) -> np.ndarray:
+        """d phi / dh as a function of h, from the 1-D 2-jet of values_of_h."""
+        return self.values_of_h(Jet2.variable(h, 0, 1)).grad[..., 0]
+
     def values(self, pts) -> np.ndarray:
         return self.values_of_h(gauge_parts(self.params, pts)[2])
 
@@ -285,10 +290,12 @@ class CutoffBump(HFunction):
             self.B = self.support_radius ** (4 * params.k)
         except OverflowError:
             self.B = math.inf
-        if not 0 < self.B < math.inf:
+        # 4/(e B) is the largest |d phi / dh|, at h = B/2
+        if not (0 < self.B < math.inf and math.isfinite(4.0 / (math.e * self.B))):
             raise DomainError(
                 f"support radius {support_radius!r} gives the h bound R0^(4k) = "
-                f"{self.B!r}, which is not a positive finite float"
+                f"{self.B!r}, which is not a positive finite float with a finite "
+                "slope 4/(e B)"
             )
         # the support's edge: past it exp(-h/(B - h)) is 0, B/(B - h)^2 may overflow
         self.edge = self.B * (1.0 - 1e-12)
@@ -304,7 +311,8 @@ class CutoffBump(HFunction):
         outside = h >= self.edge
         inner = np.where(outside, 0.0, h)
         gap = self.B - inner
-        return np.where(outside, 0.0, -self.B / gap**2 * np.exp(-inner / gap))
+        # B / gap / gap, not B / gap^2: gap^2 underflows once B is below ~1e-154
+        return np.where(outside, 0.0, -(self.B / gap) / gap * np.exp(-inner / gap))
 
 
 class AnnulusPotential(FundamentalProfile):

@@ -1,4 +1,4 @@
-"""Seeded, shard-parallel randomized quasi-Monte Carlo over gauge balls and shells.
+"""Seeded, shard-parallel randomized quasi-Monte Carlo over gauge balls and annuli.
 
 Sampling is rejection from the anisotropic bounding box of a gauge ball:
 {psi < R} sits inside |x_l - a_l| <= R |c|^(-1/(2k)), |t - s| <= R^(2k).
@@ -29,9 +29,11 @@ of the gauge); the kernel owns that factor (`fields.grad_psi_norm_pow`,
 one exp of the rows' log Sigma and log h) and the one place where it
 diverges: for k < 1/2 and p >= 2n/(1-2k) it blows up on the axis
 {Sigma = 0}, which crosses every band, so every estimator raises there.
-The Richardson limit of the thin-shell surface integrals is one band too:
-the shells of halving widths (`SHELL_FRACTIONS`) are nested, so a step
-weight over the widest shell combines them in one run, on one set of points.
+The average of phi over a sphere {psi = R} (`density_limit`) is one ball
+band too, exactly, with no shell width and no limit: the dilation delta_R
+maps B_1 onto B_R with Jacobian R^Q and leaves |grad_0 psi| unchanged, so
+the R-derivative of the ball integral of phi, the sphere's integral, is
+Q/R times the ball integral of phi + Z phi / Q, Z the dilation generator.
 
 A shard maps its points in blocks of BLOCK_ROWS rows; a block covers whole
 replicates or part of one.  Its uniforms are one contiguous column per
@@ -102,7 +104,7 @@ KOROBOV = {
 
 # A stream is (purpose, index): the purpose names what a run estimates, the
 # index tells apart the runs of one purpose in one check (the i-th radius of
-# ahlfors, density or dirac takes (STREAM_BALL, i), (STREAM_SHELL, i) or
+# ahlfors, density or dirac takes (STREAM_BALL, i), (STREAM_DENSITY, i) or
 # (STREAM_PAIRING, i)).  It is the SeedSequence spawn key of a run's shifts
 # (with the shard, of sample_points' draws), so the estimates of one check
 # are independent of each other while still fully determined by the user
@@ -110,17 +112,11 @@ KOROBOV = {
 # normalize a check: density, dirac and capacity divide by
 # `space.sigma_p_exact`.
 STREAM_BALL = 1
-STREAM_SHELL = 2
+STREAM_DENSITY = 2
 STREAM_PAIRING = 3
 STREAM_ENERGY = 5
 STREAM_POINTS = 9
 Stream = tuple[int, int]
-
-# The thin shells' half-widths as fractions of the radius, halving, and
-# their Richardson weights, coarsest first: the weights sum to 1 and cancel
-# the O(d^2) and O(d^4) bias of a shell of half-width d.
-SHELL_FRACTIONS = (0.1, 0.05, 0.025)
-SHELL_WEIGHTS = (1.0 / 45.0, -20.0 / 45.0, 64.0 / 45.0)
 
 # sample_points draws from the box of the gauge ball of radius
 # POINTS_BOX_RADIUS and keeps the points with psi >= POINTS_MIN_PSI and
@@ -376,7 +372,11 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     means = rep_sums * (spec.volume / points)
     mean = float(means.sum()) / reps
     means -= mean
-    stderr = math.sqrt(float((means * means).sum()) / (reps * (reps - 1.0)))
+    # scaled by a power of two, which is exact, so that the deviations of a
+    # tiny ball (radius 1e-40: means near 1e-164) do not square to 0
+    exp = math.frexp(float(np.abs(means).max()))[1]
+    np.ldexp(means, -exp, out=means)
+    stderr = math.ldexp(math.sqrt(float((means * means).sum()) / (reps * (reps - 1.0))), exp)
     return mean, stderr, int(accepted.sum())
 
 
@@ -402,71 +402,51 @@ def sigma_p(
     return ball_measure(params, p, 1.0, samples, seed, threads, stream=stream)
 
 
-def shell_integral_extrapolated(
-    params: SpaceParams, p: float, R: float, phi: ScalarField,
-    samples: int, seed: int, threads: int | None = None,
-    stream: Stream = (STREAM_SHELL, 0),
-) -> MCEstimate:
-    """Surface integral of phi over {psi = R}: the Richardson limit over
-    the halving half-widths d_i = SHELL_FRACTIONS[i] * R of the thin shells,
-    in one lattice run.
-
-    The thin shell of width d is (1/(2 d)) times the integral of
-    phi |grad_0 psi|^p over R - d < psi < R + d, an O(d^2)-biased
-    approximation of the coarea disintegration.  The shells are nested, so
-    one run over the box of the widest shell covers them all: the band is
-    the widest shell and its weight is phi times the step function that
-    sums c_i / (2 d_i) over the shells holding the row, c = SHELL_WEIGHTS.
-    Its mean is exactly the Richardson combination of the shell
-    integrals, and its stderr is the replicate stderr of one integrand; the
-    widths share their points, so no independence between them is assumed.
-    """
-    deltas = [frac * R for frac in SHELL_FRACTIONS]
-    # rejects R <= 0 (and so d <= 0) before any shell bound is formed
-    spec = ball_spec(params, R + deltas[0])
-    four_k = 4 * params.k
-    # (lo, hi, step) per shell; every accepted row lies in the widest one
-    shells = [((R - d) ** four_k, (R + d) ** four_k, c / (2.0 * d))
-              for c, d in zip(SHELL_WEIGHTS, deltas)]
+def _dilation_weight(params: SpaceParams, phi: ScalarField) -> Callable:
+    """The weight phi + Z phi / Q, Z = sum_l (x_l - a_l) d_l + 2k (t - s) d_t:
+    Z f(h) = 4k h f'(h), and any other field dots its 2-jet's gradient with Z."""
+    Q = params.Q
+    if phi.h_only:
+        scale = 4 * params.k / Q
+        return lambda h, _: phi.values_of_h(h) + scale * h * phi.d_dh_of_h(h)
+    generator = np.full(params.dim, 1.0 / Q)
+    generator[-1] = 2 * params.k / Q
 
     def weight(h, points):
-        step = np.full(h.shape, shells[0][2])
-        for lo, hi, s in shells[1:]:
-            np.add(step, s, out=step, where=(h > lo) & (h < hi))
-        # phi from the rows' h when phi is a function of h alone
-        return step * (phi.values_of_h(h) if phi.h_only else phi.values(points()))
+        pts = points()
+        jet = phi.jet(pts)
+        return jet.value + ((pts - params.x0) * generator * jet.grad).sum(axis=1)
 
-    band = Band(p=p, hi=shells[0][1], weight=weight, lo=shells[0][0])
-    return _estimate(_mc_over_box(params, spec, band, samples, seed, stream, threads),
-                     samples, seed)
+    return weight
 
 
 def density_limit(
     params: SpaceParams, p: float, phi: ScalarField, radii, samples: int, seed: int,
     threads: int | None = None,
 ) -> list[MCEstimate]:
-    """R^(1-Q)/(Q sigma_p) * surface integral of phi, one estimate per R in
-    radii, which must be strictly decreasing.
+    """The |grad_0 psi|^p-weighted average of phi over the sphere {psi = R},
+    one estimate per R in radii, which must be strictly decreasing: exactly
+    phi(h = R^(4k)) when phi is a function of h alone, and phi(x0) in the
+    limit R -> 0 for any continuous phi.
 
-    The surface measure of {psi = R} is Q sigma_p R^(Q-1), the R-derivative
-    of V(B_R) = sigma_p R^Q, so each value is the average of phi over the
-    sphere: exactly phi(h = R^(4k)) when phi is a function of h alone, and
-    phi(x0) in the limit R -> 0 for any continuous phi.  sigma_p is the
-    closed form, so each radius' stderr is its own shell run's, and the
-    radii stay independent.
+    Each is one ball run, exact for every C^1 phi (see the module
+    docstring): (sigma_p R^Q)^(-1) times the integral of
+    (phi + Z phi / Q) |grad_0 psi|^p over B_R.  sigma_p is the closed form,
+    so each radius' stderr is its own run's, and the radii stay independent.
     """
     radii = decreasing_radii(radii)
-    Q = params.Q
-    Q_sigma = Q * sigma_p_exact(params, p)
+    sigma = sigma_p_exact(params, p)
+    weight = _dilation_weight(params, phi)
     out = []
     for idx, R in enumerate(radii):
+        spec = ball_spec(params, R)
+        band = Band(p=p, hi=R ** (4 * params.k), weight=weight)
         # one stream per radius: the box sampler is scale-equivariant, so a
         # shared stream would give every radius the same points
-        shell = shell_integral_extrapolated(
-            params, p, R, phi, samples, seed, threads, stream=(STREAM_SHELL, idx)
-        )
-        scale = R ** (1.0 - Q) / Q_sigma
-        out.append(replace(shell, mean=scale * shell.mean, stderr=scale * shell.stderr))
+        est = _estimate(_mc_over_box(params, spec, band, samples, seed,
+                                     (STREAM_DENSITY, idx), threads), samples, seed)
+        scale = 1.0 / (sigma * R ** params.Q)
+        out.append(replace(est, mean=scale * est.mean, stderr=scale * est.stderr))
     return out
 
 

@@ -114,19 +114,6 @@ def pairing_quadrature(n, k, c, p, alpha, scale_u, bump_B, r, R, epsrel=1e-9):
     return 2.0 * sphere_area(n) * val
 
 
-def shell_bump_quadrature(Q, k, bump_B, sigma_value, R, delta):
-    """Exact (up to 1-D quadrature) thin-shell integral of the standard bump:
-    (1/(2 delta)) int_{R-delta}^{R+delta} g(rho^(4k)) Q sigma rho^(Q-1) drho."""
-
-    def integrand(rho):
-        h = rho ** (4 * k)
-        g = np.exp(-h / (bump_B - h)) if h < bump_B else 0.0
-        return g * Q * sigma_value * rho ** (Q - 1.0)
-
-    val, _ = quad(integrand, R - delta, R + delta, epsrel=1e-11)
-    return val / (2 * delta)
-
-
 def radial_capacity_quadrature(Q, p, alpha_or_none, r, R):
     """1-D coarea oracle: Q int_r^R |eta'|^p rho^(Q-1) drho for the explicit
     extremal profile (capacity in sigma_p units)."""
@@ -258,7 +245,8 @@ def reference_bump_d_dh(bump, h):
     out = np.zeros_like(h)
     inside = h < bump.B * (1.0 - 1e-12)
     hs = h[inside]
-    out[inside] = -bump.B / (bump.B - hs) ** 2 * np.exp(-hs / (bump.B - hs))
+    gap = bump.B - hs
+    out[inside] = -(bump.B / gap) / gap * np.exp(-hs / gap)
     return out
 
 

@@ -152,6 +152,9 @@ class TestExitCodes:
         (["density", "--bump-radius", "1e100"], "not a positive finite float"),
         (["dirac", "--bump-radius", "1e100"], "not a positive finite float"),
         (["density", "--bump-radius", "1e-100"], "not a positive finite float"),
+        # B = 1e-312 is a float, its slope 4/(e B) is not
+        (["density", "--bump-radius", "1e-78"], "with a finite slope 4/(e B)"),
+        (["dirac", "--bump-radius", "1e-78"], "with a finite slope 4/(e B)"),
         # Python float overflows: c^2, and r^alpha at alpha = -299
         (["sigma", "--c", "1e200"], "c^2 must be a finite float"),
         (["capacity", "--r", "1e-5", "--p", "1.01", "--method", "mc"], "leaves the float range"),
@@ -167,7 +170,7 @@ class TestExitCodes:
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "density-huge-radii",
             "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
-            "density-tiny-bump", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
+            "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
             "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",
             "verify-fundamental-p-1.003", "verify-fundamental-p-1.01"])
     def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
@@ -328,6 +331,29 @@ class TestCommands:
         # phi(h = r^(4k)) climbs to phi(x0) = 1 as the radius shrinks
         assert phis == sorted(phis) and 1.0 - phis[-1] < 1e-3
         assert code == (0 if report["passed"] else 2)
+
+    @pytest.mark.parametrize("command,radii", [
+        ("density", (0.4, 0.2, 0.1)), ("dirac", (0.1, 0.01)),
+    ])
+    def test_dilated_bump_gives_the_same_numbers(self, capsys, recwarn, command, radii):
+        # the bump's support and the radii shrink together by 1e-40, B to
+        # 1e-160, below where (B - h)^2 underflows: the box sampler is
+        # scale-equivariant and every estimate dilation-invariant
+        runs = []
+        for scale in (1.0, 1e-40):
+            argv = [command, "--bump-radius", repr(scale),
+                    "--radii", ",".join(repr(r * scale) for r in radii), *FAST]
+            code, out = run_cli(capsys, argv)
+            runs.append((code, json.loads(out)["results"]))
+        (code, plain), (dilated_code, dilated) = runs
+        assert dilated_code == code and len(dilated) == len(plain)
+        for a, b in zip(plain, dilated):
+            if "stderr" in a:
+                assert abs(b["value"] - a["value"]) <= 1e-6 * a["stderr"]
+                assert b["stderr"] == pytest.approx(a["stderr"], rel=1e-9)
+            else:
+                assert b["value"] == pytest.approx(a["value"], rel=1e-12)
+        assert not recwarn.list
 
     def test_dirac(self, capsys):
         code, out = run_cli(

@@ -14,6 +14,7 @@ from sublap import (
     AnnulusPotential,
     CutoffBump,
     FundamentalProfile,
+    GaugeH,
     GaugePsi,
     Jet2,
     SpaceParams,
@@ -70,6 +71,26 @@ def test_bump_d_dh_is_the_derivative_of_the_bump(params):
     h = bump_h(bump)
     np.testing.assert_allclose(bump.d_dh_of_h(h), d_dh(bump, h), rtol=RTOL, atol=0.0)
     assert not bump.d_dh_of_h(h)[-2:].any()
+
+
+def test_bump_d_dh_at_a_tiny_support(params):
+    # B = R0^(4k) far below 1e-154, where (B - h)^2 underflows: the slope
+    # scales like 1/B, so B d phi/dh matches the undilated bump's
+    tiny, unit = CutoffBump(params, 10.0 ** (-40 / params.k)), CutoffBump(params, 1.0)
+    assert tiny.B < 1e-154
+    ratios = bump_h(unit)
+    with np.errstate(all="raise"):
+        scaled = tiny.B * tiny.d_dh_of_h(tiny.B * ratios)
+    np.testing.assert_allclose(scaled, unit.d_dh_of_h(ratios), rtol=1e-12, atol=0.0)
+
+
+def test_d_dh_defaults_to_the_jet_of_the_formula(params):
+    # h and h^(1/(4k)) have no hand-written d/dh
+    h = np.geomspace(0.01, 3.0, 17)
+    np.testing.assert_array_equal(GaugeH(params).d_dh_of_h(h), np.ones_like(h))
+    k4 = 4 * params.k
+    np.testing.assert_allclose(GaugePsi(params).d_dh_of_h(h), h ** (1.0 / k4 - 1.0) / k4,
+                               rtol=RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, P])

@@ -1,10 +1,14 @@
-"""Monte Carlo against exact values: sigma_p's closed form, and every
-estimate whose integrand depends on the point only through h.
+"""Monte Carlo against exact values: sigma_p's closed form, every estimate
+whose integrand depends on the point only through h, and the sphere
+average of a field that does not.
 
-Such an integral over a band {lo < psi < hi} is a 1-D coarea integral
-(`helpers.coarea_quadrature`), so each finite-radius estimate has an exact
-value, and its error is pure MC error: it must sit within Z stderr.
+An h-only integral over a band {lo < psi < hi} is a 1-D coarea integral
+(`helpers.coarea_quadrature`), and the sphere average of a function of h
+is its value there, so each finite-radius estimate has an exact value, and
+its error is pure MC error: it must sit within Z stderr.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,13 +25,13 @@ from sublap import (
     CutoffBump,
     DomainError,
     FundamentalProfile,
+    Polynomial,
     SpaceParams,
     ball_measure,
     density_limit,
     exponents,
     mc_energy,
     normalization,
-    shell_integral_extrapolated,
     sigma_p,
     sigma_p_exact,
     weak_pairing,
@@ -44,9 +48,6 @@ SETUPS = {
     "C": (SpaceParams(2, 1.5, -2.0), 2.0),
     "D": (SpaceParams(3, 1.5, -2.0, [0.3, -0.2, 0.1, 0.5, -0.4, 0.2, 0.7]), 3.0),
 }
-# the default shell widths and their Richardson weights, coarsest first
-DELTA_FRACS = (0.1, 0.05, 0.025)
-RICHARDSON = (1.0 / 45.0, -20.0 / 45.0, 64.0 / 45.0)
 
 
 # setups A-D and the 9-D space at n = 4, where the box accepts 0.84% of the points
@@ -65,18 +66,17 @@ def assert_within_z(est, exact):
     assert abs(est.mean - exact) <= Z * est.stderr, (est.mean, exact, est.stderr)
 
 
-def on_rho(params, fn):
-    """g(rho) for a function fn of an h array."""
-    return lambda rho: float(fn(np.array([rho ** (4 * params.k)]))[0])
+def sigma_mean(params, p):
+    """M, the |grad_0 psi|^p-weighted mean of Sigma over the unit sphere:
+    |c|^(-1/k) B(1/2, b + 1/(2k)) / B(1/2, b), b = (m + 1)/2 as in
+    `sigma_p_exact`.  pi/4 at n = k = c = 1, p = 2."""
+    n, k = params.n, params.k
+    b = (p * (2 * k - 1) / (2 * k) + n / k) / 2
 
+    def log_beta(x, y):
+        return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
-def shell_exact(params, p, g, R):
-    """The Richardson combination of the thin-shell integrals of g at R."""
-    total = 0.0
-    for c, frac in zip(RICHARDSON, DELTA_FRACS):
-        d = frac * R
-        total += c / (2.0 * d) * coarea_quadrature(params, p, g, R - d, R + d)
-    return total
+    return abs(params.c) ** (-1.0 / k) * math.exp(log_beta(0.5, b + 0.5 / k) - log_beta(0.5, b))
 
 
 class TestSigmaPExact:
@@ -119,13 +119,6 @@ class TestFiniteRadiusEstimates:
         assert exact == pytest.approx(sigma_p_exact(params, p) * 0.8**params.Q, rel=1e-10)
         assert_within_z(ball_measure(params, p, 0.8, SAMPLES, 41), exact)
 
-    def test_shell_integral_extrapolated(self, setup):
-        params, p = setup
-        bump = CutoffBump(params, 1.5)
-        g = on_rho(params, lambda h: reference_bump(bump, h))
-        est = shell_integral_extrapolated(params, p, 1.0, bump, SAMPLES, 42)
-        assert_within_z(est, shell_exact(params, p, g, 1.0))
-
     def test_weak_pairing(self, setup):
         params, p = setup
         alpha = exponents(params, p).alpha
@@ -155,14 +148,32 @@ class TestFiniteRadiusEstimates:
         assert_within_z(est, coarea_quadrature(params, p, g, r, R) / sigma_p_exact(params, p))
 
     def test_density_limit_every_radius(self, setup):
+        # the bump is constant on each sphere: its average is phi(h = R^(4k))
         params, p = setup
         bump = CutoffBump(params, 1.5)
-        g = on_rho(params, lambda h: reference_bump(bump, h))
-        radii = [0.4, 0.2, 0.1]
+        radii = [1.0, 0.4, 0.2, 0.1]
         estimates = density_limit(params, p, bump, radii, SAMPLES, 45)
-        Q_sigma = params.Q * sigma_p_exact(params, p)
-        for R, row in zip(radii, estimates):
-            assert_within_z(row, R ** (1.0 - params.Q) / Q_sigma * shell_exact(params, p, g, R))
+        exact = reference_bump(bump, np.array(radii) ** (4 * params.k))
+        for row, value in zip(estimates, exact):
+            assert_within_z(row, value)
+
+    def test_density_of_a_polynomial(self, setup):
+        # phi = (x_1 - a_1)^2 is not a function of h, so its weight comes from
+        # its 2-jet at the points.  By symmetry each horizontal coordinate
+        # carries 1/(2n) of Sigma, whose average over {psi = R} is R^2 M.
+        params, p = setup
+        a1 = float(params.x0[0])
+        powers = np.zeros((3, params.dim), dtype=int)
+        powers[0, 0], powers[1, 0] = 2, 1
+        phi = Polynomial([(1.0, powers[0]), (-2.0 * a1, powers[1]), (a1 * a1, powers[2])],
+                         params.dim)
+        radii = [0.4, 0.2]
+        M = sigma_mean(params, p)
+        for R, row in zip(radii, density_limit(params, p, phi, radii, SAMPLES, 46)):
+            assert_within_z(row, R**2 * M / (2 * params.n))
+
+    def test_sigma_mean_at_setup_a(self):
+        assert sigma_mean(SpaceParams(1, 1.0, 1.0), 2.0) == pytest.approx(math.pi / 4, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(SEED_SETUPS))
@@ -175,6 +186,21 @@ def test_lattice_stderr_is_honest_over_seeds(name):
     params, p = SEED_SETUPS[name]
     exact = sigma_p_exact(params, p)
     ests = [sigma_p(params, p, SEED_SAMPLES, seed, threads=1) for seed in SEEDS]
+    means = np.array([e.mean for e in ests])
+    reported = np.mean([e.stderr for e in ests])
+    assert abs(means.mean() - exact) <= Z * reported / np.sqrt(len(ests))
+    assert 0.5 <= means.std(ddof=1) / reported <= 2.0
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_density_stderr_is_honest_over_seeds(name):
+    # The same two checks for the bump's average over {psi = 0.2}, whose
+    # weight phi + Z phi / Q changes sign inside the ball.
+    params, p = SETUPS[name]
+    bump = CutoffBump(params, 1.0)
+    exact = float(reference_bump(bump, np.array([0.2 ** (4 * params.k)]))[0])
+    ests = [density_limit(params, p, bump, [0.2], SEED_SAMPLES, seed, threads=1)[0]
+            for seed in SEEDS]
     means = np.array([e.mean for e in ests])
     reported = np.mean([e.stderr for e in ests])
     assert abs(means.mean() - exact) <= Z * reported / np.sqrt(len(ests))

@@ -28,10 +28,10 @@ from sublap import (
     SpaceParams,
     annulus_capacity,
     ball_measure,
+    density_limit,
     mc_energy,
     normalization,
     sample_points,
-    shell_integral_extrapolated,
     sigma_p_exact,
     weak_pairing,
 )
@@ -44,6 +44,7 @@ from sublap.fields import (
 from sublap.montecarlo import (
     BLOCK_ROWS,
     SHARD_SIZE,
+    STREAM_DENSITY,
     STREAM_ENERGY,
     Band,
     _mc_over_box,
@@ -96,42 +97,56 @@ def test_ball_measure(params, threads):
     assert_same(est, ref)
 
 
-def shell_reference(params, phi_values, R, stream):
-    """The Richardson limit over three halving shell widths d_i as one
-    integrand: phi times the sum of c_i / (2 d_i) over the shells holding
-    the point, c = (1, -20, 64) / 45."""
-    k4 = 4 * params.k
-    fracs = (0.1, 0.05, 0.025)
-    shells = [((R - f * R) ** k4, (R + f * R) ** k4, c / (2.0 * f * R))
-              for f, c in zip(fracs, (1 / 45, -20 / 45, 64 / 45))]
+def density_reference(params, phi_weight, R):
+    """The sphere average of density_limit's first radius as one ball
+    integrand: phi + Z phi / Q from phi_weight(pts, h), times |grad_0 psi|^P,
+    over B_R on the stream (STREAM_DENSITY, 0), divided by sigma_P R^Q."""
 
     def weight(pts, sigma, h):
-        step = np.zeros(h.shape)
-        for lo, hi, s in shells:
-            step += np.where((h > lo) & (h < hi), s, 0.0)
-        return step * phi_values(pts, h) * power(params, P)(pts, sigma, h)
+        return phi_weight(pts, h) * power(params, P)(pts, sigma, h)
 
-    band = reference_band(params, shells[0][0], shells[0][1], weight)
-    return reference_lattice(params, R + fracs[0] * R, band, SAMPLES, SEED, stream)
+    band = reference_band(params, None, R ** (4 * params.k), weight)
+    mean, stderr, acc = reference_lattice(params, R, band, SAMPLES, SEED, (STREAM_DENSITY, 0))
+    scale = 1.0 / (sigma_p_exact(params, P) * R**params.Q)
+    return scale * mean, scale * stderr, acc
+
+
+def bump_weight(params, bump):
+    """phi + Z phi / Q of the bump, Z phi = 4k h phi'(h)."""
+    scale = 4 * params.k / params.Q
+    return lambda pts, h: reference_bump(bump, h) + scale * h * reference_bump_d_dh(bump, h)
+
+
+def polynomial_weight(params, phi):
+    """phi + Z phi / Q from phi's 2-jet at the points."""
+    generator = np.full(params.dim, 1.0 / params.Q)
+    generator[-1] = 2 * params.k / params.Q
+
+    def weight(pts, h):
+        jet = phi.jet(pts)
+        return jet.value + ((pts - params.x0) * generator * jet.grad).sum(axis=1)
+
+    return weight
+
+
+def polynomial(params):
+    e = np.zeros((2, params.dim), dtype=int)
+    e[0, 0], e[1, -1], e[1, 1] = 1, 2, 1
+    return Polynomial([(1.0, e[0]), (-0.5, e[1])], params.dim)
 
 
 def test_shell_integral_with_bump(params, threads):
+    # the bump's average over {psi = 1}
     bump = CutoffBump(params, 1.1)
-    est = shell_integral_extrapolated(params, P, 1.0, bump, SAMPLES, SEED, threads,
-                                      stream=(6, 0))
-    ref = shell_reference(params, lambda pts, h: reference_bump(bump, h), 1.0, (6, 0))
-    assert_same(est, ref)
+    (est,) = density_limit(params, P, bump, [1.0], SAMPLES, SEED, threads)
+    assert_same(est, density_reference(params, bump_weight(params, bump), 1.0))
 
 
 def test_shell_integral_with_polynomial(params, threads):
     # not a function of h: the kernel rebuilds the accepted points
-    e = np.zeros((2, params.dim), dtype=int)
-    e[0, 0], e[1, -1], e[1, 1] = 1, 2, 1
-    phi = Polynomial([(1.0, e[0]), (-0.5, e[1])], params.dim)
-    est = shell_integral_extrapolated(params, P, 1.0, phi, SAMPLES, SEED, threads,
-                                      stream=(6, 0))
-    ref = shell_reference(params, lambda pts, h: phi.values(pts), 1.0, (6, 0))
-    assert_same(est, ref)
+    phi = polynomial(params)
+    (est,) = density_limit(params, P, phi, [1.0], SAMPLES, SEED, threads)
+    assert_same(est, density_reference(params, polynomial_weight(params, phi), 1.0))
     assert est.mean != 0.0
 
 
@@ -280,17 +295,14 @@ def test_block_size_changes_no_bit(monkeypatch, threads, block_rows):
     # and scattered, never which rows or in what order: blocks of 1000 rows
     # end inside replicates of 4096 points, blocks of 2^16 hold 16 of them
     params = SPACES[2]
-    e = np.zeros((2, params.dim), dtype=int)
-    e[0, 0], e[1, -1] = 2, 1
-    phi = Polynomial([(1.0, e[0]), (-0.5, e[1])], params.dim)
+    phi = polynomial(params)
     monkeypatch.setattr(montecarlo, "BLOCK_ROWS", block_rows)
     ball = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
     assert_same(ball, reference_lattice(
         params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k), power(params, P)),
         SAMPLES, SEED, (4, 0)))
-    shell = shell_integral_extrapolated(params, P, 1.0, phi, SAMPLES, SEED, threads,
-                                        stream=(6, 0))
-    assert_same(shell, shell_reference(params, lambda pts, h: phi.values(pts), 1.0, (6, 0)))
+    (density,) = density_limit(params, P, phi, [1.0], SAMPLES, SEED, threads)
+    assert_same(density, density_reference(params, polynomial_weight(params, phi), 1.0))
 
 
 def test_blocks_accepting_no_row_or_every_row(params, threads):

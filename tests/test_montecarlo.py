@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import shell_bump_quadrature, sigma_p_quadrature
+from helpers import reference_bump, sigma_p_quadrature
 
 from sublap import (
     ConfigurationError,
@@ -15,12 +15,12 @@ from sublap import (
     density_limit,
     mc_energy,
     sample_points,
-    shell_integral_extrapolated,
     sigma_p,
+    sigma_p_exact,
     weak_pairing,
 )
 from sublap.fields import gauge_parts, grad_psi_norm_pow
-from sublap.montecarlo import SHELL_FRACTIONS, SHELL_WEIGHTS, STREAM_BALL
+from sublap.montecarlo import STREAM_BALL
 
 SAMPLES = 2 * 10**5
 
@@ -142,10 +142,12 @@ class TestBallMeasure:
 
 
 def _annulus_estimate(name, params, p):
-    """One annulus estimator at (params, p) on 1e4 samples, by name."""
+    """One annulus estimator at (params, p) on 1e4 samples, by name; "shell"
+    is the average over the sphere {psi = 0.5}, which density_limit takes
+    as a weighted ball integral."""
     bump = CutoffBump(params, 1.0)
     if name == "shell":
-        return shell_integral_extrapolated(params, p, 0.5, bump, 10**4, 3)
+        return density_limit(params, p, bump, [0.5], 10**4, 3)[0]
     if name == "pairing":
         return weak_pairing(params, p, FundamentalProfile(params, p), bump, 0.2, 1.0, 10**4, 3)
     return mc_energy(params, p, 0.5, 1.0, 10**4, 3)
@@ -169,51 +171,47 @@ class TestDivergenceGuard:
 
 
 class TestShellIntegral:
+    """The integral over the sphere {psi = R}: Q sigma_p R^(Q-1) times the
+    average that density_limit estimates as one ball integral."""
+
     def test_zero_field(self, setup_a):
-        est = shell_integral_extrapolated(setup_a, 2.0, 1.0, Constant(0.0, 3), SAMPLES, 2)
+        (est,) = density_limit(setup_a, 2.0, Constant(0.0, 3), [1.0], SAMPLES, 2)
         assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_delta_validation(self, setup_a):
-        # the half-widths are fractions of R: R <= 0 makes them <= 0
+        # the ball of each radius needs R > 0
         for R in (0.0, -1.0):
-            with pytest.raises(DomainError, match="radius must be positive"):
-                shell_integral_extrapolated(setup_a, 2.0, R, Constant(1.0, 3), SAMPLES, 2)
-
-    def test_widths_halve_and_weights_cancel_d2_and_d4(self):
-        fracs, weights = SHELL_FRACTIONS, SHELL_WEIGHTS
-        assert len(fracs) == len(weights) == 3
-        assert all(b == a / 2 for a, b in zip(fracs, fracs[1:]))
-        assert sum(weights) == pytest.approx(1.0, abs=1e-15)
-        for power in (2, 4):
-            bias = sum(c * (f / fracs[0]) ** power for c, f in zip(weights, fracs))
-            assert bias == pytest.approx(0.0, abs=1e-15)
+            with pytest.raises(DomainError, match="strictly decreasing and positive"):
+                density_limit(setup_a, 2.0, Constant(1.0, 3), [R], SAMPLES, 2)
 
     def test_surface_ratio(self, setup_a):
-        # S(dB_2)/S(dB_1) = 2^(Q-1) = 8 after width extrapolation
-        one = shell_integral_extrapolated(setup_a, 2.0, 1.0, Constant(1.0, 3), SAMPLES, 4)
-        two = shell_integral_extrapolated(setup_a, 2.0, 2.0, Constant(1.0, 3), SAMPLES, 5)
-        ratio = two.mean / one.mean
+        # S(dB_2)/S(dB_1) = 2^(Q-1) = 8: the averages of phi = 1 are both 1
+        two, one = density_limit(setup_a, 2.0, Constant(1.0, 3), [2.0, 1.0], SAMPLES, 4)
+        ratio = 8.0 * two.mean / one.mean
         sig = ratio * np.hypot(one.stderr / one.mean, two.stderr / two.mean)
         assert abs(ratio - 8.0) <= 3.0 * sig
 
     def test_matches_radial_derivative_of_ball_measure(self, all_setups):
-        # extrapolated shell at R equals Q sigma_p R^(Q-1)
+        # the surface measure at R is Q sigma_p R^(Q-1), the R-derivative of
+        # V(B_R), with sigma_p from the quadrature oracle
         for params in all_setups:
             sig = sigma_p_quadrature(params.n, params.k, params.c, 2.0)
             one = Constant(1.0, params.dim)
-            for R in (1.0, 2.0):
-                est = shell_integral_extrapolated(params, 2.0, R, one, SAMPLES, 6)
+            radii = [2.0, 1.0]
+            for R, est in zip(radii, density_limit(params, 2.0, one, radii, SAMPLES, 6)):
+                surface = params.Q * sigma_p_exact(params, 2.0) * R ** (params.Q - 1.0)
                 target = params.Q * sig * R ** (params.Q - 1.0)
-                assert abs(est.mean - target) <= 4.0 * est.stderr
+                assert abs(surface * est.mean - target) <= 4.0 * surface * est.stderr
 
     def test_bump_matches_quadrature_oracle(self, setup_a):
-        # the estimate's mean is the Richardson sum of the three shells
+        # the bump is f(h) = exp(-h / (B - h)) on the sphere: its surface
+        # integral at R is Q sigma_p R^(Q-1) f(R^4)
         bump = CutoffBump(setup_a, 1.5)
         sig = sigma_p_quadrature(1, 1.0, 1.0, 2.0)
-        est = shell_integral_extrapolated(setup_a, 2.0, 1.0, bump, SAMPLES, 13)
-        target = sum(c / 45 * shell_bump_quadrature(4.0, 1.0, 1.5**4, sig, 1.0, d)
-                     for c, d in ((1, 0.1), (-20, 0.05), (64, 0.025)))
-        assert abs(est.mean - target) <= 4.0 * est.stderr
+        (est,) = density_limit(setup_a, 2.0, bump, [1.0], SAMPLES, 13)
+        surface = 4.0 * sigma_p_exact(setup_a, 2.0)
+        target = 4.0 * sig * float(reference_bump(bump, np.array([1.0]))[0])
+        assert abs(surface * est.mean - target) <= 4.0 * surface * est.stderr
 
 
 class TestDensityLimit:
@@ -249,9 +247,10 @@ class TestDensityLimit:
         density_limit(setup_a, 2.0, CutoffBump(setup_a, 1.5), radii, 10**4, 17)
         assert len(calls) == len(radii)
         assert len({c[0] for c in calls}) == len(calls)
-        # each radius: one run over the box and band of its widest shell
+        # each radius: one run over the box and band of its ball
         for (_, box_R, lo, hi), R in zip(calls, radii):
-            assert (box_R, lo, hi) == pytest.approx((1.1 * R, (0.9 * R) ** 4, (1.1 * R) ** 4))
+            assert lo is None
+            assert (box_R, hi) == (R, R**4)
 
     @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.4, 0.4], [0.4, -0.2], []])
     def test_radii_must_decrease(self, setup_a, radii):

@@ -9,7 +9,7 @@ import pytest
 
 from sublap import SpaceParams, montecarlo, sigma_p, sigma_p_exact
 from sublap.cli import main
-from sublap.montecarlo import STREAM_BALL, STREAM_SHELL, _shard_rng
+from sublap.montecarlo import STREAM_BALL, STREAM_DENSITY, _shard_rng
 
 COMMON = ["--samples", "10000", "--seed", "3", "--threads", "1"]
 
@@ -79,7 +79,7 @@ def test_same_key_gives_identical_draws():
 
 @pytest.mark.parametrize("seed,stream,shard", [
     (8, (STREAM_BALL, 2), 3),   # seed
-    (7, (STREAM_SHELL, 2), 3),  # purpose
+    (7, (STREAM_DENSITY, 2), 3),  # purpose
     (7, (STREAM_BALL, 0), 3),   # index
     (7, (STREAM_BALL, 2), 4),   # shard
 ])
