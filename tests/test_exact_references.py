@@ -9,6 +9,7 @@ its error is pure MC error: it must sit within Z stderr.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ class TestFiniteRadiusEstimates:
         assert exact == pytest.approx(sigma_p_exact(params, p) * 0.8**params.Q, rel=1e-10)
         assert_within_z(ball_measure(params, p, 0.8, SAMPLES, 41), exact)
 
+    def test_shell_integral_extrapolated(self, setup):
+        # the shell integral of the bump at R = 1, once a three-shell
+        # extrapolation, is Q sigma_p R^(Q-1) times the density there; by the
+        # coarea formula its exact value is that surface times phi(h = R^(4k))
+        params, p = setup
+        bump = CutoffBump(params, 1.5)
+        R = 1.0
+        (density,) = density_limit(params, p, bump, [R], SAMPLES, 42)
+        surface = params.Q * sigma_p_exact(params, p) * R ** (params.Q - 1.0)
+        est = replace(density, mean=surface * density.mean, stderr=surface * density.stderr)
+        assert_within_z(est, surface * reference_bump(bump, np.array([R ** (4 * params.k)]))[0])
+
     def test_weak_pairing(self, setup):
         params, p = setup
         alpha = exponents(params, p).alpha
@@ -151,7 +164,7 @@ class TestFiniteRadiusEstimates:
         # the bump is constant on each sphere: its average is phi(h = R^(4k))
         params, p = setup
         bump = CutoffBump(params, 1.5)
-        radii = [1.0, 0.4, 0.2, 0.1]
+        radii = [0.4, 0.2, 0.1]
         estimates = density_limit(params, p, bump, radii, SAMPLES, 45)
         exact = reference_bump(bump, np.array(radii) ** (4 * params.k))
         for row, value in zip(estimates, exact):
