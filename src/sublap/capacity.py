@@ -78,8 +78,9 @@ class CapacityResult:
     method: str                       # closed-form | radial-variational | mc-energy
     value: float                      # in units of sigma_p
     stderr: float | None = None
-    samples: int | None = None        # mc-energy: the points used and the replicates
-    replicates: int | None = None
+    samples: int | None = None        # mc-energy: the points used, the replicates
+    replicates: int | None = None     # and the accepted points
+    accepted: int | None = None
 
 
 def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> CapacityResult:
@@ -236,5 +237,6 @@ def annulus_capacity(
     if method == "mc-energy":
         est = mc_energy(params, p, r, R, samples, seed, threads)
         return CapacityResult(method=method, value=est.mean, stderr=est.stderr,
-                              samples=est.samples, replicates=est.replicates)
+                              samples=est.samples, replicates=est.replicates,
+                              accepted=est.accepted)
     raise DomainError(f"unknown capacity method {method!r}")

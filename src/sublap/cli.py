@@ -222,7 +222,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def _record(name, value, stderr=None, tol=None, passed=None, exact=False, run=None) -> dict:
     """One report record; `run`, an MC estimate (or capacity result) with
-    samples, adds the points it used and its replicates."""
+    samples, adds the points it used, its replicates and its accepted points."""
     rec = {"name": name, "value": float(value)}
     if stderr is not None:
         rec["stderr"] = float(stderr)
@@ -231,6 +231,7 @@ def _record(name, value, stderr=None, tol=None, passed=None, exact=False, run=No
     if run is not None and run.samples is not None:
         rec["samples"] = int(run.samples)
         rec["replicates"] = int(run.replicates)
+        rec["accepted"] = int(run.accepted)
     if tol is not None:
         rec["tol"] = float(tol)
     if passed is not None:

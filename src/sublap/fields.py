@@ -45,17 +45,21 @@ def gauge_work(rows: int) -> np.ndarray:
     return np.empty((5, rows))
 
 
-def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: np.ndarray):
+def column_gauge_parts(params: SpaceParams, cols: np.ndarray, width, work: np.ndarray):
     """(Sigma, tau, h) of N points, built one coordinate column at a time.
 
     `cols` (dim, N) holds one row per coordinate, contiguous for the MC
-    kernel's blocks: the points are its columns or, given a box, the
-    columns of lo + cols * width (then `cols` holds uniforms in [0, 1)); no
-    (N, dim) point array is formed.  Sigma adds the squared horizontal
-    offsets in the order of numpy's einsum("ij,ij->i") kernel on its
-    two-lane (SSE2) baseline: even and odd columns in separate lanes, each
-    run of eight columns folded in last to first, the two lanes added at
-    the end.  Sigma is then bit-identical to the einsum of the offsets.
+    kernel's blocks, and no (N, dim) point array is formed.  With width
+    None its columns are the points.  Given a box's widths (dim,), they are
+    centred offsets y in [-1/2, 1/2] of the box centred at x0, the points
+    x0 + y * width: then Sigma = w_h^2 sum_l y_l^2 and tau = w_t y_t, with
+    one horizontal width w_h = width[0], since every box of `ball_spec`
+    has equal horizontal widths.  The sum of squares adds the horizontal
+    terms in the order of numpy's einsum("ij,ij->i") kernel on its two-lane
+    (SSE2) baseline: even and odd columns in separate lanes, each run of
+    eight columns folded in last to first, the two lanes added at the end.
+    The sum is then bit-identical to the einsum of the offsets x - x0, or
+    of y before the factor w_h^2.
 
     Everything is written into the first N columns of `work` (5, >= N),
     from `gauge_work`: the two lanes, a temporary, tau and h.  The returned
@@ -66,14 +70,13 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: n
     rows = cols.shape[1]
     lanes, tmp, tau, h = work[:2, :rows], work[2, :rows], work[3, :rows], work[4, :rows]
 
-    def offset(j, out):
-        """out = coordinate j of the points minus x0[j]."""
+    def square(j, out):
+        """out = the square of coordinate j's offset from x0[j] (or of y_j)."""
         if width is None:
             np.subtract(cols[j], x0[j], out=out)
+            out *= out
         else:
-            np.multiply(cols[j], width[j], out=out)
-            out += lo[j]
-            out -= x0[j]
+            np.multiply(cols[j], cols[j], out=out)
 
     order = []
     while n2 - len(order) >= 8:
@@ -82,15 +85,17 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, lo, width, work: n
     order += range(len(order), n2)
     for parity, lane in enumerate(lanes):
         first, *rest = [j for j in order if j % 2 == parity]
-        offset(first, lane)
-        lane *= lane
+        square(first, lane)
         for j in rest:
-            offset(j, tmp)
-            tmp *= tmp
+            square(j, tmp)
             lane += tmp
     sigma = lanes[0]
     sigma += lanes[1]
-    offset(n2, tau)
+    if width is None:
+        np.subtract(cols[n2], x0[n2], out=tau)
+    else:
+        sigma *= width[0] ** 2
+        np.multiply(cols[n2], width[n2], out=tau)
     # h = c^2 Sigma^(2k) + tau^2 by the ufuncs of that expression: `**=`
     # takes numpy's scalar-exponent shortcuts (2k = 2 squares) as `**` does
     np.copyto(h, sigma)
@@ -107,7 +112,7 @@ def gauge_parts(params: SpaceParams, pts: np.ndarray):
     pts = as_points(params, pts)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must have shape (N, {params.dim}), got {pts.shape}")
-    return column_gauge_parts(params, pts.T, None, None, gauge_work(pts.shape[0]))
+    return column_gauge_parts(params, pts.T, None, gauge_work(pts.shape[0]))
 
 
 def grad_psi_norm_pow(params: SpaceParams, sigma, h, q: float) -> np.ndarray:

@@ -15,12 +15,14 @@ than 96% of those asked for, and that count is what an MCEstimate reports.
 
 The R shifts are drawn at once, (R, dim), by one SFC64 generator per run,
 seeded by numpy's SeedSequence from the nonnegative user seed, taken whole,
-with the spawn key (purpose, index).  The unshifted lattice (dim, N) is
-built once per run and shared read-only by the workers.  A run's R N points
-are cut into fixed-size shards, each holding whole replicates, reduced in
-index order, so results are bit-identical for a given seed regardless of the
-worker count.  A run starts at most one worker thread per shard and per
-usable CPU, whatever thread count it is given.
+with the spawn key (purpose, index), and 1/2 is subtracted from them once.
+The unshifted lattice (dim, N) is built once per process for each (N, dim)
+(`unshifted_lattice`, a small cache) and shared read-only by every run and
+worker.  A run's R N points are cut into fixed-size shards, each holding
+whole replicates, reduced in index order, so results are bit-identical for
+a given seed regardless of the worker count.  A run starts at most one
+worker thread per shard and per usable CPU, whatever thread count it is
+given.
 
 Every estimator is one band integrand (a `Band`) fed to one kernel,
 `_mc_over_box`.  A band is a radial weight on lo < h < hi times the measure
@@ -36,21 +38,26 @@ the R-derivative of the ball integral of phi, the sphere's integral, is
 Q/R times the ball integral of phi + Z phi / Q, Z the dilation generator.
 
 A shard maps its points in blocks of BLOCK_ROWS rows; a block covers whole
-replicates or part of one.  Its uniforms are one contiguous column per
-coordinate, (dim, rows): the unshifted lattice's columns plus the shift,
-wrapped into [0, 1) by np.floor and a subtract.  Each block goes straight to
-(Sigma, tau, h) one coordinate column at a time (`fields.column_gauge_parts`),
-with no (N, dim) point array.  The band's mask becomes the accepted rows'
-indices (`np.flatnonzero`), which gather their Sigma and h with `take`, and
-the band's weight sees only their h; a weight that needs the points
-themselves (a field that is not a function of h) rebuilds them from the
-uniforms of those rows alone.  The accepted rows' values are scattered by
-index into one shard-length array, and each replicate's values are summed
-once, by numpy's own pairwise reduction over its N contiguous values and
-not by a BLAS dot product, so neither the block size nor the BLAS thread
-count changes a bit of the result.
+replicates or part of one.  The box of B_R is centred at x0, so a point is
+x0 + y * width with y = frac(L + s) - 1/2 its centred offset, L the
+unshifted lattice point and s the shift.  A block holds y, one contiguous
+column per coordinate, (dim, rows): the unshifted lattice's columns plus
+the centred shift s - 1/2, wrapped into [-1/2, 1/2] by np.rint and a
+subtract (the same points of the torus as frac(L + s) - 1/2, to within one
+rounding of the sum).  Each block goes straight to (Sigma, tau, h) one
+coordinate column at a time (`fields.column_gauge_parts`): Sigma = w_h^2
+sum_l y_l^2 and tau = w_t y_t, with no (N, dim) point array and no map to
+the box.  The band's mask becomes the accepted rows' indices
+(`np.flatnonzero`), which gather their Sigma and h with `take`, and the
+band's weight sees only their h; a weight that needs the points themselves
+(a field that is not a function of h) rebuilds them as x0 + y * width from
+the offsets of those rows alone.  The accepted rows' values are scattered
+by index into one shard-length array, and each replicate's values are
+summed once, by numpy's own pairwise reduction over its N contiguous values
+and not by a BLAS dot product, so neither the block size nor the BLAS
+thread count changes a bit of the result.
 
-Each worker thread of a run makes one set of block buffers (the uniforms,
+Each worker thread of a run makes one set of block buffers (the offsets,
 the work array of `column_gauge_parts`, the band masks and the shard's
 values) and reuses it for every block and shard it runs; the set goes when
 the run returns.  Per block, only the accepted rows' indices and arrays
@@ -59,6 +66,7 @@ are new.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -70,7 +78,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .extrapolation import decreasing_radii
-from .fields import (  # noqa: F401 (gauge_parts re-exported)
+from .fields import (
     ScalarField, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
 )
 from .space import SpaceParams, check_integrable, sigma_p_exact
@@ -79,6 +87,7 @@ SHARD_SIZE = 1 << 16
 # Rows mapped at a time: a block's columns stay in cache.
 BLOCK_ROWS = 1 << 14
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)
 
 # The lattice of a run has N = 2^m points, 8 <= m <= LATTICE_MAX_LOG2 (N
 # divides SHARD_SIZE, so a shard holds whole replicates), and at least
@@ -171,10 +180,16 @@ def generating_vector(points: int, dim: int) -> np.ndarray:
     return z
 
 
+# a pass runs a few (N, dim); one lattice takes 8 dim N bytes
+@functools.lru_cache(maxsize=4)
 def unshifted_lattice(points: int, dim: int) -> np.ndarray:
-    """The lattice's points i z / N mod 1, one contiguous row per coordinate: (dim, N)."""
+    """The lattice's points i z / N mod 1, one contiguous row per coordinate:
+    (dim, N).  Built once per (points, dim) and returned read-only, the same
+    array to every run and worker thread."""
     i = np.arange(points, dtype=np.int64)
-    return (generating_vector(points, dim)[:, None] * i % points) / points
+    lattice = (generating_vector(points, dim)[:, None] * i % points) / points
+    lattice.setflags(write=False)
+    return lattice
 
 
 @dataclass(frozen=True)
@@ -192,7 +207,9 @@ class BallSpec:
 def ball_spec(params: SpaceParams, R: float) -> BallSpec:
     """The box of {psi < R}, where Sigma reaches 2n R^2 |c|^(-1/k) and
     tau^2 reaches R^(4k).  DomainError unless the largest Sigma, Sigma^(2k)
-    (formed before the factor c^2) and h, and the volume, are floats."""
+    (formed before the factor c^2) and h, and the volume, are floats, or
+    when the volume is below the smallest normal float, where it would
+    keep only some of its digits."""
     if not 0 < R < np.inf:
         raise DomainError(f"radius must be positive and finite, got {R!r}")
     k, n2 = params.k, 2 * params.n
@@ -206,6 +223,11 @@ def ball_spec(params: SpaceParams, R: float) -> BallSpec:
         raise DomainError(
             f"the box of the gauge ball of radius {R!r} leaves the float range: "
             "its largest Sigma, Sigma^(2k) or h, or its volume, is not a finite float"
+        )
+    if log_volume < _LOG_FLOAT_TINY:
+        raise DomainError(
+            f"the box of the gauge ball of radius {R!r} has volume "
+            f"exp({log_volume:.6g}), below the smallest normal float"
         )
     hw = np.empty(params.dim)
     hw[: 2 * params.n] = R * abs(params.c) ** (-1.0 / (2 * params.k))
@@ -264,16 +286,11 @@ class Band:
     lo: float | None = None
 
 
-def _box(params: SpaceParams, spec: BallSpec):
-    """Lower corner and widths of the box; its points are lo + U * width."""
-    return params.x0 - spec.half_widths, 2.0 * spec.half_widths
-
-
 class _BlockBuffers:
     """One worker's arrays for `_mc_over_box`, reused by every block and shard it runs."""
 
     def __init__(self, dim: int):
-        self.uniforms = np.empty((dim, BLOCK_ROWS))
+        self.offsets = np.empty((dim, BLOCK_ROWS))
         self.gauge = gauge_work(BLOCK_ROWS)
         self.inside = np.empty(BLOCK_ROWS, dtype=bool)
         self.above_lo = np.empty(BLOCK_ROWS, dtype=bool)
@@ -281,9 +298,10 @@ class _BlockBuffers:
 
 
 def _lattice_block(lattice, shifts, first: int, out, scratch):
-    """Fill `out` (dim, rows) with the uniforms of the run's points first,
-    first + 1, ...: point i of replicate j, i + j N, is frac(lattice[:, i] +
-    shifts[j]).  `scratch` holds at least `rows` floats."""
+    """Fill `out` (dim, rows) with the centred offsets of the run's points
+    first, first + 1, ...: point i of replicate j, i + j N, is
+    lattice[:, i] + shifts[j] wrapped into [-1/2, 1/2], `shifts` being the
+    centred shifts s - 1/2.  `scratch` holds at least `rows` floats."""
     points = lattice.shape[1]
     rows = out.shape[1]
     done = 0
@@ -294,7 +312,7 @@ def _lattice_block(lattice, shifts, first: int, out, scratch):
         done += seg
     wrap = scratch[:rows]
     for col in out:
-        np.floor(col, out=wrap)
+        np.rint(col, out=wrap)
         col -= wrap
     return out
 
@@ -312,12 +330,13 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
     _check_seed(seed)
-    lo, width = _box(params, spec)
+    width = 2.0 * spec.half_widths
     weight = integrand.weight
     points, reps = lattice_shape(samples)
     total = points * reps
     lattice = unshifted_lattice(points, params.dim)
     shifts = _stream_rng(seed, stream).random((reps, params.dim))
+    shifts -= 0.5
     n_shards = (total + SHARD_SIZE - 1) // SHARD_SIZE
     rep_sums = np.zeros(reps)
     accepted = np.zeros(n_shards, dtype=np.int64)
@@ -336,9 +355,9 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
         for start in range(0, count, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, count - start)
             # the work array is free until column_gauge_parts fills it
-            U = _lattice_block(lattice, shifts, first + start, bufs.uniforms[:, :rows],
+            y = _lattice_block(lattice, shifts, first + start, bufs.offsets[:, :rows],
                                bufs.gauge[0])
-            sigma, _, h = column_gauge_parts(params, U, lo, width, bufs.gauge)
+            sigma, _, h = column_gauge_parts(params, y, width, bufs.gauge)
             inside = np.less(h, integrand.hi, out=bufs.inside[:rows])
             if integrand.lo is not None:
                 inside &= np.greater(h, integrand.lo, out=bufs.above_lo[:rows])
@@ -348,7 +367,7 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
                 h_in = h.take(rows_in)
                 val = grad_psi_norm_pow(params, sigma.take(rows_in), h_in, p)
                 if weight is not None:
-                    val = weight(h_in, lambda: lo + U.take(rows_in, axis=1).T * width) * val
+                    val = weight(h_in, lambda: params.x0 + y.take(rows_in, axis=1).T * width) * val
                 vals[start : start + rows][rows_in] = val
                 acc += hits
         # a shard holds whole replicates; numpy's own pairwise sum of each,
@@ -461,22 +480,25 @@ def sample_points(params: SpaceParams, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise DomainError(f"need at least one point, got {count}")
     _check_seed(seed)
-    spec = ball_spec(params, POINTS_BOX_RADIUS)
-    if 2 * params.n * spec.half_widths[0] ** 2 < POINTS_MIN_SIGMA:  # the box's largest Sigma
+    # the box's largest Sigma, 2n R^2 |c|^(-1/k), in logs and before
+    # `ball_spec`, which may reject the same box for its tiny volume
+    log_sigma = math.log(2 * params.n * POINTS_BOX_RADIUS**2) - math.log(abs(params.c)) / params.k
+    if log_sigma < math.log(POINTS_MIN_SIGMA):
         raise DomainError(f"the box of B_{POINTS_BOX_RADIUS!r} holds no point with "
                           f"Sigma >= {POINTS_MIN_SIGMA!r}")
-    lo, width = _box(params, spec)
+    spec = ball_spec(params, POINTS_BOX_RADIUS)
+    lo, width = params.x0 - spec.half_widths, 2.0 * spec.half_widths
     out = np.empty((count, params.dim))
     have = 0
     shard = 0
     while have < count:
         rows = max(count, 256)
-        U = _shard_rng(seed, (STREAM_POINTS, 0), shard).random((rows, params.dim))
-        sigma, _, h = column_gauge_parts(params, U.T, lo, width, gauge_work(rows))
+        pts = lo + _shard_rng(seed, (STREAM_POINTS, 0), shard).random((rows, params.dim)) * width
+        sigma, _, h = gauge_parts(params, pts)
         psi = h ** (1.0 / (4 * params.k))
         keep = np.flatnonzero((psi >= POINTS_MIN_PSI) & (sigma >= POINTS_MIN_SIGMA))
         keep = keep[: count - have]
-        out[have : have + keep.size] = lo + U[keep] * width
+        out[have : have + keep.size] = pts[keep]
         have += keep.size
         shard += 1
     return out

@@ -153,16 +153,32 @@ def coarea_quadrature(params, p, g, lo, hi):
 
 # ---------------------------------------------------------------- MC reference pipeline
 #
-# The Monte Carlo estimators as they ran before the block kernel: every
-# shard draws its whole (N, dim) uniform array at once, maps it to the point
-# array lo + U * width, and evaluates the integrand on the points, with
-# (Sigma, tau, h) from an einsum.  The library must reproduce these bit for bit.
+# The Monte Carlo estimators as whole arrays, without the block kernel.
+# `reference_mc` and `reference_sample_points` draw a whole (N, dim) uniform
+# array per shard, map it to the point array lo + U * width, and take
+# (Sigma, tau, h) from an einsum of the points.  `reference_lattice` builds
+# each replicate as one array of centred offsets y and takes (Sigma, tau, h)
+# from them (`reference_centred_parts`).  The library must reproduce
+# `reference_lattice` and `reference_sample_points` bit for bit.
 
 
 def reference_gauge_parts(params, pts):
     u = pts[:, : 2 * params.n] - params.a
     tau = pts[:, 2 * params.n] - params.s
     sigma = np.einsum("ij,ij->i", u, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = params.c**2 * sigma ** (2 * params.k) + tau * tau
+    return sigma, tau, h
+
+
+def reference_centred_parts(params, Y, width):
+    """(Sigma, tau, h) of the points x0 + Y * width of a box centred at x0,
+    from their centred offsets Y (N, dim): Sigma = w_h^2 einsum(y_h, y_h)
+    with w_h = width[0], tau = w_t y_t."""
+    n2 = 2 * params.n
+    yh = Y[:, :n2]
+    sigma = width[0] ** 2 * np.einsum("ij,ij->i", yh, yh)
+    tau = width[n2] * Y[:, n2]
     with np.errstate(divide="ignore", invalid="ignore"):
         h = params.c**2 * sigma ** (2 * params.k) + tau * tau
     return sigma, tau, h
@@ -197,20 +213,23 @@ def reference_mc(params, R, integrand, samples, seed, stream):
 
 
 def reference_lattice(params, R, integrand, samples, seed, stream):
-    """(mean, stderr, accepted) of integrand(pts) -> (values, accepted) over
-    the bounding box of B_R by the randomly shifted lattice, one whole point
-    array per replicate: point i of replicate j is frac(i z / N + shift_j)."""
+    """(mean, stderr, accepted) of integrand(pts, parts) -> (values, accepted)
+    over the bounding box of B_R by the randomly shifted lattice, one whole
+    array of centred offsets per replicate: point i of replicate j is
+    x0 + y * width, y = i z / N + shift_j - 1/2 wrapped into [-1/2, 1/2] by
+    rint, and parts its (Sigma, tau, h) from `reference_centred_parts`."""
     from sublap.montecarlo import _stream_rng, generating_vector, lattice_shape
 
-    spec, lo, width = _reference_box(params, R)
+    spec, _, width = _reference_box(params, R)
     N, reps = lattice_shape(samples)
     lattice = np.outer(np.arange(N), generating_vector(N, params.dim)) % N / N  # (N, dim)
-    shifts = _stream_rng(seed, stream).random((reps, params.dim))
+    shifts = _stream_rng(seed, stream).random((reps, params.dim)) - 0.5
     sums, accepted = np.zeros(reps), 0
     for j in range(reps):
-        U = lattice + shifts[j]
-        U -= np.floor(U)
-        vals, acc = integrand(lo + U * width)
+        Y = lattice + shifts[j]
+        Y -= np.rint(Y)
+        parts = reference_centred_parts(params, Y, width)
+        vals, acc = integrand(params.x0 + Y * width, parts)
         sums[j] = vals.sum()
         accepted += acc
     means = sums * (spec.volume / N)
@@ -221,10 +240,11 @@ def reference_lattice(params, R, integrand, samples, seed, stream):
 
 def reference_band(params, lo_h, hi_h, weight):
     """Integrand of the band lo_h < h < hi_h (lo_h None: h < hi_h) with
-    weight(pts, Sigma, h) on the accepted points."""
+    weight(pts, Sigma, h) on the accepted points; (Sigma, tau, h) are the
+    given parts, or those of the points."""
 
-    def integrand(pts):
-        sigma, _, h = reference_gauge_parts(params, pts)
+    def integrand(pts, parts=None):
+        sigma, _, h = reference_gauge_parts(params, pts) if parts is None else parts
         inside = h < hi_h if lo_h is None else (h > lo_h) & (h < hi_h)
         vals = np.zeros(pts.shape[0])
         vals[inside] = weight(pts[inside], sigma[inside], h[inside])

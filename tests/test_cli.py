@@ -147,6 +147,10 @@ class TestExitCodes:
          "leaves the float range"),
         # R^(4k) as a Python float: an uncaught OverflowError before
         (["ahlfors", "--radii", "1e100,1e101"], "leaves the float range"),
+        # a box volume of 1e-320, a subnormal with 3-4 digits: at seed 1 the
+        # measure over R^Q read 3.12599 at R = 1e-80 with exit 0 before,
+        # against 3.13916 at R = 1
+        (["ahlfors", "--radii", "2e-80,1e-80"], "below the smallest normal float"),
         (["density", "--radii", "1e200,1e100,1"], "leaves the float range"),
         (["capacity", "--R", "1e100", "--method", "mc"], "leaves the float range"),
         (["density", "--bump-radius", "1e100"], "not a positive finite float"),
@@ -168,8 +172,8 @@ class TestExitCodes:
         (["verify-fundamental", "--p", "1.003"], "slope leaves the float range"),
         (["verify-fundamental", "--p", "1.01"], "leaves the float range"),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
-            "ahlfors-volume-R7", "ahlfors-huge-radii", "density-huge-radii",
-            "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
+            "ahlfors-volume-R7", "ahlfors-huge-radii", "ahlfors-tiny-radii",
+            "density-huge-radii", "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
             "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",
             "verify-fundamental-p-1.003", "verify-fundamental-p-1.01"])
@@ -450,6 +454,7 @@ class TestReports:
         for rec in counted:
             assert "stderr" in rec
             assert (rec["samples"], rec["replicates"]) == (256 * 39, 39)
+            assert 0 < rec["accepted"] < rec["samples"]
 
     def test_csv_projection(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--format", "csv"] + FAST)

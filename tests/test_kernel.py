@@ -1,10 +1,10 @@
 """The block lattice kernel against a whole-replicate reference.
 
 Every estimator must give exactly the mean, stderr and accepted count of
-`helpers.reference_lattice`, which builds each replicate as one point
-array, at 1 and 2 threads, with a sample count that rounds down to R N
-points filling neither a whole shard nor a whole block, and an offset base
-point.
+`helpers.reference_lattice`, which builds each replicate as one array of
+centred offsets, at 1 and 2 threads, with a sample count that rounds down
+to R N points filling neither a whole shard nor a whole block, and an
+offset base point.
 """
 
 import sys
@@ -15,6 +15,7 @@ from helpers import (
     reference_band,
     reference_bump,
     reference_bump_d_dh,
+    reference_centred_parts,
     reference_gauge_parts,
     reference_lattice,
     reference_sample_points,
@@ -334,14 +335,15 @@ def test_sigma_matches_einsum(n, rng):
     assert np.array_equal(sigma, ref[0])
     assert np.array_equal(tau, ref[1])
     assert np.array_equal(h, ref[2])
-    # the box form maps lo + U * width with the same roundings, into the
-    # first 5000 columns of a larger work array, whatever it held before
-    lo, width = params.x0 - 1.5, np.full(params.dim, 3.0)
-    U = rng.random((5000, params.dim))
+    # the box form takes centred offsets y: Sigma = w_h^2 einsum(y_h, y_h),
+    # into the first 5000 columns of a larger work array, whatever it held before
+    width = np.full(params.dim, 3.0)
+    width[-1] = 1.7
+    Y = rng.random((5000, params.dim)) - 0.5
     work = gauge_work(8000)
     work.fill(np.nan)
-    boxed = column_gauge_parts(params, U.T, lo, width, work)  # one row per coordinate
-    for got, want in zip(boxed, reference_gauge_parts(params, lo + U * width)):
+    boxed = column_gauge_parts(params, Y.T, width, work)  # one row per coordinate
+    for got, want in zip(boxed, reference_centred_parts(params, Y, width)):
         assert np.array_equal(got, want)
 
 

@@ -14,6 +14,7 @@ from sublap.montecarlo import (
     LATTICE_MAX_LOG2,
     MIN_REPLICATES,
     SHARD_SIZE,
+    _lattice_block,
     generating_vector,
     lattice_shape,
     unshifted_lattice,
@@ -67,6 +68,32 @@ def test_korobov_vector(m, n):
     for row in lattice:
         assert np.array_equal(np.sort(row), np.arange(points) / points)
     assert np.array_equal(lattice[:, 5], (5 * z % points) / points)
+    # built once and shared read-only by every run
+    assert unshifted_lattice(points, dim) is lattice
+    with pytest.raises(ValueError, match="read-only"):
+        lattice[0, 0] = 0.5
+    assert np.array_equal(lattice, (z[:, None] * np.arange(points) % points) / points)
+
+
+def test_centred_wrap_is_the_shifted_lattice_minus_half(rng):
+    # a block of 1.5 replicates of N = 256 points in R^5: y = L + (s - 1/2)
+    # wrapped by rint lies in [-1/2, 1/2] and is frac(L + s) - 1/2 on the
+    # torus, to within one rounding of either sum (an ulp of 1); the second
+    # shift puts L + s at exactly 1 for one point, a tie rint rounds to even
+    points, dim = 256, 5
+    lattice = unshifted_lattice(points, dim)
+    shifts = rng.random((2, dim))
+    shifts[1] = 1.0 - lattice[:, 3]
+    rows = points + points // 2
+    y = _lattice_block(lattice, shifts - 0.5, 0, np.empty((dim, rows)), np.empty(rows))
+    assert np.all((-0.5 <= y) & (y <= 0.5))
+    frac = np.concatenate([lattice + shifts[0][:, None], lattice[:, : rows - points]
+                           + shifts[1][:, None]], axis=1)
+    frac -= np.floor(frac)
+    gap = y - (frac - 0.5)
+    gap -= np.rint(gap)  # the same point of the torus
+    assert np.max(np.abs(gap)) <= np.spacing(1.0)
+    assert np.array_equal(y[:, points + 3], np.full(dim, 0.5))
 
 
 def test_dimensions_past_the_table_extend_the_n8_vector():
