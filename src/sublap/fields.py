@@ -40,44 +40,15 @@ class ScalarField:
         return self.jet(pts).value
 
 
-def gauge_work(rows: int) -> np.ndarray:
-    """Work array for `column_gauge_parts` over up to `rows` points."""
-    return np.empty((5, rows))
-
-
-def column_gauge_parts(params: SpaceParams, cols: np.ndarray, width, work: np.ndarray):
-    """(Sigma, tau, h) of N points, built one coordinate column at a time.
-
-    `cols` (dim, N) holds one row per coordinate, contiguous for the MC
-    kernel's blocks, and no (N, dim) point array is formed.  With width
-    None its columns are the points.  Given a box's widths (dim,), they are
-    centred offsets y in [-1/2, 1/2] of the box centred at x0, the points
-    x0 + y * width: then Sigma = w_h^2 sum_l y_l^2 and tau = w_t y_t, with
-    one horizontal width w_h = width[0], since every box of `ball_spec`
-    has equal horizontal widths.  The sum of squares adds the horizontal
-    terms in the order of numpy's einsum("ij,ij->i") kernel on its two-lane
-    (SSE2) baseline: even and odd columns in separate lanes, each run of
-    eight columns folded in last to first, the two lanes added at the end.
-    The sum is then bit-identical to the einsum of the offsets x - x0, or
-    of y before the factor w_h^2.
-
-    Everything is written into the first N columns of `work` (5, >= N),
-    from `gauge_work`: the two lanes, a temporary, tau and h.  The returned
-    arrays are views of it, valid until `work` is used again.
+def einsum_sum_of_squares(n2: int, square, lanes: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The sum over j < n2 of square(j, out), which writes the square of
+    coordinate j into `out`, added in the order of numpy's einsum("ij,ij->i")
+    kernel on its two-lane (SSE2) baseline: even and odd coordinates in
+    separate lanes, each run of eight folded in last to first, the two lanes
+    added at the end.  The sum is then bit-identical to the einsum of the
+    coordinates.  `lanes` (2, N) and `tmp` (N,) are work rows; the sum is
+    left in lanes[0] and returned, and lanes[1] and `tmp` are free after.
     """
-    n2 = 2 * params.n
-    x0 = params.x0
-    rows = cols.shape[1]
-    lanes, tmp, tau, h = work[:2, :rows], work[2, :rows], work[3, :rows], work[4, :rows]
-
-    def square(j, out):
-        """out = the square of coordinate j's offset from x0[j] (or of y_j)."""
-        if width is None:
-            np.subtract(cols[j], x0[j], out=out)
-            out *= out
-        else:
-            np.multiply(cols[j], cols[j], out=out)
-
     order = []
     while n2 - len(order) >= 8:
         j = len(order)
@@ -89,30 +60,39 @@ def column_gauge_parts(params: SpaceParams, cols: np.ndarray, width, work: np.nd
         for j in rest:
             square(j, tmp)
             lane += tmp
-    sigma = lanes[0]
-    sigma += lanes[1]
-    if width is None:
-        np.subtract(cols[n2], x0[n2], out=tau)
-    else:
-        sigma *= width[0] ** 2
-        np.multiply(cols[n2], width[n2], out=tau)
-    # h = c^2 Sigma^(2k) + tau^2 by the ufuncs of that expression: `**=`
-    # takes numpy's scalar-exponent shortcuts (2k = 2 squares) as `**` does
-    np.copyto(h, sigma)
+    lanes[0] += lanes[1]
+    return lanes[0]
+
+
+def gauge_h(params: SpaceParams, sigma: np.ndarray, tau_sq: np.ndarray, out: np.ndarray):
+    """h = c^2 Sigma^(2k) + tau^2 into `out`, by the ufuncs of that
+    expression: `**=` takes numpy's scalar-exponent shortcuts (2k = 2
+    squares) as `**` does."""
+    np.copyto(out, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h **= 2 * params.k
-        h *= params.c**2
-        np.multiply(tau, tau, out=tmp)
-        h += tmp
-    return sigma, tau, h
+        out **= 2 * params.k
+        out *= params.c**2
+        out += tau_sq
+    return out
 
 
 def gauge_parts(params: SpaceParams, pts: np.ndarray):
-    """Vectorized (Sigma, tau, h) over an (N, dim) array of points."""
+    """Vectorized (Sigma, tau, h) over an (N, dim) array of points, one
+    coordinate column at a time: Sigma is the einsum of the offsets x_l - a_l."""
     pts = as_points(params, pts)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must have shape (N, {params.dim}), got {pts.shape}")
-    return column_gauge_parts(params, pts.T, None, gauge_work(pts.shape[0]))
+    n2, x0, cols = 2 * params.n, params.x0, pts.T
+    work = np.empty((5, pts.shape[0]))
+    lanes, tmp, tau, h = work[:2], work[2], work[3], work[4]
+
+    def square(j, out):
+        np.subtract(cols[j], x0[j], out=out)
+        out *= out
+
+    sigma = einsum_sum_of_squares(n2, square, lanes, tmp)
+    np.subtract(cols[n2], x0[n2], out=tau)
+    return sigma, tau, gauge_h(params, sigma, np.multiply(tau, tau, out=tmp), h)
 
 
 def grad_psi_norm_pow(params: SpaceParams, sigma, h, q: float) -> np.ndarray:

@@ -20,9 +20,10 @@ The unshifted lattice (dim, N) is built once per process for each (N, dim)
 (`unshifted_lattice`, a small cache) and shared read-only by every run and
 worker.  A run's R N points are cut into fixed-size shards, each holding
 whole replicates, reduced in index order, so results are bit-identical for
-a given seed regardless of the worker count.  A run starts at most one
-worker thread per shard and per usable CPU, whatever thread count it is
-given.
+a given seed regardless of the worker count.  A run has at most one worker
+per shard and per usable CPU, whatever thread count it is given: its
+calling thread and the threads it starts, worker w running shards w, w +
+workers, ...
 
 Every estimator is one band integrand (a `Band`) fed to one kernel,
 `_mc_over_box`.  A band is a radial weight on lo < h < hi times the measure
@@ -37,31 +38,28 @@ maps B_1 onto B_R with Jacobian R^Q and leaves |grad_0 psi| unchanged, so
 the R-derivative of the ball integral of phi, the sphere's integral, is
 Q/R times the ball integral of phi + Z phi / Q, Z the dilation generator.
 
-A shard maps its points in blocks of BLOCK_ROWS rows; a block covers whole
-replicates or part of one.  The box of B_R is centred at x0, so a point is
-x0 + y * width with y = frac(L + s) - 1/2 its centred offset, L the
-unshifted lattice point and s the shift.  A block holds y, one contiguous
-column per coordinate, (dim, rows): the unshifted lattice's columns plus
-the centred shift s - 1/2, wrapped into [-1/2, 1/2] by np.rint and a
-subtract (the same points of the torus as frac(L + s) - 1/2, to within one
-rounding of the sum).  Each block goes straight to (Sigma, tau, h) one
-coordinate column at a time (`fields.column_gauge_parts`): Sigma = w_h^2
-sum_l y_l^2 and tau = w_t y_t, with no (N, dim) point array and no map to
-the box.  The band's mask becomes the accepted rows' indices
-(`np.flatnonzero`), which gather their Sigma and h with `take`, and the
-band's weight sees only their h; a weight that needs the points themselves
-(a field that is not a function of h) rebuilds them as x0 + y * width from
-the offsets of those rows alone.  The accepted rows' values are scattered
-by index into one shard-length array, and each replicate's values are
-summed once, by numpy's own pairwise reduction over its N contiguous values
-and not by a BLAS dot product, so neither the block size nor the BLAS
+A shard holds R_s = SHARD_SIZE / N whole replicates and is mapped in one
+pass.  The box of B_R is centred at x0: a point is x0 + y * width, y =
+frac(L + s) - 1/2 its centred offset, L the lattice point and s the shift.
+Coordinate j of a shard's offsets is one broadcast add of the lattice's row
+j and the replicates' centred shifts s_j - 1/2 into an (R_s, N) view of a
+shard-length row, wrapped into [-1/2, 1/2] by subtracting the mask y > 1/2
+(bit for bit y - rint(y), frac(L + s) - 1/2 on the torus to within one
+rounding), then squared into numpy's einsum lane order
+(`fields.einsum_sum_of_squares`): Sigma = w_h^2 sum_l y_l^2 and tau = w_t
+y_t, with no point array and no map to the box.  The band's weight sees the
+accepted rows (`np.flatnonzero` of its mask) CHUNK_ROWS at a time, their
+Sigma and h gathered with `take`; a weight that needs points (a field that
+is not a function of h) rebuilds them from each row's replicate and lattice
+index.  The values are scattered by index into a shard-length row, and each
+replicate's values are summed once, by numpy's pairwise reduction over its
+N contiguous values, not a BLAS dot, so neither the chunk size nor the BLAS
 thread count changes a bit of the result.
 
-Each worker thread of a run makes one set of block buffers (the offsets,
-the work array of `column_gauge_parts`, the band masks and the shard's
-values) and reuses it for every block and shard it runs; the set goes when
-the run returns.  Per block, only the accepted rows' indices and arrays
-are new.
+Each worker thread of a run makes one set of buffers for all its shards:
+three shard-length float rows (two einsum lanes, and a temporary that holds
+tau^2 and then the shard's values) and two bool masks, about 1.7 MB in any
+dimension.  The set goes when the run returns.
 """
 
 from __future__ import annotations
@@ -79,15 +77,17 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .extrapolation import decreasing_radii
 from .fields import (
-    ScalarField, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
+    ScalarField, einsum_sum_of_squares, gauge_h, gauge_parts, grad_psi_norm_pow,
 )
 from .space import SpaceParams, check_integrable, sigma_p_exact
 
 SHARD_SIZE = 1 << 16
-# Rows mapped at a time: a block's columns stay in cache.
-BLOCK_ROWS = 1 << 14
+# The band's weight sees a shard's accepted rows at most CHUNK_ROWS at a
+# time, which bounds its temporaries.
+CHUNK_ROWS = 1 << 13
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)
+_FLOAT_TINY = float(np.finfo(float).tiny)
+_LOG_FLOAT_TINY = math.log(_FLOAT_TINY)
 
 # The lattice of a run has N = 2^m points, 8 <= m <= LATTICE_MAX_LOG2 (N
 # divides SHARD_SIZE, so a shard holds whole replicates), and at least
@@ -207,9 +207,9 @@ class BallSpec:
 def ball_spec(params: SpaceParams, R: float) -> BallSpec:
     """The box of {psi < R}, where Sigma reaches 2n R^2 |c|^(-1/k) and
     tau^2 reaches R^(4k).  DomainError unless the largest Sigma, Sigma^(2k)
-    (formed before the factor c^2) and h, and the volume, are floats, or
-    when the volume is below the smallest normal float, where it would
-    keep only some of its digits."""
+    (formed before the factor c^2) and h are floats, and the volume, R^Q,
+    each width and each partial product of the widths, taken in order, are
+    normal floats: below those, a float keeps only some of its digits."""
     if not 0 < R < np.inf:
         raise DomainError(f"radius must be positive and finite, got {R!r}")
     k, n2 = params.k, 2 * params.n
@@ -219,20 +219,27 @@ def ball_spec(params: SpaceParams, R: float) -> BallSpec:
     log_tau2 = 4 * k * log_r
     log_h = np.logaddexp(2 * log_c + 2 * k * log_sigma, log_tau2)
     log_volume = params.dim * math.log(2.0) + n2 * log_hw + log_tau2 / 2
-    if max(log_sigma, 2 * k * log_sigma, log_h, log_volume) >= _LOG_FLOAT_MAX:
+    if max(log_sigma, 2 * k * log_sigma, log_h, log_volume, params.Q * log_r) >= _LOG_FLOAT_MAX:
         raise DomainError(
             f"the box of the gauge ball of radius {R!r} leaves the float range: "
-            "its largest Sigma, Sigma^(2k) or h, or its volume, is not a finite float"
+            "its largest Sigma, Sigma^(2k) or h, its volume, or R^Q, is not a finite float"
         )
-    if log_volume < _LOG_FLOAT_TINY:
+    if min(log_volume, params.Q * log_r) < _LOG_FLOAT_TINY:
         raise DomainError(
             f"the box of the gauge ball of radius {R!r} has volume "
-            f"exp({log_volume:.6g}), below the smallest normal float"
+            f"exp({log_volume:.6g}), or R^Q, below the smallest normal float"
         )
     hw = np.empty(params.dim)
     hw[: 2 * params.n] = R * abs(params.c) ** (-1.0 / (2 * params.k))
     hw[2 * params.n] = R ** (2 * params.k)
     hw.setflags(write=False)
+    # BallSpec.volume's np.prod may leave the normal floats on its way
+    partial = 1.0
+    for width in (2.0 * hw).tolist():
+        partial *= width
+        if not (_FLOAT_TINY <= width and _FLOAT_TINY <= partial < math.inf):
+            raise DomainError(f"the box of the gauge ball of radius {R!r}: its widths or "
+                              "their partial products leave the normal floats")
     return BallSpec(R=float(R), half_widths=hw)
 
 
@@ -286,35 +293,38 @@ class Band:
     lo: float | None = None
 
 
-class _BlockBuffers:
-    """One worker's arrays for `_mc_over_box`, reused by every block and shard it runs."""
-
-    def __init__(self, dim: int):
-        self.offsets = np.empty((dim, BLOCK_ROWS))
-        self.gauge = gauge_work(BLOCK_ROWS)
-        self.inside = np.empty(BLOCK_ROWS, dtype=bool)
-        self.above_lo = np.empty(BLOCK_ROWS, dtype=bool)
-        self.vals = np.empty(SHARD_SIZE)
+def _wrap(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """x - rint(x) in place for x in [-1/2, 3/2), where rint(x) is 1 exactly
+    when x > 1/2: minus the bools x > 1/2 (into `mask`), faster than `where=`."""
+    return np.subtract(x, np.greater(x, 0.5, out=mask), out=x)
 
 
-def _lattice_block(lattice, shifts, first: int, out, scratch):
-    """Fill `out` (dim, rows) with the centred offsets of the run's points
-    first, first + 1, ...: point i of replicate j, i + j N, is
-    lattice[:, i] + shifts[j] wrapped into [-1/2, 1/2], `shifts` being the
-    centred shifts s - 1/2.  `scratch` holds at least `rows` floats."""
-    points = lattice.shape[1]
-    rows = out.shape[1]
-    done = 0
-    while done < rows:
-        rep, i = divmod(first + done, points)
-        seg = min(rows - done, points - i)
-        np.add(lattice[:, i : i + seg], shifts[rep][:, None], out=out[:, done : done + seg])
-        done += seg
-    wrap = scratch[:rows]
-    for col in out:
-        np.rint(col, out=wrap)
-        col -= wrap
-    return out
+def _shard_column(lattice, shifts, j: int, out, mask):
+    """`out` = coordinate j of the centred offsets of the replicates whose
+    centred shifts are `shifts` (R_s, dim): one broadcast add into out's
+    (R_s, N) view, then the wrap.  `mask` holds out.size bools."""
+    np.add(lattice[j], shifts[:, j, None], out=out.reshape(len(shifts), -1))
+    return _wrap(out, mask)
+
+
+def _shard_gauge(params, lattice, shifts, width, work, mask):
+    """(Sigma, h) of the replicates whose centred shifts are `shifts` (R_s,
+    dim), one column at a time, in the first R_s N columns of `work` (3, >=
+    R_s N): Sigma in work[0], h in work[1]; `mask` holds R_s N bools."""
+    n2 = 2 * params.n
+    rows = len(shifts) * lattice.shape[1]
+    lanes, tmp = work[:2, :rows], work[2, :rows]
+
+    def square(j, out):
+        _shard_column(lattice, shifts, j, out, mask)
+        out *= out
+
+    sigma = einsum_sum_of_squares(n2, square, lanes, tmp)
+    sigma *= width[0] ** 2
+    tau_sq = _shard_column(lattice, shifts, n2, tmp, mask)
+    tau_sq *= width[n2]
+    tau_sq *= tau_sq
+    return sigma, gauge_h(params, sigma, tau_sq, lanes[1])
 
 
 def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
@@ -346,33 +356,33 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     def run_shard(idx: int):
         bufs = getattr(local, "bufs", None)
         if bufs is None:
-            bufs = local.bufs = _BlockBuffers(params.dim)
+            bufs = local.bufs = (np.empty((3, SHARD_SIZE)), np.empty((2, SHARD_SIZE), dtype=bool))
         first = idx * SHARD_SIZE
         count = min(SHARD_SIZE, total - first)
-        vals = bufs.vals[:count]
+        work, (inside, above_lo) = bufs[0][:, :count], bufs[1][:, :count]
+        sigma, h = _shard_gauge(params, lattice, shifts[first // points :][: count // points],
+                                width, work, inside)
+        np.less(h, integrand.hi, out=inside)
+        if integrand.lo is not None:
+            inside &= np.greater(h, integrand.lo, out=above_lo)
+        rows_in = np.flatnonzero(inside)
+        vals = work[2]  # free once h is formed
         vals.fill(0.0)
-        acc = 0
-        for start in range(0, count, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, count - start)
-            # the work array is free until column_gauge_parts fills it
-            y = _lattice_block(lattice, shifts, first + start, bufs.offsets[:, :rows],
-                               bufs.gauge[0])
-            sigma, _, h = column_gauge_parts(params, y, width, bufs.gauge)
-            inside = np.less(h, integrand.hi, out=bufs.inside[:rows])
-            if integrand.lo is not None:
-                inside &= np.greater(h, integrand.lo, out=bufs.above_lo[:rows])
-            rows_in = np.flatnonzero(inside)
-            hits = rows_in.size
-            if hits:
-                h_in = h.take(rows_in)
-                val = grad_psi_norm_pow(params, sigma.take(rows_in), h_in, p)
-                if weight is not None:
-                    val = weight(h_in, lambda: params.x0 + y.take(rows_in, axis=1).T * width) * val
-                vals[start : start + rows][rows_in] = val
-                acc += hits
+        for start in range(0, rows_in.size, CHUNK_ROWS):
+            rows = rows_in[start : start + CHUNK_ROWS]
+            h_in = h.take(rows)
+            val = grad_psi_norm_pow(params, sigma.take(rows), h_in, p)
+            if weight is not None:
+                val = weight(h_in, lambda: shard_points(first + rows)) * val
+            vals[rows] = val
         # a shard holds whole replicates; numpy's own pairwise sum of each,
         # since a BLAS dot's bits depend on its thread count
-        return idx, vals.reshape(-1, points).sum(axis=1), acc
+        return idx, vals.reshape(-1, points).sum(axis=1), rows_in.size
+
+    def shard_points(index):
+        """The run's points of these indices, x0 + y * width."""
+        rep, i = np.divmod(index, points)
+        return params.x0 + _wrap(lattice[:, i].T + shifts[rep]) * width
 
     def store(idx, sums, acc):
         rep_sums[idx * SHARD_SIZE // points :][: sums.size] = sums
@@ -380,13 +390,20 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
 
     # more workers than CPUs only add threads and buffers: no bit depends on the count
     workers = min(resolve_threads(threads), usable_cpus(), n_shards)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_shard, range(n_shards)):
-                store(*result)
-    else:
-        for idx in range(n_shards):
+
+    def run_worker(w: int):
+        for idx in range(w, n_shards, workers):
             store(*run_shard(idx))
+
+    # the calling thread is worker 0: its buffers and heap serve every run,
+    # and a one-thread run starts no thread
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = pool.map(run_worker, range(1, workers))
+            run_worker(0)
+            list(helpers)  # raises what a helper raised
+    else:
+        run_worker(0)
 
     means = rep_sums * (spec.volume / points)
     mean = float(means.sum()) / reps

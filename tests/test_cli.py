@@ -151,6 +151,17 @@ class TestExitCodes:
         # measure over R^Q read 3.12599 at R = 1e-80 with exit 0 before,
         # against 3.13916 at R = 1
         (["ahlfors", "--radii", "2e-80,1e-80"], "below the smallest normal float"),
+        # R^Q overflows, and the widths' product underflows to 0: NaN
+        # warnings and an uncaught OverflowError before
+        (["ahlfors", "--n", "3", "--k", "0.25", "--c", "1e100", "--radii", "2e140,1e140"],
+         "leaves the float range"),
+        # R^Q is finite, but six horizontal widths of 2e-54 multiply to a
+        # subnormal with three digits: exit 0 and measures of 0.0 before
+        (["ahlfors", "--n", "3", "--k", "0.25", "--c", "1e50", "--radii", "2e46,1e46"],
+         "partial products leave the normal floats"),
+        # R^Q underflows to 0 while the volume is 1e-286: ZeroDivisionError before
+        (["ahlfors", "--n", "3", "--k", "0.5", "--c", "1e-10", "--radii", "2e-50,1e-50"],
+         "below the smallest normal float"),
         (["density", "--radii", "1e200,1e100,1"], "leaves the float range"),
         (["capacity", "--R", "1e100", "--method", "mc"], "leaves the float range"),
         (["density", "--bump-radius", "1e100"], "not a positive finite float"),
@@ -173,6 +184,7 @@ class TestExitCodes:
         (["verify-fundamental", "--p", "1.01"], "leaves the float range"),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "ahlfors-tiny-radii",
+            "ahlfors-R^Q-overflow", "ahlfors-width-product", "ahlfors-R^Q-underflow",
             "density-huge-radii", "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
             "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",

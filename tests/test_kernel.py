@@ -1,13 +1,14 @@
-"""The block lattice kernel against a whole-replicate reference.
+"""The shard lattice kernel against a whole-replicate reference.
 
 Every estimator must give exactly the mean, stderr and accepted count of
 `helpers.reference_lattice`, which builds each replicate as one array of
 centred offsets, at 1 and 2 threads, with a sample count that rounds down
-to R N points filling neither a whole shard nor a whole block, and an
-offset base point.
+to R N points filling neither a whole shard nor a whole chunk of the
+integrand, and an offset base point.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,21 +40,22 @@ from sublap import (
 from sublap import capacity as capacity_module
 from sublap import frame
 from sublap import montecarlo
-from sublap.fields import (
-    AnnulusPotential, column_gauge_parts, gauge_parts, gauge_work, grad_psi_norm_pow,
-)
+from sublap.fields import AnnulusPotential, gauge_parts, grad_psi_norm_pow
 from sublap.montecarlo import (
-    BLOCK_ROWS,
+    CHUNK_ROWS,
     SHARD_SIZE,
     STREAM_DENSITY,
     STREAM_ENERGY,
     Band,
     _mc_over_box,
+    _shard_gauge,
     ball_spec,
     lattice_shape,
+    unshifted_lattice,
 )
 
-# 37 replicates of 4096 points: a partial shard ending in a partial block
+# 37 replicates of 4096 points: a partial last shard, which a band that
+# accepts every row maps in whole chunks and a partial one
 SAMPLES = 37 * 4096 + 2545
 SEED = 77
 P = 2.5
@@ -84,11 +86,14 @@ def threads(request):
 
 
 def test_samples_split_into_partial_shard_and_block():
+    # the last shard is partial, and its accepted rows, when a band accepts
+    # them all, fill whole chunks of the integrand and part of another
     points, reps = lattice_shape(SAMPLES)
     used = points * reps
     assert (points, reps) == (4096, 37) and used < SAMPLES
-    assert used % BLOCK_ROWS and used % SHARD_SIZE
-    assert used % SHARD_SIZE > BLOCK_ROWS
+    last = used % SHARD_SIZE
+    assert last and last % CHUNK_ROWS
+    assert last > CHUNK_ROWS
 
 
 def test_ball_measure(params, threads):
@@ -192,9 +197,10 @@ def test_mc_energy(params, threads):
 
 
 def test_back_to_back_runs_match_reference(monkeypatch):
-    # Each worker reuses one set of buffers for every block and shard of a
-    # run.  On one thread, a run that fills its shard values, then a sparse
-    # band in another dimension and a run shorter than one block; then more
+    # Each worker reuses one set of buffers for every shard of a run, and
+    # the next run reuses the set.  On one thread, a run that fills its
+    # shard values, then a sparse band in another dimension and a run
+    # shorter than one shard; then more
     # threads than shards, on a machine that claims eight CPUs.  A value
     # left from an earlier shard, or a buffer kept from a run in another
     # dimension, would move a bit.
@@ -225,30 +231,43 @@ def test_back_to_back_runs_match_reference(monkeypatch):
         ref = reference_lattice(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
                                                        power(params, P)), samples, SEED, (4, 0))
         assert_same(est, ref)
-    assert 10**4 < BLOCK_ROWS and 8 > -(-SAMPLES // SHARD_SIZE)
+    assert 10**4 < SHARD_SIZE and 8 > -(-SAMPLES // SHARD_SIZE)
 
 
 def test_more_threads_than_cores_match_reference(monkeypatch):
-    # every worker thread must write only its own buffers; switching
-    # threads every few microseconds interleaves their blocks.  The pool
-    # caps its workers at the usable CPUs, so claim six of them.
+    # every worker thread must write only its own buffers and shards, also
+    # with two runs at once; switching threads every few microseconds
+    # interleaves their shards.  A run caps its workers at the usable CPUs,
+    # so claim six of them.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 6)
     params, samples = SPACES[2], 6 * SHARD_SIZE + 321
     band = reference_band(params, None, 1.3 ** (4 * params.k), power(params, P))
-    ref = reference_lattice(params, 1.3, band, samples, SEED, (4, 0))
+    refs = [reference_lattice(params, 1.3, band, samples, SEED, (4, i)) for i in (0, 1)]
+    ests = [None, None]
+
+    def run(i):
+        ests[i] = ball_measure(params, P, 1.3, samples, SEED, 6, stream=(4, i))
+
+    runs = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        est = ball_measure(params, P, 1.3, samples, SEED, 6, stream=(4, 0))
+        for thread in runs:
+            thread.start()
+        for thread in runs:
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert_same(est, ref)
+    assert not any(thread.is_alive() for thread in runs)
+    for est, ref in zip(ests, refs):
+        assert_same(est, ref)
 
 
 @pytest.mark.parametrize("threads, workers", [(2, 2), (3, 2), (100000, 2)])
 def test_workers_capped_at_usable_cpus(monkeypatch, threads, workers):
     # no thread starts: on a machine that claims two CPUs, a serial
-    # stand-in for the pool records the worker count it is given
+    # stand-in for the pool records the thread count it is given, one less
+    # than the workers, since the calling thread is worker 0
     sizes = []
 
     class SerialPool:
@@ -270,7 +289,7 @@ def test_workers_capped_at_usable_cpus(monkeypatch, threads, workers):
     samples = 5 * SHARD_SIZE
     est = _mc_over_box(params, spec, band, samples, SEED, (4, 0), threads)
     assert est == _mc_over_box(params, spec, band, samples, SEED, (4, 0), 1)
-    assert sizes == [workers]  # one thread maps without a pool
+    assert sizes == [workers - 1]  # one thread maps without a pool
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
@@ -290,14 +309,15 @@ def test_thread_count_defaults_to_usable_cpus(monkeypatch):
             montecarlo.resolve_threads(bad)
 
 
-@pytest.mark.parametrize("block_rows", [1000, 4096, 1 << 16])
-def test_block_size_changes_no_bit(monkeypatch, threads, block_rows):
-    # a block boundary moves where the rows of a shard are mapped, gathered
-    # and scattered, never which rows or in what order: blocks of 1000 rows
-    # end inside replicates of 4096 points, blocks of 2^16 hold 16 of them
+@pytest.mark.parametrize("chunk_rows", [1000, 4096, 1 << 16])
+def test_block_size_changes_no_bit(monkeypatch, threads, chunk_rows):
+    # the integrand sees a shard's accepted rows in chunks of CHUNK_ROWS: a
+    # chunk boundary moves where they are gathered, weighted (the density's
+    # polynomial rebuilds its points) and scattered, never which rows or in
+    # what order; a chunk of 2^16 rows holds every accepted row of a shard
     params = SPACES[2]
     phi = polynomial(params)
-    monkeypatch.setattr(montecarlo, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(montecarlo, "CHUNK_ROWS", chunk_rows)
     ball = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
     assert_same(ball, reference_lattice(
         params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k), power(params, P)),
@@ -335,16 +355,21 @@ def test_sigma_matches_einsum(n, rng):
     assert np.array_equal(sigma, ref[0])
     assert np.array_equal(tau, ref[1])
     assert np.array_equal(h, ref[2])
-    # the box form takes centred offsets y: Sigma = w_h^2 einsum(y_h, y_h),
-    # into the first 5000 columns of a larger work array, whatever it held before
+    # the kernel maps a shard's replicates one coordinate column at a time,
+    # from the centred offsets y: Sigma = w_h^2 einsum(y_h, y_h), into the
+    # first 3 N columns of a larger work array, whatever it held before
     width = np.full(params.dim, 3.0)
     width[-1] = 1.7
-    Y = rng.random((5000, params.dim)) - 0.5
-    work = gauge_work(8000)
-    work.fill(np.nan)
-    boxed = column_gauge_parts(params, Y.T, width, work)  # one row per coordinate
-    for got, want in zip(boxed, reference_centred_parts(params, Y, width)):
-        assert np.array_equal(got, want)
+    lattice = unshifted_lattice(1024, params.dim)
+    shifts = rng.random((3, params.dim)) - 0.5
+    work = np.full((3, 4000), np.nan)
+    sigma, h = _shard_gauge(params, lattice, shifts, width, work, np.empty(3 * 1024, bool))
+    # C order, as the reference's einsum of a replicate's offsets
+    Y = np.ascontiguousarray(np.concatenate([lattice.T + shift for shift in shifts]))
+    Y -= np.rint(Y)
+    ref = reference_centred_parts(params, Y, width)
+    assert np.array_equal(sigma, ref[0])
+    assert np.array_equal(h, ref[2])
 
 
 def test_capacity_normalizes_by_exact_sigma(monkeypatch):

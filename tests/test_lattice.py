@@ -14,7 +14,8 @@ from sublap.montecarlo import (
     LATTICE_MAX_LOG2,
     MIN_REPLICATES,
     SHARD_SIZE,
-    _lattice_block,
+    _shard_column,
+    _wrap,
     generating_vector,
     lattice_shape,
     unshifted_lattice,
@@ -76,24 +77,38 @@ def test_korobov_vector(m, n):
 
 
 def test_centred_wrap_is_the_shifted_lattice_minus_half(rng):
-    # a block of 1.5 replicates of N = 256 points in R^5: y = L + (s - 1/2)
-    # wrapped by rint lies in [-1/2, 1/2] and is frac(L + s) - 1/2 on the
+    # the shard columns of 2 replicates of N = 256 points in R^5: y = L +
+    # (s - 1/2) wrapped lies in [-1/2, 1/2] and is frac(L + s) - 1/2 on the
     # torus, to within one rounding of either sum (an ulp of 1); the second
-    # shift puts L + s at exactly 1 for one point, a tie rint rounds to even
+    # shift puts L + s at exactly 1 for one point, the tie rint rounds to 0
     points, dim = 256, 5
     lattice = unshifted_lattice(points, dim)
     shifts = rng.random((2, dim))
     shifts[1] = 1.0 - lattice[:, 3]
-    rows = points + points // 2
-    y = _lattice_block(lattice, shifts - 0.5, 0, np.empty((dim, rows)), np.empty(rows))
+    rows = 2 * points
+    mask = np.empty(rows, bool)
+    y = np.array([_shard_column(lattice, shifts - 0.5, j, np.empty(rows), mask)
+                  for j in range(dim)])
     assert np.all((-0.5 <= y) & (y <= 0.5))
-    frac = np.concatenate([lattice + shifts[0][:, None], lattice[:, : rows - points]
-                           + shifts[1][:, None]], axis=1)
+    frac = np.concatenate([lattice + shifts[0][:, None], lattice + shifts[1][:, None]], axis=1)
     frac -= np.floor(frac)
     gap = y - (frac - 0.5)
     gap -= np.rint(gap)  # the same point of the torus
     assert np.max(np.abs(gap)) <= np.spacing(1.0)
     assert np.array_equal(y[:, points + 3], np.full(dim, 0.5))
+
+
+@pytest.mark.parametrize("points", [256, 1 << 16])
+def test_masked_wrap_is_x_minus_rint(rng, points):
+    # x = L + s - 1/2 lies in [-1/2, 3/2 - 1/N]: the ends, the tie at 1/2,
+    # its neighbours, and uniform draws, bit for bit, signed zeros included
+    ends = [-0.5, 0.5, 1.5 - 1.0 / points, 0.0, np.nextafter(0.5, 1), np.nextafter(0.5, 0)]
+    x = np.concatenate([ends, rng.uniform(-0.5, 1.5 - 1.0 / points, 10**4)])
+    want = x - np.rint(x)
+    got = _wrap(x.copy(), np.empty(x.size, bool))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(_wrap(x.copy()), got)
+    assert np.all((-0.5 <= got) & (got <= 0.5))
 
 
 def test_dimensions_past_the_table_extend_the_n8_vector():
