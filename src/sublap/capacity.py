@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import AnnulusPotential
-from .montecarlo import Band, MCEstimate, STREAM_ENERGY, _estimate, _mc_over_box, ball_spec
+from .montecarlo import MCEstimate, STREAM_ENERGY, band_estimate
 from .space import SpaceParams, check_p, exponents, sigma_p_exact
 
 __all__ = [
@@ -75,12 +75,13 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """A capacity in units of sigma_p by one of METHODS; mc-energy adds its
+    stderr and `run`, the energy's MCEstimate in the same units."""
+
     method: str                       # closed-form | radial-variational | mc-energy
-    value: float                      # in units of sigma_p
+    value: float
     stderr: float | None = None
-    samples: int | None = None        # mc-energy: the points used, the replicates
-    replicates: int | None = None     # and the accepted points
-    accepted: int | None = None
+    run: MCEstimate | None = None
 
 
 def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> CapacityResult:
@@ -201,18 +202,13 @@ def mc_energy(
 ) -> MCEstimate:
     """MC annulus energy of the explicit potential, divided by the closed-form
     sigma_p; mean and stderr are in sigma_p units."""
-    spec = ball_spec(params, R)
     potential = AnnulusPotential(params, p, r, R)
     k = params.k
 
     def weight(h, _):
         return np.abs(potential.eta_prime(h ** (1.0 / (4 * k)))) ** p
 
-    band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
-    est = _estimate(
-        _mc_over_box(params, spec, band, samples, seed, (STREAM_ENERGY, 0), threads),
-        samples, seed,
-    )
+    est = band_estimate(params, p, R, samples, seed, (STREAM_ENERGY, 0), threads, weight, r)
     sigma = sigma_p_exact(params, p)
     return replace(est, mean=est.mean / sigma, stderr=est.stderr / sigma)
 
@@ -236,7 +232,5 @@ def annulus_capacity(
         return CapacityResult(method=method, value=energy)
     if method == "mc-energy":
         est = mc_energy(params, p, r, R, samples, seed, threads)
-        return CapacityResult(method=method, value=est.mean, stderr=est.stderr,
-                              samples=est.samples, replicates=est.replicates,
-                              accepted=est.accepted)
+        return CapacityResult(method=method, value=est.mean, stderr=est.stderr, run=est)
     raise DomainError(f"unknown capacity method {method!r}")

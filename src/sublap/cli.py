@@ -132,6 +132,24 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+# Every config key, in flag order: the type that parses its flag and its
+# config-file value, and the flag's other argparse keywords.  Config-file
+# values are checked against `choices` too.
+_FLAGS = {
+    "n": (int, {}), "k": (float, {}), "c": (float, {}),
+    "x0": (_parse_floats, {"help": "comma-separated coordinates; "
+                           "write --x0=-1,0,0 when the first is negative"}),
+    "p": (float, {}), "seed": (int, {}), "samples": (int, {}), "points": (int, {}),
+    "r": (float, {}), "R": (float, {}),
+    "radii": (_parse_floats, {"help": "comma-separated radii"}),
+    "bump_radius": (float, {}), "knots": (int, {}),
+    "method": (str, {"choices": list(CAPACITY_RUNS)}),
+    "threads": (int, {}), "tol": (float, {}),
+    "format": (str, {"choices": ["json", "csv"]}),
+    "out": (str, {}),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use and shared by every
@@ -147,37 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--n", type=int)
-        cmd.add_argument("--k", type=float)
-        cmd.add_argument("--c", type=float)
-        cmd.add_argument("--x0", type=_parse_floats, help="comma-separated coordinates; "
-                         "write --x0=-1,0,0 when the first is negative")
-        cmd.add_argument("--p", type=float)
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--samples", type=int)
-        cmd.add_argument("--points", type=int)
-        cmd.add_argument("--r", type=float)
-        cmd.add_argument("--R", type=float)
-        cmd.add_argument("--radii", type=_parse_floats, help="comma-separated radii")
-        cmd.add_argument("--bump-radius", dest="bump_radius", type=float)
-        cmd.add_argument("--knots", type=int)
-        cmd.add_argument("--method", choices=list(CAPACITY_RUNS))
-        cmd.add_argument("--threads", type=int)
-        cmd.add_argument("--tol", type=float)
-        cmd.add_argument("--format", choices=["json", "csv"])
-        cmd.add_argument("--out", type=str)
+        for key, (kind, extra) in _FLAGS.items():
+            cmd.add_argument("--" + key.replace("_", "-"), type=kind, **extra)
         cmd.add_argument("--config", type=str, help="flat key=value file")
     return parser
-
-
-_COERCERS = {
-    "n": int, "seed": int, "samples": int, "points": int, "knots": int,
-    "threads": int,
-    "k": float, "c": float, "p": float, "r": float, "R": float,
-    "bump_radius": float, "tol": float,
-    "x0": _parse_floats, "radii": _parse_floats,
-    "method": str, "format": str, "out": str,
-}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -186,12 +177,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             key = key.replace("-", "_")
-            if key not in _COERCERS:
+            if key not in _FLAGS:
                 raise ConfigurationError(f"unknown config key {key!r}")
+            kind, extra = _FLAGS[key]
             try:
-                merged[key] = _COERCERS[key](raw)
+                merged[key] = kind(raw)
             except ValueError as exc:
                 raise ConfigurationError(f"bad value for {key!r}: {raw!r}") from exc
+            if "choices" in extra and merged[key] not in extra["choices"]:
+                raise ConfigurationError(f"unknown {key} {merged[key]!r}")
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -209,26 +203,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     """The checks that no library function makes.  Every other value is
     checked by the library on the path that uses it, and its error exits 1
-    the same way.  method and format are checked here too because
-    config-file values bypass argparse's choices."""
+    the same way."""
     if not 0 <= cfg.tol < math.inf:
         raise ConfigurationError(f"tol must be nonnegative and finite, got {cfg.tol!r}")
-    if cfg.method not in CAPACITY_RUNS:
-        raise ConfigurationError(f"unknown method {cfg.method!r}")
-    if cfg.format not in ("json", "csv"):
-        raise ConfigurationError(f"unknown format {cfg.format!r}")
     resolve_threads(cfg.threads)  # so a bad --threads exits 1 for every command
 
 
 def _record(name, value, stderr=None, tol=None, passed=None, exact=False, run=None) -> dict:
-    """One report record; `run`, an MC estimate (or capacity result) with
-    samples, adds the points it used, its replicates and its accepted points."""
+    """One report record; `run`, an MC estimate, adds the points it used,
+    its replicates and its accepted points."""
     rec = {"name": name, "value": float(value)}
     if stderr is not None:
         rec["stderr"] = float(stderr)
     else:
         rec["exact"] = bool(exact)
-    if run is not None and run.samples is not None:
+    if run is not None:
         rec["samples"] = int(run.samples)
         rec["replicates"] = int(run.replicates)
         rec["accepted"] = int(run.accepted)
@@ -383,7 +372,7 @@ def _cmd_capacity(cfg: RunConfig) -> list[dict]:
     ]
     out = [
         _record(f"capacity[{res.method}]", res.value, stderr=res.stderr,
-                exact=res.stderr is None, run=res)
+                exact=res.stderr is None, run=res.run)
         for res in results
     ]
     if cfg.method == "all":

@@ -25,18 +25,20 @@ per shard and per usable CPU, whatever thread count it is given: its
 calling thread and the threads it starts, worker w running shards w, w +
 workers, ...
 
-Every estimator is one band integrand (a `Band`) fed to one kernel,
-`_mc_over_box`.  A band is a radial weight on lo < h < hi times the measure
-|grad_0 psi|^p that every estimate integrates against (the coarea measure
-of the gauge); the kernel owns that factor (`fields.grad_psi_norm_pow`,
-one exp of the rows' log Sigma and log h) and the one place where it
-diverges: for k < 1/2 and p >= 2n/(1-2k) it blows up on the axis
-{Sigma = 0}, which crosses every band, so every estimator raises there.
-The average of phi over a sphere {psi = R} (`density_limit`) is one ball
-band too, exactly, with no shell width and no limit: the dilation delta_R
-maps B_1 onto B_R with Jacobian R^Q and leaves |grad_0 psi| unchanged, so
-the R-derivative of the ball integral of phi, the sphere's integral, is
-Q/R times the ball integral of phi + Z phi / Q, Z the dilation generator.
+Every estimator is one band integral, run by `band_estimate`: a radial
+weight on the band r^(4k) < h < R^(4k) (no lower bound for a ball) times
+the measure |grad_0 psi|^p that every estimate integrates against (the
+coarea measure of the gauge), over the box of B_R.  It builds that box and
+band (a `Band`) and feeds them to the one kernel, `_mc_over_box`.  The
+kernel owns the factor |grad_0 psi|^p (`fields.grad_psi_norm_pow`, one exp
+of the rows' log Sigma and log h) and the one place where it diverges: for
+k < 1/2 and p >= 2n/(1-2k) it blows up on the axis {Sigma = 0}, which
+crosses every band, so every estimator raises there.  The average of phi
+over a sphere {psi = R} (`density_limit`) is one ball band too, exactly,
+with no shell width and no limit: the dilation delta_R maps B_1 onto B_R
+with Jacobian R^Q and leaves |grad_0 psi| unchanged, so the R-derivative
+of the ball integral of phi, the sphere's integral, is Q/R times the ball
+integral of phi + Z phi / Q, Z the dilation generator.
 
 A shard holds R_s = SHARD_SIZE / N whole replicates and is mapped in one
 pass.  The box of B_R is centred at x0: a point is x0 + y * width, y =
@@ -56,10 +58,10 @@ replicate's values are summed once, by numpy's pairwise reduction over its
 N contiguous values, not a BLAS dot, so neither the chunk size nor the BLAS
 thread count changes a bit of the result.
 
-Each worker thread of a run makes one set of buffers for all its shards:
-three shard-length float rows (two einsum lanes, and a temporary that holds
-tau^2 and then the shard's values) and two bool masks, about 1.7 MB in any
-dimension.  The set goes when the run returns.
+Each worker of a run makes one set of buffers when it starts and passes it
+to each of its shards: three shard-length float rows (two einsum lanes, and
+a temporary that holds tau^2 and then the shard's values) and two bool
+masks, about 1.7 MB in any dimension.  The set goes when the worker ends.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -138,15 +139,14 @@ POINTS_MIN_SIGMA = 1e-10
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo integral: mean, standard error, the points used, seed,
-    the accepted points and the replicates whose means give the stderr."""
+    """A Monte Carlo integral: mean, standard error, the points used, the
+    accepted points and the replicates whose means give the stderr."""
 
     mean: float
     stderr: float
     samples: int
-    seed: int
-    accepted: int = 0
-    replicates: int = 0
+    accepted: int
+    replicates: int
 
     @property
     def accept_fraction(self) -> float:
@@ -159,14 +159,6 @@ def lattice_shape(samples: int) -> tuple[int, int]:
     and R = samples // N replicates.  Any samples >= 1e4 gives m >= 8."""
     m = min(LATTICE_MAX_LOG2, (samples // MIN_REPLICATES).bit_length() - 1)
     return 1 << m, samples // (1 << m)
-
-
-def _estimate(run, samples: int, seed: int) -> MCEstimate:
-    """The MCEstimate of a kernel run's (mean, stderr, accepted) asked for `samples`."""
-    mean, stderr, accepted = run
-    points, replicates = lattice_shape(samples)
-    return MCEstimate(mean=mean, stderr=stderr, samples=points * replicates, seed=seed,
-                      accepted=accepted, replicates=replicates)
 
 
 def generating_vector(points: int, dim: int) -> np.ndarray:
@@ -208,8 +200,9 @@ def ball_spec(params: SpaceParams, R: float) -> BallSpec:
     """The box of {psi < R}, where Sigma reaches 2n R^2 |c|^(-1/k) and
     tau^2 reaches R^(4k).  DomainError unless the largest Sigma, Sigma^(2k)
     (formed before the factor c^2) and h are floats, and the volume, R^Q,
-    each width and each partial product of the widths, taken in order, are
-    normal floats: below those, a float keeps only some of its digits."""
+    the band top R^(4k), each width and each partial product of the widths,
+    taken in order, are normal floats: below those, a float keeps only some
+    of its digits."""
     if not 0 < R < np.inf:
         raise DomainError(f"radius must be positive and finite, got {R!r}")
     k, n2 = params.k, 2 * params.n
@@ -224,10 +217,10 @@ def ball_spec(params: SpaceParams, R: float) -> BallSpec:
             f"the box of the gauge ball of radius {R!r} leaves the float range: "
             "its largest Sigma, Sigma^(2k) or h, its volume, or R^Q, is not a finite float"
         )
-    if min(log_volume, params.Q * log_r) < _LOG_FLOAT_TINY:
+    if min(log_volume, params.Q * log_r, log_tau2) < _LOG_FLOAT_TINY:
         raise DomainError(
             f"the box of the gauge ball of radius {R!r} has volume "
-            f"exp({log_volume:.6g}), or R^Q, below the smallest normal float"
+            f"exp({log_volume:.6g}), R^Q or R^(4k) below the smallest normal float"
         )
     hw = np.empty(params.dim)
     hw[: 2 * params.n] = R * abs(params.c) ** (-1.0 / (2 * params.k))
@@ -350,16 +343,11 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     n_shards = (total + SHARD_SIZE - 1) // SHARD_SIZE
     rep_sums = np.zeros(reps)
     accepted = np.zeros(n_shards, dtype=np.int64)
-    # each worker thread makes its buffers once and keeps them for this call
-    local = threading.local()
 
-    def run_shard(idx: int):
-        bufs = getattr(local, "bufs", None)
-        if bufs is None:
-            bufs = local.bufs = (np.empty((3, SHARD_SIZE)), np.empty((2, SHARD_SIZE), dtype=bool))
+    def run_shard(idx: int, floats, bools):
         first = idx * SHARD_SIZE
         count = min(SHARD_SIZE, total - first)
-        work, (inside, above_lo) = bufs[0][:, :count], bufs[1][:, :count]
+        work, (inside, above_lo) = floats[:, :count], bools[:, :count]
         sigma, h = _shard_gauge(params, lattice, shifts[first // points :][: count // points],
                                 width, work, inside)
         np.less(h, integrand.hi, out=inside)
@@ -392,11 +380,11 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     workers = min(resolve_threads(threads), usable_cpus(), n_shards)
 
     def run_worker(w: int):
+        floats, bools = np.empty((3, SHARD_SIZE)), np.empty((2, SHARD_SIZE), dtype=bool)
         for idx in range(w, n_shards, workers):
-            store(*run_shard(idx))
+            store(*run_shard(idx, floats, bools))
 
-    # the calling thread is worker 0: its buffers and heap serve every run,
-    # and a one-thread run starts no thread
+    # the calling thread is worker 0, so a one-thread run starts no thread
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers - 1) as pool:
             helpers = pool.map(run_worker, range(1, workers))
@@ -416,6 +404,25 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     return mean, stderr, int(accepted.sum())
 
 
+def band_estimate(
+    params: SpaceParams, p: float, R: float, samples: int, seed: int, stream: Stream,
+    threads: int | None, weight: Callable | None = None, r: float | None = None,
+) -> MCEstimate:
+    """The integral of weight * |grad_0 psi|^p over the band r^(4k) < h <
+    R^(4k) (the ball B_R when r is None), sampled from the box of B_R.
+
+    weight(h, points) is a `Band` weight, None for 1.  Raises DomainError
+    for a box outside the float range (`ball_spec`) before any draw.
+    """
+    spec = ball_spec(params, R)
+    k4 = 4 * params.k
+    band = Band(p=p, hi=R**k4, weight=weight, lo=None if r is None else r**k4)
+    mean, stderr, accepted = _mc_over_box(params, spec, band, samples, seed, stream, threads)
+    points, replicates = lattice_shape(samples)
+    return MCEstimate(mean=mean, stderr=stderr, samples=points * replicates,
+                      accepted=accepted, replicates=replicates)
+
+
 def ball_measure(
     params: SpaceParams, p: float, R: float, samples: int, seed: int,
     threads: int | None = None, stream: Stream = (STREAM_BALL, 0),
@@ -424,10 +431,7 @@ def ball_measure(
 
     Diverges for k < 1/2 and p >= 2n/(1-2k) (see `space.check_integrable`).
     """
-    spec = ball_spec(params, R)
-    band = Band(p=p, hi=R ** (4 * params.k))
-    return _estimate(_mc_over_box(params, spec, band, samples, seed, stream, threads),
-                     samples, seed)
+    return band_estimate(params, p, R, samples, seed, stream, threads)
 
 
 def sigma_p(
@@ -475,12 +479,10 @@ def density_limit(
     weight = _dilation_weight(params, phi)
     out = []
     for idx, R in enumerate(radii):
-        spec = ball_spec(params, R)
-        band = Band(p=p, hi=R ** (4 * params.k), weight=weight)
         # one stream per radius: the box sampler is scale-equivariant, so a
         # shared stream would give every radius the same points
-        est = _estimate(_mc_over_box(params, spec, band, samples, seed,
-                                     (STREAM_DENSITY, idx), threads), samples, seed)
+        est = band_estimate(params, p, R, samples, seed, (STREAM_DENSITY, idx), threads,
+                            weight)
         scale = 1.0 / (sigma * R ** params.Q)
         out.append(replace(est, mean=scale * est.mean, stderr=scale * est.stderr))
     return out

@@ -19,10 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 from .extrapolation import decreasing_radii
-from .fields import AnnulusPotential, CutoffBump, FundamentalProfile
-from .montecarlo import (
-    Band, MCEstimate, STREAM_PAIRING, Stream, _estimate, _mc_over_box, ball_spec,
-)
+from .fields import CutoffBump, FundamentalProfile
+from .montecarlo import MCEstimate, STREAM_PAIRING, Stream, band_estimate
 from .space import SpaceParams, normalization, sigma_p_exact
 
 
@@ -47,30 +45,20 @@ def _check_slopes(u: FundamentalProfile, p: float, r: float, R: float) -> None:
 
 
 def weak_pairing(
-    params: SpaceParams, p: float, u: FundamentalProfile, phi, r: float, R: float,
+    params: SpaceParams, p: float, scale: float, phi, r: float, R: float,
     samples: int, seed: int, threads: int | None = None,
     stream: Stream = (STREAM_PAIRING, 0),
 ) -> MCEstimate:
-    """MC estimate of the annulus pairing integral for 0 < r < R.
+    """MC estimate of the annulus pairing integral for 0 < r < R, with u the
+    fundamental profile of these parameters and p times `scale`.
 
-    u must be a FundamentalProfile for the same parameters and p (any scale),
-    whose slope stays a nonzero finite float on the annulus (`_check_slopes`);
-    phi a bump supported inside B_R.
+    The slope of u must stay a nonzero finite float on the annulus
+    (`_check_slopes`); phi must be a bump supported inside B_R.
     """
     if not 0 < r < R:
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
-    # an AnnulusPotential is a FundamentalProfile too, but not the one paired here
-    if not isinstance(u, FundamentalProfile) or isinstance(u, AnnulusPotential):
-        raise DomainError("u must be a FundamentalProfile (psi^alpha or log psi, scaled)")
-    if u.params is not params and not (
-        u.params.n == params.n and u.params.k == params.k
-        and u.params.c == params.c and np.array_equal(u.params.x0, params.x0)
-    ):
-        raise DomainError("u was built for different space parameters")
-    if abs(u.p - p) > 1e-12 * max(1.0, abs(p)):
-        raise DomainError(f"u was built for p={u.p}, pairing requested p={p}")
     _check_bump(phi)
-    spec = ball_spec(params, R)
+    u = FundamentalProfile(params, p, scale=scale)
     _check_slopes(u, p, r, R)
     k = params.k
 
@@ -80,9 +68,7 @@ def weak_pairing(
         s_phi = phi.d_dh_of_h(h)
         return np.abs(s_u) ** (p - 2.0) * s_u * s_phi * (4 * k) * psi ** (4 * k - 1.0)
 
-    band = Band(p=p, hi=R ** (4 * k), weight=weight, lo=r ** (4 * k))
-    return _estimate(_mc_over_box(params, spec, band, samples, seed, stream, threads),
-                     samples, seed)
+    return band_estimate(params, p, R, samples, seed, stream, threads, weight, r)
 
 
 def dirac_limit(
@@ -104,10 +90,10 @@ def dirac_limit(
     if radii[0] >= R:
         raise DomainError("all radii must sit inside the bump support")
     constant = normalization(params, p, sigma_p_exact(params, p))
-    u = FundamentalProfile(params, p, scale=constant)
-    _check_slopes(u, p, radii[-1], R)  # the smallest radius bounds them all
+    # the smallest radius bounds them all
+    _check_slopes(FundamentalProfile(params, p, scale=constant), p, radii[-1], R)
     return [
-        weak_pairing(params, p, u, phi, r, R, samples, seed, threads,
+        weak_pairing(params, p, constant, phi, r, R, samples, seed, threads,
                      stream=(STREAM_PAIRING, idx))
         for idx, r in enumerate(radii)
     ]

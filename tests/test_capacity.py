@@ -297,8 +297,8 @@ class TestThreeWay:
                 assert abs(vals[i] - vals[j]) / vals[i] <= 0.02
         mc = next(r for r in results if r.method == "mc-energy")
         assert mc.stderr is not None
-        # the energy run's counts: the points used, the replicates, those in the annulus
+        # the energy run itself, with its points used, replicates and those in the annulus
         est = mc_energy(setup_a, 2.0, 1.0, 2.0, 4 * 10**5, 29)
-        assert (mc.samples, mc.replicates, mc.accepted) == (
-            est.samples, est.replicates, est.accepted)
-        assert 0 < mc.accepted < mc.samples
+        assert mc.run == est
+        assert (mc.value, mc.stderr) == (est.mean, est.stderr)
+        assert 0 < mc.run.accepted < mc.run.samples

@@ -162,6 +162,13 @@ class TestExitCodes:
         # R^Q underflows to 0 while the volume is 1e-286: ZeroDivisionError before
         (["ahlfors", "--n", "3", "--k", "0.5", "--c", "1e-10", "--radii", "2e-50,1e-50"],
          "below the smallest normal float"),
+        # R^(4k) underflows to 0 while R^Q is normal: exit 0 with two
+        # measures of 0.0 (ahlfors), exit 2 (density) and exit 0 with an
+        # energy of 0.0 (capacity) before
+        (["ahlfors", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"], "R^(4k)"),
+        (["density", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"], "R^(4k)"),
+        (["capacity", "--n", "1", "--k", "3", "--r", "1e-38", "--R", "2e-38", "--method", "mc"],
+         "R^(4k)"),
         (["density", "--radii", "1e200,1e100,1"], "leaves the float range"),
         (["capacity", "--R", "1e100", "--method", "mc"], "leaves the float range"),
         (["density", "--bump-radius", "1e100"], "not a positive finite float"),
@@ -185,6 +192,8 @@ class TestExitCodes:
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "ahlfors-tiny-radii",
             "ahlfors-R^Q-overflow", "ahlfors-width-product", "ahlfors-R^Q-underflow",
+            "ahlfors-R^(4k)-underflow", "density-R^(4k)-underflow",
+            "capacity-mc-R^(4k)-underflow",
             "density-huge-radii", "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
             "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",
@@ -495,6 +504,20 @@ class TestReports:
         assert main(["sigma", "--config", str(cfg)]) == 1
         cfg.write_text("unknown_key = 3\n")
         assert main(["sigma", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("method = foo", "unknown method 'foo'"),
+        ("format = xml", "unknown format 'xml'"),
+    ], ids=["method", "format"])
+    def test_config_value_outside_choices(self, capsys, tmp_path, line, message):
+        # argparse checks the flags' choices; the config file's are checked
+        # where its values are read
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["capacity", "--config", str(cfg)] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSharedParser:

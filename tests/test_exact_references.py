@@ -25,7 +25,6 @@ from helpers import (
 from sublap import (
     CutoffBump,
     DomainError,
-    FundamentalProfile,
     Polynomial,
     SpaceParams,
     ball_measure,
@@ -136,7 +135,6 @@ class TestFiniteRadiusEstimates:
         params, p = setup
         alpha = exponents(params, p).alpha
         scale = normalization(params, p, sigma_p_exact(params, p))
-        u = FundamentalProfile(params, p, scale=scale)
         bump = CutoffBump(params, 1.0)
         k4 = 4 * params.k
         r, R = 0.2, 1.0
@@ -146,7 +144,7 @@ class TestFiniteRadiusEstimates:
             s_phi = reference_bump_d_dh(bump, np.array([rho**k4]))[0]
             return abs(s_u) ** (p - 2.0) * s_u * s_phi * k4 * rho ** (k4 - 1.0)
 
-        est = weak_pairing(params, p, u, bump, r, R, SAMPLES, 43)
+        est = weak_pairing(params, p, scale, bump, r, R, SAMPLES, 43)
         assert_within_z(est, coarea_quadrature(params, p, g, r, R))
 
     def test_mc_energy(self, setup):

@@ -157,7 +157,8 @@ def test_shell_integral_with_polynomial(params, threads):
 
 
 def test_weak_pairing(params, threads):
-    u = FundamentalProfile(params, P, scale=normalization(params, P, 1.9))
+    scale = normalization(params, P, 1.9)
+    u = FundamentalProfile(params, P, scale=scale)
     phi = CutoffBump(params, 1.0)
     r, R, k, k4 = 0.2, 1.2, params.k, 4 * params.k
 
@@ -168,7 +169,7 @@ def test_weak_pairing(params, threads):
         return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (4 * k - 1.0)
                 * grad_psi_norm_pow(params, sigma, h, P))
 
-    est = weak_pairing(params, P, u, phi, r, R, SAMPLES, SEED, threads, stream=(8, 0))
+    est = weak_pairing(params, P, scale, phi, r, R, SAMPLES, SEED, threads, stream=(8, 0))
     ref = reference_lattice(params, R, reference_band(params, r**k4, R**k4, weight),
                        SAMPLES, SEED, (8, 0))
     assert_same(est, ref)
@@ -376,13 +377,13 @@ def test_capacity_normalizes_by_exact_sigma(monkeypatch):
     # one kernel run, the energy's; sigma_p is the closed form
     params = SPACES[1]
     streams = []
-    kernel = capacity_module._mc_over_box
+    kernel = montecarlo._mc_over_box
 
     def counted(params, spec, band, samples, seed, stream, threads):
         streams.append(stream)
         return kernel(params, spec, band, samples, seed, stream, threads)
 
-    monkeypatch.setattr(capacity_module, "_mc_over_box", counted)
+    monkeypatch.setattr(montecarlo, "_mc_over_box", counted)
     results = [
         annulus_capacity(params, P, 0.6, 1.4, method, 2 * 10**4, SEED, m_knots=16)
         for method in capacity_module.METHODS

@@ -7,7 +7,6 @@ from sublap import (
     Constant,
     CutoffBump,
     DomainError,
-    FundamentalProfile,
     GaugeH,
     SpaceParams,
     ball_measure,
@@ -149,7 +148,7 @@ def _annulus_estimate(name, params, p):
     if name == "shell":
         return density_limit(params, p, bump, [0.5], 10**4, 3)[0]
     if name == "pairing":
-        return weak_pairing(params, p, FundamentalProfile(params, p), bump, 0.2, 1.0, 10**4, 3)
+        return weak_pairing(params, p, 1.0, bump, 0.2, 1.0, 10**4, 3)
     return mc_energy(params, p, 0.5, 1.0, 10**4, 3)
 
 
@@ -168,6 +167,30 @@ class TestDivergenceGuard:
     def test_annulus_estimators_run_at_k_one_half(self, name):
         est = _annulus_estimate(name, SpaceParams(1, 0.5, 1.0), 12.0)
         assert np.isfinite(est.mean) and est.mean != 0.0
+
+
+# n = 1, k = 3: 4k = 12 > Q = 8, so the band top R^(4k) leaves the normal
+# floats first.  At R = 2e-38, R^Q = 2.6e-302 and the volume are normal but
+# R^12 rounds to 0, so every band would be empty and every estimate 0.0.
+TINY_BAND = SpaceParams(1, 3.0, 1.0)
+TINY_BAND_BUMP = CutoffBump(TINY_BAND, 1.0)
+TINY_BAND_RUNS = {
+    "ball": lambda: ball_measure(TINY_BAND, 2.0, 2e-38, 10**4, 1),
+    "density": lambda: density_limit(TINY_BAND, 2.0, TINY_BAND_BUMP, [2e-38, 1e-38], 10**4, 1),
+    "pairing": lambda: weak_pairing(TINY_BAND, 2.0, 1.0, TINY_BAND_BUMP, 1e-38, 2e-38, 10**4, 1),
+    "energy": lambda: mc_energy(TINY_BAND, 2.0, 1e-38, 2e-38, 10**4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_BAND_RUNS))
+def test_band_top_below_normal_floats_raises_before_any_draw(name, monkeypatch):
+    import sublap.montecarlo as mc
+
+    calls = []
+    monkeypatch.setattr(mc, "_mc_over_box", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match=r"R\^\(4k\) below the smallest normal float"):
+        TINY_BAND_RUNS[name]()
+    assert calls == []
 
 
 class TestShellIntegral:

@@ -5,7 +5,6 @@ from helpers import pairing_quadrature, sigma_p_quadrature
 from sublap import (
     CutoffBump,
     DomainError,
-    FundamentalProfile,
     GaugePsi,
     dirac_limit,
     sample_points,
@@ -42,27 +41,24 @@ class TestBumpField:
 class TestWeakPairing:
     def test_disjoint_support_is_exactly_zero(self, setup_a):
         bump = CutoffBump(setup_a, 0.3)
-        u = FundamentalProfile(setup_a, 2.0)
-        est = weak_pairing(setup_a, 2.0, u, bump, 0.5, 1.0, SAMPLES, 4)
+        est = weak_pairing(setup_a, 2.0, 1.0, bump, 0.5, 1.0, SAMPLES, 4)
         assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_matches_quadrature_oracle(self, setup_a):
-        u = FundamentalProfile(setup_a, 2.0)
         bump = CutoffBump(setup_a, 1.0)
         oracle = pairing_quadrature(1, 1.0, 1.0, 2.0, -2.0, 1.0, 1.0, 0.3, 1.0)
-        est = weak_pairing(setup_a, 2.0, u, bump, 0.3, 1.0, SAMPLES, 21)
+        est = weak_pairing(setup_a, 2.0, 1.0, bump, 0.3, 1.0, SAMPLES, 21)
         assert abs(est.mean - oracle) <= 4.0 * est.stderr
 
     def test_small_radius_identity(self, setup_a):
         # pairing(r) = -|alpha|^(p-2) alpha (Q sigma_p) g(r^(4k)) for the bump
         p, alpha = 2.0, -2.0
-        u = FundamentalProfile(setup_a, p)
         bump = CutoffBump(setup_a, 1.0)
         sig = sigma_p_quadrature(1, 1.0, 1.0, p)
         r = 0.1
         g = np.exp(-(r**4) / (1.0 - r**4))
         target = -abs(alpha) ** (p - 2) * alpha * 4.0 * sig * g
-        est = weak_pairing(setup_a, p, u, bump, r, 1.0, SAMPLES, 22)
+        est = weak_pairing(setup_a, p, 1.0, bump, r, 1.0, SAMPLES, 22)
         assert target == pytest.approx(2.0 * 4.0 * sig * g)  # positive for alpha = -2
         assert abs(est.mean - target) <= 4.0 * est.stderr
 
@@ -71,38 +67,30 @@ class TestWeakPairing:
         from sublap import normalization
 
         c1 = normalization(setup_a, 2.0, sig)
-        u = FundamentalProfile(setup_a, 2.0, scale=c1)
         bump = CutoffBump(setup_a, 1.0)
-        est = weak_pairing(setup_a, 2.0, u, bump, 0.05, 1.0, SAMPLES, 23)
+        est = weak_pairing(setup_a, 2.0, c1, bump, 0.05, 1.0, SAMPLES, 23)
         assert abs(est.mean - (-1.0)) <= 4.0 * est.stderr + 1e-3
 
     def test_validation(self, setup_a):
-        u = FundamentalProfile(setup_a, 2.0)
         bump = CutoffBump(setup_a, 1.0)
         with pytest.raises(DomainError):
-            weak_pairing(setup_a, 2.0, u, bump, 1.0, 0.5, SAMPLES, 1)
+            weak_pairing(setup_a, 2.0, 1.0, bump, 1.0, 0.5, SAMPLES, 1)
         with pytest.raises(DomainError):
-            weak_pairing(setup_a, 2.0, GaugePsi(setup_a), bump, 0.1, 1.0, SAMPLES, 1)
-        with pytest.raises(DomainError):
-            weak_pairing(setup_a, 3.0, u, bump, 0.1, 1.0, SAMPLES, 1)
-        with pytest.raises(DomainError):
-            weak_pairing(setup_a, 2.0, u, GaugePsi(setup_a), 0.1, 1.0, SAMPLES, 1)
+            weak_pairing(setup_a, 2.0, 1.0, GaugePsi(setup_a), 0.1, 1.0, SAMPLES, 1)
 
     def test_slope_outside_float_range(self, setup_a):
         # p = 1.01: alpha = -299, and psi^(alpha-1) overflows below psi = 0.094
-        u = FundamentalProfile(setup_a, 1.01)
         bump = CutoffBump(setup_a, 1.0)
         with pytest.raises(DomainError, match="not a nonzero finite float"):
-            weak_pairing(setup_a, 1.01, u, bump, 0.05, 1.0, SAMPLES, 1)
-        est = weak_pairing(setup_a, 1.01, u, bump, 0.1, 1.0, 10**4, 1)
+            weak_pairing(setup_a, 1.01, 1.0, bump, 0.05, 1.0, SAMPLES, 1)
+        est = weak_pairing(setup_a, 1.01, 1.0, bump, 0.1, 1.0, 10**4, 1)
         assert np.isfinite(est.mean)
 
     def test_integrand_stable_as_radius_shrinks(self, setup_a):
         # local integrability: the estimate stabilizes instead of diverging
-        u = FundamentalProfile(setup_a, 2.0)
         bump = CutoffBump(setup_a, 1.0)
         means = [
-            abs(weak_pairing(setup_a, 2.0, u, bump, r, 1.0, SAMPLES, 41).mean)
+            abs(weak_pairing(setup_a, 2.0, 1.0, bump, r, 1.0, SAMPLES, 41).mean)
             for r in (0.4, 0.2, 0.1, 0.05)
         ]
         assert max(means) <= 1.2 * means[-1] + 1.0
@@ -128,10 +116,10 @@ class TestDiracLimit:
         self.assert_exact_per_radius(setup_a, 4.0)
 
     def test_p_near_one_raises_before_any_draw(self, setup_a, monkeypatch):
-        import sublap.weakform as weakform
+        import sublap.montecarlo as montecarlo
 
         draws = []
-        monkeypatch.setattr(weakform, "_mc_over_box", lambda *args: draws.append(args))
+        monkeypatch.setattr(montecarlo, "_mc_over_box", lambda *args: draws.append(args))
         bump = CutoffBump(setup_a, 1.0)
         # p = 1.01: the slope at the smallest radius, 0.05, leaves the float
         # range; p = 1.003: the normalization constant does
