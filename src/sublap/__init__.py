@@ -38,7 +38,6 @@ from .frame import (
     lie_bracket,
     lie_bracket_printed,
     p_laplacian,
-    p_laplacian_divergence_form,
 )
 from .jets import Jet2
 from .montecarlo import (

@@ -28,13 +28,11 @@ BLOCK_ROWS = 1024
 
 
 def _over_blocks(fn, P: np.ndarray):
-    """fn over row blocks of at most BLOCK_ROWS points, outputs concatenated."""
+    """fn over row blocks of at most BLOCK_ROWS points, each output of its tuple concatenated."""
     if P.ndim == 1 or P.shape[0] <= BLOCK_ROWS:
         return fn(P)
     parts = [fn(P[i : i + BLOCK_ROWS]) for i in range(0, P.shape[0], BLOCK_ROWS)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _horizontal_offsets(params: SpaceParams, P: np.ndarray):
@@ -126,17 +124,12 @@ def frame_matrix(params: SpaceParams, P) -> np.ndarray:
     return E
 
 
-def _frame_jet(params: SpaceParams, field: ScalarField, P: np.ndarray):
-    """(E, grads, jet): frame matrix, coefficient gradients, and the field's jet."""
-    return frame_matrix(params, P), t_coefficient_gradients(params, P), field.jet(P)
-
-
 def _horizontal_parts(params: SpaceParams, field: ScalarField, P):
     """(grad_0 f, (D^2 f)*) from one field jet per point, shapes (..., 2n), (..., 2n, 2n)."""
     n2 = 2 * params.n
 
     def block(P):
-        E, grads, jet = _frame_jet(params, field, P)
+        E, grads, jet = frame_matrix(params, P), t_coefficient_gradients(params, P), field.jet(P)
         core = E @ jet.hess @ np.swapaxes(E, -1, -2)
         core = 0.5 * (core + np.swapaxes(core, -1, -2))  # matmul is not bit-symmetric
         # X_i b_j = E_i . grad b_j  (the t-component of grad b_j is zero)
@@ -190,34 +183,6 @@ def p_laplacian(params: SpaceParams, field: ScalarField, P, p: float):
         out = (gn2 ** ((p - 2.0) / 2.0) * trace
                + (p - 2.0) * gn2 ** ((p - 4.0) / 2.0) * _quadratic_form(hg, M))
     return _scalar(np.where(critical, 0.0, out)) if _any(critical) else out
-
-
-def p_laplacian_divergence_form(params: SpaceParams, field: ScalarField, P, p: float):
-    """Same operator assembled as sum_i X_i(|grad_0 f|^(p-2) X_i f).
-
-    Builds the Euclidean gradient of each flux component through the
-    closed-form coefficient gradients; cross-checks the trace expansion.
-    Requires grad_0 f != 0.
-    """
-    n2 = 2 * params.n
-
-    def block(P):
-        E, grads, jet = _frame_jet(params, field, P)
-        gt = jet.grad[..., n2, None, None]
-        xif = (E @ jet.grad[..., None])[..., 0]
-        q = np.einsum("...i,...i->...", xif, xif)
-        if _any(q == 0.0):
-            raise DegeneratePointError("divergence form needs a nonvanishing gradient")
-        # Euclidean gradient of X_i f, rows (..., 2n, d)
-        grad_xf = E @ jet.hess + gt * grads
-        grad_q = 2.0 * (xif[..., None, :] @ grad_xf)[..., 0, :]
-        w = q ** ((p - 2.0) / 2.0)
-        dw = (p - 2.0) / 2.0 * q ** ((p - 4.0) / 2.0)
-        grad_flux = (dw[..., None, None] * xif[..., :, None] * grad_q[..., None, :]
-                     + w[..., None, None] * grad_xf)
-        return _scalar(np.einsum("...id,...id->...", E, grad_flux))
-
-    return _over_blocks(block, as_points(params, P))
 
 
 def _check_pair(params: SpaceParams, i: int, j: int) -> None:

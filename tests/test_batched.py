@@ -185,10 +185,10 @@ class TestFrameOperators:
                 )
                 for p in (1.5, 2.0, 3.0, params.Q):
                     scale = _operator_scale(params, field, pts, p)
-                    for fn in (frame.p_laplacian, frame.p_laplacian_divergence_form):
-                        assert_operator_rows_match(
-                            fn(params, field, pts, p), [fn(params, field, P, p) for P in pts], scale
-                        )
+                    assert_operator_rows_match(
+                        frame.p_laplacian(params, field, pts, p),
+                        [frame.p_laplacian(params, field, P, p) for P in pts], scale
+                    )
 
     def test_single_point_gives_a_float(self, setup_b):
         P = [1.0, 2.0, 5.0]
@@ -202,7 +202,6 @@ class TestFrameOperators:
             lambda: frame.horizontal_gradient(setup_c, field, pts),
             lambda: frame.horizontal_hessian_sym(setup_c, field, pts),
             lambda: frame.p_laplacian(setup_c, field, pts, 3.0),
-            lambda: frame.p_laplacian_divergence_form(setup_c, field, pts, 3.0),
         )
         whole = [op() for op in ops]
         monkeypatch.setattr(frame, "BLOCK_ROWS", 7)  # blocks of 7, 7, 7, 4 rows

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from test_golden import SPACES
 
@@ -119,9 +120,14 @@ class TestExitCodes:
                 "--method", "closed-form"]
         code, out = run_cli(capsys, argv + FAST)
         assert code == 0
-        # the same formula evaluated at 50 digits (mpmath)
+        # |alpha|^(p-1) Q (r^alpha - R^alpha)^(1-p) at 50 digits, from the
+        # float p the CLI reads; n = k = 1, so Q = 4
+        with mpmath.workdps(50):
+            p, r, R, Q = mpmath.mpf(1.01), mpmath.mpf(0.001), mpmath.mpf(0.002), 4
+            alpha = (Q - p) / (1 - p)
+            exact = float(abs(alpha) ** (p - 1) * Q * (r**alpha - R**alpha) ** (1 - p))
         value = json.loads(out)["results"][0]["value"]
-        assert value == pytest.approx(4.537500680863949e-09, rel=1e-12)
+        assert value == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("argv,message", [
         (["capacity", "--R", "inf", "--method", "mc"], "radius must be positive and finite"),
@@ -585,11 +591,12 @@ def test_import_builds_no_parser():
 
 def test_import_does_not_load_quadrature():
     # scipy costs most of the import time (scipy.integrate about half a
-    # second); only tests use it
+    # second); it, sympy, mpmath and hypothesis serve the tests only
     src = str(Path(sublap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, sublap, sublap.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'sympy', 'mpmath', 'hypothesis')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
