@@ -40,42 +40,12 @@ from .weakform import dirac_limit
 
 REPORT_SCHEMA = "sublap-report-v1"
 
-COMMANDS = (
-    "verify-fundamental",
-    "verify-infinity",
-    "bracket-report",
-    "sigma",
-    "ahlfors",
-    "density",
-    "dirac",
-    "capacity",
-)
-
-RADII_DEFAULTS = {
-    "ahlfors": [0.5, 1.0, 2.0],
-    "density": [0.4, 0.2, 0.1],
-    "dirac": [0.2, 0.1, 0.05],
-}
-
 # The capacity methods each --method runs.
 CAPACITY_RUNS = {
     "closed-form": ("closed-form",),
     "radial": ("radial-variational",),
     "mc": ("mc-energy",),
     "all": METHODS,
-}
-
-# Default tolerances: scaled 1e-8 for AD operator checks, 3 sigma for MC
-# consistency, 0.02 absolute for each density and pairing against its
-# closed-form value, and 2% for capacity cross-checks.
-# bracket-report gates nothing, so it has none (its report echoes tol 0).
-TOL_DEFAULTS = {
-    "verify-fundamental": 1e-8,
-    "verify-infinity": 1e-8,
-    "ahlfors": 3.0,      # sigmas
-    "density": 0.02,
-    "dirac": 0.02,
-    "capacity": 0.02,
 }
 
 
@@ -92,12 +62,12 @@ class RunConfig:
     points: int = 100
     r: float = 1.0
     R: float = 2.0
-    radii: list[float] | None = None  # None: RADII_DEFAULTS of the command
+    radii: list[float] | None = None  # None: the command's default in COMMANDS
     bump_radius: float = 1.0
     knots: int = 400
     method: str = "all"
     threads: int | None = None
-    tol: float | None = None  # None: TOL_DEFAULTS of the command
+    tol: float | None = None  # None: the command's default in COMMANDS
     format: str = "json"
     out: str | None = None
 
@@ -190,12 +160,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    command = args.command
+    _, tol, radii = COMMANDS[args.command]
     if merged["radii"] is None:
-        merged["radii"] = list(RADII_DEFAULTS.get(command, []))
+        merged["radii"] = list(radii)
     if merged["tol"] is None:
-        merged["tol"] = TOL_DEFAULTS.get(command, 0.0)
-    cfg = RunConfig(command=command, **merged)
+        merged["tol"] = tol
+    cfg = RunConfig(command=args.command, **merged)
     _validate(cfg)
     return cfg
 
@@ -257,17 +227,12 @@ def _cmd_verify_fundamental(cfg: RunConfig) -> list[dict]:
     # the float range before any jet is formed (Q = 4, p = 1.003), or only the
     # p-Laplacian's powers of |grad_0 f| at some rows (Q = 4, p = 1.01):
     # either way the run has no residual to report
-    with np.errstate(all="ignore"):
-        slope = np.abs(profile.eta_prime(psi))
-        slope_sq = slope * slope
-    if not (np.all(np.isfinite(slope_sq)) and np.all(slope_sq > 0.0)):
-        raise DomainError(f"the profile's slope leaves the float range at p={cfg.p!r} "
-                          f"on the sampled psi in [{psi.min():.6g}, {psi.max():.6g}]")
+    profile.check_slope(psi.min(), psi.max(), 2.0)
     with np.errstate(all="ignore"):
         lap = p_laplacian(params, profile, pts, cfg.p)
         # scale 1 + |grad_0 f|^(p-1) / psi, with |grad_0 f| = |eta'(psi)| |grad_0 psi|
         q = cfg.p - 1.0
-        grad_pow = slope**q * grad_psi_norm_pow(params, sigma, h, q)
+        grad_pow = np.abs(profile.eta_prime(psi))**q * grad_psi_norm_pow(params, sigma, h, q)
         scaled = np.abs(lap) / (1.0 + grad_pow / psi)
     if not np.all(np.isfinite(scaled)):
         raise DomainError(f"the scaled p-Laplacian of the profile leaves the float range "
@@ -387,22 +352,26 @@ def _cmd_capacity(cfg: RunConfig) -> list[dict]:
     return out
 
 
-_RUNNERS = {
-    "verify-fundamental": _cmd_verify_fundamental,
-    "verify-infinity": _cmd_verify_infinity,
-    "bracket-report": _cmd_bracket_report,
-    "sigma": _cmd_sigma,
-    "ahlfors": _cmd_ahlfors,
-    "density": _cmd_density,
-    "dirac": _cmd_dirac,
-    "capacity": _cmd_capacity,
+# Every command: its runner, default --tol and default --radii.  The
+# tolerances are scaled 1e-8 for AD operator checks, 3 sigma for MC
+# consistency, 0.02 absolute for each density and pairing against its closed
+# form, 2% for capacity cross-checks, and 0 where nothing is gated.
+COMMANDS = {
+    "verify-fundamental": (_cmd_verify_fundamental, 1e-8, ()),
+    "verify-infinity": (_cmd_verify_infinity, 1e-8, ()),
+    "bracket-report": (_cmd_bracket_report, 0.0, ()),
+    "sigma": (_cmd_sigma, 0.0, ()),
+    "ahlfors": (_cmd_ahlfors, 3.0, (0.5, 1.0, 2.0)),  # tol in sigmas
+    "density": (_cmd_density, 0.02, (0.4, 0.2, 0.1)),
+    "dirac": (_cmd_dirac, 0.02, (0.2, 0.1, 0.05)),
+    "capacity": (_cmd_capacity, 0.02, ()),
 }
 
 
 def run(cfg: RunConfig) -> tuple[dict, int]:
     """Execute a validated config; returns (report, exit code)."""
     start = time.perf_counter()
-    results = _RUNNERS[cfg.command](cfg)
+    results = COMMANDS[cfg.command][0](cfg)
     duration = time.perf_counter() - start
     passed = all(rec.get("pass", True) for rec in results)
     report = {
@@ -458,7 +427,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ConfigurationError, DomainError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigurationError and DomainError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

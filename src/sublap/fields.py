@@ -211,6 +211,21 @@ class FundamentalProfile(HFunction):
             return self.scale / psi
         return self.scale * self.exps.alpha * psi ** (self.exps.alpha - 1.0)
 
+    def check_slope(self, lo: float, hi: float, q: float) -> None:
+        """Raise DomainError unless |eta'| and |eta'|^q are nonzero finite
+        floats at psi = lo and psi = hi.  |eta'| is monotone in psi, so the
+        two ends bound every psi between them.  (At Q = 4 and p = 1.01,
+        alpha = -299 and psi^(alpha-1) overflows below psi = 0.094.)"""
+        lo, hi = float(lo), float(hi)
+        with np.errstate(all="ignore"):
+            slope = np.abs(self.eta_prime(np.array([lo, hi])))
+            both = np.concatenate([slope, slope**q])
+        if not np.all(np.isfinite(both) & (both > 0.0)):
+            raise DomainError(
+                f"the profile's slope leaves the float range at p={self.p!r}: |eta'| or "
+                f"|eta'|^{q:g} at psi = {lo!r} or {hi!r} is not a nonzero finite float"
+            )
+
 
 class Constant(ScalarField):
     def __init__(self, value: float, dim: int):
@@ -306,18 +321,20 @@ class AnnulusPotential(FundamentalProfile):
     (g(psi) - g(R)) / (g(r) - g(R)) with g(rho) = rho^alpha for p != Q and
     log rho at p == Q: the fundamental profile with scale 1/(g(r) - g(R))
     and offset -g(R)/(g(r) - g(R)).  Equals 1 at psi = r and 0 at psi = R.
+    Its energy density |eta'|^p must be a nonzero finite float on the
+    annulus (`check_slope`), so g, the scale and the offset are finite too.
     """
 
     def __init__(self, params: SpaceParams, p: float, r: float, R: float):
-        if not 0 < r < R:
-            raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
+        if not 0 < r < R < math.inf:
+            raise DomainError(f"need 0 < r < R, each radius must be positive and finite, "
+                              f"got r={r}, R={R}")
         alpha, radii = exponents(params, p).alpha, np.array([r, R], dtype=float)
         with np.errstate(all="ignore"):
             g = np.log(radii) if alpha is None else radii**alpha  # g(r), g(R)
             scale = 1.0 / (g[0] - g[1])
-        if not np.all(np.isfinite([*g, scale, g[1] * scale])):
-            raise DomainError("the annulus potential leaves the float range: r^alpha, "
-                              "R^alpha or their gap is not a finite nonzero float")
-        super().__init__(params, p, scale=float(scale), offset=float(-g[1] * scale))
+            offset = -g[1] * scale
+        super().__init__(params, p, scale=float(scale), offset=float(offset))
+        self.check_slope(r, R, p)
         self.r = float(r)
         self.R = float(R)

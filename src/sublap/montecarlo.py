@@ -326,7 +326,8 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     Runs the R N points of `lattice_shape(samples)`.  Shards are reduced in
     index order.  Raises DomainError where the integral diverges
     (`space.check_integrable`), and ConfigurationError for a negative seed,
-    before any draw.
+    before any draw; DomainError after the draws when a replicate mean is
+    not a finite float.
     """
     p = integrand.p
     check_integrable(params, p)
@@ -381,8 +382,10 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
 
     def run_worker(w: int):
         floats, bools = np.empty((3, SHARD_SIZE)), np.empty((2, SHARD_SIZE), dtype=bool)
-        for idx in range(w, n_shards, workers):
-            store(*run_shard(idx, floats, bools))
+        # a row outside the floats makes its replicate's mean inf or NaN: rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in range(w, n_shards, workers):
+                store(*run_shard(idx, floats, bools))
 
     # the calling thread is worker 0, so a one-thread run starts no thread
     if workers > 1:
@@ -393,8 +396,12 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
     else:
         run_worker(0)
 
-    means = rep_sums * (spec.volume / points)
-    mean = float(means.sum()) / reps
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = rep_sums * (spec.volume / points)
+        mean = float(means.sum()) / reps
+    if not math.isfinite(mean):
+        raise DomainError(f"the MC estimate leaves the float range: a replicate mean "
+                          f"or their mean, {mean!r}, is not a finite float")
     means -= mean
     # scaled by a power of two, which is exact, so that the deviations of a
     # tiny ball (radius 1e-40: means near 1e-164) do not square to 0
@@ -435,11 +442,10 @@ def ball_measure(
 
 
 def sigma_p(
-    params: SpaceParams, p: float, samples: int, seed: int,
-    threads: int | None = None, stream: Stream = (STREAM_BALL, 0),
+    params: SpaceParams, p: float, samples: int, seed: int, threads: int | None = None,
 ) -> MCEstimate:
     """sigma_p = V(B_1), the normalizing constant of the Ahlfors scaling."""
-    return ball_measure(params, p, 1.0, samples, seed, threads, stream=stream)
+    return ball_measure(params, p, 1.0, samples, seed, threads)
 
 
 def _dilation_weight(params: SpaceParams, phi: ScalarField) -> Callable:

@@ -15,6 +15,7 @@ with homogeneous dimension Q = 2n + 2k.  `fields.gauge_parts` evaluates
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,15 +167,23 @@ def sigma_p_exact(params: SpaceParams, p: float) -> float:
 
     m = p(2k-1)/(2k) + n/k - 1 and omega_(2n-1) = 2 pi^n / Gamma(n), the
     area of the unit (2n-1)-sphere.  (m+1)/2 reaches 0 exactly at the
-    divergence bound of `check_integrable`.
+    divergence bound of `check_integrable`.  DomainError unless the value
+    is a positive normal float (|c|^((p-2n)/(2k)) leaves the floats at
+    n = 3, k = 0.1, c = 1e-19, p = 2).
     """
     check_integrable(params, p)
     n, k = params.n, params.k
     m = p * (2 * k - 1) / (2 * k) + n / k - 1
     omega = 2 * math.pi**n / math.gamma(n)
     a, b = 0.5, (m + 1) / 2
-    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    return omega * abs(params.c) ** ((p - 2 * n) / (2 * k)) * beta / (2 * (n + k))
+    try:
+        beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        value = omega * abs(params.c) ** ((p - 2 * n) / (2 * k)) * beta / (2 * (n + k))
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(f"sigma_p at p={p!r} is {value!r}, not a positive normal float")
+    return value
 
 
 def normalization(params: SpaceParams, p: float, sigma_p: float) -> float:

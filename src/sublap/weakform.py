@@ -29,21 +29,6 @@ def _check_bump(phi) -> None:
         raise DomainError("phi must be a CutoffBump")
 
 
-def _check_slopes(u: FundamentalProfile, p: float, r: float, R: float) -> None:
-    """Raise DomainError unless |eta'| and |eta'|^(p-1) are nonzero finite
-    floats at psi = r and psi = R.  |eta'| is monotone in psi, so the two
-    ends bound every row of the annulus r < psi < R.  (At Q = 4 and
-    p = 1.01, alpha = -299 and psi^(alpha-1) overflows below psi = 0.094.)"""
-    with np.errstate(all="ignore"):
-        slope = np.abs(u.eta_prime(np.array([r, R], dtype=float)))
-        both = np.concatenate([slope, slope ** (p - 1.0)])
-    if not np.all(np.isfinite(both) & (both > 0.0)):
-        raise DomainError(
-            f"the profile's slope |eta'| or |eta'|^(p-1) at psi = {r!r} or {R!r} "
-            f"is not a nonzero finite float at p={p!r}"
-        )
-
-
 def weak_pairing(
     params: SpaceParams, p: float, scale: float, phi, r: float, R: float,
     samples: int, seed: int, threads: int | None = None,
@@ -53,13 +38,14 @@ def weak_pairing(
     fundamental profile of these parameters and p times `scale`.
 
     The slope of u must stay a nonzero finite float on the annulus
-    (`_check_slopes`); phi must be a bump supported inside B_R.
+    (`FundamentalProfile.check_slope`); phi must be a bump supported inside
+    B_R.
     """
     if not 0 < r < R:
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
     _check_bump(phi)
     u = FundamentalProfile(params, p, scale=scale)
-    _check_slopes(u, p, r, R)
+    u.check_slope(r, R, p - 1.0)
     k = params.k
 
     def weight(h, _):
@@ -91,7 +77,7 @@ def dirac_limit(
         raise DomainError("all radii must sit inside the bump support")
     constant = normalization(params, p, sigma_p_exact(params, p))
     # the smallest radius bounds them all
-    _check_slopes(FundamentalProfile(params, p, scale=constant), p, radii[-1], R)
+    FundamentalProfile(params, p, scale=constant).check_slope(radii[-1], R, p - 1.0)
     return [
         weak_pairing(params, p, constant, phi, r, R, samples, seed, threads,
                      stream=(STREAM_PAIRING, idx))

@@ -195,6 +195,39 @@ class TestExitCodes:
         # some rows (NaN with exit 2 and a RuntimeWarning before)
         (["verify-fundamental", "--p", "1.003"], "slope leaves the float range"),
         (["verify-fundamental", "--p", "1.01"], "leaves the float range"),
+        # |eta'|^p of the annulus potential leaves the floats at psi = r or R:
+        # exit 0 with Infinity/NaN (p = 1.01 at --samples 1000000 --seed 2),
+        # 0.0 +- 0.0 against a closed form of 6.78 (p = 1.2) and 8.3e-259
+        # against 4.90 (p = 1.05, default samples and seed) before, and exit
+        # 2 with --method all
+        (["capacity", "--p", "1.01", "--r", "0.0933", "--R", "1", "--method", "mc"],
+         "slope leaves the float range"),
+        (["capacity", "--p", "1.2", "--r", "1", "--R", "1e40", "--method", "mc"],
+         "slope leaves the float range"),
+        (["capacity", "--p", "1.05", "--r", "1", "--R", "1e6", "--method", "mc"],
+         "slope leaves the float range"),
+        (["capacity", "--p", "1.01", "--r", "0.0933", "--R", "1", "--method", "all"],
+         "slope leaves the float range"),
+        (["capacity", "--p", "1.2", "--r", "1", "--R", "1e40", "--method", "all"],
+         "slope leaves the float range"),
+        (["capacity", "--p", "1.05", "--r", "1", "--R", "1e6", "--method", "all"],
+         "slope leaves the float range"),
+        # exit 1 before too, after a RuntimeWarning from the old g/scale check
+        (["capacity", "--n", "3", "--k", "2", "--c=-0.0117", "--p", "1.006", "--r", "4.735",
+          "--R", "30.28", "--method", "mc"], "slope leaves the float range"),
+        # rows near the axis overflow |grad_0 psi|^p: a RuntimeWarning and an
+        # inf or NaN estimate with exit 0 (sigma) or 2 (ahlfors, dirac) before
+        (["sigma", "--n", "3", "--k", "0.1", "--c=-1e10", "--p", "6.2"],
+         "MC estimate leaves the float range"),
+        (["ahlfors", "--n", "1", "--k", "0.5", "--c", "1e16", "--p", "28"],
+         "MC estimate leaves the float range"),
+        (["dirac", "--n", "2", "--k", "0.3125", "--c=-1e42", "--p", "4.625", "--radii", "2,1",
+          "--bump-radius", "3"], "MC estimate leaves the float range"),
+        # |c|^((p-2n)/(2k)) of the closed-form sigma_p: an uncaught OverflowError before
+        (["density", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
+         "not a positive normal float"),
+        (["dirac", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
+         "not a positive normal float"),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
             "ahlfors-volume-R7", "ahlfors-huge-radii", "ahlfors-tiny-radii",
             "ahlfors-R^Q-overflow", "ahlfors-width-product", "ahlfors-R^Q-underflow",
@@ -203,7 +236,12 @@ class TestExitCodes:
             "density-huge-radii", "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
             "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",
-            "verify-fundamental-p-1.003", "verify-fundamental-p-1.01"])
+            "verify-fundamental-p-1.003", "verify-fundamental-p-1.01",
+            "capacity-mc-p-1.01-r-0.0933", "capacity-mc-p-1.2-R-1e40", "capacity-mc-p-1.05-R-1e6",
+            "capacity-all-p-1.01-r-0.0933", "capacity-all-p-1.2-R-1e40",
+            "capacity-all-p-1.05-R-1e6", "capacity-mc-annulus-warning", "sigma-inf-estimate",
+            "ahlfors-inf-estimate", "dirac-nan-estimate", "density-sigma-p-overflow",
+            "dirac-sigma-p-overflow"])
     def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
         assert main(argv + FAST) == 1
         captured = capsys.readouterr()

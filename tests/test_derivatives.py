@@ -61,6 +61,16 @@ def test_eta_prime_is_the_derivative_of_the_profile(params, case):
     np.testing.assert_allclose(field.eta_prime(psi), expected, rtol=RTOL, atol=0.0)
 
 
+@pytest.mark.parametrize("case", ["profile", "log-profile"])
+def test_check_slope_bounds_the_slope_between_its_ends(params, case):
+    # |eta'| is monotone in psi: a slope checked at the two ends is a
+    # nonzero finite float everywhere between them
+    field = FundamentalProfile(params, params.Q if case == "log-profile" else P, scale=0.7)
+    field.check_slope(0.05, 3.0, P - 1.0)
+    slope = np.abs(field.eta_prime(psi_grid(0.05, 3.0)))
+    assert np.all(np.isfinite(slope**(P - 1.0)) & (slope > 0.0))
+
+
 def bump_h(bump):
     """h across the bump's support, its base point and two values outside."""
     return bump.B * np.concatenate([np.linspace(0.0, 0.99, 100), [1.0, 1.5]])

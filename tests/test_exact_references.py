@@ -111,6 +111,14 @@ class TestSigmaPExact:
         with pytest.raises(DomainError, match="exceed 1"):
             sigma_p_exact(SpaceParams(1, 1.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("c,value", [(1e-19, "inf"), (1e20, "0.0")],
+                             ids=["overflow", "underflow"])
+    def test_rejects_a_value_outside_the_normal_floats(self, c, value):
+        # n = 3, k = 0.1, p = 2: |c|^((p-2n)/(2k)) = |c|^-20 raised an
+        # OverflowError at c = 1e-19 and gave 0.0 at c = 1e20 before
+        with pytest.raises(DomainError, match=f"is {value}, not a positive normal float"):
+            sigma_p_exact(SpaceParams(3, 0.1, c), 2.0)
+
 
 class TestFiniteRadiusEstimates:
     def test_ball_measure(self, setup):

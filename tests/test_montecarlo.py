@@ -83,6 +83,14 @@ class TestSigmaP:
         with pytest.raises(DomainError):
             sigma_p(setup_a, 2.0, 10**3, 1)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_estimate_raises(self, threads):
+        # rows near the axis take |grad_0 psi|^p past the floats: an inf
+        # sigma_p with a NaN stderr and a RuntimeWarning before.  SAMPLES
+        # fill three shards, so at two threads a started worker sees them too
+        with pytest.raises(DomainError, match="MC estimate leaves the float range"):
+            sigma_p(SpaceParams(3, 0.1, -1e10), 6.2, SAMPLES, 7, threads=threads)
+
 
 class TestBallMeasure:
     def test_ahlfors_ratio(self, setup_a, setup_b):
