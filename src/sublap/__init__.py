@@ -41,10 +41,8 @@ from .frame import (
 )
 from .jets import Jet2
 from .montecarlo import (
-    BallSpec,
     MCEstimate,
     ball_measure,
-    ball_spec,
     density_limit,
     sample_points,
     sigma_p,

@@ -15,13 +15,14 @@ stderr is the energy run's alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .fields import AnnulusPotential
-from .montecarlo import MCEstimate, STREAM_ENERGY, band_estimate
+from .montecarlo import MCEstimate, STREAM_ENERGY, band_estimate, rescaled
 from .space import SpaceParams, check_p, exponents, sigma_p_exact
 
 __all__ = [
@@ -200,17 +201,20 @@ def mc_energy(
     params: SpaceParams, p: float, r: float, R: float, samples: int, seed: int,
     threads: int | None = None,
 ) -> MCEstimate:
-    """MC annulus energy of the explicit potential, divided by the closed-form
-    sigma_p; mean and stderr are in sigma_p units."""
-    potential = AnnulusPotential(params, p, r, R)
+    """MC annulus energy of the explicit potential over the closed-form
+    sigma_p: R^(Q-p) times the unit annulus (r/R, 1)'s, in which c cancels."""
+    if not 0 < r < R < math.inf:
+        raise DomainError(f"need 0 < r < R, each radius must be positive and finite, "
+                          f"got r={r}, R={R}")
+    unit = params.unit()
+    potential = AnnulusPotential(unit, p, r / R, 1.0)
     k = params.k
 
     def weight(h, _):
         return np.abs(potential.eta_prime(h ** (1.0 / (4 * k)))) ** p
 
-    est = band_estimate(params, p, R, samples, seed, (STREAM_ENERGY, 0), threads, weight, r)
-    sigma = sigma_p_exact(params, p)
-    return replace(est, mean=est.mean / sigma, stderr=est.stderr / sigma)
+    est = band_estimate(params, p, samples, seed, (STREAM_ENERGY, 0), threads, weight, r / R)
+    return rescaled(est, (params.Q - p) * math.log(R) - math.log(sigma_p_exact(unit, p)))
 
 
 METHODS = ("closed-form", "radial-variational", "mc-energy")

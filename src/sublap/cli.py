@@ -29,7 +29,7 @@ from .fields import CutoffBump, FundamentalProfile, GaugePsi, gauge_parts, grad_
 from .frame import bracket_comparison, infinity_laplacian, p_laplacian
 from .montecarlo import (
     STREAM_BALL,
-    ball_measure,
+    check_radius,
     density_limit,
     resolve_threads,
     sample_points,
@@ -274,32 +274,22 @@ def _cmd_sigma(cfg: RunConfig) -> list[dict]:
 
 def _cmd_ahlfors(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
-    Q = params.Q
     radii = cfg.radii
     if len(radii) < 2:
         raise ConfigurationError(f"ahlfors needs at least two radii, got {len(radii)}")
-    # one substream per radius: the box sampler is scale-equivariant, so a
-    # shared stream would make the constancy check vacuous
-    ests = [
-        ball_measure(params, cfg.p, R, cfg.samples, cfg.seed, cfg.threads,
-                     stream=(STREAM_BALL, idx))
-        for idx, R in enumerate(radii)
-    ]
-    out = []
-    normalized = [(e.mean / R**Q, e.stderr / R**Q) for e, R in zip(ests, radii)]
-    for Ri, (vi, si), e in zip(radii, normalized, ests):
-        out.append(_record(f"ball_measure_over_R^Q@R={Ri:g}", vi, stderr=si, run=e))
-    for idx in range(len(radii) - 1):
-        (va, sa), (vb, sb) = normalized[idx], normalized[idx + 1]
-        gap = abs(va - vb)
-        sigma = float(np.hypot(sa, sb))
-        lim = cfg.tol * sigma
-        out.append(
-            _record(
-                f"constancy_gap@R={radii[idx]:g}vs{radii[idx+1]:g}", gap,
-                stderr=sigma, tol=lim, passed=gap <= lim,
-            )
-        )
+    for R in radii:
+        check_radius(R)
+    # V(B_R) / R^Q is sigma_p exactly (the dilation delta_R), so each radius
+    # is a sigma_p run, on its own stream: a shared one would repeat the
+    # estimate and make the constancy check vacuous
+    ests = [sigma_p(params, cfg.p, cfg.samples, cfg.seed, cfg.threads, stream=(STREAM_BALL, idx))
+            for idx in range(len(radii))]
+    out = [_record(f"ball_measure_over_R^Q@R={R:g}", e.mean, stderr=e.stderr, run=e)
+           for R, e in zip(radii, ests)]
+    for (Ra, a), (Rb, b) in itertools.pairwise(zip(radii, ests)):
+        gap, sigma = abs(a.mean - b.mean), float(np.hypot(a.stderr, b.stderr))
+        out.append(_record(f"constancy_gap@R={Ra:g}vs{Rb:g}", gap, stderr=sigma,
+                           tol=cfg.tol * sigma, passed=gap <= cfg.tol * sigma))
     return out
 
 

@@ -1,7 +1,25 @@
-"""Seeded, shard-parallel randomized quasi-Monte Carlo over gauge balls and annuli.
+"""Seeded, shard-parallel randomized quasi-Monte Carlo over the unit gauge ball.
 
-Sampling is rejection from the anisotropic bounding box of a gauge ball:
-{psi < R} sits inside |x_l - a_l| <= R |c|^(-1/(2k)), |t - s| <= R^(2k).
+Every estimate is one band integral: a radial weight times |grad_0 psi|^p
+(the coarea measure of the gauge) on a band of gauge radii.  The gauge is
+homogeneous: y -> x0 + (R |c|^(-1/(2k)) y_h, R^(2k) y_t) maps the unit ball
+B_1 of c = 1 about 0 onto B_R, multiplies h by R^(4k) and the measure by
+R^Q |c|^((p-2n)/(2k)), exactly.  So the one kernel, `_mc_over_box`, samples
+only the unit band r^(4k) < h < 1 (no lower bound for a ball) of
+`SpaceParams.unit()`, from the box [-1, 1]^(2n+1) of B_1, and sees no R, c
+or x0.  Each estimator forms its exact factor in logs and checks only that
+the value it reports is a normal float (`rescaled`).  A weight of h sees
+the unit h, which its estimator maps; one that needs points gets the unit
+ball's.  The kernel owns |grad_0 psi|^p (`fields.grad_psi_norm_pow`) and
+its axis singularity: for k < 1/2 it grows like Sigma^((2k-1)p/2) near
+{Sigma = 0}, which crosses every band, so its integral diverges for p >=
+2n/(1-2k) (`space.check_integrable`) and its square for p >= n/(1-2k),
+where the stderr bounds nothing; every estimator raises there.  The average
+of phi over a sphere {psi = R} (`density_limit`) is one ball band too,
+exactly: the R-derivative of the ball integral of phi, the sphere's
+integral, is Q/R times the ball integral of phi + Z phi / Q, Z the
+generator of the dilation delta_R.
+
 The points in the box's unit cube are a randomly shifted rank-1 lattice: R
 replicates of N = 2^m points, point i of replicate j at frac(i z / N +
 shift_j).  z is the Korobov vector (1, a, a^2, ...) mod N of the multiplier
@@ -25,38 +43,20 @@ per shard and per usable CPU, whatever thread count it is given: its
 calling thread and the threads it starts, worker w running shards w, w +
 workers, ...
 
-Every estimator is one band integral, run by `band_estimate`: a radial
-weight on the band r^(4k) < h < R^(4k) (no lower bound for a ball) times
-the measure |grad_0 psi|^p that every estimate integrates against (the
-coarea measure of the gauge), over the box of B_R.  It builds that box and
-band (a `Band`) and feeds them to the one kernel, `_mc_over_box`.  The
-kernel owns the factor |grad_0 psi|^p (`fields.grad_psi_norm_pow`, one exp
-of the rows' log Sigma and log h) and the one place where it diverges: for
-k < 1/2 and p >= 2n/(1-2k) it blows up on the axis {Sigma = 0}, which
-crosses every band, so every estimator raises there.  The average of phi
-over a sphere {psi = R} (`density_limit`) is one ball band too, exactly,
-with no shell width and no limit: the dilation delta_R maps B_1 onto B_R
-with Jacobian R^Q and leaves |grad_0 psi| unchanged, so the R-derivative
-of the ball integral of phi, the sphere's integral, is Q/R times the ball
-integral of phi + Z phi / Q, Z the dilation generator.
-
 A shard holds R_s = SHARD_SIZE / N whole replicates and is mapped in one
-pass.  The box of B_R is centred at x0: a point is x0 + y * width, y =
-frac(L + s) - 1/2 its centred offset, L the lattice point and s the shift.
-Coordinate j of a shard's offsets is one broadcast add of the lattice's row
-j and the replicates' centred shifts s_j - 1/2 into an (R_s, N) view of a
-shard-length row, wrapped into [-1/2, 1/2] by subtracting the mask y > 1/2
-(bit for bit y - rint(y), frac(L + s) - 1/2 on the torus to within one
-rounding), then squared into numpy's einsum lane order
-(`fields.einsum_sum_of_squares`): Sigma = w_h^2 sum_l y_l^2 and tau = w_t
-y_t, with no point array and no map to the box.  The band's weight sees the
+pass.  A point of the box is 2y, y = frac(L + s) - 1/2 its centred offset,
+L the lattice point and s the shift.  Coordinate j of a shard's offsets is
+one broadcast add of the lattice's row j and the replicates' centred shifts
+into an (R_s, N) view of a shard-length row, wrapped into [-1/2, 1/2] by
+subtracting the mask y > 1/2 (bit for bit y - rint(y)), then squared into
+numpy's einsum lane order (`fields.einsum_sum_of_squares`): Sigma = 4 sum_l
+y_l^2 and tau = 2 y_t, with no point array.  The band's weight sees the
 accepted rows (`np.flatnonzero` of its mask) CHUNK_ROWS at a time, their
-Sigma and h gathered with `take`; a weight that needs points (a field that
-is not a function of h) rebuilds them from each row's replicate and lattice
-index.  The values are scattered by index into a shard-length row, and each
-replicate's values are summed once, by numpy's pairwise reduction over its
-N contiguous values, not a BLAS dot, so neither the chunk size nor the BLAS
-thread count changes a bit of the result.
+Sigma and h gathered with `take`; a weight that needs points rebuilds them
+from each row's replicate and lattice index.  The values are scattered by
+index into a shard-length row, and each replicate's values are summed once,
+by numpy's pairwise reduction over its N contiguous values, not a BLAS dot,
+so neither the chunk size nor the BLAS thread count changes a bit.
 
 Each worker of a run makes one set of buffers when it starts and passes it
 to each of its shards: three shard-length float rows (two einsum lanes, and
@@ -88,7 +88,6 @@ SHARD_SIZE = 1 << 16
 CHUNK_ROWS = 1 << 13
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_TINY = float(np.finfo(float).tiny)
-_LOG_FLOAT_TINY = math.log(_FLOAT_TINY)
 
 # The lattice of a run has N = 2^m points, 8 <= m <= LATTICE_MAX_LOG2 (N
 # divides SHARD_SIZE, so a shard holds whole replicates), and at least
@@ -118,9 +117,8 @@ KOROBOV = {
 # (STREAM_PAIRING, i)).  It is the SeedSequence spawn key of a run's shifts
 # (with the shard, of sample_points' draws), so the estimates of one check
 # are independent of each other while still fully determined by the user
-# seed.  Nothing re-estimates sigma_p to
-# normalize a check: density, dirac and capacity divide by
-# `space.sigma_p_exact`.
+# seed.  Nothing re-estimates sigma_p to normalize a check: density, dirac
+# and capacity take `space.sigma_p_exact`.
 STREAM_BALL = 1
 STREAM_DENSITY = 2
 STREAM_PAIRING = 3
@@ -184,58 +182,6 @@ def unshifted_lattice(points: int, dim: int) -> np.ndarray:
     return lattice
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """Bounding box of the gauge ball {psi < R}."""
-
-    R: float
-    half_widths: np.ndarray  # (2n+1,)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(2.0 * self.half_widths))
-
-
-def ball_spec(params: SpaceParams, R: float) -> BallSpec:
-    """The box of {psi < R}, where Sigma reaches 2n R^2 |c|^(-1/k) and
-    tau^2 reaches R^(4k).  DomainError unless the largest Sigma, Sigma^(2k)
-    (formed before the factor c^2) and h are floats, and the volume, R^Q,
-    the band top R^(4k), each width and each partial product of the widths,
-    taken in order, are normal floats: below those, a float keeps only some
-    of its digits."""
-    if not 0 < R < np.inf:
-        raise DomainError(f"radius must be positive and finite, got {R!r}")
-    k, n2 = params.k, 2 * params.n
-    log_r, log_c = math.log(R), math.log(abs(params.c))
-    log_hw = log_r - log_c / (2 * k)  # of the horizontal half-widths
-    log_sigma = math.log(n2) + 2 * log_hw
-    log_tau2 = 4 * k * log_r
-    log_h = np.logaddexp(2 * log_c + 2 * k * log_sigma, log_tau2)
-    log_volume = params.dim * math.log(2.0) + n2 * log_hw + log_tau2 / 2
-    if max(log_sigma, 2 * k * log_sigma, log_h, log_volume, params.Q * log_r) >= _LOG_FLOAT_MAX:
-        raise DomainError(
-            f"the box of the gauge ball of radius {R!r} leaves the float range: "
-            "its largest Sigma, Sigma^(2k) or h, its volume, or R^Q, is not a finite float"
-        )
-    if min(log_volume, params.Q * log_r, log_tau2) < _LOG_FLOAT_TINY:
-        raise DomainError(
-            f"the box of the gauge ball of radius {R!r} has volume "
-            f"exp({log_volume:.6g}), R^Q or R^(4k) below the smallest normal float"
-        )
-    hw = np.empty(params.dim)
-    hw[: 2 * params.n] = R * abs(params.c) ** (-1.0 / (2 * params.k))
-    hw[2 * params.n] = R ** (2 * params.k)
-    hw.setflags(write=False)
-    # BallSpec.volume's np.prod may leave the normal floats on its way
-    partial = 1.0
-    for width in (2.0 * hw).tolist():
-        partial *= width
-        if not (_FLOAT_TINY <= width and _FLOAT_TINY <= partial < math.inf):
-            raise DomainError(f"the box of the gauge ball of radius {R!r}: its widths or "
-                              "their partial products leave the normal floats")
-    return BallSpec(R=float(R), half_widths=hw)
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on (its affinity mask where the OS has one)."""
     try:
@@ -273,7 +219,8 @@ def _stream_rng(seed: int, stream: Stream) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Band:
-    """An MC integrand: weight * |grad_0 psi|^p on the band lo < h < hi, 0 elsewhere.
+    """An MC integrand of the unit space: weight * |grad_0 psi|^p on the
+    band lo < h < hi, 0 elsewhere.
 
     weight(h, points) gets the accepted rows' h; points() returns those
     rows' points, for weights that need them.  weight None means 1, lo None
@@ -281,7 +228,7 @@ class Band:
     """
 
     p: float
-    hi: float
+    hi: float = 1.0
     weight: Callable | None = None
     lo: float | None = None
 
@@ -300,10 +247,11 @@ def _shard_column(lattice, shifts, j: int, out, mask):
     return _wrap(out, mask)
 
 
-def _shard_gauge(params, lattice, shifts, width, work, mask):
-    """(Sigma, h) of the replicates whose centred shifts are `shifts` (R_s,
-    dim), one column at a time, in the first R_s N columns of `work` (3, >=
-    R_s N): Sigma in work[0], h in work[1]; `mask` holds R_s N bools."""
+def _shard_gauge(params, lattice, shifts, work, mask):
+    """(Sigma, h) at the box points 2y of the replicates whose centred
+    shifts are `shifts` (R_s, dim), one column at a time, in the first R_s N
+    columns of `work` (3, >= R_s N): Sigma = 4 sum_l y_l^2 in work[0], h in
+    work[1]; `mask` holds R_s N bools."""
     n2 = 2 * params.n
     rows = len(shifts) * lattice.shape[1]
     lanes, tmp = work[:2, :rows], work[2, :rows]
@@ -313,28 +261,32 @@ def _shard_gauge(params, lattice, shifts, width, work, mask):
         out *= out
 
     sigma = einsum_sum_of_squares(n2, square, lanes, tmp)
-    sigma *= width[0] ** 2
+    sigma *= 4.0
     tau_sq = _shard_column(lattice, shifts, n2, tmp, mask)
-    tau_sq *= width[n2]
+    tau_sq *= 2.0
     tau_sq *= tau_sq
     return sigma, gauge_h(params, sigma, tau_sq, lanes[1])
 
 
-def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
-    """Lattice MC of the band `integrand` over the box; returns (mean, stderr, accepted).
+def _mc_over_box(params, integrand, *, samples, seed, stream, threads):
+    """Lattice MC of the band `integrand` of `params.unit()` (only n and k
+    count) over the box [-1, 1]^(2n+1); returns (mean, stderr, accepted).
 
     Runs the R N points of `lattice_shape(samples)`.  Shards are reduced in
     index order.  Raises DomainError where the integral diverges
-    (`space.check_integrable`), and ConfigurationError for a negative seed,
-    before any draw; DomainError after the draws when a replicate mean is
-    not a finite float.
+    (`space.check_integrable`) or its square does, and ConfigurationError
+    for a negative seed, before any draw; DomainError after the draws when a
+    replicate mean is not a finite float.
     """
-    p = integrand.p
+    params, p = params.unit(), integrand.p
     check_integrable(params, p)
+    # the square's axis integral, Sigma^((2k-1)p + n - 1) dSigma, with check_integrable's slack
+    if params.k < 0.5 and p >= params.n / (1.0 - 2 * params.k) * (1.0 - 1e-12):
+        raise DomainError(f"the MC integrand has infinite variance for k < 1/2 and p >= "
+                          f"n/(1-2k) = {params.n / (1.0 - 2 * params.k):g}, got p={p:g}")
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
     _check_seed(seed)
-    width = 2.0 * spec.half_widths
     weight = integrand.weight
     points, reps = lattice_shape(samples)
     total = points * reps
@@ -350,7 +302,7 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
         count = min(SHARD_SIZE, total - first)
         work, (inside, above_lo) = floats[:, :count], bools[:, :count]
         sigma, h = _shard_gauge(params, lattice, shifts[first // points :][: count // points],
-                                width, work, inside)
+                                work, inside)
         np.less(h, integrand.hi, out=inside)
         if integrand.lo is not None:
             inside &= np.greater(h, integrand.lo, out=above_lo)
@@ -369,9 +321,9 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
         return idx, vals.reshape(-1, points).sum(axis=1), rows_in.size
 
     def shard_points(index):
-        """The run's points of these indices, x0 + y * width."""
+        """The run's points of these indices, 2y."""
         rep, i = np.divmod(index, points)
-        return params.x0 + _wrap(lattice[:, i].T + shifts[rep]) * width
+        return 2.0 * _wrap(lattice[:, i].T + shifts[rep])
 
     def store(idx, sums, acc):
         rep_sums[idx * SHARD_SIZE // points :][: sums.size] = sums
@@ -397,14 +349,14 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
         run_worker(0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        means = rep_sums * (spec.volume / points)
+        means = rep_sums * (2.0**params.dim / points)  # the box's volume over N
         mean = float(means.sum()) / reps
     if not math.isfinite(mean):
         raise DomainError(f"the MC estimate leaves the float range: a replicate mean "
                           f"or their mean, {mean!r}, is not a finite float")
     means -= mean
     # scaled by a power of two, which is exact, so that the deviations of a
-    # tiny ball (radius 1e-40: means near 1e-164) do not square to 0
+    # tiny weight (means near 1e-164) do not square to 0
     exp = math.frexp(float(np.abs(means).max()))[1]
     np.ldexp(means, -exp, out=means)
     stderr = math.ldexp(math.sqrt(float((means * means).sum()) / (reps * (reps - 1.0))), exp)
@@ -412,56 +364,93 @@ def _mc_over_box(params, spec, integrand, samples, seed, stream, threads):
 
 
 def band_estimate(
-    params: SpaceParams, p: float, R: float, samples: int, seed: int, stream: Stream,
+    params: SpaceParams, p: float, samples: int, seed: int, stream: Stream,
     threads: int | None, weight: Callable | None = None, r: float | None = None,
 ) -> MCEstimate:
-    """The integral of weight * |grad_0 psi|^p over the band r^(4k) < h <
-    R^(4k) (the ball B_R when r is None), sampled from the box of B_R.
-
-    weight(h, points) is a `Band` weight, None for 1.  Raises DomainError
-    for a box outside the float range (`ball_spec`) before any draw.
-    """
-    spec = ball_spec(params, R)
-    k4 = 4 * params.k
-    band = Band(p=p, hi=R**k4, weight=weight, lo=None if r is None else r**k4)
-    mean, stderr, accepted = _mc_over_box(params, spec, band, samples, seed, stream, threads)
+    """The integral of weight * |grad_0 psi|^p over the unit band r^(4k) < h
+    < 1 (the unit ball when r is None) of `params.unit()`, for its caller's
+    exact factor.  weight(h, points) is a `Band` weight, None for 1."""
+    lo = None if r is None else _normal(r ** (4 * params.k), "the unit band's r^(4k)")
+    mean, stderr, accepted = _mc_over_box(params, Band(p=p, weight=weight, lo=lo),
+                                          samples=samples, seed=seed, stream=stream,
+                                          threads=threads)
     points, replicates = lattice_shape(samples)
     return MCEstimate(mean=mean, stderr=stderr, samples=points * replicates,
                       accepted=accepted, replicates=replicates)
+
+
+def _normal(x, name: str):
+    """x, a float or an array; DomainError unless each value is a normal float."""
+    if not np.all((np.abs(x) >= _FLOAT_TINY) & (np.abs(x) < np.inf)):
+        raise DomainError(f"{name} leaves the float range: {x} is not a normal float")
+    return x
+
+
+def rescaled(est: MCEstimate, log_factor: float) -> MCEstimate:
+    """est times exp(log_factor), an exact factor formed in logs.  The one
+    check on a reported value: DomainError unless its mean is a normal
+    float, or 0 from a unit run of 0."""
+    with np.errstate(over="ignore"):
+        factor = float(np.exp(log_factor))
+    if est.mean != 0.0 or factor == math.inf:
+        _normal(est.mean * factor, "the MC estimate")
+    return replace(est, mean=est.mean * factor, stderr=est.stderr * factor)
+
+
+def check_radius(R: float) -> None:
+    if not 0 < R < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {R!r}")
+
+
+def sigma_p(
+    params: SpaceParams, p: float, samples: int, seed: int, threads: int | None = None,
+    stream: Stream = (STREAM_BALL, 0),
+) -> MCEstimate:
+    """sigma_p = V(B_1), the normalizing constant of the Ahlfors scaling."""
+    return ball_measure(params, p, 1.0, samples, seed, threads, stream)
 
 
 def ball_measure(
     params: SpaceParams, p: float, R: float, samples: int, seed: int,
     threads: int | None = None, stream: Stream = (STREAM_BALL, 0),
 ) -> MCEstimate:
-    """V(B_R) = integral over {psi < R} of |grad_0 psi|^p.
+    """V(B_R) = integral over {psi < R} of |grad_0 psi|^p: the unit ball's
+    run times R^Q |c|^((p-2n)/(2k)).
 
     Diverges for k < 1/2 and p >= 2n/(1-2k) (see `space.check_integrable`).
     """
-    return band_estimate(params, p, R, samples, seed, stream, threads)
+    check_radius(R)
+    est = band_estimate(params, p, samples, seed, stream, threads)
+    log_c_factor = (p - 2 * params.n) / (2 * params.k) * math.log(abs(params.c))
+    return rescaled(est, params.Q * math.log(R) + log_c_factor)
 
 
-def sigma_p(
-    params: SpaceParams, p: float, samples: int, seed: int, threads: int | None = None,
-) -> MCEstimate:
-    """sigma_p = V(B_1), the normalizing constant of the Ahlfors scaling."""
-    return ball_measure(params, p, 1.0, samples, seed, threads)
-
-
-def _dilation_weight(params: SpaceParams, phi: ScalarField) -> Callable:
-    """The weight phi + Z phi / Q, Z = sum_l (x_l - a_l) d_l + 2k (t - s) d_t:
-    Z f(h) = 4k h f'(h), and any other field dots its 2-jet's gradient with Z."""
-    Q = params.Q
+def _dilation_weight(params: SpaceParams, phi: ScalarField, R: float) -> Callable:
+    """The weight phi + Z phi / Q, Z = sum_l (x_l - a_l) d_l + 2k (t - s) d_t,
+    at the point of B_R that each row of the unit ball maps to: Z f(h) = 4k h
+    f'(h) at h = R^(4k) h_1, and any other field dots its 2-jet's gradient
+    with Z at x0 + D y, D the half-widths of B_R's box."""
+    k, Q = params.k, params.Q
+    log_half = np.full(params.dim, math.log(R) - math.log(abs(params.c)) / (2 * k))
+    log_half[-1] = 2 * k * math.log(R)
+    with np.errstate(over="ignore"):
+        half, top = np.exp(log_half), np.exp(4 * k * math.log(R))
     if phi.h_only:
-        scale = 4 * params.k / Q
-        return lambda h, _: phi.values_of_h(h) + scale * h * phi.d_dh_of_h(h)
+        top, scale = _normal(top, f"R^(4k) at R = {R!r}"), 4 * k / Q
+
+        def weight_of_h(h, _):
+            h = top * h
+            return phi.values_of_h(h) + scale * h * phi.d_dh_of_h(h)
+
+        return weight_of_h
+    _normal(half, f"the half-widths of the box of B_R at R = {R!r}")
     generator = np.full(params.dim, 1.0 / Q)
-    generator[-1] = 2 * params.k / Q
+    generator[-1] = 2 * k / Q
 
     def weight(h, points):
-        pts = points()
-        jet = phi.jet(pts)
-        return jet.value + ((pts - params.x0) * generator * jet.grad).sum(axis=1)
+        offsets = points() * half
+        jet = phi.jet(params.x0 + offsets)
+        return jet.value + (offsets * generator * jet.grad).sum(axis=1)
 
     return weight
 
@@ -476,21 +465,19 @@ def density_limit(
     limit R -> 0 for any continuous phi.
 
     Each is one ball run, exact for every C^1 phi (see the module
-    docstring): (sigma_p R^Q)^(-1) times the integral of
-    (phi + Z phi / Q) |grad_0 psi|^p over B_R.  sigma_p is the closed form,
-    so each radius' stderr is its own run's, and the radii stay independent.
+    docstring): (sigma_p R^Q)^(-1) times the integral of (phi + Z phi / Q)
+    |grad_0 psi|^p over B_R, so the unit ball's run of the dilated weight
+    over the closed-form sigma_p of the unit space, and its stderr its own.
     """
     radii = decreasing_radii(radii)
-    sigma = sigma_p_exact(params, p)
-    weight = _dilation_weight(params, phi)
+    sigma = sigma_p_exact(params.unit(), p)
     out = []
     for idx, R in enumerate(radii):
-        # one stream per radius: the box sampler is scale-equivariant, so a
-        # shared stream would give every radius the same points
-        est = band_estimate(params, p, R, samples, seed, (STREAM_DENSITY, idx), threads,
-                            weight)
-        scale = 1.0 / (sigma * R ** params.Q)
-        out.append(replace(est, mean=scale * est.mean, stderr=scale * est.stderr))
+        weight = _dilation_weight(params, phi, R)
+        # one stream per radius: the unit run is the same for every radius,
+        # so a shared stream would give every radius the same points
+        est = band_estimate(params, p, samples, seed, (STREAM_DENSITY, idx), threads, weight)
+        out.append(replace(est, mean=est.mean / sigma, stderr=est.stderr / sigma))
     return out
 
 
@@ -499,20 +486,28 @@ def sample_points(params: SpaceParams, count: int, seed: int) -> np.ndarray:
 
     Rejects psi < POINTS_MIN_PSI and Sigma < POINTS_MIN_SIGMA so that every
     returned point supports the full horizontal calculus for any k.  Before
-    any draw: DomainError when no point of the box reaches POINTS_MIN_SIGMA,
+    any draw: DomainError when no point of the box reaches POINTS_MIN_SIGMA
+    or its largest Sigma, Sigma^(2k) or h is not a finite float,
     ConfigurationError for a negative seed.
     """
     if count < 1:
         raise DomainError(f"need at least one point, got {count}")
     _check_seed(seed)
-    # the box's largest Sigma, 2n R^2 |c|^(-1/k), in logs and before
-    # `ball_spec`, which may reject the same box for its tiny volume
-    log_sigma = math.log(2 * params.n * POINTS_BOX_RADIUS**2) - math.log(abs(params.c)) / params.k
+    # the box's largest Sigma, 2n R^2 |c|^(-1/k), Sigma^(2k) (formed before
+    # the factor c^2) and h, in logs
+    k, log_c, log_r = params.k, math.log(abs(params.c)), math.log(POINTS_BOX_RADIUS)
+    log_sigma = math.log(2 * params.n) + 2 * log_r - log_c / k
     if log_sigma < math.log(POINTS_MIN_SIGMA):
         raise DomainError(f"the box of B_{POINTS_BOX_RADIUS!r} holds no point with "
                           f"Sigma >= {POINTS_MIN_SIGMA!r}")
-    spec = ball_spec(params, POINTS_BOX_RADIUS)
-    lo, width = params.x0 - spec.half_widths, 2.0 * spec.half_widths
+    log_h = np.logaddexp(2 * log_c + 2 * k * log_sigma, 4 * k * log_r)
+    if max(log_sigma, 2 * k * log_sigma, log_h) >= _LOG_FLOAT_MAX:
+        raise DomainError(f"the box of B_{POINTS_BOX_RADIUS!r} leaves the float range: "
+                          "its largest Sigma, Sigma^(2k) or h is not a finite float")
+    half = np.empty(params.dim)
+    half[: 2 * params.n] = POINTS_BOX_RADIUS * abs(params.c) ** (-1.0 / (2 * k))
+    half[2 * params.n] = POINTS_BOX_RADIUS ** (2 * k)
+    lo, width = params.x0 - half, 2.0 * half
     out = np.empty((count, params.dim))
     have = 0
     shard = 0

@@ -70,6 +70,10 @@ class SpaceParams:
         object.__setattr__(self, "c", float(c))
         object.__setattr__(self, "x0", x0)
 
+    def unit(self) -> SpaceParams:
+        """The space of the normalized MC run: this n and k, c = 1, x0 = 0."""
+        return SpaceParams(self.n, self.k, 1.0)
+
     @property
     def dim(self) -> int:
         return 2 * self.n + 1

@@ -15,12 +15,14 @@ sphere 1.  As r -> 0 the value tends to -phi(x0), the Dirac identity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
 from .extrapolation import decreasing_radii
 from .fields import CutoffBump, FundamentalProfile
-from .montecarlo import MCEstimate, STREAM_PAIRING, Stream, band_estimate
+from .montecarlo import MCEstimate, STREAM_PAIRING, Stream, band_estimate, rescaled
 from .space import SpaceParams, normalization, sigma_p_exact
 
 
@@ -37,24 +39,27 @@ def weak_pairing(
     """MC estimate of the annulus pairing integral for 0 < r < R, with u the
     fundamental profile of these parameters and p times `scale`.
 
-    The slope of u must stay a nonzero finite float on the annulus
-    (`FundamentalProfile.check_slope`); phi must be a bump supported inside
-    B_R.
+    It is the unit annulus (r/R, 1)'s against the bump of radius B/R (the
+    dilation delta_R leaves it unchanged), times |c|^((p-2n)/(2k)).  The
+    slope of u must stay a nonzero finite float on that annulus
+    (`FundamentalProfile.check_slope`); phi must be a bump inside B_R.
     """
     if not 0 < r < R:
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
     _check_bump(phi)
     u = FundamentalProfile(params, p, scale=scale)
-    u.check_slope(r, R, p - 1.0)
+    u.check_slope(r / R, 1.0, p - 1.0)
     k = params.k
+    bump = CutoffBump(params.unit(), phi.support_radius / R)
 
     def weight(h, _):
         psi = h ** (1.0 / (4 * k))
         s_u = u.eta_prime(psi)
-        s_phi = phi.d_dh_of_h(h)
+        s_phi = bump.d_dh_of_h(h)
         return np.abs(s_u) ** (p - 2.0) * s_u * s_phi * (4 * k) * psi ** (4 * k - 1.0)
 
-    return band_estimate(params, p, R, samples, seed, stream, threads, weight, r)
+    est = band_estimate(params, p, samples, seed, stream, threads, weight, r / R)
+    return rescaled(est, (p - 2 * params.n) / (2 * k) * math.log(abs(params.c)))
 
 
 def dirac_limit(
@@ -77,7 +82,7 @@ def dirac_limit(
         raise DomainError("all radii must sit inside the bump support")
     constant = normalization(params, p, sigma_p_exact(params, p))
     # the smallest radius bounds them all
-    FundamentalProfile(params, p, scale=constant).check_slope(radii[-1], R, p - 1.0)
+    FundamentalProfile(params, p, scale=constant).check_slope(radii[-1] / R, 1.0, p - 1.0)
     return [
         weak_pairing(params, p, constant, phi, r, R, samples, seed, threads,
                      stream=(STREAM_PAIRING, idx))

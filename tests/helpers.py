@@ -153,13 +153,15 @@ def coarea_quadrature(params, p, g, lo, hi):
 
 # ---------------------------------------------------------------- MC reference pipeline
 #
-# The Monte Carlo estimators as whole arrays, without the block kernel.
+# The Monte Carlo estimators as whole arrays, without the shard kernel.
 # `reference_mc` and `reference_sample_points` draw a whole (N, dim) uniform
-# array per shard, map it to the point array lo + U * width, and take
-# (Sigma, tau, h) from an einsum of the points.  `reference_lattice` builds
-# each replicate as one array of centred offsets y and takes (Sigma, tau, h)
-# from them (`reference_centred_parts`).  The library must reproduce
-# `reference_lattice` and `reference_sample_points` bit for bit.
+# array per shard, map it to the point array lo + U * width of a box of the
+# physical space (x0, c and all), and take (Sigma, tau, h) from an einsum of
+# the points.  `reference_lattice` builds each replicate of the unit box
+# [-1, 1]^(2n+1) (c = 1, about 0) as one array of centred offsets y and
+# takes (Sigma, tau, h) from them (`reference_centred_parts`).  The library
+# must reproduce `reference_lattice` and `reference_sample_points` bit for
+# bit; `reference_mc` checks its exact factors statistically.
 
 
 def reference_gauge_parts(params, pts):
@@ -171,32 +173,33 @@ def reference_gauge_parts(params, pts):
     return sigma, tau, h
 
 
-def reference_centred_parts(params, Y, width):
-    """(Sigma, tau, h) of the points x0 + Y * width of a box centred at x0,
-    from their centred offsets Y (N, dim): Sigma = w_h^2 einsum(y_h, y_h)
-    with w_h = width[0], tau = w_t y_t."""
+def reference_centred_parts(params, Y):
+    """(Sigma, tau, h) of the unit space at the points 2Y of the unit box,
+    from their centred offsets Y (N, dim): Sigma = 4 einsum(y_h, y_h), tau =
+    2 y_t and h = Sigma^(2k) + tau^2; only n and k of params count."""
     n2 = 2 * params.n
     yh = Y[:, :n2]
-    sigma = width[0] ** 2 * np.einsum("ij,ij->i", yh, yh)
-    tau = width[n2] * Y[:, n2]
+    sigma = 4.0 * np.einsum("ij,ij->i", yh, yh)
+    tau = 2.0 * Y[:, n2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = params.c**2 * sigma ** (2 * params.k) + tau * tau
+        h = sigma ** (2 * params.k) + tau * tau
     return sigma, tau, h
 
 
-def _reference_box(params, R):
-    from sublap.montecarlo import ball_spec
-
-    spec = ball_spec(params, R)
-    return spec, params.x0 - spec.half_widths, 2.0 * spec.half_widths
+def reference_box(params, R):
+    """(lo, width) of the box of the gauge ball B_R of params: half-widths
+    R |c|^(-1/(2k)) horizontally and R^(2k) vertically, about x0."""
+    half = np.full(params.dim, R * abs(params.c) ** (-1.0 / (2 * params.k)))
+    half[-1] = R ** (2 * params.k)
+    return params.x0 - half, 2.0 * half
 
 
 def reference_mc(params, R, integrand, samples, seed, stream):
     """(mean, stderr, accepted) of integrand(pts) -> (values, accepted) over
-    the bounding box of B_R, one whole point array per shard."""
+    the bounding box of B_R of params, one whole point array per shard."""
     from sublap.montecarlo import SHARD_SIZE, _shard_rng
 
-    spec, lo, width = _reference_box(params, R)
+    lo, width = reference_box(params, R)
     n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
     sums, sqsums, accepted = np.zeros(n_shards), np.zeros(n_shards), 0
     for idx in range(n_shards):
@@ -208,19 +211,19 @@ def reference_mc(params, R, integrand, samples, seed, stream):
     raw_mean = float(sums.sum()) / samples
     raw_var = max(float(sqsums.sum()) / samples - raw_mean**2, 0.0)
     raw_var *= samples / (samples - 1.0)
-    vol = spec.volume
+    vol = float(np.prod(width))
     return vol * raw_mean, vol * float(np.sqrt(raw_var / samples)), accepted
 
 
-def reference_lattice(params, R, integrand, samples, seed, stream):
+def reference_lattice(params, integrand, samples, seed, stream):
     """(mean, stderr, accepted) of integrand(pts, parts) -> (values, accepted)
-    over the bounding box of B_R by the randomly shifted lattice, one whole
-    array of centred offsets per replicate: point i of replicate j is
-    x0 + y * width, y = i z / N + shift_j - 1/2 wrapped into [-1/2, 1/2] by
-    rint, and parts its (Sigma, tau, h) from `reference_centred_parts`."""
+    over the unit box [-1, 1]^(2n+1) of params' n and k by the randomly
+    shifted lattice, one whole array of centred offsets per replicate: point
+    i of replicate j is 2y, y = i z / N + shift_j - 1/2 wrapped into
+    [-1/2, 1/2] by rint, and parts its (Sigma, tau, h) from
+    `reference_centred_parts`."""
     from sublap.montecarlo import _stream_rng, generating_vector, lattice_shape
 
-    spec, _, width = _reference_box(params, R)
     N, reps = lattice_shape(samples)
     lattice = np.outer(np.arange(N), generating_vector(N, params.dim)) % N / N  # (N, dim)
     shifts = _stream_rng(seed, stream).random((reps, params.dim)) - 0.5
@@ -228,11 +231,10 @@ def reference_lattice(params, R, integrand, samples, seed, stream):
     for j in range(reps):
         Y = lattice + shifts[j]
         Y -= np.rint(Y)
-        parts = reference_centred_parts(params, Y, width)
-        vals, acc = integrand(params.x0 + Y * width, parts)
+        vals, acc = integrand(2.0 * Y, reference_centred_parts(params, Y))
         sums[j] = vals.sum()
         accepted += acc
-    means = sums * (spec.volume / N)
+    means = sums * (2.0**params.dim / N)
     mean = float(means.sum()) / reps
     dev = means - mean
     return mean, float(np.sqrt(float((dev * dev).sum()) / (reps * (reps - 1.0)))), accepted
@@ -274,7 +276,7 @@ def reference_sample_points(params, count, seed):
     """`sample_points` by whole point arrays: the box of B_2, psi >= 0.05, Sigma >= 1e-10."""
     from sublap.montecarlo import STREAM_POINTS, _shard_rng
 
-    _, lo, width = _reference_box(params, 2.0)
+    lo, width = reference_box(params, 2.0)
     out = np.empty((count, params.dim))
     have = shard = 0
     while have < count:

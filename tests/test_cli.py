@@ -13,6 +13,7 @@ import pytest
 from test_golden import SPACES
 
 import sublap
+from sublap import CutoffBump, SpaceParams, closed_form_capacity, sigma_p_exact
 from sublap.cli import COMMANDS, build_parser, main
 
 FAST = ["--samples", "10000", "--points", "20", "--seed", "7"]
@@ -143,39 +144,19 @@ class TestExitCodes:
         assert not recwarn.list
 
     @pytest.mark.parametrize("argv,message", [
-        # Sigma^(2k) of the box overflows: a warning and 0.0 with exit 0 before
-        (["sigma", "--c", "1e-300"], "leaves the float range"),
-        (["sigma", "--c", "1e-200"], "leaves the float range"),
-        (["capacity", "--c", "1e-300", "--method", "mc"], "leaves the float range"),
-        # Sigma itself (k < 1/2), and the volume in R^7: NaN or an OverflowError
-        (["sigma", "--k", "0.25", "--c", "1e-150"], "leaves the float range"),
-        (["ahlfors", "--n", "3", "--k", "0.5", "--radii", "1e100,1e101"],
-         "leaves the float range"),
-        # R^(4k) as a Python float: an uncaught OverflowError before
-        (["ahlfors", "--radii", "1e100,1e101"], "leaves the float range"),
-        # a box volume of 1e-320, a subnormal with 3-4 digits: at seed 1 the
-        # measure over R^Q read 3.12599 at R = 1e-80 with exit 0 before,
-        # against 3.13916 at R = 1
-        (["ahlfors", "--radii", "2e-80,1e-80"], "below the smallest normal float"),
-        # R^Q overflows, and the widths' product underflows to 0: NaN
-        # warnings and an uncaught OverflowError before
+        # |c|^((p-2n)/(2k)) = |c|^-8 of the reported V(B_R) / R^Q = sigma_p
+        # underflows: NaN warnings and an uncaught OverflowError before
         (["ahlfors", "--n", "3", "--k", "0.25", "--c", "1e100", "--radii", "2e140,1e140"],
-         "leaves the float range"),
-        # R^Q is finite, but six horizontal widths of 2e-54 multiply to a
-        # subnormal with three digits: exit 0 and measures of 0.0 before
+         "MC estimate leaves the float range"),
+        # c^-8 = 1e-400 again: exit 0 and measures of 0.0 before
         (["ahlfors", "--n", "3", "--k", "0.25", "--c", "1e50", "--radii", "2e46,1e46"],
-         "partial products leave the normal floats"),
-        # R^Q underflows to 0 while the volume is 1e-286: ZeroDivisionError before
-        (["ahlfors", "--n", "3", "--k", "0.5", "--c", "1e-10", "--radii", "2e-50,1e-50"],
-         "below the smallest normal float"),
-        # R^(4k) underflows to 0 while R^Q is normal: exit 0 with two
-        # measures of 0.0 (ahlfors), exit 2 (density) and exit 0 with an
-        # energy of 0.0 (capacity) before
-        (["ahlfors", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"], "R^(4k)"),
+         "MC estimate leaves the float range"),
+        # the density's bump takes h = R^(4k) h_1, which underflows
+        # (1.6e-451) or overflows (1e800): exit 2 with two measures of 0.0,
+        # and an uncaught OverflowError, before
         (["density", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"], "R^(4k)"),
-        (["capacity", "--n", "1", "--k", "3", "--r", "1e-38", "--R", "2e-38", "--method", "mc"],
-         "R^(4k)"),
         (["density", "--radii", "1e200,1e100,1"], "leaves the float range"),
+        # the unit annulus (1e-100, 1): |eta'|^2 = 4e-400 at psi = 1
         (["capacity", "--R", "1e100", "--method", "mc"], "leaves the float range"),
         (["density", "--bump-radius", "1e100"], "not a positive finite float"),
         (["dirac", "--bump-radius", "1e100"], "not a positive finite float"),
@@ -215,32 +196,31 @@ class TestExitCodes:
         # exit 1 before too, after a RuntimeWarning from the old g/scale check
         (["capacity", "--n", "3", "--k", "2", "--c=-0.0117", "--p", "1.006", "--r", "4.735",
           "--R", "30.28", "--method", "mc"], "slope leaves the float range"),
-        # rows near the axis overflow |grad_0 psi|^p: a RuntimeWarning and an
-        # inf or NaN estimate with exit 0 (sigma) or 2 (ahlfors, dirac) before
-        (["sigma", "--n", "3", "--k", "0.1", "--c=-1e10", "--p", "6.2"],
-         "MC estimate leaves the float range"),
+        # k < 1/2 and p >= n/(1-2k): the MC integrand's square diverges on
+        # the axis.  Before, rows near the axis overflowed |grad_0 psi|^p (an
+        # inf estimate at p = 6.2), the box overflowed (k = 0.25, c = 1e-150,
+        # p = 2, the bound itself), or sigma exited 0 with 17.996 +- 2.14
+        # against 28.458 (k = 0.25, p = 3.8, default samples and seed)
+        (["sigma", "--n", "3", "--k", "0.1", "--c=-1e10", "--p", "6.2"], "infinite variance"),
+        (["sigma", "--k", "0.25", "--c", "1e-150"], "infinite variance"),
+        (["sigma", "--k", "0.25", "--p", "3.8"], "infinite variance"),
+        # |c|^((p-2n)/(2k)) = 1e16^26 of the reported sigma_p overflows: a
+        # RuntimeWarning and an inf estimate with exit 2 before
         (["ahlfors", "--n", "1", "--k", "0.5", "--c", "1e16", "--p", "28"],
          "MC estimate leaves the float range"),
-        (["dirac", "--n", "2", "--k", "0.3125", "--c=-1e42", "--p", "4.625", "--radii", "2,1",
-          "--bump-radius", "3"], "MC estimate leaves the float range"),
-        # |c|^((p-2n)/(2k)) of the closed-form sigma_p: an uncaught OverflowError before
-        (["density", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
-         "not a positive normal float"),
+        # |c|^((p-2n)/(2k)) of the closed-form sigma_p, which the pairing's
+        # normalization needs: an uncaught OverflowError before
         (["dirac", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
          "not a positive normal float"),
-    ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "sigma-k-0.25",
-            "ahlfors-volume-R7", "ahlfors-huge-radii", "ahlfors-tiny-radii",
-            "ahlfors-R^Q-overflow", "ahlfors-width-product", "ahlfors-R^Q-underflow",
-            "ahlfors-R^(4k)-underflow", "density-R^(4k)-underflow",
-            "capacity-mc-R^(4k)-underflow",
+    ], ids=["ahlfors-R^Q-overflow", "ahlfors-width-product", "density-R^(4k)-underflow",
             "density-huge-radii", "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
-            "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200", "capacity-mc-tiny-r-p-1.01",
-            "capacity-all-tiny-r-p-1.01", "dirac-p-1.01", "dirac-p-1.003",
-            "verify-fundamental-p-1.003", "verify-fundamental-p-1.01",
+            "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200",
+            "capacity-mc-tiny-r-p-1.01", "capacity-all-tiny-r-p-1.01", "dirac-p-1.01",
+            "dirac-p-1.003", "verify-fundamental-p-1.003", "verify-fundamental-p-1.01",
             "capacity-mc-p-1.01-r-0.0933", "capacity-mc-p-1.2-R-1e40", "capacity-mc-p-1.05-R-1e6",
             "capacity-all-p-1.01-r-0.0933", "capacity-all-p-1.2-R-1e40",
             "capacity-all-p-1.05-R-1e6", "capacity-mc-annulus-warning", "sigma-inf-estimate",
-            "ahlfors-inf-estimate", "dirac-nan-estimate", "density-sigma-p-overflow",
+            "sigma-k-0.25", "sigma-k-0.25-p-3.8", "ahlfors-inf-estimate",
             "dirac-sigma-p-overflow"])
     def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
         assert main(argv + FAST) == 1
@@ -249,6 +229,55 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and message in captured.err
         assert captured.err.count("\n") == 1
         assert not recwarn.list
+
+    # Each input exited 1 while the kernel sampled B_R itself: a box, volume,
+    # R^Q or R^(4k) left the normal floats, although the value reported is
+    # a normal float.  Each is now the unit run times its exact factor, and
+    # each estimate sits within 4 stderr of its closed form.
+    @pytest.mark.parametrize("argv,exact", [
+        (["sigma", "--c", "1e-300"], lambda: [math.pi]),
+        (["sigma", "--c", "1e-200"], lambda: [math.pi]),
+        (["capacity", "--c", "1e-300", "--method", "mc"],
+         lambda: [closed_form_capacity(SpaceParams(1, 1.0, 1e-300), 2.0, 1.0, 2.0).value]),
+        (["ahlfors", "--n", "3", "--k", "0.5", "--radii", "1e100,1e101"],
+         lambda: [sigma_p_exact(SpaceParams(3, 0.5, 1.0), 2.0)] * 2),
+        (["ahlfors", "--radii", "1e100,1e101"], lambda: [math.pi] * 2),
+        (["ahlfors", "--radii", "2e-80,1e-80"], lambda: [math.pi] * 2),
+        (["ahlfors", "--n", "3", "--k", "0.5", "--c", "1e-10", "--radii", "2e-50,1e-50"],
+         lambda: [sigma_p_exact(SpaceParams(3, 0.5, 1e-10), 2.0)] * 2),
+        (["ahlfors", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"],
+         lambda: [sigma_p_exact(SpaceParams(1, 3.0, 1.0), 2.0)] * 2),
+        (["capacity", "--n", "1", "--k", "3", "--r", "1e-38", "--R", "2e-38", "--method", "mc"],
+         lambda: [closed_form_capacity(SpaceParams(1, 3.0, 1.0), 2.0, 1e-38, 2e-38).value]),
+        (["density", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
+         lambda: [float(CutoffBump(SpaceParams(3, 0.1, 1e-19), 1.0).values_of_h(R**0.4))
+                  for R in (0.4, 0.2, 0.1)]),
+    ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "ahlfors-volume-R7",
+            "ahlfors-huge-radii", "ahlfors-tiny-radii", "ahlfors-R^Q-underflow",
+            "ahlfors-R^(4k)-underflow", "capacity-mc-R^(4k)-underflow",
+            "density-sigma-p-overflow"])
+    def test_value_in_the_floats_is_reported(self, capsys, recwarn, argv, exact):
+        code, out = run_cli(capsys, argv + FAST)
+        assert code == 0
+        assert not recwarn.list
+        estimates = [rec for rec in json.loads(out)["results"] if "samples" in rec]
+        values = exact()
+        assert len(estimates) == len(values)
+        for rec, value in zip(estimates, values):
+            assert abs(rec["value"] - value) <= 4.0 * rec["stderr"], (rec, value)
+
+    def test_pairing_at_huge_c_is_finite(self, capsys, recwarn):
+        # |c| = 1e42: rows near the axis took |grad_0 psi|^p past the floats,
+        # a RuntimeWarning and a NaN pairing before (exit 1 since the
+        # non-finite guard); the unit run and its factor 1e42 are finite
+        argv = ["dirac", "--n", "2", "--k", "0.3125", "--c=-1e42", "--p", "4.625",
+                "--radii", "2,1", "--bump-radius", "3"]
+        code, out = run_cli(capsys, argv + FAST)
+        assert code in (0, 2)
+        assert not recwarn.list
+        values = [v for rec in json.loads(out)["results"] for v in rec.values()
+                  if isinstance(v, float)]
+        assert values and all(math.isfinite(v) for v in values)
 
     def test_closed_form_capacity_at_tiny_r_and_p_near_one(self, capsys):
         # the annulus potential leaves the float range here, the closed form not

@@ -228,9 +228,14 @@ def test_density_stderr_is_honest_over_seeds(name):
 
 @pytest.mark.parametrize("name", sorted(SEED_SETUPS))
 def test_lattice_agrees_with_plain_mc(name):
+    # V(B_R), the lattice run of the unit ball times its exact factor R^Q
+    # |c|^((p-2n)/(2k)), against plain MC over the box of B_R itself, at
+    # R = 1.7, c times -1.3 and a moved x0: the two share no box, no factor
+    # and no points
     params, p = SEED_SETUPS[name]
-    lattice = sigma_p(params, p, SEED_SAMPLES, 7)
-    band = reference_band(params, None, 1.0, lambda pts, sigma, h:
+    params, R = SpaceParams(params.n, params.k, -1.3 * params.c, params.x0 + 0.25), 1.7
+    lattice = ball_measure(params, p, R, SEED_SAMPLES, 7)
+    band = reference_band(params, None, R ** (4 * params.k), lambda pts, sigma, h:
                           grad_psi_norm_pow(params, sigma, h, p))
-    mean, stderr, _ = reference_mc(params, 1.0, band, SEED_SAMPLES, 7, (1, 0))
+    mean, stderr, _ = reference_mc(params, R, band, SEED_SAMPLES, 7, (1, 0))
     assert abs(lattice.mean - mean) <= Z * np.hypot(lattice.stderr, stderr)

@@ -1,12 +1,14 @@
 """The shard lattice kernel against a whole-replicate reference.
 
 Every estimator must give exactly the mean, stderr and accepted count of
-`helpers.reference_lattice`, which builds each replicate as one array of
-centred offsets, at 1 and 2 threads, with a sample count that rounds down
-to R N points filling neither a whole shard nor a whole chunk of the
-integrand, and an offset base point.
+`helpers.reference_lattice`, which builds each replicate of the unit box as
+one array of centred offsets, times the estimator's exact factor, at 1 and
+2 threads, with a sample count that rounds down to R N points filling
+neither a whole shard nor a whole chunk of the integrand, and c != 1 and an
+offset base point, which only the factors and the weights see.
 """
 
+import math
 import sys
 import threading
 
@@ -49,7 +51,6 @@ from sublap.montecarlo import (
     Band,
     _mc_over_box,
     _shard_gauge,
-    ball_spec,
     lattice_shape,
     unshifted_lattice,
 )
@@ -72,7 +73,26 @@ def assert_same(est, ref):
 
 
 def power(params, p):
-    return lambda pts, sigma, h: grad_psi_norm_pow(params, sigma, h, p)
+    return lambda pts, sigma, h: grad_psi_norm_pow(params.unit(), sigma, h, p)
+
+
+def times(ref, log_factor):
+    """A reference run times the exact factor exp(log_factor)."""
+    mean, stderr, acc = ref
+    factor = math.exp(log_factor)
+    return mean * factor, stderr * factor, acc
+
+
+def log_c_factor(params, p):
+    """log |c|^((p-2n)/(2k)), the factor c brings to every band integral."""
+    return (p - 2 * params.n) / (2 * params.k) * math.log(abs(params.c))
+
+
+def ball_reference(params, R, samples, stream):
+    """V(B_R): the unit ball's reference run times R^Q |c|^((P-2n)/(2k))."""
+    ref = reference_lattice(params, reference_band(params, None, 1.0, power(params, P)),
+                            samples, SEED, stream)
+    return times(ref, params.Q * math.log(R) + log_c_factor(params, P))
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"n={n}")
@@ -98,39 +118,47 @@ def test_samples_split_into_partial_shard_and_block():
 
 def test_ball_measure(params, threads):
     est = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
-    ref = reference_lattice(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
-                                                   power(params, P)), SAMPLES, SEED, (4, 0))
-    assert_same(est, ref)
+    assert_same(est, ball_reference(params, 1.3, SAMPLES, (4, 0)))
 
 
-def density_reference(params, phi_weight, R):
-    """The sphere average of density_limit's first radius as one ball
-    integrand: phi + Z phi / Q from phi_weight(pts, h), times |grad_0 psi|^P,
-    over B_R on the stream (STREAM_DENSITY, 0), divided by sigma_P R^Q."""
+def density_reference(params, phi_weight):
+    """The sphere average of density_limit's first radius as one unit ball
+    integrand: phi + Z phi / Q from phi_weight(pts, h) at the unit ball's
+    points and h, times |grad_0 psi|^P, on the stream (STREAM_DENSITY, 0),
+    divided by sigma_P of the unit space."""
 
     def weight(pts, sigma, h):
         return phi_weight(pts, h) * power(params, P)(pts, sigma, h)
 
-    band = reference_band(params, None, R ** (4 * params.k), weight)
-    mean, stderr, acc = reference_lattice(params, R, band, SAMPLES, SEED, (STREAM_DENSITY, 0))
-    scale = 1.0 / (sigma_p_exact(params, P) * R**params.Q)
-    return scale * mean, scale * stderr, acc
+    band = reference_band(params, None, 1.0, weight)
+    mean, stderr, acc = reference_lattice(params, band, SAMPLES, SEED, (STREAM_DENSITY, 0))
+    sigma = sigma_p_exact(params.unit(), P)
+    return mean / sigma, stderr / sigma, acc
 
 
-def bump_weight(params, bump):
-    """phi + Z phi / Q of the bump, Z phi = 4k h phi'(h)."""
-    scale = 4 * params.k / params.Q
-    return lambda pts, h: reference_bump(bump, h) + scale * h * reference_bump_d_dh(bump, h)
-
-
-def polynomial_weight(params, phi):
-    """phi + Z phi / Q from phi's 2-jet at the points."""
-    generator = np.full(params.dim, 1.0 / params.Q)
-    generator[-1] = 2 * params.k / params.Q
+def bump_weight(params, bump, R):
+    """phi + Z phi / Q of the bump at h = R^(4k) h_1, Z phi = 4k h phi'(h)."""
+    scale, top = 4 * params.k / params.Q, float(np.exp(4 * params.k * math.log(R)))
 
     def weight(pts, h):
-        jet = phi.jet(pts)
-        return jet.value + ((pts - params.x0) * generator * jet.grad).sum(axis=1)
+        h = top * h
+        return reference_bump(bump, h) + scale * h * reference_bump_d_dh(bump, h)
+
+    return weight
+
+
+def polynomial_weight(params, phi, R):
+    """phi + Z phi / Q from phi's 2-jet at x0 + D y, D the half-widths
+    R |c|^(-1/(2k)) and R^(2k) of the box of B_R."""
+    generator = np.full(params.dim, 1.0 / params.Q)
+    generator[-1] = 2 * params.k / params.Q
+    log_half = np.full(params.dim, math.log(R) - math.log(abs(params.c)) / (2 * params.k))
+    log_half[-1] = 2 * params.k * math.log(R)
+    half = np.exp(log_half)
+
+    def weight(pts, h):
+        jet = phi.jet(params.x0 + pts * half)
+        return jet.value + (pts * half * generator * jet.grad).sum(axis=1)
 
     return weight
 
@@ -142,54 +170,54 @@ def polynomial(params):
 
 
 def test_shell_integral_with_bump(params, threads):
-    # the bump's average over {psi = 1}
+    # the bump's average over {psi = 0.8}
     bump = CutoffBump(params, 1.1)
-    (est,) = density_limit(params, P, bump, [1.0], SAMPLES, SEED, threads)
-    assert_same(est, density_reference(params, bump_weight(params, bump), 1.0))
+    (est,) = density_limit(params, P, bump, [0.8], SAMPLES, SEED, threads)
+    assert_same(est, density_reference(params, bump_weight(params, bump, 0.8)))
 
 
 def test_shell_integral_with_polynomial(params, threads):
     # not a function of h: the kernel rebuilds the accepted points
     phi = polynomial(params)
-    (est,) = density_limit(params, P, phi, [1.0], SAMPLES, SEED, threads)
-    assert_same(est, density_reference(params, polynomial_weight(params, phi), 1.0))
+    (est,) = density_limit(params, P, phi, [0.8], SAMPLES, SEED, threads)
+    assert_same(est, density_reference(params, polynomial_weight(params, phi, 0.8)))
     assert est.mean != 0.0
 
 
 def test_weak_pairing(params, threads):
+    # the unit annulus (r/R, 1) against the bump of radius 1/R, times the c factor
     scale = normalization(params, P, 1.9)
     u = FundamentalProfile(params, P, scale=scale)
-    phi = CutoffBump(params, 1.0)
     r, R, k, k4 = 0.2, 1.2, params.k, 4 * params.k
+    phi = CutoffBump(params.unit(), 1.0 / R)
 
     def weight(pts, sigma, h):
         psi = h ** (1.0 / k4)
         s_u = u.eta_prime(psi)
         s_phi = reference_bump_d_dh(phi, h)
         return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (4 * k - 1.0)
-                * grad_psi_norm_pow(params, sigma, h, P))
+                * power(params, P)(pts, sigma, h))
 
-    est = weak_pairing(params, P, scale, phi, r, R, SAMPLES, SEED, threads, stream=(8, 0))
-    ref = reference_lattice(params, R, reference_band(params, r**k4, R**k4, weight),
-                       SAMPLES, SEED, (8, 0))
-    assert_same(est, ref)
+    est = weak_pairing(params, P, scale, CutoffBump(params, 1.0), r, R, SAMPLES, SEED, threads,
+                       stream=(8, 0))
+    ref = reference_lattice(params, reference_band(params, (r / R) ** k4, 1.0, weight),
+                            SAMPLES, SEED, (8, 0))
+    assert_same(est, times(ref, log_c_factor(params, P)))
 
 
 def energy_reference(params, r, R, samples):
-    """The annulus energy in sigma_p units: the reference MC run over the
-    exact sigma_p."""
-    k4 = 4 * params.k
-    potential = AnnulusPotential(params, P, r, R)
+    """The annulus energy in sigma_p units: R^(Q-p) times the reference run
+    of the unit annulus (r/R, 1) over the unit space's exact sigma_p."""
+    k4, unit = 4 * params.k, params.unit()
+    potential = AnnulusPotential(unit, P, r / R, 1.0)
 
     def weight(pts, sigma, h):
         psi = h ** (1.0 / k4)
-        return (np.abs(potential.eta_prime(psi)) ** P
-                * grad_psi_norm_pow(params, sigma, h, P))
+        return np.abs(potential.eta_prime(psi)) ** P * power(params, P)(pts, sigma, h)
 
-    mean, stderr, acc = reference_lattice(params, R, reference_band(params, r**k4, R**k4, weight),
-                                     samples, SEED, (STREAM_ENERGY, 0))
-    sigma = sigma_p_exact(params, P)
-    return mean / sigma, stderr / sigma, acc
+    ref = reference_lattice(params, reference_band(params, (r / R) ** k4, 1.0, weight),
+                            samples, SEED, (STREAM_ENERGY, 0))
+    return times(ref, (params.Q - P) * math.log(R) - math.log(sigma_p_exact(unit, P)))
 
 
 def test_mc_energy(params, threads):
@@ -207,21 +235,21 @@ def test_back_to_back_runs_match_reference(monkeypatch):
     # dimension, would move a bit.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
     seven, three = SPACES[3], SPACES[1]
-    hi = 64 * 1.3 ** (4 * seven.k)  # 86% of the box
-    mean, stderr, acc = _mc_over_box(seven, ball_spec(seven, 1.3), Band(p=P, hi=hi),
-                                     SAMPLES, SEED, (4, 0), 1)
-    ref = reference_lattice(seven, 1.3, reference_band(seven, None, hi, power(seven, P)),
-                       SAMPLES, SEED, (4, 0))
+    hi = 64.0  # 86% of the box
+    mean, stderr, acc = _mc_over_box(seven, Band(p=P, hi=hi), samples=SAMPLES, seed=SEED,
+                                     stream=(4, 0), threads=1)
+    ref = reference_lattice(seven, reference_band(seven, None, hi, power(seven, P)),
+                            SAMPLES, SEED, (4, 0))
     assert (mean, stderr, acc) == ref
     assert acc > 0.8 * np.prod(lattice_shape(SAMPLES))
 
-    # a thin weighted band 0.99 < psi < 1.01 in R^3
+    # a thin weighted band 0.98 < psi < 1 in R^3
     bump = CutoffBump(three, 1.1)
     k4 = 4 * three.k
-    band = Band(p=P, hi=1.01**k4, weight=lambda h, _: bump.values_of_h(h), lo=0.99**k4)
-    est = _mc_over_box(three, ball_spec(three, 1.01), band, SAMPLES, SEED, (6, 0), 1)
-    ref = reference_lattice(three, 1.01, reference_band(
-        three, 0.99**k4, 1.01**k4,
+    band = Band(p=P, weight=lambda h, _: bump.values_of_h(h), lo=0.98**k4)
+    est = _mc_over_box(three, band, samples=SAMPLES, seed=SEED, stream=(6, 0), threads=1)
+    ref = reference_lattice(three, reference_band(
+        three, 0.98**k4, 1.0,
         lambda pts, sigma, h: reference_bump(bump, h) * power(three, P)(pts, sigma, h)),
         SAMPLES, SEED, (6, 0))
     assert est == ref
@@ -229,9 +257,7 @@ def test_back_to_back_runs_match_reference(monkeypatch):
 
     for params, samples, threads in ((three, 10**4, 1), (seven, SAMPLES, 8)):
         est = ball_measure(params, P, 1.3, samples, SEED, threads, stream=(4, 0))
-        ref = reference_lattice(params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k),
-                                                       power(params, P)), samples, SEED, (4, 0))
-        assert_same(est, ref)
+        assert_same(est, ball_reference(params, 1.3, samples, (4, 0)))
     assert 10**4 < SHARD_SIZE and 8 > -(-SAMPLES // SHARD_SIZE)
 
 
@@ -242,8 +268,7 @@ def test_more_threads_than_cores_match_reference(monkeypatch):
     # so claim six of them.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 6)
     params, samples = SPACES[2], 6 * SHARD_SIZE + 321
-    band = reference_band(params, None, 1.3 ** (4 * params.k), power(params, P))
-    refs = [reference_lattice(params, 1.3, band, samples, SEED, (4, i)) for i in (0, 1)]
+    refs = [ball_reference(params, 1.3, samples, (4, i)) for i in (0, 1)]
     ests = [None, None]
 
     def run(i):
@@ -286,10 +311,9 @@ def test_workers_capped_at_usable_cpus(monkeypatch, threads, workers):
 
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-    params, spec, band = SPACES[1], ball_spec(SPACES[1], 1.3), Band(p=P, hi=1.3 ** 3)
-    samples = 5 * SHARD_SIZE
-    est = _mc_over_box(params, spec, band, samples, SEED, (4, 0), threads)
-    assert est == _mc_over_box(params, spec, band, samples, SEED, (4, 0), 1)
+    params, band, samples = SPACES[1], Band(p=P), 5 * SHARD_SIZE
+    est = _mc_over_box(params, band, samples=samples, seed=SEED, stream=(4, 0), threads=threads)
+    assert est == _mc_over_box(params, band, samples=samples, seed=SEED, stream=(4, 0), threads=1)
     assert sizes == [workers - 1]  # one thread maps without a pool
 
 
@@ -320,24 +344,20 @@ def test_block_size_changes_no_bit(monkeypatch, threads, chunk_rows):
     phi = polynomial(params)
     monkeypatch.setattr(montecarlo, "CHUNK_ROWS", chunk_rows)
     ball = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
-    assert_same(ball, reference_lattice(
-        params, 1.3, reference_band(params, None, 1.3 ** (4 * params.k), power(params, P)),
-        SAMPLES, SEED, (4, 0)))
-    (density,) = density_limit(params, P, phi, [1.0], SAMPLES, SEED, threads)
-    assert_same(density, density_reference(params, polynomial_weight(params, phi), 1.0))
+    assert_same(ball, ball_reference(params, 1.3, SAMPLES, (4, 0)))
+    (density,) = density_limit(params, P, phi, [0.8], SAMPLES, SEED, threads)
+    assert_same(density, density_reference(params, polynomial_weight(params, phi, 0.8)))
 
 
 def test_blocks_accepting_no_row_or_every_row(params, threads):
-    # h >= 0, so hi = 0 accepts no row; the box's largest h is
-    # ((2n)^(2k) + 1) R^(4k), at its corners
-    R, stream = 1.3, (4, 0)
-    spec = ball_spec(params, R)
-    empty = _mc_over_box(params, spec, Band(p=P, hi=0.0), SAMPLES, SEED, stream, threads)
-    assert empty == (0.0, 0.0, 0)
-    hi = 2.0 * ((2 * params.n) ** (2 * params.k) + 1.0) * R ** (4 * params.k)
-    full = _mc_over_box(params, spec, Band(p=P, hi=hi), SAMPLES, SEED, stream, threads)
-    assert full == reference_lattice(params, R, reference_band(params, None, hi, power(params, P)),
-                                SAMPLES, SEED, stream)
+    # h >= 0, so hi = 0 accepts no row; the unit box's largest h is
+    # (2n)^(2k) + 1, at its corners
+    run = {"samples": SAMPLES, "seed": SEED, "stream": (4, 0), "threads": threads}
+    assert _mc_over_box(params, Band(p=P, hi=0.0), **run) == (0.0, 0.0, 0)
+    hi = 2.0 * ((2 * params.n) ** (2 * params.k) + 1.0)
+    full = _mc_over_box(params, Band(p=P, hi=hi), **run)
+    assert full == reference_lattice(params, reference_band(params, None, hi, power(params, P)),
+                                     SAMPLES, SEED, (4, 0))
     assert full[2] == np.prod(lattice_shape(SAMPLES))
 
 
@@ -357,18 +377,16 @@ def test_sigma_matches_einsum(n, rng):
     assert np.array_equal(tau, ref[1])
     assert np.array_equal(h, ref[2])
     # the kernel maps a shard's replicates one coordinate column at a time,
-    # from the centred offsets y: Sigma = w_h^2 einsum(y_h, y_h), into the
-    # first 3 N columns of a larger work array, whatever it held before
-    width = np.full(params.dim, 3.0)
-    width[-1] = 1.7
+    # from the centred offsets y: Sigma = 4 einsum(y_h, y_h), into the first
+    # 3 N columns of a larger work array, whatever it held before
     lattice = unshifted_lattice(1024, params.dim)
     shifts = rng.random((3, params.dim)) - 0.5
     work = np.full((3, 4000), np.nan)
-    sigma, h = _shard_gauge(params, lattice, shifts, width, work, np.empty(3 * 1024, bool))
+    sigma, h = _shard_gauge(params, lattice, shifts, work, np.empty(3 * 1024, bool))
     # C order, as the reference's einsum of a replicate's offsets
     Y = np.ascontiguousarray(np.concatenate([lattice.T + shift for shift in shifts]))
     Y -= np.rint(Y)
-    ref = reference_centred_parts(params, Y, width)
+    ref = reference_centred_parts(params, Y)
     assert np.array_equal(sigma, ref[0])
     assert np.array_equal(h, ref[2])
 
@@ -379,9 +397,9 @@ def test_capacity_normalizes_by_exact_sigma(monkeypatch):
     streams = []
     kernel = montecarlo._mc_over_box
 
-    def counted(params, spec, band, samples, seed, stream, threads):
-        streams.append(stream)
-        return kernel(params, spec, band, samples, seed, stream, threads)
+    def counted(params, band, **run):
+        streams.append(run["stream"])
+        return kernel(params, band, **run)
 
     monkeypatch.setattr(montecarlo, "_mc_over_box", counted)
     results = [

@@ -10,7 +10,7 @@ from sublap import (
     GaugeH,
     SpaceParams,
     ball_measure,
-    ball_spec,
+    closed_form_capacity,
     density_limit,
     mc_energy,
     sample_points,
@@ -19,7 +19,7 @@ from sublap import (
     weak_pairing,
 )
 from sublap.fields import gauge_parts, grad_psi_norm_pow
-from sublap.montecarlo import STREAM_BALL
+from sublap.montecarlo import STREAM_BALL, Band, _mc_over_box
 
 SAMPLES = 2 * 10**5
 
@@ -84,12 +84,16 @@ class TestSigmaP:
             sigma_p(setup_a, 2.0, 10**3, 1)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_non_finite_estimate_raises(self, threads):
-        # rows near the axis take |grad_0 psi|^p past the floats: an inf
-        # sigma_p with a NaN stderr and a RuntimeWarning before.  SAMPLES
-        # fill three shards, so at two threads a started worker sees them too
+    def test_non_finite_estimate_raises(self, setup_a, threads):
+        # a weight past the floats on some rows: an inf or NaN replicate
+        # mean, which the kernel rejects after the draws, with no
+        # RuntimeWarning.  (The p-power near the axis, which did this for
+        # sigma_p at n = 3, k = 0.1, c = -1e10, p = 6.2, now stops at the
+        # infinite-variance guard.)  SAMPLES fill three shards, so at two
+        # threads a started worker sees them too
+        band = Band(p=2.0, weight=lambda h, _: np.where(h < 0.5, np.inf, 1.0))
         with pytest.raises(DomainError, match="MC estimate leaves the float range"):
-            sigma_p(SpaceParams(3, 0.1, -1e10), 6.2, SAMPLES, 7, threads=threads)
+            _mc_over_box(setup_a, band, samples=SAMPLES, seed=7, stream=(1, 0), threads=threads)
 
 
 class TestBallMeasure:
@@ -102,12 +106,16 @@ class TestBallMeasure:
             assert abs(ratio - target) <= 3.0 * sig
 
     def test_divergent_for_small_k_and_large_p(self):
-        # the integral diverges for k < 1/2 and p >= 2n/(1-2k)
-        params = SpaceParams(1, 0.4, 1.0)  # bound 2 / 0.2 = 10
+        # the integral diverges for k < 1/2 and p >= 2n/(1-2k), and its
+        # square, the MC variance, for p >= n/(1-2k)
+        params = SpaceParams(1, 0.4, 1.0)  # bounds 2 / 0.2 = 10 and 1 / 0.2 = 5
         for p in (10.0, 12.0):
             with pytest.raises(DomainError, match="diverges"):
                 ball_measure(params, p, 1.0, SAMPLES, 3)
-        assert np.isfinite(ball_measure(params, 9.5, 1.0, 10**4, 3).mean)
+        for p in (5.0, 9.5):
+            with pytest.raises(DomainError, match="infinite variance"):
+                ball_measure(params, p, 1.0, SAMPLES, 3)
+        assert np.isfinite(ball_measure(params, 4.5, 1.0, 10**4, 3).mean)
         # k = 1/2 keeps |grad_0 psi| bounded by |c|: finite for every p
         assert np.isfinite(sigma_p(SpaceParams(1, 0.5, 1.0), 12.0, 10**4, 3).mean)
 
@@ -117,15 +125,14 @@ class TestBallMeasure:
         assert abs(est.mean) < 1e-10
 
     def test_integrand_bounded(self, all_setups, rng):
-        # |grad_0 psi|^p <= |c|^(p/(2k)) everywhere (k >= 1/2)
+        # |grad_0 psi|^p <= |c|^(p/(2k)) everywhere (k >= 1/2): at most 1 on
+        # the unit box [-1, 1]^(2n+1) that the kernel samples
         for params in all_setups:
-            spec = ball_spec(params, 2.0)
-            pts = params.x0 + rng.uniform(-1, 1, (5000, params.dim)) * spec.half_widths
-            sigma, _, h = gauge_parts(params, pts)
+            unit = params.unit()
+            pts = rng.uniform(-1, 1, (5000, params.dim))
+            sigma, _, h = gauge_parts(unit, pts)
             for p in (2.0, 3.0):
-                vals = grad_psi_norm_pow(params, sigma, h, p)
-                bound = abs(params.c) ** (p / (2 * params.k))
-                assert vals.max() <= bound + 1e-12
+                assert grad_psi_norm_pow(unit, sigma, h, p).max() <= 1.0 + 1e-12
 
     def test_acceptance_ratio_scale_invariant(self, setup_a):
         lo = ball_measure(setup_a, 2.0, 0.5, SAMPLES, 23, stream=(STREAM_BALL, 0))
@@ -137,15 +144,16 @@ class TestBallMeasure:
         assert abs(f_lo - f_hi) <= 3.0 * sig
 
     def test_bounding_box_contains_ball(self, all_setups, rng):
+        # the unit ball {h < 1} of c = 1 about 0 lies in the kernel's box
+        # [-1, 1]^(2n+1): every coordinate of a point of it is below 1, and
+        # the box's points just outside reach into it
         for params in all_setups:
-            spec = ball_spec(params, 1.3)
-            pts = params.x0 + rng.uniform(-1, 1, (2000, params.dim)) * spec.half_widths
-            _, _, h = gauge_parts(params, pts)
-            inside = h < 1.3 ** (4 * params.k)
-            # no point of the ball can sit outside the box, so the box edge
-            # must bound every inside point's coordinates
-            sub = np.abs(pts[inside] - params.x0)
-            assert np.all(sub <= spec.half_widths + 1e-12)
+            unit = params.unit()
+            pts = rng.uniform(-1.5, 1.5, (20000, params.dim))
+            inside = gauge_parts(unit, pts)[2] < 1.0
+            assert inside.any() and np.all(np.abs(pts[inside]) < 1.0)
+            # and no smaller box does: (1 - 1e-9) e_j lies in the ball for every j
+            assert np.all(gauge_parts(unit, (1.0 - 1e-9) * np.eye(params.dim))[2] < 1.0)
 
 
 def _annulus_estimate(name, params, p):
@@ -178,26 +186,43 @@ class TestDivergenceGuard:
 
 
 # n = 1, k = 3: 4k = 12 > Q = 8, so the band top R^(4k) leaves the normal
-# floats first.  At R = 2e-38, R^Q = 2.6e-302 and the volume are normal but
-# R^12 rounds to 0, so every band would be empty and every estimate 0.0.
+# floats first.  At R = 2e-38, R^Q = 2.6e-302 is normal but R^12 rounds to
+# 0.  The ball and the annulus energy are the unit runs times R^Q and
+# R^(Q-p), which are normal; the density's bump and the pairing's dilated
+# bump need R^(4k) or its reciprocal, and raise before any draw.
 TINY_BAND = SpaceParams(1, 3.0, 1.0)
 TINY_BAND_BUMP = CutoffBump(TINY_BAND, 1.0)
-TINY_BAND_RUNS = {
-    "ball": lambda: ball_measure(TINY_BAND, 2.0, 2e-38, 10**4, 1),
-    "density": lambda: density_limit(TINY_BAND, 2.0, TINY_BAND_BUMP, [2e-38, 1e-38], 10**4, 1),
-    "pairing": lambda: weak_pairing(TINY_BAND, 2.0, 1.0, TINY_BAND_BUMP, 1e-38, 2e-38, 10**4, 1),
-    "energy": lambda: mc_energy(TINY_BAND, 2.0, 1e-38, 2e-38, 10**4, 1),
+
+
+@pytest.mark.parametrize("name", ["ball", "energy"])
+def test_tiny_band_matches_its_closed_form(name):
+    if name == "ball":
+        est = ball_measure(TINY_BAND, 2.0, 2e-38, 10**4, 1)
+        exact = sigma_p_exact(TINY_BAND, 2.0) * 2e-38**TINY_BAND.Q
+    else:
+        est = mc_energy(TINY_BAND, 2.0, 1e-38, 2e-38, 10**4, 1)
+        exact = closed_form_capacity(TINY_BAND, 2.0, 1e-38, 2e-38).value
+    assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+
+TINY_BAND_ERRORS = {
+    "density": (lambda: density_limit(TINY_BAND, 2.0, TINY_BAND_BUMP, [2e-38, 1e-38], 10**4, 1),
+                r"R\^\(4k\) at R = 2e-38 leaves the float range"),
+    # the unit annulus' bump of radius 1/R = 5e37: B = 5e37^12 is not a float
+    "pairing": (lambda: weak_pairing(TINY_BAND, 2.0, 1.0, TINY_BAND_BUMP, 1e-38, 2e-38, 10**4, 1),
+                r"support radius 5e\+37 gives the h bound R0\^\(4k\) = inf"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(TINY_BAND_RUNS))
+@pytest.mark.parametrize("name", sorted(TINY_BAND_ERRORS))
 def test_band_top_below_normal_floats_raises_before_any_draw(name, monkeypatch):
     import sublap.montecarlo as mc
 
     calls = []
-    monkeypatch.setattr(mc, "_mc_over_box", lambda *args: calls.append(args))
-    with pytest.raises(DomainError, match=r"R\^\(4k\) below the smallest normal float"):
-        TINY_BAND_RUNS[name]()
+    monkeypatch.setattr(mc, "_mc_over_box", lambda *args, **kwargs: calls.append(args))
+    run, message = TINY_BAND_ERRORS[name]
+    with pytest.raises(DomainError, match=message):
+        run()
     assert calls == []
 
 
@@ -269,19 +294,17 @@ class TestDensityLimit:
         calls = []
         kernel = mc._mc_over_box
 
-        def counting(params, spec, band, samples, seed, stream, threads):
-            calls.append((stream, spec.R, band.lo, band.hi))
-            return kernel(params, spec, band, samples, seed, stream, threads)
+        def counting(params, band, **run):
+            calls.append((run["stream"], band.lo, band.hi))
+            return kernel(params, band, **run)
 
         monkeypatch.setattr(mc, "_mc_over_box", counting)
         radii = [0.4, 0.2, 0.1]
         density_limit(setup_a, 2.0, CutoffBump(setup_a, 1.5), radii, 10**4, 17)
         assert len(calls) == len(radii)
         assert len({c[0] for c in calls}) == len(calls)
-        # each radius: one run over the box and band of its ball
-        for (_, box_R, lo, hi), R in zip(calls, radii):
-            assert lo is None
-            assert (box_R, hi) == (R, R**4)
+        # each radius: one run over the unit ball, whatever R
+        assert all(call[1:] == (None, 1.0) for call in calls)
 
     @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.4, 0.4], [0.4, -0.2], []])
     def test_radii_must_decrease(self, setup_a, radii):
@@ -289,7 +312,7 @@ class TestDensityLimit:
             density_limit(setup_a, 2.0, Constant(1.0, 3), radii, 10**4, 8)
 
     def test_radii_on_their_own_streams(self, setup_a):
-        # the box sampler is scale-equivariant: radii sharing a stream would
+        # every radius runs the unit ball: radii sharing a stream would
         # accept the same rows and, for phi = 1, give the same density
         rows = density_limit(setup_a, 2.0, Constant(1.0, 3), [0.4, 0.2, 0.1], SAMPLES, 11)
         assert len({r.accepted for r in rows}) == 3

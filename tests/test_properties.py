@@ -5,9 +5,10 @@ Each example draws |c| from 1e-60 to 1e60 of either sign, x0 in
 [-2, 2]^(2n+1), p in (1, 60] or Q, and any seed; the calculus commands
 draw n in 1..4 and k in [0.1, 6] at 10 points, the Monte Carlo commands n
 in 1..3 and k in [0.1, 6] at 10^4 samples on one thread, with their radii:
-two or three for `ahlfors`, decreasing ones below the bump's support for
-`density` and `dirac` (whose bump radius is drawn too), and r < R with
-`--method mc` or `all` for `capacity`.  A run exits 0 or 2 with every value
+two or three from 1e-60 to 1e60 for `ahlfors`, decreasing ones below the
+bump's support for `density` and `dirac` (whose bump radius is drawn too),
+and r from 1e-60 to 1e60 with r < R < 1000 r and `--method mc` or `all` for
+`capacity`.  A run exits 0 or 2 with every value
 finite, or exits 1 with an empty stdout and a stderr that starts `error:`;
 a warning or an uncaught exception fails the test.  The examples are
 derandomized and no example database is kept, so the test is deterministic
@@ -55,7 +56,7 @@ def calculus_flags(draw) -> list[str]:
 def monte_carlo_flags(draw, command: str) -> list[str]:
     flags = _space_flags(draw, 3) + ["--samples=10000", "--threads=1"]
     if command == "ahlfors":
-        radii = draw(st.lists(st.floats(1e-2, 1e2), min_size=2, max_size=3))
+        radii = [10.0**e for e in draw(st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=3))]
         flags.append(f"--radii={_floats(radii)}")
     elif command in ("density", "dirac"):
         bump = 10.0 ** draw(st.floats(-2.0, 2.0))
@@ -63,7 +64,7 @@ def monte_carlo_flags(draw, command: str) -> list[str]:
         radii = [bump * f for f in sorted(fractions, reverse=True)]
         flags += [f"--bump-radius={bump!r}", f"--radii={_floats(radii)}"]
     elif command == "capacity":
-        r = 10.0 ** draw(st.floats(-3.0, 3.0))
+        r = 10.0 ** draw(st.floats(-60.0, 60.0))
         R = r * 10.0 ** draw(st.floats(0.01, 3.0))
         flags += [f"--r={r!r}", f"--R={R!r}", "--method=" + draw(st.sampled_from(["mc", "all"]))]
     return flags

@@ -33,9 +33,9 @@ def kernel_streams(monkeypatch):
     streams = []
     kernel = montecarlo._mc_over_box
 
-    def counted(params, spec, band, samples, seed, stream, threads):
-        streams.append(stream)
-        return kernel(params, spec, band, samples, seed, stream, threads)
+    def counted(params, band, **run):
+        streams.append(run["stream"])
+        return kernel(params, band, **run)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("sublap") and getattr(module, "_mc_over_box", None) is kernel:

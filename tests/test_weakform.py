@@ -119,7 +119,7 @@ class TestDiracLimit:
         import sublap.montecarlo as montecarlo
 
         draws = []
-        monkeypatch.setattr(montecarlo, "_mc_over_box", lambda *args: draws.append(args))
+        monkeypatch.setattr(montecarlo, "_mc_over_box", lambda *args, **run: draws.append(args))
         bump = CutoffBump(setup_a, 1.0)
         # p = 1.01: the slope at the smallest radius, 0.05, leaves the float
         # range; p = 1.003: the normalization constant does
