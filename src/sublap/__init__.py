@@ -56,6 +56,6 @@ from .space import (
     normalization,
     sigma_p_exact,
 )
-from .weakform import dirac_limit, weak_pairing
+from .weakform import dirac_limit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

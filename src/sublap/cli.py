@@ -310,9 +310,11 @@ def _cmd_density(cfg: RunConfig) -> list[dict]:
 def _cmd_dirac(cfg: RunConfig) -> list[dict]:
     params = cfg.space()
     bump = CutoffBump(params, cfg.bump_radius)
+    # the reported constant needs sigma_p of params, which dirac_limit does
+    # not: form it before any draw
+    constant = normalization(params, cfg.p, sigma_p_exact(params, cfg.p))
     ests = dirac_limit(params, cfg.p, bump, cfg.radii, cfg.samples, cfg.seed, cfg.threads)
     exact = [-v for v in _bump_at_radii(params, bump, cfg.radii)]
-    constant = normalization(params, cfg.p, sigma_p_exact(params, cfg.p))
     return _radius_records("pairing", "r", cfg.radii, ests, exact, cfg.tol) + [
         _record("normalization_constant", constant, exact=True)
     ]

@@ -7,14 +7,16 @@ B_1 of c = 1 about 0 onto B_R, multiplies h by R^(4k) and the measure by
 R^Q |c|^((p-2n)/(2k)), exactly.  So the one kernel, `_mc_over_box`, samples
 only the unit band r^(4k) < h < 1 (no lower bound for a ball) of
 `SpaceParams.unit()`, from the box [-1, 1]^(2n+1) of B_1, and sees no R, c
-or x0.  Each estimator forms its exact factor in logs and checks only that
-the value it reports is a normal float (`rescaled`).  A weight of h sees
-the unit h, which its estimator maps; one that needs points gets the unit
-ball's.  The kernel owns |grad_0 psi|^p (`fields.grad_psi_norm_pow`) and
-its axis singularity: for k < 1/2 it grows like Sigma^((2k-1)p/2) near
-{Sigma = 0}, which crosses every band, so its integral diverges for p >=
-2n/(1-2k) (`space.check_integrable`) and its square for p >= n/(1-2k),
-where the stderr bounds nothing; every estimator raises there.  The average
+or x0; its band top is always 1.  Each estimator forms its exact factor in
+logs and checks only that the value it reports is a normal float
+(`rescaled`); the Dirac pairing (`weakform.dirac_limit`) needs none, since
+its c factors cancel.  A weight of h sees the unit h, which its estimator
+maps; one that needs points gets the unit ball's.  The kernel owns
+|grad_0 psi|^p (`fields.grad_psi_norm_pow`) and its axis singularity: for
+k < 1/2 it grows like Sigma^((2k-1)p/2) near {Sigma = 0}, which crosses
+every band, so its integral diverges for p >= 2n/(1-2k)
+(`space.check_integrable`) and its square for p >= n/(1-2k), where the
+stderr bounds nothing; every estimator raises there.  The average
 of phi over a sphere {psi = R} (`density_limit`) is one ball band too,
 exactly: the R-derivative of the ball integral of phi, the sphere's
 integral, is Q/R times the ball integral of phi + Z phi / Q, Z the
@@ -207,30 +209,10 @@ def _check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
 
 
-def _shard_rng(seed: int, stream: Stream, shard: int) -> np.random.Generator:
-    key = np.random.SeedSequence(seed, spawn_key=(*stream, shard))
-    return np.random.Generator(np.random.SFC64(key))
-
-
-def _stream_rng(seed: int, stream: Stream) -> np.random.Generator:
-    """The generator of a kernel run's shifts."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=stream)))
-
-
-@dataclass(frozen=True)
-class Band:
-    """An MC integrand of the unit space: weight * |grad_0 psi|^p on the
-    band lo < h < hi, 0 elsewhere.
-
-    weight(h, points) gets the accepted rows' h; points() returns those
-    rows' points, for weights that need them.  weight None means 1, lo None
-    no lower bound.
-    """
-
-    p: float
-    hi: float = 1.0
-    weight: Callable | None = None
-    lo: float | None = None
+def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The SFC64 generator of the user seed and a spawn key: a kernel run's
+    stream, or sample_points' (STREAM_POINTS, 0, shard)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _wrap(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -268,9 +250,13 @@ def _shard_gauge(params, lattice, shifts, work, mask):
     return sigma, gauge_h(params, sigma, tau_sq, lanes[1])
 
 
-def _mc_over_box(params, integrand, *, samples, seed, stream, threads):
-    """Lattice MC of the band `integrand` of `params.unit()` (only n and k
-    count) over the box [-1, 1]^(2n+1); returns (mean, stderr, accepted).
+def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, threads):
+    """Lattice MC of weight * |grad_0 psi|^p on the unit band lo < h < 1 (no
+    lower bound when lo is None) of `params.unit()` (only n and k count)
+    over the box [-1, 1]^(2n+1); returns (mean, stderr, accepted).
+
+    weight(h, points) gets the accepted rows' h; points() returns those
+    rows' points, for weights that need them.  weight None means 1.
 
     Runs the R N points of `lattice_shape(samples)`.  Shards are reduced in
     index order.  Raises DomainError where the integral diverges
@@ -278,7 +264,7 @@ def _mc_over_box(params, integrand, *, samples, seed, stream, threads):
     for a negative seed, before any draw; DomainError after the draws when a
     replicate mean is not a finite float.
     """
-    params, p = params.unit(), integrand.p
+    params = params.unit()
     check_integrable(params, p)
     # the square's axis integral, Sigma^((2k-1)p + n - 1) dSigma, with check_integrable's slack
     if params.k < 0.5 and p >= params.n / (1.0 - 2 * params.k) * (1.0 - 1e-12):
@@ -287,11 +273,10 @@ def _mc_over_box(params, integrand, *, samples, seed, stream, threads):
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
     _check_seed(seed)
-    weight = integrand.weight
     points, reps = lattice_shape(samples)
     total = points * reps
     lattice = unshifted_lattice(points, params.dim)
-    shifts = _stream_rng(seed, stream).random((reps, params.dim))
+    shifts = _rng(seed, stream).random((reps, params.dim))
     shifts -= 0.5
     n_shards = (total + SHARD_SIZE - 1) // SHARD_SIZE
     rep_sums = np.zeros(reps)
@@ -303,9 +288,9 @@ def _mc_over_box(params, integrand, *, samples, seed, stream, threads):
         work, (inside, above_lo) = floats[:, :count], bools[:, :count]
         sigma, h = _shard_gauge(params, lattice, shifts[first // points :][: count // points],
                                 work, inside)
-        np.less(h, integrand.hi, out=inside)
-        if integrand.lo is not None:
-            inside &= np.greater(h, integrand.lo, out=above_lo)
+        np.less(h, 1.0, out=inside)
+        if lo is not None:
+            inside &= np.greater(h, lo, out=above_lo)
         rows_in = np.flatnonzero(inside)
         vals = work[2]  # free once h is formed
         vals.fill(0.0)
@@ -369,11 +354,10 @@ def band_estimate(
 ) -> MCEstimate:
     """The integral of weight * |grad_0 psi|^p over the unit band r^(4k) < h
     < 1 (the unit ball when r is None) of `params.unit()`, for its caller's
-    exact factor.  weight(h, points) is a `Band` weight, None for 1."""
+    exact factor.  weight(h, points) is an `_mc_over_box` weight, None for 1."""
     lo = None if r is None else _normal(r ** (4 * params.k), "the unit band's r^(4k)")
-    mean, stderr, accepted = _mc_over_box(params, Band(p=p, weight=weight, lo=lo),
-                                          samples=samples, seed=seed, stream=stream,
-                                          threads=threads)
+    mean, stderr, accepted = _mc_over_box(params, p, weight, lo=lo, samples=samples, seed=seed,
+                                          stream=stream, threads=threads)
     points, replicates = lattice_shape(samples)
     return MCEstimate(mean=mean, stderr=stderr, samples=points * replicates,
                       accepted=accepted, replicates=replicates)
@@ -513,7 +497,7 @@ def sample_points(params: SpaceParams, count: int, seed: int) -> np.ndarray:
     shard = 0
     while have < count:
         rows = max(count, 256)
-        pts = lo + _shard_rng(seed, (STREAM_POINTS, 0), shard).random((rows, params.dim)) * width
+        pts = lo + _rng(seed, (STREAM_POINTS, 0, shard)).random((rows, params.dim)) * width
         sigma, _, h = gauge_parts(params, pts)
         psi = h ** (1.0 / (4 * params.k))
         keep = np.flatnonzero((psi >= POINTS_MIN_PSI) & (sigma >= POINTS_MIN_SIGMA))

@@ -197,14 +197,14 @@ def reference_box(params, R):
 def reference_mc(params, R, integrand, samples, seed, stream):
     """(mean, stderr, accepted) of integrand(pts) -> (values, accepted) over
     the bounding box of B_R of params, one whole point array per shard."""
-    from sublap.montecarlo import SHARD_SIZE, _shard_rng
+    from sublap.montecarlo import SHARD_SIZE, _rng
 
     lo, width = reference_box(params, R)
     n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
     sums, sqsums, accepted = np.zeros(n_shards), np.zeros(n_shards), 0
     for idx in range(n_shards):
         count = min(SHARD_SIZE, samples - idx * SHARD_SIZE)
-        pts = lo + _shard_rng(seed, stream, idx).random((count, params.dim)) * width
+        pts = lo + _rng(seed, (*stream, idx)).random((count, params.dim)) * width
         vals, acc = integrand(pts)
         sums[idx], sqsums[idx] = float(vals.sum()), float((vals * vals).sum())
         accepted += acc
@@ -222,11 +222,11 @@ def reference_lattice(params, integrand, samples, seed, stream):
     i of replicate j is 2y, y = i z / N + shift_j - 1/2 wrapped into
     [-1/2, 1/2] by rint, and parts its (Sigma, tau, h) from
     `reference_centred_parts`."""
-    from sublap.montecarlo import _stream_rng, generating_vector, lattice_shape
+    from sublap.montecarlo import _rng, generating_vector, lattice_shape
 
     N, reps = lattice_shape(samples)
     lattice = np.outer(np.arange(N), generating_vector(N, params.dim)) % N / N  # (N, dim)
-    shifts = _stream_rng(seed, stream).random((reps, params.dim)) - 0.5
+    shifts = _rng(seed, stream).random((reps, params.dim)) - 0.5
     sums, accepted = np.zeros(reps), 0
     for j in range(reps):
         Y = lattice + shifts[j]
@@ -274,13 +274,13 @@ def reference_bump_d_dh(bump, h):
 
 def reference_sample_points(params, count, seed):
     """`sample_points` by whole point arrays: the box of B_2, psi >= 0.05, Sigma >= 1e-10."""
-    from sublap.montecarlo import STREAM_POINTS, _shard_rng
+    from sublap.montecarlo import STREAM_POINTS, _rng
 
     lo, width = reference_box(params, 2.0)
     out = np.empty((count, params.dim))
     have = shard = 0
     while have < count:
-        rng = _shard_rng(seed, (STREAM_POINTS, 0), shard)
+        rng = _rng(seed, (STREAM_POINTS, 0, shard))
         pts = lo + rng.random((max(count, 256), params.dim)) * width
         sigma, _, h = reference_gauge_parts(params, pts)
         psi = h ** (1.0 / (4 * params.k))

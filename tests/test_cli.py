@@ -208,8 +208,8 @@ class TestExitCodes:
         # RuntimeWarning and an inf estimate with exit 2 before
         (["ahlfors", "--n", "1", "--k", "0.5", "--c", "1e16", "--p", "28"],
          "MC estimate leaves the float range"),
-        # |c|^((p-2n)/(2k)) of the closed-form sigma_p, which the pairing's
-        # normalization needs: an uncaught OverflowError before
+        # |c|^((p-2n)/(2k)) of the closed-form sigma_p, which the reported
+        # normalization constant needs: an uncaught OverflowError before
         (["dirac", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
          "not a positive normal float"),
     ], ids=["ahlfors-R^Q-overflow", "ahlfors-width-product", "density-R^(4k)-underflow",

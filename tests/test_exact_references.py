@@ -29,12 +29,12 @@ from sublap import (
     SpaceParams,
     ball_measure,
     density_limit,
+    dirac_limit,
     exponents,
     mc_energy,
     normalization,
     sigma_p,
     sigma_p_exact,
-    weak_pairing,
 )
 from sublap.fields import grad_psi_norm_pow
 
@@ -140,6 +140,8 @@ class TestFiniteRadiusEstimates:
         assert_within_z(est, surface * reference_bump(bump, np.array([R ** (4 * params.k)]))[0])
 
     def test_weak_pairing(self, setup):
+        # dirac_limit runs the unit space; the oracle is the pairing of these
+        # parameters' own normalized profile, so c must cancel
         params, p = setup
         alpha = exponents(params, p).alpha
         scale = normalization(params, p, sigma_p_exact(params, p))
@@ -152,7 +154,7 @@ class TestFiniteRadiusEstimates:
             s_phi = reference_bump_d_dh(bump, np.array([rho**k4]))[0]
             return abs(s_u) ** (p - 2.0) * s_u * s_phi * k4 * rho ** (k4 - 1.0)
 
-        est = weak_pairing(params, p, scale, bump, r, R, SAMPLES, 43)
+        (est,) = dirac_limit(params, p, bump, [r], SAMPLES, 43)
         assert_within_z(est, coarea_quadrature(params, p, g, r, R))
 
     def test_mc_energy(self, setup):

@@ -33,11 +33,11 @@ from sublap import (
     annulus_capacity,
     ball_measure,
     density_limit,
+    dirac_limit,
     mc_energy,
     normalization,
     sample_points,
     sigma_p_exact,
-    weak_pairing,
 )
 from sublap import capacity as capacity_module
 from sublap import frame
@@ -48,7 +48,7 @@ from sublap.montecarlo import (
     SHARD_SIZE,
     STREAM_DENSITY,
     STREAM_ENERGY,
-    Band,
+    STREAM_PAIRING,
     _mc_over_box,
     _shard_gauge,
     lattice_shape,
@@ -185,24 +185,23 @@ def test_shell_integral_with_polynomial(params, threads):
 
 
 def test_weak_pairing(params, threads):
-    # the unit annulus (r/R, 1) against the bump of radius 1/R, times the c factor
-    scale = normalization(params, P, 1.9)
-    u = FundamentalProfile(params, P, scale=scale)
-    r, R, k, k4 = 0.2, 1.2, params.k, 4 * params.k
-    phi = CutoffBump(params.unit(), 1.0 / R)
+    # the unit annulus (r/R0, 1) against the unit bump, with no factor: u is
+    # the unit space's profile, and c cancels
+    unit, k4, R0 = params.unit(), 4 * params.k, 1.25
+    u = FundamentalProfile(unit, P, scale=normalization(unit, P, sigma_p_exact(unit, P)))
+    phi = CutoffBump(unit, 1.0)
 
     def weight(pts, sigma, h):
         psi = h ** (1.0 / k4)
         s_u = u.eta_prime(psi)
         s_phi = reference_bump_d_dh(phi, h)
-        return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (4 * k - 1.0)
+        return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (k4 - 1.0)
                 * power(params, P)(pts, sigma, h))
 
-    est = weak_pairing(params, P, scale, CutoffBump(params, 1.0), r, R, SAMPLES, SEED, threads,
-                       stream=(8, 0))
-    ref = reference_lattice(params, reference_band(params, (r / R) ** k4, 1.0, weight),
-                            SAMPLES, SEED, (8, 0))
-    assert_same(est, times(ref, log_c_factor(params, P)))
+    (est,) = dirac_limit(params, P, CutoffBump(params, R0), [0.25], SAMPLES, SEED, threads)
+    ref = reference_lattice(params, reference_band(params, (0.25 / R0) ** k4, 1.0, weight),
+                            SAMPLES, SEED, (STREAM_PAIRING, 0))
+    assert_same(est, ref)
 
 
 def energy_reference(params, r, R, samples):
@@ -235,22 +234,22 @@ def test_back_to_back_runs_match_reference(monkeypatch):
     # dimension, would move a bit.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
     seven, three = SPACES[3], SPACES[1]
-    hi = 64.0  # 86% of the box
-    mean, stderr, acc = _mc_over_box(seven, Band(p=P, hi=hi), samples=SAMPLES, seed=SEED,
-                                     stream=(4, 0), threads=1)
-    ref = reference_lattice(seven, reference_band(seven, None, hi, power(seven, P)),
+    # the unit ball of R^3 at k = 0.75, 58% of the box: more than CHUNK_ROWS rows per shard
+    mean, stderr, acc = _mc_over_box(three, P, samples=SAMPLES, seed=SEED, stream=(4, 0),
+                                     threads=1)
+    ref = reference_lattice(three, reference_band(three, None, 1.0, power(three, P)),
                             SAMPLES, SEED, (4, 0))
     assert (mean, stderr, acc) == ref
-    assert acc > 0.8 * np.prod(lattice_shape(SAMPLES))
+    assert acc > 0.55 * np.prod(lattice_shape(SAMPLES)) and 0.55 * SHARD_SIZE > CHUNK_ROWS
 
-    # a thin weighted band 0.98 < psi < 1 in R^3
-    bump = CutoffBump(three, 1.1)
-    k4 = 4 * three.k
-    band = Band(p=P, weight=lambda h, _: bump.values_of_h(h), lo=0.98**k4)
-    est = _mc_over_box(three, band, samples=SAMPLES, seed=SEED, stream=(6, 0), threads=1)
-    ref = reference_lattice(three, reference_band(
-        three, 0.98**k4, 1.0,
-        lambda pts, sigma, h: reference_bump(bump, h) * power(three, P)(pts, sigma, h)),
+    # a thin weighted band 0.98 < psi < 1 in R^7
+    bump = CutoffBump(seven, 1.1)
+    k4 = 4 * seven.k
+    est = _mc_over_box(seven, P, lambda h, _: bump.values_of_h(h), lo=0.98**k4,
+                       samples=SAMPLES, seed=SEED, stream=(6, 0), threads=1)
+    ref = reference_lattice(seven, reference_band(
+        seven, 0.98**k4, 1.0,
+        lambda pts, sigma, h: reference_bump(bump, h) * power(seven, P)(pts, sigma, h)),
         SAMPLES, SEED, (6, 0))
     assert est == ref
     assert 0 < est[2] < 0.05 * SAMPLES
@@ -311,9 +310,9 @@ def test_workers_capped_at_usable_cpus(monkeypatch, threads, workers):
 
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-    params, band, samples = SPACES[1], Band(p=P), 5 * SHARD_SIZE
-    est = _mc_over_box(params, band, samples=samples, seed=SEED, stream=(4, 0), threads=threads)
-    assert est == _mc_over_box(params, band, samples=samples, seed=SEED, stream=(4, 0), threads=1)
+    params, samples = SPACES[1], 5 * SHARD_SIZE
+    est = _mc_over_box(params, P, samples=samples, seed=SEED, stream=(4, 0), threads=threads)
+    assert est == _mc_over_box(params, P, samples=samples, seed=SEED, stream=(4, 0), threads=1)
     assert sizes == [workers - 1]  # one thread maps without a pool
 
 
@@ -350,15 +349,11 @@ def test_block_size_changes_no_bit(monkeypatch, threads, chunk_rows):
 
 
 def test_blocks_accepting_no_row_or_every_row(params, threads):
-    # h >= 0, so hi = 0 accepts no row; the unit box's largest h is
-    # (2n)^(2k) + 1, at its corners
+    # the band top is 1, so lo = 1 accepts no row; no band of the unit ball
+    # accepts every row of the box; the densest, n = 1's, fills whole
+    # chunks in test_back_to_back_runs_match_reference
     run = {"samples": SAMPLES, "seed": SEED, "stream": (4, 0), "threads": threads}
-    assert _mc_over_box(params, Band(p=P, hi=0.0), **run) == (0.0, 0.0, 0)
-    hi = 2.0 * ((2 * params.n) ** (2 * params.k) + 1.0)
-    full = _mc_over_box(params, Band(p=P, hi=hi), **run)
-    assert full == reference_lattice(params, reference_band(params, None, hi, power(params, P)),
-                                     SAMPLES, SEED, (4, 0))
-    assert full[2] == np.prod(lattice_shape(SAMPLES))
+    assert _mc_over_box(params, P, lo=1.0, **run) == (0.0, 0.0, 0)
 
 
 def test_sample_points_match_reference(params):
@@ -397,9 +392,9 @@ def test_capacity_normalizes_by_exact_sigma(monkeypatch):
     streams = []
     kernel = montecarlo._mc_over_box
 
-    def counted(params, band, **run):
+    def counted(*args, **run):
         streams.append(run["stream"])
-        return kernel(params, band, **run)
+        return kernel(*args, **run)
 
     monkeypatch.setattr(montecarlo, "_mc_over_box", counted)
     results = [

@@ -12,14 +12,14 @@ from sublap import (
     ball_measure,
     closed_form_capacity,
     density_limit,
+    dirac_limit,
     mc_energy,
     sample_points,
     sigma_p,
     sigma_p_exact,
-    weak_pairing,
 )
 from sublap.fields import gauge_parts, grad_psi_norm_pow
-from sublap.montecarlo import STREAM_BALL, Band, _mc_over_box
+from sublap.montecarlo import STREAM_BALL, _mc_over_box
 
 SAMPLES = 2 * 10**5
 
@@ -91,9 +91,12 @@ class TestSigmaP:
         # sigma_p at n = 3, k = 0.1, c = -1e10, p = 6.2, now stops at the
         # infinite-variance guard.)  SAMPLES fill three shards, so at two
         # threads a started worker sees them too
-        band = Band(p=2.0, weight=lambda h, _: np.where(h < 0.5, np.inf, 1.0))
+        def weight(h, _):
+            return np.where(h < 0.5, np.inf, 1.0)
+
         with pytest.raises(DomainError, match="MC estimate leaves the float range"):
-            _mc_over_box(setup_a, band, samples=SAMPLES, seed=7, stream=(1, 0), threads=threads)
+            _mc_over_box(setup_a, 2.0, weight, samples=SAMPLES, seed=7, stream=(1, 0),
+                         threads=threads)
 
 
 class TestBallMeasure:
@@ -164,7 +167,7 @@ def _annulus_estimate(name, params, p):
     if name == "shell":
         return density_limit(params, p, bump, [0.5], 10**4, 3)[0]
     if name == "pairing":
-        return weak_pairing(params, p, 1.0, bump, 0.2, 1.0, 10**4, 3)
+        return dirac_limit(params, p, bump, [0.2], 10**4, 3)[0]
     return mc_energy(params, p, 0.5, 1.0, 10**4, 3)
 
 
@@ -188,8 +191,8 @@ class TestDivergenceGuard:
 # n = 1, k = 3: 4k = 12 > Q = 8, so the band top R^(4k) leaves the normal
 # floats first.  At R = 2e-38, R^Q = 2.6e-302 is normal but R^12 rounds to
 # 0.  The ball and the annulus energy are the unit runs times R^Q and
-# R^(Q-p), which are normal; the density's bump and the pairing's dilated
-# bump need R^(4k) or its reciprocal, and raise before any draw.
+# R^(Q-p), which are normal; the density's bump needs R^(4k), and raises
+# before any draw.  (The pairing sees only r / R0.)
 TINY_BAND = SpaceParams(1, 3.0, 1.0)
 TINY_BAND_BUMP = CutoffBump(TINY_BAND, 1.0)
 
@@ -208,9 +211,6 @@ def test_tiny_band_matches_its_closed_form(name):
 TINY_BAND_ERRORS = {
     "density": (lambda: density_limit(TINY_BAND, 2.0, TINY_BAND_BUMP, [2e-38, 1e-38], 10**4, 1),
                 r"R\^\(4k\) at R = 2e-38 leaves the float range"),
-    # the unit annulus' bump of radius 1/R = 5e37: B = 5e37^12 is not a float
-    "pairing": (lambda: weak_pairing(TINY_BAND, 2.0, 1.0, TINY_BAND_BUMP, 1e-38, 2e-38, 10**4, 1),
-                r"support radius 5e\+37 gives the h bound R0\^\(4k\) = inf"),
 }
 
 
@@ -294,9 +294,9 @@ class TestDensityLimit:
         calls = []
         kernel = mc._mc_over_box
 
-        def counting(params, band, **run):
-            calls.append((run["stream"], band.lo, band.hi))
-            return kernel(params, band, **run)
+        def counting(*args, **run):
+            calls.append((run["stream"], run["lo"]))
+            return kernel(*args, **run)
 
         monkeypatch.setattr(mc, "_mc_over_box", counting)
         radii = [0.4, 0.2, 0.1]
@@ -304,7 +304,7 @@ class TestDensityLimit:
         assert len(calls) == len(radii)
         assert len({c[0] for c in calls}) == len(calls)
         # each radius: one run over the unit ball, whatever R
-        assert all(call[1:] == (None, 1.0) for call in calls)
+        assert all(call[1] is None for call in calls)
 
     @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.4, 0.4], [0.4, -0.2], []])
     def test_radii_must_decrease(self, setup_a, radii):

@@ -9,7 +9,7 @@ import pytest
 
 from sublap import SpaceParams, montecarlo, sigma_p, sigma_p_exact
 from sublap.cli import main
-from sublap.montecarlo import STREAM_BALL, STREAM_DENSITY, _shard_rng
+from sublap.montecarlo import STREAM_BALL, STREAM_DENSITY, _rng
 
 COMMON = ["--samples", "10000", "--seed", "3", "--threads", "1"]
 
@@ -33,9 +33,9 @@ def kernel_streams(monkeypatch):
     streams = []
     kernel = montecarlo._mc_over_box
 
-    def counted(params, band, **run):
+    def counted(*args, **run):
         streams.append(run["stream"])
-        return kernel(params, band, **run)
+        return kernel(*args, **run)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("sublap") and getattr(module, "_mc_over_box", None) is kernel:
@@ -69,8 +69,19 @@ def test_radii_spacing_checked_before_any_run(command, radii, unordered, kernel_
     assert len(set(kernel_streams)) == len(kernel_streams) == 3
 
 
+def test_reported_constant_checked_before_any_run(kernel_streams, capsys):
+    # the pairing runs in the unit space, but the report's normalization
+    # constant needs sigma_p of these parameters, whose |c|^((p-2n)/(2k))
+    # leaves the floats: exit 1 before any draw
+    argv = ["dirac", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"]
+    assert main(argv + COMMON) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a positive normal float" in captured.err
+    assert kernel_streams == []
+
+
 def draws(seed, stream, shard, rows=1000):
-    return _shard_rng(seed, stream, shard).random((rows, 3))
+    return _rng(seed, (*stream, shard)).random((rows, 3))
 
 
 def test_same_key_gives_identical_draws():

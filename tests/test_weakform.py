@@ -6,9 +6,9 @@ from sublap import (
     CutoffBump,
     DomainError,
     GaugePsi,
+    SpaceParams,
     dirac_limit,
-    sample_points,
-    weak_pairing,
+    normalization,
 )
 
 SAMPLES = 2 * 10**5
@@ -38,62 +38,58 @@ class TestBumpField:
         assert vals[2] < 1e-300
 
 
+def pairing(params, p, r, seed, samples=SAMPLES, R0=1.0):
+    """dirac_limit at the one radius r against the bump of radius R0."""
+    (est,) = dirac_limit(params, p, CutoffBump(params, R0), [r], samples, seed)
+    return est
+
+
+def minus_bump(params, r):
+    """-phi(h = r^(4k)) of the bump of radius 1: the pairing at r."""
+    return -float(CutoffBump(params, 1.0).values_of_h(r ** (4 * params.k)))
+
+
 class TestWeakPairing:
-    def test_disjoint_support_is_exactly_zero(self, setup_a):
-        bump = CutoffBump(setup_a, 0.3)
-        est = weak_pairing(setup_a, 2.0, 1.0, bump, 0.5, 1.0, SAMPLES, 4)
-        assert est.mean == 0.0 and est.stderr == 0.0
+    """The pairing at one radius of `dirac_limit`: by integration by parts
+    on the annulus it is exactly -phi(h = r^(4k))."""
 
     def test_matches_quadrature_oracle(self, setup_a):
-        bump = CutoffBump(setup_a, 1.0)
-        oracle = pairing_quadrature(1, 1.0, 1.0, 2.0, -2.0, 1.0, 1.0, 0.3, 1.0)
-        est = weak_pairing(setup_a, 2.0, 1.0, bump, 0.3, 1.0, SAMPLES, 21)
+        # u the unit space's profile, normalized by the quadrature sigma_p
+        scale = normalization(setup_a.unit(), 2.0, sigma_p_quadrature(1, 1.0, 1.0, 2.0))
+        oracle = pairing_quadrature(1, 1.0, 1.0, 2.0, -2.0, scale, 1.0, 0.3, 1.0)
+        assert oracle == pytest.approx(minus_bump(setup_a, 0.3), rel=1e-6)
+        est = pairing(setup_a, 2.0, 0.3, 21)
         assert abs(est.mean - oracle) <= 4.0 * est.stderr
 
     def test_small_radius_identity(self, setup_a):
-        # pairing(r) = -|alpha|^(p-2) alpha (Q sigma_p) g(r^(4k)) for the bump
-        p, alpha = 2.0, -2.0
-        bump = CutoffBump(setup_a, 1.0)
-        sig = sigma_p_quadrature(1, 1.0, 1.0, p)
-        r = 0.1
-        g = np.exp(-(r**4) / (1.0 - r**4))
-        target = -abs(alpha) ** (p - 2) * alpha * 4.0 * sig * g
-        est = weak_pairing(setup_a, p, 1.0, bump, r, 1.0, SAMPLES, 22)
-        assert target == pytest.approx(2.0 * 4.0 * sig * g)  # positive for alpha = -2
-        assert abs(est.mean - target) <= 4.0 * est.stderr
+        est = pairing(setup_a, 2.0, 0.1, 22)
+        assert abs(est.mean - minus_bump(setup_a, 0.1)) <= 4.0 * est.stderr
 
     def test_normalized_profile_reaches_minus_one(self, setup_a):
-        sig = sigma_p_quadrature(1, 1.0, 1.0, 2.0)
-        from sublap import normalization
-
-        c1 = normalization(setup_a, 2.0, sig)
-        bump = CutoffBump(setup_a, 1.0)
-        est = weak_pairing(setup_a, 2.0, c1, bump, 0.05, 1.0, SAMPLES, 23)
+        est = pairing(setup_a, 2.0, 0.05, 23)
         assert abs(est.mean - (-1.0)) <= 4.0 * est.stderr + 1e-3
 
     def test_validation(self, setup_a):
-        bump = CutoffBump(setup_a, 1.0)
-        with pytest.raises(DomainError):
-            weak_pairing(setup_a, 2.0, 1.0, bump, 1.0, 0.5, SAMPLES, 1)
-        with pytest.raises(DomainError):
-            weak_pairing(setup_a, 2.0, 1.0, GaugePsi(setup_a), 0.1, 1.0, SAMPLES, 1)
+        # the radius must sit inside the bump's support, and phi be a bump
+        with pytest.raises(DomainError, match="inside the bump support"):
+            pairing(setup_a, 2.0, 1.0, 1, R0=0.5)
+        with pytest.raises(DomainError, match="must be a CutoffBump"):
+            dirac_limit(setup_a, 2.0, GaugePsi(setup_a), [0.1], SAMPLES, 1)
 
     def test_slope_outside_float_range(self, setup_a):
         # p = 1.01: alpha = -299, and psi^(alpha-1) overflows below psi = 0.094
-        bump = CutoffBump(setup_a, 1.0)
         with pytest.raises(DomainError, match="not a nonzero finite float"):
-            weak_pairing(setup_a, 1.01, 1.0, bump, 0.05, 1.0, SAMPLES, 1)
-        est = weak_pairing(setup_a, 1.01, 1.0, bump, 0.1, 1.0, 10**4, 1)
-        assert np.isfinite(est.mean)
+            pairing(setup_a, 1.01, 0.05, 1)
+        assert np.isfinite(pairing(setup_a, 1.01, 0.1, 1, samples=10**4).mean)
 
     def test_integrand_stable_as_radius_shrinks(self, setup_a):
-        # local integrability: the estimate stabilizes instead of diverging
-        bump = CutoffBump(setup_a, 1.0)
-        means = [
-            abs(weak_pairing(setup_a, 2.0, 1.0, bump, r, 1.0, SAMPLES, 41).mean)
-            for r in (0.4, 0.2, 0.1, 0.05)
-        ]
-        assert max(means) <= 1.2 * means[-1] + 1.0
+        # local integrability: each estimate stays at -phi(h = r^(4k)), and
+        # its stderr does not grow, as r shrinks
+        radii = (0.4, 0.2, 0.1, 0.05)
+        estimates = dirac_limit(setup_a, 2.0, CutoffBump(setup_a, 1.0), radii, SAMPLES, 41)
+        for r, est in zip(radii, estimates):
+            assert abs(est.mean - minus_bump(setup_a, r)) <= 4.0 * est.stderr
+        assert max(est.stderr for est in estimates) <= 2.0 * estimates[0].stderr
 
 
 class TestDiracLimit:
@@ -127,6 +123,19 @@ class TestDiracLimit:
             with pytest.raises(DomainError, match="not a nonzero finite float"):
                 dirac_limit(setup_a, p, bump, [0.2, 0.1, 0.05], SAMPLES, 3)
         assert draws == []
+
+    def test_runs_in_the_unit_space(self):
+        # only n, k, p and r / R0 count: setup D (c = -2, an offset x0) gives
+        # its unit space's estimates bit for bit, and so do R0 and the radii
+        # scaled by 4, a power of two, which keeps each r / R0 exact
+        params = SpaceParams(3, 1.5, -2.0, [0.3, -0.2, 0.1, 0.5, -0.4, 0.2, 0.7])
+
+        def run(space, R0):
+            radii = [R0 * r for r in (0.2, 0.1, 0.05)]
+            return dirac_limit(space, 3.0, CutoffBump(space, R0), radii, 10**4, 5)
+
+        estimates = run(params, 1.0)
+        assert estimates == run(params.unit(), 1.0) == run(params, 4.0)
 
     def test_radii_validation(self, setup_a):
         bump = CutoffBump(setup_a, 1.0)
