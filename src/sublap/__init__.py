@@ -31,7 +31,6 @@ from .fields import (
 )
 from .frame import (
     bracket_comparison,
-    frame_matrix,
     horizontal_gradient,
     horizontal_hessian_sym,
     infinity_laplacian,

@@ -40,28 +40,22 @@ class ScalarField:
         return self.jet(pts).value
 
 
-def einsum_sum_of_squares(n2: int, square, lanes: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The sum over j < n2 of square(j, out), which writes the square of
-    coordinate j into `out`, added in the order of numpy's einsum("ij,ij->i")
-    kernel on its two-lane (SSE2) baseline: even and odd coordinates in
-    separate lanes, each run of eight folded in last to first, the two lanes
-    added at the end.  The sum is then bit-identical to the einsum of the
-    coordinates.  `lanes` (2, N) and `tmp` (N,) are work rows; the sum is
-    left in lanes[0] and returned, and lanes[1] and `tmp` are free after.
-    """
-    order = []
-    while n2 - len(order) >= 8:
-        j = len(order)
-        order += [j + 6, j + 4, j + 2, j, j + 7, j + 5, j + 3, j + 1]
-    order += range(len(order), n2)
-    for parity, lane in enumerate(lanes):
-        first, *rest = [j for j in order if j % 2 == parity]
-        square(first, lane)
-        for j in rest:
-            square(j, tmp)
-            lane += tmp
-    lanes[0] += lanes[1]
-    return lanes[0]
+def sum_of_squares(n2: int, square, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Every Sigma: the sum over j < n2 of square(j, buf), which writes the
+    square of coordinate j into `buf`, added in coordinate order into `out`
+    and returned; `tmp` is a work array of out's shape."""
+    square(0, out)
+    for j in range(1, n2):
+        square(j, tmp)
+        out += tmp
+    return out
+
+
+def squared_norm(u: np.ndarray):
+    """sum_l u_l^2 over u's last axis by `sum_of_squares`; one point's is a numpy scalar."""
+    out, tmp = np.empty(u.shape[:-1]), np.empty(u.shape[:-1])
+    return sum_of_squares(u.shape[-1], lambda j, buf: np.multiply(u[..., j], u[..., j], out=buf),
+                          out, tmp)[()]
 
 
 def gauge_h(params: SpaceParams, sigma: np.ndarray, tau_sq: np.ndarray, out: np.ndarray):
@@ -78,19 +72,19 @@ def gauge_h(params: SpaceParams, sigma: np.ndarray, tau_sq: np.ndarray, out: np.
 
 def gauge_parts(params: SpaceParams, pts: np.ndarray):
     """Vectorized (Sigma, tau, h) over an (N, dim) array of points, one
-    coordinate column at a time: Sigma is the einsum of the offsets x_l - a_l."""
+    coordinate column at a time: Sigma is the `sum_of_squares` of the offsets x_l - a_l."""
     pts = as_points(params, pts)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must have shape (N, {params.dim}), got {pts.shape}")
     n2, x0, cols = 2 * params.n, params.x0, pts.T
-    work = np.empty((5, pts.shape[0]))
-    lanes, tmp, tau, h = work[:2], work[2], work[3], work[4]
+    work = np.empty((4, pts.shape[0]))
+    sigma, tmp, tau, h = work
 
     def square(j, out):
         np.subtract(cols[j], x0[j], out=out)
         out *= out
 
-    sigma = einsum_sum_of_squares(n2, square, lanes, tmp)
+    sum_of_squares(n2, square, sigma, tmp)
     np.subtract(cols[n2], x0[n2], out=tau)
     return sigma, tau, gauge_h(params, sigma, np.multiply(tau, tau, out=tmp), h)
 
@@ -171,7 +165,7 @@ class GaugeH(HFunction):
         grad[..., :n2] = 2.0 * u
         hess = np.zeros(pts.shape + (d,))
         hess[..., range(n2), range(n2)] = 2.0
-        sigma = Jet2(np.einsum("...l,...l->...", u, u)[()], grad, hess)
+        sigma = Jet2(squared_norm(u), grad, hess)
         tau = Jet2.variable(pts[..., n2] - params.s, n2, d)
         return params.c**2 * sigma ** (2 * params.k) + tau * tau
 

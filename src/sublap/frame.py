@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePointError
-from .fields import ScalarField
+from .fields import ScalarField, squared_norm
 from .space import SpaceParams, as_points
 
 # Rows per block when an operator runs over a batch of points: bounds the
@@ -37,10 +37,7 @@ def _over_blocks(fn, P: np.ndarray):
 
 def _horizontal_offsets(params: SpaceParams, P: np.ndarray):
     u = P[..., : 2 * params.n] - params.a
-    # matmul sums like the dot product of one point, bit for bit; a single
-    # point gives a numpy scalar, whose powers round like Python floats
-    sigma = _scalar((u[..., None, :] @ u[..., :, None])[..., 0, 0])
-    return u, sigma
+    return u, squared_norm(u)
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,28 +112,23 @@ def t_coefficient_gradients(params: SpaceParams, P) -> np.ndarray:
     return grads
 
 
-def frame_matrix(params: SpaceParams, P) -> np.ndarray:
-    """(2n, 2n+1) matrix (per row of a batch) whose rows are the coefficients of X_i."""
-    b = t_coefficients(params, P)
-    E = np.zeros(b.shape + (params.dim,))
-    E[..., : 2 * params.n] = np.eye(2 * params.n)
-    E[..., 2 * params.n] = b
-    return E
-
-
 def _horizontal_parts(params: SpaceParams, field: ScalarField, P):
-    """(grad_0 f, (D^2 f)*) from one field jet per point, shapes (..., 2n), (..., 2n, 2n)."""
+    """(grad_0 f, (D^2 f)*) from one field jet per point, shapes (..., 2n), (..., 2n, 2n):
+    X_i f = f_i + b_i f_t and, as d_t b_j = 0, X_i X_j f = f_ij + b_i f_tj + b_j f_ti
+    + b_i b_j f_tt + (d_i b_j) f_t, symmetrized in groups that are exactly symmetric."""
     n2 = 2 * params.n
 
     def block(P):
-        E, grads, jet = frame_matrix(params, P), t_coefficient_gradients(params, P), field.jet(P)
-        core = E @ jet.hess @ np.swapaxes(E, -1, -2)
-        core = 0.5 * (core + np.swapaxes(core, -1, -2))  # matmul is not bit-symmetric
-        # X_i b_j = E_i . grad b_j  (the t-component of grad b_j is zero)
-        xb = E @ np.swapaxes(grads, -1, -2)
-        gt = jet.grad[..., n2, None, None]
-        hess = core + 0.5 * gt * (xb + np.swapaxes(xb, -1, -2))
-        return (E @ jet.grad[..., None])[..., 0], hess
+        b, grads, jet = t_coefficients(params, P), t_coefficient_gradients(params, P), field.jet(P)
+        g, H = jet.grad, jet.hess
+        gt = g[..., n2, None]
+        s = b[..., :, None] * H[..., n2, None, :n2]  # s_ij = b_i f_tj
+        # X_i b_j + X_j b_i = d_i b_j + d_j b_i, from the gradients' horizontal columns
+        xb_sym = grads[..., :n2] + np.swapaxes(grads[..., :n2], -1, -2)
+        hess = (H[..., :n2, :n2] + (s + np.swapaxes(s, -1, -2))
+                + H[..., n2, n2, None, None] * (b[..., :, None] * b[..., None, :])
+                + 0.5 * gt[..., None] * xb_sym)
+        return g[..., :n2] + b * gt, hess
 
     return _over_blocks(block, as_points(params, P))
 
@@ -200,9 +192,9 @@ def _along_t(params: SpaceParams, coeff) -> np.ndarray:
 def _bracket_coefficients(params: SpaceParams, P: np.ndarray) -> np.ndarray:
     """(2n, 2n) array (per row of a batch): entry (i-1, j-1) is the
     t-coefficient X_i b_j - X_j b_i of [X_i, X_j]."""
-    # X_i b_j = E_i . grad b_j, as in _horizontal_parts
-    xb = frame_matrix(params, P) @ np.swapaxes(t_coefficient_gradients(params, P), -1, -2)
-    return xb - np.swapaxes(xb, -1, -2)
+    # X_i b_j = d_i b_j, entry (j, i) of the gradients: b_j has no t-dependence
+    grads = t_coefficient_gradients(params, P)[..., : 2 * params.n]
+    return np.swapaxes(grads, -1, -2) - grads
 
 
 def lie_bracket(params: SpaceParams, i: int, j: int, P) -> np.ndarray:

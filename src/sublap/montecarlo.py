@@ -50,9 +50,9 @@ pass.  A point of the box is 2y, y = frac(L + s) - 1/2 its centred offset,
 L the lattice point and s the shift.  Coordinate j of a shard's offsets is
 one broadcast add of the lattice's row j and the replicates' centred shifts
 into an (R_s, N) view of a shard-length row, wrapped into [-1/2, 1/2] by
-subtracting the mask y > 1/2 (bit for bit y - rint(y)), then squared into
-numpy's einsum lane order (`fields.einsum_sum_of_squares`): Sigma = 4 sum_l
-y_l^2 and tau = 2 y_t, with no point array.  The band's weight sees the
+subtracting the mask y > 1/2 (bit for bit y - rint(y)), then squared and
+added in coordinate order (`fields.sum_of_squares`): Sigma = 4 sum_l y_l^2
+and tau = 2 y_t, with no point array.  The band's weight sees the
 accepted rows (`np.flatnonzero` of its mask) CHUNK_ROWS at a time, their
 Sigma and h gathered with `take`; a weight that needs points rebuilds them
 from each row's replicate and lattice index.  The values are scattered by
@@ -61,9 +61,10 @@ by numpy's pairwise reduction over its N contiguous values, not a BLAS dot,
 so neither the chunk size nor the BLAS thread count changes a bit.
 
 Each worker of a run makes one set of buffers when it starts and passes it
-to each of its shards: three shard-length float rows (two einsum lanes, and
-a temporary that holds tau^2 and then the shard's values) and two bool
-masks, about 1.7 MB in any dimension.  The set goes when the worker ends.
+to each of its shards: three shard-length float rows (Sigma, h, and a
+temporary that holds each square, then tau^2, then the shard's values) and
+two bool masks, about 1.7 MB in any dimension.  The set goes when the
+worker ends.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .extrapolation import decreasing_radii
 from .fields import (
-    ScalarField, einsum_sum_of_squares, gauge_h, gauge_parts, grad_psi_norm_pow,
+    ScalarField, gauge_h, gauge_parts, grad_psi_norm_pow, sum_of_squares,
 )
 from .space import SpaceParams, check_integrable, sigma_p_exact
 
@@ -236,18 +237,18 @@ def _shard_gauge(params, lattice, shifts, work, mask):
     work[1]; `mask` holds R_s N bools."""
     n2 = 2 * params.n
     rows = len(shifts) * lattice.shape[1]
-    lanes, tmp = work[:2, :rows], work[2, :rows]
+    sigma, h, tmp = work[:, :rows]
 
     def square(j, out):
         _shard_column(lattice, shifts, j, out, mask)
         out *= out
 
-    sigma = einsum_sum_of_squares(n2, square, lanes, tmp)
+    sum_of_squares(n2, square, sigma, tmp)
     sigma *= 4.0
     tau_sq = _shard_column(lattice, shifts, n2, tmp, mask)
     tau_sq *= 2.0
     tau_sq *= tau_sq
-    return sigma, gauge_h(params, sigma, tau_sq, lanes[1])
+    return sigma, gauge_h(params, sigma, tau_sq, h)
 
 
 def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, threads):
@@ -261,8 +262,8 @@ def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, thre
     Runs the R N points of `lattice_shape(samples)`.  Shards are reduced in
     index order.  Raises DomainError where the integral diverges
     (`space.check_integrable`) or its square does, and ConfigurationError
-    for a negative seed, before any draw; DomainError after the draws when a
-    replicate mean is not a finite float.
+    for a negative seed, before any draw; DomainError after the draws when no
+    point lies in the band or a replicate mean is not a finite float.
     """
     params = params.unit()
     check_integrable(params, p)
@@ -333,6 +334,9 @@ def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, thre
     else:
         run_worker(0)
 
+    if not accepted.any():
+        raise DomainError(f"none of the run's {total} points lies in the band: its 0 +- 0 "
+                          "bounds nothing, as the band fills too little of its box")
     with np.errstate(over="ignore", invalid="ignore"):
         means = rep_sums * (2.0**params.dim / points)  # the box's volume over N
         mean = float(means.sum()) / reps

@@ -156,18 +156,27 @@ def coarea_quadrature(params, p, g, lo, hi):
 # The Monte Carlo estimators as whole arrays, without the shard kernel.
 # `reference_mc` and `reference_sample_points` draw a whole (N, dim) uniform
 # array per shard, map it to the point array lo + U * width of a box of the
-# physical space (x0, c and all), and take (Sigma, tau, h) from an einsum of
-# the points.  `reference_lattice` builds each replicate of the unit box
-# [-1, 1]^(2n+1) (c = 1, about 0) as one array of centred offsets y and
-# takes (Sigma, tau, h) from them (`reference_centred_parts`).  The library
+# physical space (x0, c and all), and take (Sigma, tau, h) from the points,
+# Sigma's squares added in coordinate order (`in_order_sum_of_squares`).
+# `reference_lattice` builds each replicate of the unit box [-1, 1]^(2n+1)
+# (c = 1, about 0) as one array of centred offsets y and takes (Sigma, tau,
+# h) from them (`reference_centred_parts`).  The library
 # must reproduce `reference_lattice` and `reference_sample_points` bit for
 # bit; `reference_mc` checks its exact factors statistically.
+
+
+def in_order_sum_of_squares(u):
+    """sum_l u_l^2 over u's last axis, one square at a time in coordinate order."""
+    total = u[..., 0] * u[..., 0]
+    for j in range(1, u.shape[-1]):
+        total = total + u[..., j] * u[..., j]
+    return total
 
 
 def reference_gauge_parts(params, pts):
     u = pts[:, : 2 * params.n] - params.a
     tau = pts[:, 2 * params.n] - params.s
-    sigma = np.einsum("ij,ij->i", u, u)
+    sigma = in_order_sum_of_squares(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = params.c**2 * sigma ** (2 * params.k) + tau * tau
     return sigma, tau, h
@@ -175,11 +184,11 @@ def reference_gauge_parts(params, pts):
 
 def reference_centred_parts(params, Y):
     """(Sigma, tau, h) of the unit space at the points 2Y of the unit box,
-    from their centred offsets Y (N, dim): Sigma = 4 einsum(y_h, y_h), tau =
-    2 y_t and h = Sigma^(2k) + tau^2; only n and k of params count."""
+    from their centred offsets Y (N, dim): Sigma = 4 sum_l y_l^2, added in
+    coordinate order, tau = 2 y_t and h = Sigma^(2k) + tau^2; only n and k
+    of params count."""
     n2 = 2 * params.n
-    yh = Y[:, :n2]
-    sigma = 4.0 * np.einsum("ij,ij->i", yh, yh)
+    sigma = 4.0 * in_order_sum_of_squares(Y[:, :n2])
     tau = 2.0 * Y[:, n2]
     with np.errstate(divide="ignore", invalid="ignore"):
         h = sigma ** (2 * params.k) + tau * tau

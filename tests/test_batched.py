@@ -168,7 +168,7 @@ def _profile(params):
 class TestFrameOperators:
     def test_coefficients_match_pointwise(self, setup_points):
         for params, pts in setup_points:
-            for fn in (frame.t_coefficients, frame.t_coefficient_gradients, frame.frame_matrix):
+            for fn in (frame.t_coefficients, frame.t_coefficient_gradients):
                 assert_rows_match(fn(params, pts), [fn(params, P) for P in pts])
 
     def test_operators_match_pointwise(self, setup_points, rng):

@@ -212,6 +212,11 @@ class TestExitCodes:
         # normalization constant needs: an uncaught OverflowError before
         (["dirac", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
          "not a positive normal float"),
+        # the unit ball fills too little of its box for any of 1e4 points to
+        # land in it: exit 0 with 0.0 +- 0.0 before, against a closed-form
+        # capacity of 584.64 at n = 12
+        (["sigma", "--n", "7", "--k", "1"], "none of the run's"),
+        (["capacity", "--n", "12", "--k", "0.6", "--method", "mc"], "none of the run's"),
     ], ids=["ahlfors-R^Q-overflow", "ahlfors-width-product", "density-R^(4k)-underflow",
             "density-huge-radii", "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200",
@@ -221,7 +226,7 @@ class TestExitCodes:
             "capacity-all-p-1.01-r-0.0933", "capacity-all-p-1.2-R-1e40",
             "capacity-all-p-1.05-R-1e6", "capacity-mc-annulus-warning", "sigma-inf-estimate",
             "sigma-k-0.25", "sigma-k-0.25-p-3.8", "ahlfors-inf-estimate",
-            "dirac-sigma-p-overflow"])
+            "dirac-sigma-p-overflow", "sigma-empty-ball", "capacity-mc-empty-band"])
     def test_overflowing_input_exits_one(self, capsys, recwarn, argv, message):
         assert main(argv + FAST) == 1
         captured = capsys.readouterr()
@@ -252,10 +257,13 @@ class TestExitCodes:
         (["density", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
          lambda: [float(CutoffBump(SpaceParams(3, 0.1, 1e-19), 1.0).values_of_h(R**0.4))
                   for R in (0.4, 0.2, 0.1)]),
+        # the bump of radius 1 is 0 on both spheres: each run accepts points
+        # whose weight is 0, a correct 0.0 +- 0.0, unlike a run that accepts none
+        (["density", "--radii", "1000,500", "--bump-radius", "1"], lambda: [0.0, 0.0]),
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "ahlfors-volume-R7",
             "ahlfors-huge-radii", "ahlfors-tiny-radii", "ahlfors-R^Q-underflow",
             "ahlfors-R^(4k)-underflow", "capacity-mc-R^(4k)-underflow",
-            "density-sigma-p-overflow"])
+            "density-sigma-p-overflow", "density-bump-zero-on-spheres"])
     def test_value_in_the_floats_is_reported(self, capsys, recwarn, argv, exact):
         code, out = run_cli(capsys, argv + FAST)
         assert code == 0

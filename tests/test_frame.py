@@ -12,7 +12,6 @@ from sublap import (
     SpaceParams,
     bracket_comparison,
     exponents,
-    frame_matrix,
     horizontal_gradient,
     horizontal_hessian_sym,
     infinity_laplacian,
@@ -38,29 +37,32 @@ def chi_constant(k, p):
 
 
 class TestFieldCoefficients:
-    """Row i-1 of frame_matrix and of t_coefficient_gradients belongs to X_i."""
+    """Entry i-1 of t_coefficients and row i-1 of t_coefficient_gradients belong to X_i."""
 
     def test_hand_values_setup_a(self, setup_a):
-        E = frame_matrix(setup_a, [1.0, 2.0, 5.0])
-        assert np.array_equal(E[0], [1.0, 0.0, 4.0])
-        assert np.array_equal(E[1], [0.0, 1.0, -2.0])
+        b = t_coefficients(setup_a, [1.0, 2.0, 5.0])
+        assert np.array_equal(b, [4.0, -2.0])
 
     def test_hand_values_setup_b(self, setup_b):
-        E = frame_matrix(setup_b, [1.0, 2.0, 5.0])
-        assert np.array_equal(E[0], [1.0, 0.0, 40.0])
+        b = t_coefficients(setup_b, [1.0, 2.0, 5.0])
+        assert np.array_equal(b, [40.0, -20.0])
 
     def test_basis_structure(self, setup_c, rng):
+        # X_i = d_i + b_i d_t: X_i t = b_i and X_i x_1 = delta_(i,1)
         P = sample_points(setup_c, 1, 3)[0]
-        E = frame_matrix(setup_c, P)
-        grads = t_coefficient_gradients(setup_c, P)
         n2 = 2 * setup_c.n
-        assert np.array_equal(E[:, :n2], np.eye(n2))
+        b = t_coefficients(setup_c, P)
+        grads = t_coefficient_gradients(setup_c, P)
+        t = Polynomial([(1.0, [0] * n2 + [1])], setup_c.dim)
+        assert np.array_equal(horizontal_gradient(setup_c, t, P), b)
+        x1 = Polynomial([(1.0, [1] + [0] * n2)], setup_c.dim)
+        assert np.array_equal(horizontal_gradient(setup_c, x1, P), np.eye(n2)[0])
         assert not grads[:, -1].any()  # t-coefficients are t-independent
 
     def test_degenerate_point_small_k(self):
         params = SpaceParams(1, 0.5, 1.0)
         with pytest.raises(DegeneratePointError):
-            frame_matrix(params, [0.0, 0.0, 1.0])
+            t_coefficients(params, [0.0, 0.0, 1.0])
         with pytest.raises(DegeneratePointError):
             t_coefficient_gradients(params, [0.0, 0.0, 1.0])
 
@@ -68,7 +70,7 @@ class TestFieldCoefficients:
         # on {Sigma = 0} the coefficients and their gradients vanish for k > 1
         P = setup_c.x0.copy()
         P[-1] = 1.0
-        assert not frame_matrix(setup_c, P)[:, -1].any()
+        assert not t_coefficients(setup_c, P).any()
         assert not t_coefficient_gradients(setup_c, P).any()
 
     def test_gradients_match_fd(self, all_setups, rng):

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -136,12 +137,19 @@ def test_report_matches_golden(space, command):
     assert text == golden
 
 
-@pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_goldens_hold_at_any_blas_thread_count(blas_threads):
-    # OpenBLAS sizes its pool when numpy loads, so each count needs a process
+@pytest.mark.parametrize("blas_env", [
+    {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+    # an SSE4.2 kernel in place of the one OpenBLAS picks for this CPU;
+    # numpy's x86-64 baseline already requires SSE4.2
+    pytest.param({"OPENBLAS_CORETYPE": "Nehalem"}, marks=pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"), reason="an x86-64 kernel")),
+], ids=["1", "2", "Nehalem"])
+def test_goldens_hold_at_any_blas_thread_count(blas_env):
+    # OpenBLAS sizes its pool and picks its kernels when numpy loads, so each
+    # setting needs a process
     paths = [str(Path(sublap.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
-               OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **blas_env)
     code = "import test_golden; print(*test_golden.mismatches())"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

@@ -27,7 +27,9 @@ from helpers import (
 from sublap import (
     ConfigurationError,
     CutoffBump,
+    DomainError,
     FundamentalProfile,
+    GaugeH,
     Polynomial,
     SpaceParams,
     annulus_capacity,
@@ -349,11 +351,13 @@ def test_block_size_changes_no_bit(monkeypatch, threads, chunk_rows):
 
 
 def test_blocks_accepting_no_row_or_every_row(params, threads):
-    # the band top is 1, so lo = 1 accepts no row; no band of the unit ball
-    # accepts every row of the box; the densest, n = 1's, fills whole
-    # chunks in test_back_to_back_runs_match_reference
+    # the band top is 1, so lo = 1 accepts no row, and a run that accepts
+    # none has no estimate; no band of the unit ball accepts every row of
+    # the box; the densest, n = 1's, fills whole chunks in
+    # test_back_to_back_runs_match_reference
     run = {"samples": SAMPLES, "seed": SEED, "stream": (4, 0), "threads": threads}
-    assert _mc_over_box(params, P, lo=1.0, **run) == (0.0, 0.0, 0)
+    with pytest.raises(DomainError, match="none of the run's"):
+        _mc_over_box(params, P, lo=1.0, **run)
 
 
 def test_sample_points_match_reference(params):
@@ -364,6 +368,8 @@ def test_sample_points_match_reference(params):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sigma_matches_einsum(n, rng):
+    # one Sigma, the squares of the offsets added in coordinate order: the
+    # library's arrays, the 2-jet of h and the frame give the same bits
     params = SpaceParams(n, 1.0, 1.0, rng.uniform(-1, 1, 2 * n + 1))
     pts = rng.uniform(-3, 3, (5000, params.dim))
     sigma, tau, h = gauge_parts(params, pts)
@@ -371,19 +377,22 @@ def test_sigma_matches_einsum(n, rng):
     assert np.array_equal(sigma, ref[0])
     assert np.array_equal(tau, ref[1])
     assert np.array_equal(h, ref[2])
+    assert np.array_equal(GaugeH(params).jet(pts).value, h)
+    assert np.array_equal(frame._horizontal_offsets(params, pts)[1], sigma)
     # the kernel maps a shard's replicates one coordinate column at a time,
-    # from the centred offsets y: Sigma = 4 einsum(y_h, y_h), into the first
-    # 3 N columns of a larger work array, whatever it held before
+    # from the centred offsets y: Sigma = 4 sum_l y_l^2, into the first 3 N
+    # columns of a larger work array, whatever it held before
     lattice = unshifted_lattice(1024, params.dim)
     shifts = rng.random((3, params.dim)) - 0.5
     work = np.full((3, 4000), np.nan)
     sigma, h = _shard_gauge(params, lattice, shifts, work, np.empty(3 * 1024, bool))
-    # C order, as the reference's einsum of a replicate's offsets
-    Y = np.ascontiguousarray(np.concatenate([lattice.T + shift for shift in shifts]))
+    Y = np.concatenate([lattice.T + shift for shift in shifts])
     Y -= np.rint(Y)
     ref = reference_centred_parts(params, Y)
     assert np.array_equal(sigma, ref[0])
     assert np.array_equal(h, ref[2])
+    # the unit box's points 2y: each square is 4 y_l^2 exactly
+    assert np.array_equal(sigma, gauge_parts(params.unit(), 2.0 * Y)[0])
 
 
 def test_capacity_normalizes_by_exact_sigma(monkeypatch):
@@ -409,7 +418,7 @@ def test_capacity_normalizes_by_exact_sigma(monkeypatch):
 
 def test_bracket_comparison_builds_frame_once(monkeypatch, setup_c):
     pts = sample_points(setup_c, 3, 4)
-    counts = {"frame_matrix": 0, "t_coefficient_gradients": 0}
+    counts = {"t_coefficient_gradients": 0}
     for name in counts:
         real = getattr(frame, name)
 
@@ -419,7 +428,7 @@ def test_bracket_comparison_builds_frame_once(monkeypatch, setup_c):
 
         monkeypatch.setattr(frame, name, counted)
     records = frame.bracket_comparison(setup_c, pts)
-    assert counts == {"frame_matrix": 1, "t_coefficient_gradients": 1}
+    assert counts == {"t_coefficient_gradients": 1}
     assert len(records) == 3 * 6
     for row, rec in enumerate(records):
         a, i, j = row // 6, rec["i"], rec["j"]
