@@ -11,11 +11,11 @@ from sublap import (
     AnnulusPotential,
     RadialProfile,
     SpaceParams,
-    annulus_capacity,
+    closed_form_capacity,
+    mc_energy,
     minimize_radial,
     radial_energy,
 )
-from sublap.capacity import METHODS
 
 params = SpaceParams(n=1, k=1.0, c=1.0)
 r, R = 1.0, 2.0
@@ -37,11 +37,8 @@ print(f"closed form (32/3):          {32/3:.4f} sigma_2")
 # three-way comparison across p, including the log case p = Q
 print("\nthree-way agreement (sigma_p units):")
 for p in (2.0, 3.0, 4.0, 6.0):
-    vals = {
-        method: annulus_capacity(params, p, r, R, method, samples=4 * 10**5, seed=11)
-        for method in METHODS
-    }
-    mc = vals["mc-energy"]
-    print(f"  p={p:g}: closed={vals['closed-form'].value:9.4f}"
-          f"  radial={vals['radial-variational'].value:9.4f}"
-          f"  mc={mc.value:9.4f} +- {mc.stderr:.4f}")
+    closed = closed_form_capacity(params, p, r, R)
+    _, radial = minimize_radial(params, p, r, R, 400)
+    mc = mc_energy(params, p, r, R, samples=4 * 10**5, seed=11)
+    print(f"  p={p:g}: closed={closed:9.4f}  radial={radial:9.4f}"
+          f"  mc={mc.mean:9.4f} +- {mc.stderr:.4f}")

@@ -4,9 +4,7 @@ of Hörmander vector fields on R^(2n+1)."""
 __version__ = "0.1.0"
 
 from .capacity import (
-    CapacityResult,
     RadialProfile,
-    annulus_capacity,
     closed_form_capacity,
     mc_energy,
     minimize_radial,

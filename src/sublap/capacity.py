@@ -6,11 +6,12 @@ the energy of any radial profile eta(psi) into
     Q sigma_p * integral_r^R |eta'(rho)|^p rho^(Q-1) drho,
 
 so the sigma_p factor is common to every method and cancels in comparisons.
-The radial method minimizes that integral over piecewise-linear profiles
-on knots that crowd where the extremal profile falls, whose minimizer is
-explicit (`minimize_radial`).  The full-dimensional MC
-energy is divided by the closed-form sigma_p (`space.sigma_p_exact`), so its
-stderr is the energy run's alone.
+The three methods are plain functions: `closed_form_capacity`, a float
+that also takes the limit R = inf; `minimize_radial`, the exact minimizer
+of that integral over piecewise-linear profiles on knots that crowd where
+the extremal profile falls; and `mc_energy`, the full-dimensional MC
+energy over the closed-form sigma_p (`space.sigma_p_exact`), whose stderr
+is the energy run's alone.
 """
 
 from __future__ import annotations
@@ -23,19 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import AnnulusPotential
 from .montecarlo import MCEstimate, STREAM_ENERGY, band_estimate, rescaled
-from .space import SpaceParams, check_p, exponents, sigma_p_exact
-
-__all__ = [
-    "RadialProfile",
-    "CapacityResult",
-    "closed_form_capacity",
-    "AnnulusPotential",
-    "radial_energy",
-    "minimize_radial",
-    "mc_energy",
-    "METHODS",
-    "annulus_capacity",
-]
+from .space import SpaceParams, check_annulus, check_p, exponents, sigma_p_exact
 
 
 @dataclass(frozen=True)
@@ -64,28 +53,13 @@ class RadialProfile:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
-    @property
-    def segments(self) -> int:
-        return self.knots.size - 1
-
     @staticmethod
     def linear(r: float, R: float, m: int) -> "RadialProfile":
         knots = np.linspace(r, R, m + 1)
         return RadialProfile(knots, (R - knots) / (R - r))
 
 
-@dataclass(frozen=True)
-class CapacityResult:
-    """A capacity in units of sigma_p by one of METHODS; mc-energy adds its
-    stderr and `run`, the energy's MCEstimate in the same units."""
-
-    method: str                       # closed-form | radial-variational | mc-energy
-    value: float
-    stderr: float | None = None
-    run: MCEstimate | None = None
-
-
-def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> CapacityResult:
+def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> float:
     """Capacity of the annulus B_r inside B_R, in sigma_p units.
 
     |alpha|^(p-1) Q (r^alpha - R^alpha)^(1-p) for p < Q (and with r, R
@@ -97,7 +71,7 @@ def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> C
     so radii or p whose powers leave the float range still give the value
     when it is a float, and a DomainError when it is not.
     """
-    if not 0 < r < R:
+    if not 0 < r < R:  # not `check_annulus`: R = inf gives the limit R -> inf
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
     exps = exponents(params, p)
     Q = exps.Q
@@ -114,7 +88,7 @@ def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> C
         raise DomainError(
             f"closed-form capacity exp({log_value:.6g}) is outside the float range"
         )
-    return CapacityResult(method="closed-form", value=value)
+    return value
 
 
 def radial_energy(params: SpaceParams, p: float, profile: RadialProfile) -> float:
@@ -171,8 +145,7 @@ def minimize_radial(
     """
     if m_knots < 8:
         raise DomainError(f"need at least 8 segments, got {m_knots}")
-    if not 0 < r < R < np.inf:
-        raise DomainError(f"need 0 < r < R < inf, got r={r}, R={R}")
+    check_annulus(r, R)
     check_p(p)
     Q = params.Q
     log_rho = _log_knots(params, p, r, R, m_knots)
@@ -203,9 +176,7 @@ def mc_energy(
 ) -> MCEstimate:
     """MC annulus energy of the explicit potential over the closed-form
     sigma_p: R^(Q-p) times the unit annulus (r/R, 1)'s, in which c cancels."""
-    if not 0 < r < R < math.inf:
-        raise DomainError(f"need 0 < r < R, each radius must be positive and finite, "
-                          f"got r={r}, R={R}")
+    check_annulus(r, R)
     unit = params.unit()
     potential = AnnulusPotential(unit, p, r / R, 1.0)
     k = params.k
@@ -216,25 +187,3 @@ def mc_energy(
     est = band_estimate(params, p, samples, seed, (STREAM_ENERGY, 0), threads, weight, r / R)
     return rescaled(est, (params.Q - p) * math.log(R) - math.log(sigma_p_exact(unit, p)))
 
-
-METHODS = ("closed-form", "radial-variational", "mc-energy")
-
-
-def annulus_capacity(
-    params: SpaceParams, p: float, r: float, R: float, method: str, samples: int,
-    seed: int, m_knots: int = 400, threads: int | None = None,
-) -> CapacityResult:
-    """The capacity of the annulus by one of METHODS, in sigma_p units.
-
-    samples, seed and threads serve mc-energy only, m_knots
-    radial-variational only.
-    """
-    if method == "closed-form":
-        return closed_form_capacity(params, p, r, R)
-    if method == "radial-variational":
-        _, energy = minimize_radial(params, p, r, R, m_knots)
-        return CapacityResult(method=method, value=energy)
-    if method == "mc-energy":
-        est = mc_energy(params, p, r, R, samples, seed, threads)
-        return CapacityResult(method=method, value=est.mean, stderr=est.stderr, run=est)
-    raise DomainError(f"unknown capacity method {method!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularPointError
 from .jets import Jet2
-from .space import SpaceParams, as_points, exponents
+from .space import SpaceParams, as_points, check_annulus, exponents
 
 
 class ScalarField:
@@ -320,9 +320,7 @@ class AnnulusPotential(FundamentalProfile):
     """
 
     def __init__(self, params: SpaceParams, p: float, r: float, R: float):
-        if not 0 < r < R < math.inf:
-            raise DomainError(f"need 0 < r < R, each radius must be positive and finite, "
-                              f"got r={r}, R={R}")
+        check_annulus(r, R)
         alpha, radii = exponents(params, p).alpha, np.array([r, R], dtype=float)
         with np.errstate(all="ignore"):
             g = np.log(radii) if alpha is None else radii**alpha  # g(r), g(R)

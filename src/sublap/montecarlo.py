@@ -83,7 +83,7 @@ from .extrapolation import decreasing_radii
 from .fields import (
     ScalarField, gauge_h, gauge_parts, grad_psi_norm_pow, sum_of_squares,
 )
-from .space import SpaceParams, check_integrable, sigma_p_exact
+from .space import SpaceParams, check_integrable, check_radius, sigma_p_exact
 
 SHARD_SIZE = 1 << 16
 # The band's weight sees a shard's accepted rows at most CHUNK_ROWS at a
@@ -385,11 +385,6 @@ def rescaled(est: MCEstimate, log_factor: float) -> MCEstimate:
     return replace(est, mean=est.mean * factor, stderr=est.stderr * factor)
 
 
-def check_radius(R: float) -> None:
-    if not 0 < R < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {R!r}")
-
-
 def sigma_p(
     params: SpaceParams, p: float, samples: int, seed: int, threads: int | None = None,
     stream: Stream = (STREAM_BALL, 0),
@@ -424,7 +419,10 @@ def _dilation_weight(params: SpaceParams, phi: ScalarField, R: float) -> Callabl
     with np.errstate(over="ignore"):
         half, top = np.exp(log_half), np.exp(4 * k * math.log(R))
     if phi.h_only:
-        top, scale = _normal(top, f"R^(4k) at R = {R!r}"), 4 * k / Q
+        # R^(4k) may underflow (h about 0, where density_limit checks phi), not overflow
+        if top == math.inf:
+            raise DomainError(f"R^(4k) at R = {R!r} leaves the float range: {top} is not finite")
+        scale = 4 * k / Q
 
         def weight_of_h(h, _):
             h = top * h
@@ -456,6 +454,7 @@ def density_limit(
     docstring): (sigma_p R^Q)^(-1) times the integral of (phi + Z phi / Q)
     |grad_0 psi|^p over B_R, so the unit ball's run of the dilated weight
     over the closed-form sigma_p of the unit space, and its stderr its own.
+    DomainError unless each is a normal float or 0.
     """
     radii = decreasing_radii(radii)
     sigma = sigma_p_exact(params.unit(), p)
@@ -465,7 +464,10 @@ def density_limit(
         # one stream per radius: the unit run is the same for every radius,
         # so a shared stream would give every radius the same points
         est = band_estimate(params, p, samples, seed, (STREAM_DENSITY, idx), threads, weight)
-        out.append(replace(est, mean=est.mean / sigma, stderr=est.stderr / sigma))
+        density = est.mean / sigma
+        if density != 0.0:  # `rescaled`'s rule
+            _normal(density, f"the density at R = {R!r}")
+        out.append(replace(est, mean=density, stderr=est.stderr / sigma))
     return out
 
 

@@ -131,6 +131,17 @@ def check_p(p: float) -> None:
         raise DomainError(f"p must exceed 1 and be at most {P_MAX:g}, got {p!r}")
 
 
+def check_radius(R: float) -> None:
+    if not 0 < R < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {R!r}")
+
+
+def check_annulus(r: float, R: float) -> None:
+    if not 0 < r < R < math.inf:
+        raise DomainError(f"need 0 < r < R < inf: each radius must be positive and finite, "
+                          f"got r={r}, R={R}")
+
+
 def exponents(params: SpaceParams, p: float) -> Exponents:
     """Q = 2n + 2k, w = (Q-p)/((1-p) 4k), alpha = 4k w; log case flagged at p == Q."""
     check_p(p)

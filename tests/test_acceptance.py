@@ -16,7 +16,6 @@ from sublap import (
     FundamentalProfile,
     GaugePsi,
     SpaceParams,
-    annulus_capacity,
     ball_measure,
     bracket_comparison,
     closed_form_capacity,
@@ -27,11 +26,12 @@ from sublap import (
     infinity_laplacian,
     lie_bracket,
     lie_bracket_printed,
+    mc_energy,
+    minimize_radial,
     p_laplacian,
     sample_points,
     sigma_p,
 )
-from sublap.capacity import METHODS
 from sublap.fields import gauge_parts
 from sublap.montecarlo import STREAM_BALL
 
@@ -236,26 +236,22 @@ def test_criterion_7_capacity_three_way():
     start = time.perf_counter()
     ok = True
     details = []
-    anchor = closed_form_capacity(SETUPS["A"], 2.0, 1.0, 2.0).value
+    anchor = closed_form_capacity(SETUPS["A"], 2.0, 1.0, 2.0)
     ok = ok and anchor == pytest.approx(32.0 / 3.0, rel=1e-12)
     for name, params in (("A", SETUPS["A"]), ("B", SETUPS["B"])):
         Q = params.Q
         for p in (2.0, 3.0, Q, Q + 2.0):
             # 1.6e6 samples: the MC energy's relative stderr is 0.5% at
             # setup B, so the 2% pairwise gate sits at 4 stderr
-            vals = {
-                method: annulus_capacity(params, p, 1.0, 2.0, method, 16 * 10**5, SEED, 400)
-                for method in METHODS
-            }
-            closed = vals["closed-form"].value
-            radial = vals["radial-variational"].value
-            mc = vals["mc-energy"]
+            closed = closed_form_capacity(params, p, 1.0, 2.0)
+            _, radial = minimize_radial(params, p, 1.0, 2.0, 400)
+            mc = mc_energy(params, p, 1.0, 2.0, 16 * 10**5, SEED)
             ok = ok and abs(radial - closed) / closed <= 5e-3
-            ok = ok and abs(mc.value - closed) <= 3.0 * mc.stderr + 0.01 * closed
+            ok = ok and abs(mc.mean - closed) <= 3.0 * mc.stderr + 0.01 * closed
             pair = max(
                 abs(closed - radial) / closed,
-                abs(closed - mc.value) / closed,
-                abs(radial - mc.value) / radial,
+                abs(closed - mc.mean) / closed,
+                abs(radial - mc.mean) / radial,
             )
             ok = ok and pair <= LIMIT_TOL
             details.append(f"{name},p={p:g}: max pairwise gap {pair:.4f}")

@@ -14,7 +14,7 @@ from test_golden import SPACES
 
 import sublap
 from sublap import CutoffBump, SpaceParams, closed_form_capacity, sigma_p_exact
-from sublap.cli import COMMANDS, build_parser, main
+from sublap.cli import CAPACITY_RUNS, COMMANDS, build_parser, main
 
 FAST = ["--samples", "10000", "--points", "20", "--seed", "7"]
 
@@ -151,10 +151,8 @@ class TestExitCodes:
         # c^-8 = 1e-400 again: exit 0 and measures of 0.0 before
         (["ahlfors", "--n", "3", "--k", "0.25", "--c", "1e50", "--radii", "2e46,1e46"],
          "MC estimate leaves the float range"),
-        # the density's bump takes h = R^(4k) h_1, which underflows
-        # (1.6e-451) or overflows (1e800): exit 2 with two measures of 0.0,
-        # and an uncaught OverflowError, before
-        (["density", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"], "R^(4k)"),
+        # the density's bump takes h = R^(4k) h_1, and R^(4k) = 1e800
+        # overflows: an uncaught OverflowError before
         (["density", "--radii", "1e200,1e100,1"], "leaves the float range"),
         # the unit annulus (1e-100, 1): |eta'|^2 = 4e-400 at psi = 1
         (["capacity", "--R", "1e100", "--method", "mc"], "leaves the float range"),
@@ -217,8 +215,8 @@ class TestExitCodes:
         # capacity of 584.64 at n = 12
         (["sigma", "--n", "7", "--k", "1"], "none of the run's"),
         (["capacity", "--n", "12", "--k", "0.6", "--method", "mc"], "none of the run's"),
-    ], ids=["ahlfors-R^Q-overflow", "ahlfors-width-product", "density-R^(4k)-underflow",
-            "density-huge-radii", "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
+    ], ids=["ahlfors-R^Q-overflow", "ahlfors-width-product", "density-huge-radii",
+            "capacity-mc-huge-R", "density-huge-bump", "dirac-huge-bump",
             "density-tiny-bump", "density-bump-slope", "dirac-bump-slope", "sigma-c-1e200",
             "capacity-mc-tiny-r-p-1.01", "capacity-all-tiny-r-p-1.01", "dirac-p-1.01",
             "dirac-p-1.003", "verify-fundamental-p-1.003", "verify-fundamental-p-1.01",
@@ -243,7 +241,7 @@ class TestExitCodes:
         (["sigma", "--c", "1e-300"], lambda: [math.pi]),
         (["sigma", "--c", "1e-200"], lambda: [math.pi]),
         (["capacity", "--c", "1e-300", "--method", "mc"],
-         lambda: [closed_form_capacity(SpaceParams(1, 1.0, 1e-300), 2.0, 1.0, 2.0).value]),
+         lambda: [closed_form_capacity(SpaceParams(1, 1.0, 1e-300), 2.0, 1.0, 2.0)]),
         (["ahlfors", "--n", "3", "--k", "0.5", "--radii", "1e100,1e101"],
          lambda: [sigma_p_exact(SpaceParams(3, 0.5, 1.0), 2.0)] * 2),
         (["ahlfors", "--radii", "1e100,1e101"], lambda: [math.pi] * 2),
@@ -253,7 +251,10 @@ class TestExitCodes:
         (["ahlfors", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"],
          lambda: [sigma_p_exact(SpaceParams(1, 3.0, 1.0), 2.0)] * 2),
         (["capacity", "--n", "1", "--k", "3", "--r", "1e-38", "--R", "2e-38", "--method", "mc"],
-         lambda: [closed_form_capacity(SpaceParams(1, 3.0, 1.0), 2.0, 1e-38, 2e-38).value]),
+         lambda: [closed_form_capacity(SpaceParams(1, 3.0, 1.0), 2.0, 1e-38, 2e-38)]),
+        # R^(4k) = 1.6e-451 underflows: the bump sees h about 0, where it
+        # is 1 (exit 2 with two densities of 0.0, then exit 1, before)
+        (["density", "--n", "1", "--k", "3", "--radii", "2e-38,1e-38"], lambda: [1.0, 1.0]),
         (["density", "--n", "3", "--k", "0.1", "--c", "1e-19", "--p", "2"],
          lambda: [float(CutoffBump(SpaceParams(3, 0.1, 1e-19), 1.0).values_of_h(R**0.4))
                   for R in (0.4, 0.2, 0.1)]),
@@ -263,7 +264,8 @@ class TestExitCodes:
     ], ids=["sigma-c-1e-300", "sigma-c-1e-200", "capacity-mc-c-1e-300", "ahlfors-volume-R7",
             "ahlfors-huge-radii", "ahlfors-tiny-radii", "ahlfors-R^Q-underflow",
             "ahlfors-R^(4k)-underflow", "capacity-mc-R^(4k)-underflow",
-            "density-sigma-p-overflow", "density-bump-zero-on-spheres"])
+            "density-R^(4k)-underflow", "density-sigma-p-overflow",
+            "density-bump-zero-on-spheres"])
     def test_value_in_the_floats_is_reported(self, capsys, recwarn, argv, exact):
         code, out = run_cli(capsys, argv + FAST)
         assert code == 0
@@ -497,12 +499,18 @@ class TestCommands:
 
     @pytest.mark.parametrize("method", ["closed-form", "radial", "mc"])
     def test_capacity_record_same_alone_and_in_all(self, capsys, method):
+        # one method reports its record of --method all, byte for byte, and
+        # no relative gap, which needs two methods
         argv = ["capacity", "--p", "3", "--samples", "20000", "--seed", "13",
                 "--knots", "64", "--tol", "1"]
         _, out = run_cli(capsys, argv + ["--method", method])
-        (alone,) = json.loads(out)["results"]
+        alone = json.loads(out)["results"]
+        assert not [rec for rec in alone if rec["name"].startswith("relative_gap")]
+        (record,) = alone
+        assert record["name"] == f"capacity[{CAPACITY_RUNS[method][0]}]"
         _, out = run_cli(capsys, argv + ["--method", "all"])
-        assert alone in json.loads(out)["results"]
+        (in_all,) = [rec for rec in json.loads(out)["results"] if rec["name"] == record["name"]]
+        assert json.dumps(record, sort_keys=True) == json.dumps(in_all, sort_keys=True)
 
     def test_x0_flag(self, capsys):
         code, out = run_cli(capsys, ["sigma", "--x0", "0.5,-0.5,1.0"] + FAST)

@@ -75,3 +75,24 @@ def test_kernel_arguments_the_bench_reads(argv, monkeypatch, capsys):
     accepted = [rec["accepted"] for rec in records if "accepted" in rec]
     assert runs and [samples for samples, _ in runs] == [10**4] * len(runs)
     assert [acc for _, acc in runs] == accepted
+
+
+def test_capacity_calls_the_names_the_bench_rebinds(monkeypatch, capsys):
+    # the tracer wraps `capacity.minimize_radial` and `capacity.mc_energy` by
+    # rebinding the names where a sublap module imported them; the CLI must
+    # look them up there when it runs, or the traced capacity metrics read 0
+    from sublap import cli
+
+    calls = []
+    for name in ("minimize_radial", "mc_energy"):
+        real = getattr(cli, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    argv = ["capacity", "--method", "all", "--samples", "10000", "--seed", "3", "--knots", "16"]
+    assert cli.main(argv) in (0, 2)
+    assert json.loads(capsys.readouterr().out)["results"]
+    assert sorted(calls) == ["mc_energy", "minimize_radial"]

@@ -191,39 +191,27 @@ class TestDivergenceGuard:
 # n = 1, k = 3: 4k = 12 > Q = 8, so the band top R^(4k) leaves the normal
 # floats first.  At R = 2e-38, R^Q = 2.6e-302 is normal but R^12 rounds to
 # 0.  The ball and the annulus energy are the unit runs times R^Q and
-# R^(Q-p), which are normal; the density's bump needs R^(4k), and raises
-# before any draw.  (The pairing sees only r / R0.)
+# R^(Q-p), which are normal; the density's bump sees h = R^(4k) h_1, about
+# 0, where it is 1.  (The pairing sees only r / R0.)
 TINY_BAND = SpaceParams(1, 3.0, 1.0)
 TINY_BAND_BUMP = CutoffBump(TINY_BAND, 1.0)
 
 
-@pytest.mark.parametrize("name", ["ball", "energy"])
+@pytest.mark.parametrize("name", ["ball", "density", "energy"])
 def test_tiny_band_matches_its_closed_form(name):
     if name == "ball":
-        est = ball_measure(TINY_BAND, 2.0, 2e-38, 10**4, 1)
-        exact = sigma_p_exact(TINY_BAND, 2.0) * 2e-38**TINY_BAND.Q
+        ests = [ball_measure(TINY_BAND, 2.0, 2e-38, 10**4, 1)]
+        exact = [sigma_p_exact(TINY_BAND, 2.0) * 2e-38**TINY_BAND.Q]
+    elif name == "density":
+        radii = [2e-38, 1e-38]
+        ests = density_limit(TINY_BAND, 2.0, TINY_BAND_BUMP, radii, 10**4, 1)
+        exact = [float(TINY_BAND_BUMP.values_of_h(R ** 12)) for R in radii]
+        assert exact == [1.0, 1.0]
     else:
-        est = mc_energy(TINY_BAND, 2.0, 1e-38, 2e-38, 10**4, 1)
-        exact = closed_form_capacity(TINY_BAND, 2.0, 1e-38, 2e-38).value
-    assert abs(est.mean - exact) <= 4.0 * est.stderr
-
-
-TINY_BAND_ERRORS = {
-    "density": (lambda: density_limit(TINY_BAND, 2.0, TINY_BAND_BUMP, [2e-38, 1e-38], 10**4, 1),
-                r"R\^\(4k\) at R = 2e-38 leaves the float range"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(TINY_BAND_ERRORS))
-def test_band_top_below_normal_floats_raises_before_any_draw(name, monkeypatch):
-    import sublap.montecarlo as mc
-
-    calls = []
-    monkeypatch.setattr(mc, "_mc_over_box", lambda *args, **kwargs: calls.append(args))
-    run, message = TINY_BAND_ERRORS[name]
-    with pytest.raises(DomainError, match=message):
-        run()
-    assert calls == []
+        ests = [mc_energy(TINY_BAND, 2.0, 1e-38, 2e-38, 10**4, 1)]
+        exact = [closed_form_capacity(TINY_BAND, 2.0, 1e-38, 2e-38)]
+    for est, value in zip(ests, exact, strict=True):
+        assert abs(est.mean - value) <= 4.0 * est.stderr
 
 
 class TestShellIntegral:
