@@ -17,7 +17,6 @@ from sublap import (
     CutoffBump,
     Polynomial,
     SpaceParams,
-    ball_measure,
     density_limit,
     sigma_p,
 )
@@ -30,11 +29,14 @@ sig = sigma_p(params, 2.0, SAMPLES, SEED)
 print(f"sigma_2 = V(B_1) = {sig.mean:.5f} +- {sig.stderr:.5f}"
       f"  (acceptance fraction {sig.accept_fraction:.3f})")
 
-# Ahlfors Q-regularity: V(B_R) / R^Q is constant
+# Ahlfors Q-regularity: the dilation maps B_1 onto B_R, so V(B_R) / R^Q is
+# sigma_p exactly, and each radius is its own sigma_p run, on the stream
+# (STREAM_BALL, i) as in `sublap ahlfors`: independent runs, so their spread
+# checks the stderr
 print("\nAhlfors scaling (Q = 4):")
 for i, R in enumerate((0.5, 1.0, 2.0)):
-    est = ball_measure(params, 2.0, R, SAMPLES, SEED, stream=(STREAM_BALL, i))
-    print(f"  R={R}: V(B_R)/R^Q = {est.mean / R**4:.5f} +- {est.stderr / R**4:.5f}")
+    est = sigma_p(params, 2.0, SAMPLES, SEED, stream=(STREAM_BALL, i))
+    print(f"  R={R}: V(B_R)/R^Q = {est.mean:.5f} +- {est.stderr:.5f}")
 
 # density limit: each surface average against its exact value phi(h = R^4)
 bump = CutoffBump(params, support_radius=1.0)

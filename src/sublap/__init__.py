@@ -39,7 +39,6 @@ from .frame import (
 from .jets import Jet2
 from .montecarlo import (
     MCEstimate,
-    ball_measure,
     density_limit,
     sample_points,
     sigma_p,

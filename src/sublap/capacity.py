@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import AnnulusPotential
-from .montecarlo import MCEstimate, STREAM_ENERGY, band_estimate, rescaled
+from .montecarlo import MCEstimate, STREAM_ENERGY, band_estimate
 from .space import SpaceParams, check_annulus, check_p, exponents, sigma_p_exact
 
 
@@ -63,7 +63,9 @@ def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> f
     """Capacity of the annulus B_r inside B_R, in sigma_p units.
 
     |alpha|^(p-1) Q (r^alpha - R^alpha)^(1-p) for p < Q (and with r, R
-    swapped for p > Q); Q (log R - log r)^(1-Q) at p == Q.  The absolute
+    swapped for p > Q); Q (log R - log r)^(1-Q) at p == Q.  At R = inf it
+    is the limit: |alpha|^(p-1) Q r^(alpha(1-p)) for p < Q, and exactly 0 for
+    p >= Q, where no annulus around B_r has positive capacity.  The absolute
     value on alpha is deliberate: the signed power is negative or undefined
     for 1 < p < Q, while |alpha|^(p-1) is exactly the energy of the extremal
     profile computed by the one-dimensional coarea reduction.  Evaluated in
@@ -75,6 +77,8 @@ def closed_form_capacity(params: SpaceParams, p: float, r: float, R: float) -> f
         raise DomainError(f"need 0 < r < R, got r={r}, R={R}")
     exps = exponents(params, p)
     Q = exps.Q
+    if R == np.inf and (exps.is_log_case or p > Q):
+        return 0.0
     log_ratio = np.log(R) - np.log(r)
     if exps.is_log_case:
         log_value = np.log(Q) + (1.0 - Q) * np.log(log_ratio)
@@ -184,6 +188,7 @@ def mc_energy(
     def weight(h, _):
         return np.abs(potential.eta_prime(h ** (1.0 / (4 * k)))) ** p
 
-    est = band_estimate(params, p, samples, seed, (STREAM_ENERGY, 0), threads, weight, r / R)
-    return rescaled(est, (params.Q - p) * math.log(R) - math.log(sigma_p_exact(unit, p)))
+    log_factor = (params.Q - p) * math.log(R) - math.log(sigma_p_exact(unit, p))
+    return band_estimate(params, p, samples, seed, (STREAM_ENERGY, 0), threads, weight, r / R,
+                         log_factor)
 

@@ -8,8 +8,9 @@ R^Q |c|^((p-2n)/(2k)), exactly.  So the one kernel, `_mc_over_box`, samples
 only the unit band r^(4k) < h < 1 (no lower bound for a ball) of
 `SpaceParams.unit()`, from the box [-1, 1]^(2n+1) of B_1, and sees no R, c
 or x0; its band top is always 1.  Each estimator forms its exact factor in
-logs and checks only that the value it reports is a normal float
-(`rescaled`); the Dirac pairing (`weakform.dirac_limit`) needs none, since
+logs and makes one `band_estimate` call per run, which applies the factor
+and checks only that the value reported is a normal float, or 0 from a unit
+run of 0; the Dirac pairing (`weakform.dirac_limit`) has no factor, since
 its c factors cancel.  A weight of h sees the unit h, which its estimator
 maps; one that needs points gets the unit ball's.  The kernel owns
 |grad_0 psi|^p (`fields.grad_psi_norm_pow`) and its axis singularity: for
@@ -74,7 +75,7 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +84,7 @@ from .extrapolation import decreasing_radii
 from .fields import (
     ScalarField, gauge_h, gauge_parts, grad_psi_norm_pow, sum_of_squares,
 )
-from .space import SpaceParams, check_integrable, check_radius, sigma_p_exact
+from .space import SpaceParams, check_integrable, sigma_p_exact
 
 SHARD_SIZE = 1 << 16
 # The band's weight sees a shard's accepted rows at most CHUNK_ROWS at a
@@ -355,15 +356,23 @@ def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, thre
 def band_estimate(
     params: SpaceParams, p: float, samples: int, seed: int, stream: Stream,
     threads: int | None, weight: Callable | None = None, r: float | None = None,
+    log_factor: float = 0.0,
 ) -> MCEstimate:
-    """The integral of weight * |grad_0 psi|^p over the unit band r^(4k) < h
-    < 1 (the unit ball when r is None) of `params.unit()`, for its caller's
-    exact factor.  weight(h, points) is an `_mc_over_box` weight, None for 1."""
+    """exp(log_factor), its caller's exact factor formed in logs, times the
+    integral of weight * |grad_0 psi|^p over the unit band r^(4k) < h < 1
+    (the unit ball when r is None) of `params.unit()`.  weight(h, points) is
+    an `_mc_over_box` weight, None for 1.  The one check on a reported
+    value: DomainError unless its mean is a normal float, or 0 from a unit
+    run of 0."""
     lo = None if r is None else _normal(r ** (4 * params.k), "the unit band's r^(4k)")
     mean, stderr, accepted = _mc_over_box(params, p, weight, lo=lo, samples=samples, seed=seed,
                                           stream=stream, threads=threads)
+    with np.errstate(over="ignore"):
+        factor = float(np.exp(log_factor))
+    if mean != 0.0 or factor == math.inf:
+        _normal(mean * factor, "the MC estimate")
     points, replicates = lattice_shape(samples)
-    return MCEstimate(mean=mean, stderr=stderr, samples=points * replicates,
+    return MCEstimate(mean=mean * factor, stderr=stderr * factor, samples=points * replicates,
                       accepted=accepted, replicates=replicates)
 
 
@@ -374,38 +383,17 @@ def _normal(x, name: str):
     return x
 
 
-def rescaled(est: MCEstimate, log_factor: float) -> MCEstimate:
-    """est times exp(log_factor), an exact factor formed in logs.  The one
-    check on a reported value: DomainError unless its mean is a normal
-    float, or 0 from a unit run of 0."""
-    with np.errstate(over="ignore"):
-        factor = float(np.exp(log_factor))
-    if est.mean != 0.0 or factor == math.inf:
-        _normal(est.mean * factor, "the MC estimate")
-    return replace(est, mean=est.mean * factor, stderr=est.stderr * factor)
-
-
 def sigma_p(
     params: SpaceParams, p: float, samples: int, seed: int, threads: int | None = None,
     stream: Stream = (STREAM_BALL, 0),
 ) -> MCEstimate:
-    """sigma_p = V(B_1), the normalizing constant of the Ahlfors scaling."""
-    return ball_measure(params, p, 1.0, samples, seed, threads, stream)
-
-
-def ball_measure(
-    params: SpaceParams, p: float, R: float, samples: int, seed: int,
-    threads: int | None = None, stream: Stream = (STREAM_BALL, 0),
-) -> MCEstimate:
-    """V(B_R) = integral over {psi < R} of |grad_0 psi|^p: the unit ball's
-    run times R^Q |c|^((p-2n)/(2k)).
+    """sigma_p = V(B_1) = integral over {psi < 1} of |grad_0 psi|^p: the
+    unit ball's run times |c|^((p-2n)/(2k)).  V(B_R) = sigma_p R^Q exactly.
 
     Diverges for k < 1/2 and p >= 2n/(1-2k) (see `space.check_integrable`).
     """
-    check_radius(R)
-    est = band_estimate(params, p, samples, seed, stream, threads)
     log_c_factor = (p - 2 * params.n) / (2 * params.k) * math.log(abs(params.c))
-    return rescaled(est, params.Q * math.log(R) + log_c_factor)
+    return band_estimate(params, p, samples, seed, stream, threads, log_factor=log_c_factor)
 
 
 def _dilation_weight(params: SpaceParams, phi: ScalarField, R: float) -> Callable:
@@ -457,18 +445,12 @@ def density_limit(
     DomainError unless each is a normal float or 0.
     """
     radii = decreasing_radii(radii)
-    sigma = sigma_p_exact(params.unit(), p)
-    out = []
-    for idx, R in enumerate(radii):
-        weight = _dilation_weight(params, phi, R)
-        # one stream per radius: the unit run is the same for every radius,
-        # so a shared stream would give every radius the same points
-        est = band_estimate(params, p, samples, seed, (STREAM_DENSITY, idx), threads, weight)
-        density = est.mean / sigma
-        if density != 0.0:  # `rescaled`'s rule
-            _normal(density, f"the density at R = {R!r}")
-        out.append(replace(est, mean=density, stderr=est.stderr / sigma))
-    return out
+    log_sigma = math.log(sigma_p_exact(params.unit(), p))
+    # one stream per radius: the unit run is the same for every radius, so
+    # a shared stream would give every radius the same points
+    return [band_estimate(params, p, samples, seed, (STREAM_DENSITY, idx), threads,
+                          _dilation_weight(params, phi, R), log_factor=-log_sigma)
+            for idx, R in enumerate(radii)]
 
 
 def sample_points(params: SpaceParams, count: int, seed: int) -> np.ndarray:

@@ -103,6 +103,18 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             closed_form_capacity(setup_a, 2.0, 2.0, 1.0)
 
+    def test_infinite_R_limit(self, setup_a, setup_b):
+        # p < Q: |alpha|^(p-1) Q r^(alpha(1-p)), at A, p = 3, alpha = -1/2
+        assert closed_form_capacity(setup_a, 3.0, 2.0, np.inf) == pytest.approx(2.0, rel=1e-14)
+        # p >= Q, the log case included: no annulus around B_r has positive
+        # capacity, so the limit is exactly 0 (outside the float range before)
+        for params, p in ((setup_a, 4.0), (setup_a, 4.0 - 1e-12), (setup_a, 5.0),
+                          (setup_b, 6.0), (setup_b, 8.0)):
+            assert closed_form_capacity(params, p, 1.0, np.inf) == 0.0
+        # which finite R approach: at A, p = 5, alpha = 1/4, 4^-4 * 4 * (R^(1/4) - 1)^-4
+        value = closed_form_capacity(setup_a, 5.0, 1.0, 1e100)
+        assert value == pytest.approx(4.0**-3 * (1e25 - 1.0) ** -4, rel=1e-12)
+
 
 ANNULUS_USERS = {
     "potential": lambda params, r, R: AnnulusPotential(params, 2.0, r, R),

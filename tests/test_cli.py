@@ -134,7 +134,9 @@ class TestExitCodes:
         (["capacity", "--R", "inf", "--method", "mc"], "radius must be positive and finite"),
         (["capacity", "--R", "inf", "--method", "radial"], "need 0 < r < R < inf"),
         (["ahlfors", "--radii", "1,inf"], "radius must be positive and finite"),
-    ], ids=["capacity-mc", "capacity-radial", "ahlfors"])
+        # the closed form gives its limit 0 at p >= Q; the radial method has none
+        (["capacity", "--R", "inf", "--p", "5"], "need 0 < r < R < inf"),
+    ], ids=["capacity-mc", "capacity-radial", "ahlfors", "capacity-all-p-5"])
     def test_infinite_radius_exits_one(self, capsys, recwarn, argv, message):
         # rejected before any array sees the radius: no NaN, no numpy warning
         assert main(argv + FAST) == 1
@@ -321,6 +323,32 @@ class TestExitCodes:
         code, out = run_cli(capsys, ["capacity", "--R", "inf", "--method", "closed-form"] + FAST)
         assert code == 0
         assert json.loads(out)["results"][0]["value"] == pytest.approx(8.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p,value", [("3", 1.0), ("4", 0.0), ("3.999999999999", 0.0),
+                                         ("5", 0.0)])
+    def test_closed_form_capacity_at_infinite_R_for_p_at_least_Q(self, capsys, p, value):
+        # A, Q = 4: the limit is |alpha|^(p-1) Q r^(alpha (1-p)) for p < Q
+        # and exactly 0 from the log case on (exit 1, exp(-inf) outside the
+        # float range, before)
+        argv = ["capacity", "--R", "inf", "--method", "closed-form", "--p", p]
+        code, out = run_cli(capsys, argv + FAST)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        # the pairing -1.12e-310 against an exact -1.15e-310: exit 0 before
+        ["dirac", "--radii", "0.99965,0.5", "--samples", "100000"],
+        ["sigma", "--k", "0.5", "--p", "3", "--c", "1e-310"],
+    ], ids=["dirac-subnormal-pairing", "sigma-subnormal"])
+    def test_subnormal_estimate_exits_one(self, capsys, recwarn, argv):
+        # every reported MC value passes one rule: a normal float, or 0
+        # from a unit run of 0
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the MC estimate leaves the float range")
+        assert "is not a normal float" in captured.err
+        assert not recwarn.list
 
     @pytest.mark.parametrize("flag,value", [
         ("--c", "nan"), ("--c", "inf"), ("--k", "inf"), ("--x0", "0,0,nan"),

@@ -27,7 +27,6 @@ from sublap import (
     DomainError,
     Polynomial,
     SpaceParams,
-    ball_measure,
     density_limit,
     dirac_limit,
     exponents,
@@ -103,7 +102,7 @@ class TestSigmaPExact:
             with pytest.raises(DomainError, match="diverges") as exact:
                 sigma_p_exact(params, p)
             with pytest.raises(DomainError, match="diverges") as mc:
-                ball_measure(params, p, 1.0, 10**4, 3)
+                sigma_p(params, p, 10**4, 3)
             assert str(exact.value) == str(mc.value)
         assert np.isfinite(sigma_p_exact(params, 9.5))
 
@@ -122,10 +121,12 @@ class TestSigmaPExact:
 
 class TestFiniteRadiusEstimates:
     def test_ball_measure(self, setup):
+        # V(B_0.8) = sigma_p 0.8^Q, exactly
         params, p = setup
         exact = coarea_quadrature(params, p, lambda rho: 1.0, 0.0, 0.8)
         assert exact == pytest.approx(sigma_p_exact(params, p) * 0.8**params.Q, rel=1e-10)
-        assert_within_z(ball_measure(params, p, 0.8, SAMPLES, 41), exact)
+        est, scale = sigma_p(params, p, SAMPLES, 41), 0.8**params.Q
+        assert_within_z(replace(est, mean=scale * est.mean, stderr=scale * est.stderr), exact)
 
     def test_shell_integral_extrapolated(self, setup):
         # the shell integral of the bump at R = 1, once a three-shell
@@ -230,14 +231,14 @@ def test_density_stderr_is_honest_over_seeds(name):
 
 @pytest.mark.parametrize("name", sorted(SEED_SETUPS))
 def test_lattice_agrees_with_plain_mc(name):
-    # V(B_R), the lattice run of the unit ball times its exact factor R^Q
-    # |c|^((p-2n)/(2k)), against plain MC over the box of B_R itself, at
-    # R = 1.7, c times -1.3 and a moved x0: the two share no box, no factor
-    # and no points
+    # V(B_R) = sigma_p R^Q, sigma_p the lattice run of the unit ball times
+    # its exact factor |c|^((p-2n)/(2k)), against plain MC over the box of
+    # B_R itself, at R = 1.7, c times -1.3 and a moved x0: the two share no
+    # box, no factor and no points
     params, p = SEED_SETUPS[name]
     params, R = SpaceParams(params.n, params.k, -1.3 * params.c, params.x0 + 0.25), 1.7
-    lattice = ball_measure(params, p, R, SEED_SAMPLES, 7)
+    lattice, scale = sigma_p(params, p, SEED_SAMPLES, 7), R**params.Q
     band = reference_band(params, None, R ** (4 * params.k), lambda pts, sigma, h:
                           grad_psi_norm_pow(params, sigma, h, p))
     mean, stderr, _ = reference_mc(params, R, band, SEED_SAMPLES, 7, (1, 0))
-    assert abs(lattice.mean - mean) <= Z * np.hypot(lattice.stderr, stderr)
+    assert abs(scale * lattice.mean - mean) <= Z * np.hypot(scale * lattice.stderr, stderr)

@@ -32,7 +32,6 @@ from sublap import (
     GaugeH,
     Polynomial,
     SpaceParams,
-    ball_measure,
     closed_form_capacity,
     density_limit,
     dirac_limit,
@@ -40,6 +39,7 @@ from sublap import (
     minimize_radial,
     normalization,
     sample_points,
+    sigma_p,
     sigma_p_exact,
 )
 from sublap import frame
@@ -90,11 +90,11 @@ def log_c_factor(params, p):
     return (p - 2 * params.n) / (2 * params.k) * math.log(abs(params.c))
 
 
-def ball_reference(params, R, samples, stream):
-    """V(B_R): the unit ball's reference run times R^Q |c|^((P-2n)/(2k))."""
+def ball_reference(params, samples, stream):
+    """sigma_P = V(B_1): the unit ball's reference run times |c|^((P-2n)/(2k))."""
     ref = reference_lattice(params, reference_band(params, None, 1.0, power(params, P)),
                             samples, SEED, stream)
-    return times(ref, params.Q * math.log(R) + log_c_factor(params, P))
+    return times(ref, log_c_factor(params, P))
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"n={n}")
@@ -119,23 +119,22 @@ def test_samples_split_into_partial_shard_and_block():
 
 
 def test_ball_measure(params, threads):
-    est = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
-    assert_same(est, ball_reference(params, 1.3, SAMPLES, (4, 0)))
+    est = sigma_p(params, P, SAMPLES, SEED, threads, stream=(4, 0))
+    assert_same(est, ball_reference(params, SAMPLES, (4, 0)))
 
 
 def density_reference(params, phi_weight):
     """The sphere average of density_limit's first radius as one unit ball
     integrand: phi + Z phi / Q from phi_weight(pts, h) at the unit ball's
     points and h, times |grad_0 psi|^P, on the stream (STREAM_DENSITY, 0),
-    divided by sigma_P of the unit space."""
+    over sigma_P of the unit space, an exact factor."""
 
     def weight(pts, sigma, h):
         return phi_weight(pts, h) * power(params, P)(pts, sigma, h)
 
     band = reference_band(params, None, 1.0, weight)
-    mean, stderr, acc = reference_lattice(params, band, SAMPLES, SEED, (STREAM_DENSITY, 0))
-    sigma = sigma_p_exact(params.unit(), P)
-    return mean / sigma, stderr / sigma, acc
+    ref = reference_lattice(params, band, SAMPLES, SEED, (STREAM_DENSITY, 0))
+    return times(ref, -math.log(sigma_p_exact(params.unit(), P)))
 
 
 def bump_weight(params, bump, R):
@@ -257,8 +256,8 @@ def test_back_to_back_runs_match_reference(monkeypatch):
     assert 0 < est[2] < 0.05 * SAMPLES
 
     for params, samples, threads in ((three, 10**4, 1), (seven, SAMPLES, 8)):
-        est = ball_measure(params, P, 1.3, samples, SEED, threads, stream=(4, 0))
-        assert_same(est, ball_reference(params, 1.3, samples, (4, 0)))
+        est = sigma_p(params, P, samples, SEED, threads, stream=(4, 0))
+        assert_same(est, ball_reference(params, samples, (4, 0)))
     assert 10**4 < SHARD_SIZE and 8 > -(-SAMPLES // SHARD_SIZE)
 
 
@@ -269,11 +268,11 @@ def test_more_threads_than_cores_match_reference(monkeypatch):
     # so claim six of them.
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 6)
     params, samples = SPACES[2], 6 * SHARD_SIZE + 321
-    refs = [ball_reference(params, 1.3, samples, (4, i)) for i in (0, 1)]
+    refs = [ball_reference(params, samples, (4, i)) for i in (0, 1)]
     ests = [None, None]
 
     def run(i):
-        ests[i] = ball_measure(params, P, 1.3, samples, SEED, 6, stream=(4, i))
+        ests[i] = sigma_p(params, P, samples, SEED, 6, stream=(4, i))
 
     runs = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
     interval = sys.getswitchinterval()
@@ -344,8 +343,8 @@ def test_block_size_changes_no_bit(monkeypatch, threads, chunk_rows):
     params = SPACES[2]
     phi = polynomial(params)
     monkeypatch.setattr(montecarlo, "CHUNK_ROWS", chunk_rows)
-    ball = ball_measure(params, P, 1.3, SAMPLES, SEED, threads, stream=(4, 0))
-    assert_same(ball, ball_reference(params, 1.3, SAMPLES, (4, 0)))
+    ball = sigma_p(params, P, SAMPLES, SEED, threads, stream=(4, 0))
+    assert_same(ball, ball_reference(params, SAMPLES, (4, 0)))
     (density,) = density_limit(params, P, phi, [0.8], SAMPLES, SEED, threads)
     assert_same(density, density_reference(params, polynomial_weight(params, phi, 0.8)))
 

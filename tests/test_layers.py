@@ -6,11 +6,13 @@ deleting one of those modules breaks the benchmark.  This test reads LAYERS
 from the file without importing the harness, and imports each module.  Its
 `_after_box` reads the sample count of each `_mc_over_box` run at a fixed
 position or keyword, and the accepted count at result[2]; the test reads
-both the same way.
+both the same way.  Every function key it traces must still name a
+function that its tracer wraps, except the stale ones listed here.
 """
 
 import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -96,3 +98,75 @@ def test_capacity_calls_the_names_the_bench_rebinds(monkeypatch, capsys):
     assert cli.main(argv) in (0, 2)
     assert json.loads(capsys.readouterr().out)["results"]
     assert sorted(calls) == ["mc_energy", "minimize_radial"]
+
+
+def _assigned(tree, name):
+    """The value node of the module-level assignment to `name`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"no {name} assignment in {LAYERS_FILE}")
+
+
+def traced_keys() -> set[str]:
+    """The function keys bench/layers.py names: the dict keys and set items
+    of LAYER_OVERRIDE, INTEGRAND, OPERATORS, ALWAYS_SPAN and AFTER, and the
+    `per_call(...)` and `incl[...]` reads of `layer_metrics`."""
+    tree = ast.parse(LAYERS_FILE.read_text(encoding="utf-8"))
+    keys = set()
+    for name in ("LAYER_OVERRIDE", "INTEGRAND", "OPERATORS", "ALWAYS_SPAN", "AFTER"):
+        for node in ast.walk(_assigned(tree, name)):
+            if isinstance(node, ast.Dict):
+                keys.update(key.value for key in node.keys)
+            elif isinstance(node, ast.Set):
+                keys.update(item.value for item in node.elts)
+    metrics = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics")
+    for node in ast.walk(metrics):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "per_call"):
+            keys.add(node.args[0].value)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "incl" and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)  # per_call's own incl[key] reads a variable
+    return keys
+
+
+def wrapped_by_the_bench(key: str, skip: set[str]) -> bool:
+    """Whether `Instrumentation.install` wraps a function under this key: a
+    function defined in the layer's module, or a method in the own `vars`
+    of a class defined there (not one of the skipped dunders)."""
+    layer, _, qualname = key.partition(".")
+    module = importlib.import_module(f"sublap.{layer}")
+    owner, _, attr = qualname.rpartition(".")
+    if owner:
+        cls = vars(module).get(owner)
+        if not (inspect.isclass(cls) and cls.__module__ == module.__name__) or attr in skip:
+            return False
+        member = vars(cls).get(attr)
+        fn = member.__func__ if isinstance(member, staticmethod) else member
+    else:
+        fn = vars(module).get(qualname)
+    return inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+# Names the benchmark still traces, which the library no longer defines
+# where the tracer looks: each reads 0 until the benchmark drops it.
+STALE_TRACED_KEYS = {
+    "extrapolation.geometric_limit", "fields.AnnulusPotential.eta_prime",
+    "fields.CutoffBump.d_dh", "fields.CutoffBump.values",
+    "frame.p_laplacian_divergence_form", "montecarlo.grad_psi_norm_sq",
+}
+
+
+def test_traced_names_exist():
+    # a deletion under src/ that leaves its name in bench/layers.py makes
+    # that metric read 0 with no error: every other traced key must resolve
+    skip = ast.literal_eval(_assigned(ast.parse(LAYERS_FILE.read_text(encoding="utf-8")),
+                                      "SKIP_METHODS"))
+    keys = traced_keys()
+    unresolved = {key for key in keys if not wrapped_by_the_bench(key, skip)}
+    assert unresolved == STALE_TRACED_KEYS
+    assert len(keys - unresolved) == 9

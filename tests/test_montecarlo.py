@@ -9,7 +9,6 @@ from sublap import (
     DomainError,
     GaugeH,
     SpaceParams,
-    ball_measure,
     closed_form_capacity,
     density_limit,
     dirac_limit,
@@ -18,8 +17,9 @@ from sublap import (
     sigma_p,
     sigma_p_exact,
 )
+from sublap import montecarlo
 from sublap.fields import gauge_parts, grad_psi_norm_pow
-from sublap.montecarlo import STREAM_BALL, _mc_over_box
+from sublap.montecarlo import _mc_over_box
 
 SAMPLES = 2 * 10**5
 
@@ -33,8 +33,8 @@ class TestDeterminism:
         assert e1.accepted == e4.accepted
 
     def test_bit_identical_on_repeat(self, setup_b):
-        e1 = ball_measure(setup_b, 3.0, 1.5, SAMPLES, 7)
-        e2 = ball_measure(setup_b, 3.0, 1.5, SAMPLES, 7)
+        e1 = sigma_p(setup_b, 3.0, SAMPLES, 7)
+        e2 = sigma_p(setup_b, 3.0, SAMPLES, 7)
         assert e1 == e2
 
     def test_seeds_do_not_alias_modulo_two_to_the_64(self, setup_a):
@@ -100,32 +100,19 @@ class TestSigmaP:
 
 
 class TestBallMeasure:
-    def test_ahlfors_ratio(self, setup_a, setup_b):
-        for params, target in ((setup_a, 16.0), (setup_b, 64.0)):
-            one = ball_measure(params, 2.0, 1.0, SAMPLES, 3, stream=(STREAM_BALL, 0))
-            two = ball_measure(params, 2.0, 2.0, SAMPLES, 3, stream=(STREAM_BALL, 1))
-            ratio = two.mean / one.mean
-            sig = ratio * np.hypot(one.stderr / one.mean, two.stderr / two.mean)
-            assert abs(ratio - target) <= 3.0 * sig
-
     def test_divergent_for_small_k_and_large_p(self):
         # the integral diverges for k < 1/2 and p >= 2n/(1-2k), and its
         # square, the MC variance, for p >= n/(1-2k)
         params = SpaceParams(1, 0.4, 1.0)  # bounds 2 / 0.2 = 10 and 1 / 0.2 = 5
         for p in (10.0, 12.0):
             with pytest.raises(DomainError, match="diverges"):
-                ball_measure(params, p, 1.0, SAMPLES, 3)
+                sigma_p(params, p, SAMPLES, 3)
         for p in (5.0, 9.5):
             with pytest.raises(DomainError, match="infinite variance"):
-                ball_measure(params, p, 1.0, SAMPLES, 3)
-        assert np.isfinite(ball_measure(params, 4.5, 1.0, 10**4, 3).mean)
+                sigma_p(params, p, SAMPLES, 3)
+        assert np.isfinite(sigma_p(params, 4.5, 10**4, 3).mean)
         # k = 1/2 keeps |grad_0 psi| bounded by |c|: finite for every p
         assert np.isfinite(sigma_p(SpaceParams(1, 0.5, 1.0), 12.0, 10**4, 3).mean)
-
-    def test_vanishing_radius(self, setup_a):
-        est = ball_measure(setup_a, 2.0, 1e-3, SAMPLES, 9)
-        # V(B_R) = sigma_2 R^4 ~ 3e-12
-        assert abs(est.mean) < 1e-10
 
     def test_integrand_bounded(self, all_setups, rng):
         # |grad_0 psi|^p <= |c|^(p/(2k)) everywhere (k >= 1/2): at most 1 on
@@ -136,15 +123,6 @@ class TestBallMeasure:
             sigma, _, h = gauge_parts(unit, pts)
             for p in (2.0, 3.0):
                 assert grad_psi_norm_pow(unit, sigma, h, p).max() <= 1.0 + 1e-12
-
-    def test_acceptance_ratio_scale_invariant(self, setup_a):
-        lo = ball_measure(setup_a, 2.0, 0.5, SAMPLES, 23, stream=(STREAM_BALL, 0))
-        hi = ball_measure(setup_a, 2.0, 2.0, SAMPLES, 23, stream=(STREAM_BALL, 1))
-        f_lo, f_hi = lo.accept_fraction, hi.accept_fraction
-        sig = np.sqrt(
-            f_lo * (1 - f_lo) / lo.samples + f_hi * (1 - f_hi) / hi.samples
-        )
-        assert abs(f_lo - f_hi) <= 3.0 * sig
 
     def test_bounding_box_contains_ball(self, all_setups, rng):
         # the unit ball {h < 1} of c = 1 about 0 lies in the kernel's box
@@ -188,21 +166,41 @@ class TestDivergenceGuard:
         assert np.isfinite(est.mean) and est.mean != 0.0
 
 
+@pytest.mark.parametrize("name", ["sigma", "shell", "pairing", "energy"])
+def test_one_reported_value_rule(monkeypatch, name):
+    # every estimator reports band_estimate's value as it comes, after its
+    # one check: a subnormal unit run leaves the floats whatever its factor
+    # (the density's 1/sigma_p once rounded it to 0 first; the pairing, with
+    # no factor, was not checked), and a unit run of exactly 0 reports 0
+    params = SpaceParams(1, 1.0, 1.0)
+
+    def run():
+        if name == "sigma":
+            return sigma_p(params, 2.0, 10**4, 3)
+        return _annulus_estimate(name, params, 2.0)
+
+    for unit_mean in (5e-324, 0.0):
+        monkeypatch.setattr(montecarlo, "_mc_over_box",
+                            lambda *args, _m=unit_mean, **kw: (_m, 0.0, 100))
+        if unit_mean:
+            with pytest.raises(DomainError, match="the MC estimate leaves the float range"):
+                run()
+        else:
+            assert run().mean == 0.0
+
+
 # n = 1, k = 3: 4k = 12 > Q = 8, so the band top R^(4k) leaves the normal
 # floats first.  At R = 2e-38, R^Q = 2.6e-302 is normal but R^12 rounds to
-# 0.  The ball and the annulus energy are the unit runs times R^Q and
-# R^(Q-p), which are normal; the density's bump sees h = R^(4k) h_1, about
-# 0, where it is 1.  (The pairing sees only r / R0.)
+# 0.  The annulus energy is the unit run times R^(Q-p), which is normal;
+# the density's bump sees h = R^(4k) h_1, about 0, where it is 1.  (The
+# pairing sees only r / R0.)
 TINY_BAND = SpaceParams(1, 3.0, 1.0)
 TINY_BAND_BUMP = CutoffBump(TINY_BAND, 1.0)
 
 
-@pytest.mark.parametrize("name", ["ball", "density", "energy"])
+@pytest.mark.parametrize("name", ["density", "energy"])
 def test_tiny_band_matches_its_closed_form(name):
-    if name == "ball":
-        ests = [ball_measure(TINY_BAND, 2.0, 2e-38, 10**4, 1)]
-        exact = [sigma_p_exact(TINY_BAND, 2.0) * 2e-38**TINY_BAND.Q]
-    elif name == "density":
+    if name == "density":
         radii = [2e-38, 1e-38]
         ests = density_limit(TINY_BAND, 2.0, TINY_BAND_BUMP, radii, 10**4, 1)
         exact = [float(TINY_BAND_BUMP.values_of_h(R ** 12)) for R in radii]
