@@ -11,7 +11,10 @@ that also takes the limit R = inf; `minimize_radial`, the exact minimizer
 of that integral over piecewise-linear profiles on knots that crowd where
 the extremal profile falls; and `mc_energy`, the full-dimensional MC
 energy over the closed-form sigma_p (`space.sigma_p_exact`), whose stderr
-is the energy run's alone.
+is the energy run's alone.  Its energy density |eta'(psi)|^p is a
+constant times a power of h, so that run has no weight: the power goes
+into the kernel's x = log(|grad_0 psi|^p h^h_power) and the constant into
+the run's exact factor.
 """
 
 from __future__ import annotations
@@ -179,16 +182,13 @@ def mc_energy(
     threads: int | None = None,
 ) -> MCEstimate:
     """MC annulus energy of the explicit potential over the closed-form
-    sigma_p: R^(Q-p) times the unit annulus (r/R, 1)'s, in which c cancels."""
+    sigma_p: R^(Q-p) times the unit annulus (r/R, 1)'s, in which c cancels.
+    The energy density |eta'(psi)|^p, eta' = s psi^e, is |s|^p h^(p e/(4k)):
+    the run has no weight, and |s|^p joins its exact factor."""
     check_annulus(r, R)
     unit = params.unit()
-    potential = AnnulusPotential(unit, p, r / R, 1.0)
-    k = params.k
-
-    def weight(h, _):
-        return np.abs(potential.eta_prime(h ** (1.0 / (4 * k)))) ** p
-
-    log_factor = (params.Q - p) * math.log(R) - math.log(sigma_p_exact(unit, p))
-    return band_estimate(params, p, samples, seed, (STREAM_ENERGY, 0), threads, weight, r / R,
-                         log_factor)
-
+    s, e = AnnulusPotential(unit, p, r / R, 1.0).slope_power
+    log_factor = (p * math.log(abs(s)) + (params.Q - p) * math.log(R)
+                  - math.log(sigma_p_exact(unit, p)))
+    return band_estimate(params, p, samples, seed, (STREAM_ENERGY, 0), threads, None, r / R,
+                         log_factor, p * e / (4 * params.k))

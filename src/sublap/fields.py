@@ -4,11 +4,15 @@ Each field offers jet(pts) for the calculus, on one point (dim,) or a batch
 (N, dim), and values(pts) for bulk work on an (N, dim) array of points.
 Fields that depend on the point through h alone (HFunction) write their
 formula once, as values_of_h(h), in operations that 2-jets and arrays
-share: the Monte Carlo kernel calls it on the h it already holds,
-values(pts) computes h first, and jet(pts) applies it to the 2-jet of h.
-Every HFunction's d_dh_of_h is the 1-D 2-jet of values_of_h; the
-hand-written derivatives are eta_prime of the one power profile (which the
-annulus potential is, scaled and offset) and the bump's d_dh_of_h.
+share: values(pts) computes h first, jet(pts) applies it to the 2-jet of
+h, and a Monte Carlo density calls it on the unit h it holds.  Every
+HFunction's d_dh_of_h is the 1-D 2-jet of values_of_h; the hand-written
+derivatives are eta_prime of the one power profile (which the annulus
+potential is, scaled and offset) and the bump's d_dh_of_h.  The MC
+weights of the profile and the bump are closed forms in the kernel's
+x = log(|grad_0 psi|^p h^h_power) (`log_grad_psi_norm_pow`) instead:
+eta' = s psi^e (`FundamentalProfile.slope_power`), so a power of |eta'|
+is a power of h times a constant.
 """
 
 from __future__ import annotations
@@ -89,22 +93,44 @@ def gauge_parts(params: SpaceParams, pts: np.ndarray):
     return sigma, tau, gauge_h(params, sigma, np.multiply(tau, tau, out=tmp), h)
 
 
-def grad_psi_norm_pow(params: SpaceParams, sigma, h, q: float) -> np.ndarray:
-    """|grad_0 psi|^q = (c^2 Sigma^(2k-1) h^((1-2k)/(2k)))^(q/2) over arrays, q > 0.
+def log_grad_psi_norm_pow(params: SpaceParams, sigma, h, q: float,
+                          h_power: float = 0.0) -> np.ndarray:
+    """log(|grad_0 psi|^q h^h_power) over arrays, q > 0, with |grad_0 psi|^2 =
+    c^2 Sigma^(2k-1) h^((1-2k)/(2k)):
 
-    One exp of q log|c| + q/2 ((2k-1) log Sigma + (1-2k)/(2k) log h); the
-    Sigma = 0 (or h = 0) limit is explicit: 0 for k > 1/2, |c|^q at 1/2, inf below.
+        q log|c| + q/2 (2k-1) log Sigma + (q/2 (1-2k)/(2k) + h_power) log h.
+
+    The Sigma = 0 (or h = 0) limit is explicit, and looked for only when the
+    smallest Sigma is 0 (h = 0 needs Sigma = 0, short of underflow): -inf
+    for k > 1/2, q log|c| at 1/2 (where |grad_0 psi| = |c|; a nonzero
+    h_power adds h_power log h) and inf below.
     """
     k = params.k
     log_cq = q * math.log(abs(params.c))
     a = 0.5 * q * (2 * k - 1.0)
-    b = 0.5 * q * (1.0 - 2 * k) / (2 * k)
+    b = 0.5 * q * (1.0 - 2 * k) / (2 * k) + h_power
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(log_cq + a * np.log(sigma) + b * np.log(h))
-    degenerate = (sigma == 0.0) | (h == 0.0)
-    if np.any(degenerate):
-        out[degenerate] = 0.0 if k > 0.5 else math.exp(log_cq) if k == 0.5 else np.inf
+        # in place, the sum (log_cq + a log Sigma) + b log h
+        out = np.log(sigma)
+        out *= a
+        if log_cq:
+            out += log_cq
+        log_h = np.log(h)
+        log_h *= b
+        out += log_h
+        if np.min(sigma) == 0.0:
+            axis = (sigma == 0.0) | (h == 0.0)
+            if k != 0.5:
+                out[axis] = -np.inf if k > 0.5 else np.inf
+            else:
+                out[axis] = log_cq + (h_power * np.log(h[axis]) if h_power else 0.0)
     return out
+
+
+def grad_psi_norm_pow(params: SpaceParams, sigma, h, q: float) -> np.ndarray:
+    """|grad_0 psi|^q = (c^2 Sigma^(2k-1) h^((1-2k)/(2k)))^(q/2) over arrays,
+    q > 0: the exp of `log_grad_psi_norm_pow`, 0 for k > 1/2 where Sigma = 0."""
+    return np.exp(log_grad_psi_norm_pow(params, sigma, h, q))
 
 
 def _log(x):
@@ -204,6 +230,15 @@ class FundamentalProfile(HFunction):
         if self.exps.is_log_case:
             return self.scale / psi
         return self.scale * self.exps.alpha * psi ** (self.exps.alpha - 1.0)
+
+    @property
+    def slope_power(self) -> tuple[float, float]:
+        """(s, e) with eta'(rho) = s rho^e: (scale alpha, alpha - 1), and
+        (scale, -1) at p == Q, so that a power of |eta'(psi)| is a power of h
+        times a constant, for the MC weights."""
+        if self.exps.is_log_case:
+            return self.scale, -1.0
+        return self.scale * self.exps.alpha, self.exps.alpha - 1.0
 
     def check_slope(self, lo: float, hi: float, q: float) -> None:
         """Raise DomainError unless |eta'| and |eta'|^q are nonzero finite

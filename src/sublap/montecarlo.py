@@ -10,12 +10,22 @@ only the unit band r^(4k) < h < 1 (no lower bound for a ball) of
 or x0; its band top is always 1.  Each estimator forms its exact factor in
 logs and makes one `band_estimate` call per run, which applies the factor
 and checks only that the value reported is a normal float, or 0 from a unit
-run of 0; the Dirac pairing (`weakform.dirac_limit`) has no factor, since
-its c factors cancel.  A weight of h sees the unit h, which its estimator
-maps; one that needs points gets the unit ball's.  The kernel owns
-|grad_0 psi|^p (`fields.grad_psi_norm_pow`) and its axis singularity: for
-k < 1/2 it grows like Sigma^((2k-1)p/2) near {Sigma = 0}, which crosses
-every band, so its integral diverges for p >= 2n/(1-2k)
+run of 0; the Dirac pairing's (`weakform.dirac_limit`) has no c, since its
+c factors cancel.  The kernel owns |grad_0 psi|^p: for each accepted row
+it forms x = log(|grad_0 psi|^p h^h_power) once
+(`fields.log_grad_psi_norm_pow`), and the weight, weight(h, x, points) ->
+values, gets the unit h and x (and the unit ball's points, when it needs
+them); no weight means exp(x).  Every radial weight in use is a power of h,
+or one times the bump exp(-h/(B-h)), so each folds its power into h_power,
+its constant into the exact factor, and the rest into at most one exp of
+x per row: the energy has no weight, the pairing's is -sign exp(x - h/g -
+2 log g) and the bump density's exp(x - q) (1 - (4k/Q) q B/g), g = B - h
+and q = h/g at the mapped h.  A negative h_power runs as (h/lo)^h_power,
+at most 1 on the band, with lo^h_power in the factor, so that the rows
+stay in the floats wherever the unfolded weight does.  The kernel also
+owns the axis singularity: for k < 1/2 |grad_0 psi|^p grows like
+Sigma^((2k-1)p/2) near {Sigma = 0}, which crosses every band, so its
+integral diverges for p >= 2n/(1-2k)
 (`space.check_integrable`) and its square for p >= n/(1-2k), where the
 stderr bounds nothing; every estimator raises there.  The average
 of phi over a sphere {psi = R} (`density_limit`) is one ball band too,
@@ -55,7 +65,8 @@ subtracting the mask y > 1/2 (bit for bit y - rint(y)), then squared and
 added in coordinate order (`fields.sum_of_squares`): Sigma = 4 sum_l y_l^2
 and tau = 2 y_t, with no point array.  The band's weight sees the
 accepted rows (`np.flatnonzero` of its mask) CHUNK_ROWS at a time, their
-Sigma and h gathered with `take`; a weight that needs points rebuilds them
+Sigma and h gathered with `take` and their x formed from them, which the
+weight may overwrite; a weight that needs points rebuilds them
 from each row's replicate and lattice index.  The values are scattered by
 index into a shard-length row, and each replicate's values are summed once,
 by numpy's pairwise reduction over its N contiguous values, not a BLAS dot,
@@ -82,7 +93,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .extrapolation import decreasing_radii
 from .fields import (
-    ScalarField, gauge_h, gauge_parts, grad_psi_norm_pow, sum_of_squares,
+    CutoffBump, ScalarField, gauge_h, gauge_parts, log_grad_psi_norm_pow, sum_of_squares,
 )
 from .space import SpaceParams, check_integrable, sigma_p_exact
 
@@ -252,13 +263,18 @@ def _shard_gauge(params, lattice, shifts, work, mask):
     return sigma, gauge_h(params, sigma, tau_sq, h)
 
 
-def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, threads):
-    """Lattice MC of weight * |grad_0 psi|^p on the unit band lo < h < 1 (no
-    lower bound when lo is None) of `params.unit()` (only n and k count)
-    over the box [-1, 1]^(2n+1); returns (mean, stderr, accepted).
+def _mc_over_box(params, p, weight=None, *, lo=None, h_power=0.0, log_scale=0.0, samples,
+                 seed, stream, threads):
+    """Lattice MC of a weight of the coarea measure |grad_0 psi|^p on the
+    unit band lo < h < 1 (no lower bound when lo is None) of `params.unit()`
+    (only n and k count) over the box [-1, 1]^(2n+1); returns (mean,
+    stderr, accepted).
 
-    weight(h, points) gets the accepted rows' h; points() returns those
-    rows' points, for weights that need them.  weight None means 1.
+    Each accepted row's x = log(|grad_0 psi|^p h^h_power) + log_scale is
+    formed once (`fields.log_grad_psi_norm_pow`).  weight(h, x, points) gets the
+    accepted rows' h and x, which it may overwrite, and returns their
+    values; points() returns those rows' points, for weights that need
+    them.  weight None means exp(x), formed in place.
 
     Runs the R N points of `lattice_shape(samples)`.  Shards are reduced in
     index order.  Raises DomainError where the integral diverges
@@ -299,10 +315,13 @@ def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, thre
         for start in range(0, rows_in.size, CHUNK_ROWS):
             rows = rows_in[start : start + CHUNK_ROWS]
             h_in = h.take(rows)
-            val = grad_psi_norm_pow(params, sigma.take(rows), h_in, p)
-            if weight is not None:
-                val = weight(h_in, lambda: shard_points(first + rows)) * val
-            vals[rows] = val
+            x = log_grad_psi_norm_pow(params, sigma.take(rows), h_in, p, h_power)
+            if log_scale:
+                x += log_scale
+            if weight is None:
+                vals[rows] = np.exp(x, out=x)
+            else:
+                vals[rows] = weight(h_in, x, lambda: shard_points(first + rows))
         # a shard holds whole replicates; numpy's own pairwise sum of each,
         # since a BLAS dot's bits depend on its thread count
         return idx, vals.reshape(-1, points).sum(axis=1), rows_in.size
@@ -356,27 +375,33 @@ def _mc_over_box(params, p, weight=None, *, lo=None, samples, seed, stream, thre
 def band_estimate(
     params: SpaceParams, p: float, samples: int, seed: int, stream: Stream,
     threads: int | None, weight: Callable | None = None, r: float | None = None,
-    log_factor: float = 0.0,
+    log_factor: float = 0.0, h_power: float = 0.0,
 ) -> MCEstimate:
     """exp(log_factor), its caller's exact factor formed in logs, times the
-    integral of weight * |grad_0 psi|^p over the unit band r^(4k) < h < 1
-    (the unit ball when r is None) of `params.unit()`.  weight(h, points) is
-    an `_mc_over_box` weight, None for 1.  The one check on a reported
+    integral over the unit band r^(4k) < h < 1 (the unit ball when r is
+    None) of `params.unit()` of weight(h, x, points), an `_mc_over_box`
+    weight of x = log(|grad_0 psi|^p h^h_power), None for exp(x); a
+    negative h_power runs as (h/lo)^h_power.  The one check on a reported
     value: DomainError unless its mean is a normal float, or 0 from a unit
     run of 0."""
-    lo = None if r is None else _normal(r ** (4 * params.k), "the unit band's r^(4k)")
-    mean, stderr, accepted = _mc_over_box(params, p, weight, lo=lo, samples=samples, seed=seed,
+    lo = None if r is None else check_normal(r ** (4 * params.k), "the unit band's r^(4k)")
+    # a negative power of h is largest at the band's bottom: the run takes
+    # (h/lo)^h_power, at most 1, and lo^h_power joins the factor, so its
+    # rows leave the floats only where the unfolded weight's would
+    log_scale = -h_power * math.log(lo) if lo is not None and h_power < 0 else 0.0
+    mean, stderr, accepted = _mc_over_box(params, p, weight, lo=lo, h_power=h_power,
+                                          log_scale=log_scale, samples=samples, seed=seed,
                                           stream=stream, threads=threads)
     with np.errstate(over="ignore"):
-        factor = float(np.exp(log_factor))
+        factor = float(np.exp(log_factor - log_scale))
     if mean != 0.0 or factor == math.inf:
-        _normal(mean * factor, "the MC estimate")
+        check_normal(mean * factor, "the MC estimate")
     points, replicates = lattice_shape(samples)
     return MCEstimate(mean=mean * factor, stderr=stderr * factor, samples=points * replicates,
                       accepted=accepted, replicates=replicates)
 
 
-def _normal(x, name: str):
+def check_normal(x, name: str):
     """x, a float or an array; DomainError unless each value is a normal float."""
     if not np.all((np.abs(x) >= _FLOAT_TINY) & (np.abs(x) < np.inf)):
         raise DomainError(f"{name} leaves the float range: {x} is not a normal float")
@@ -397,10 +422,12 @@ def sigma_p(
 
 
 def _dilation_weight(params: SpaceParams, phi: ScalarField, R: float) -> Callable:
-    """The weight phi + Z phi / Q, Z = sum_l (x_l - a_l) d_l + 2k (t - s) d_t,
-    at the point of B_R that each row of the unit ball maps to: Z f(h) = 4k h
-    f'(h) at h = R^(4k) h_1, and any other field dots its 2-jet's gradient
-    with Z at x0 + D y, D the half-widths of B_R's box."""
+    """The weight (phi + Z phi / Q) exp(x), Z = sum_l (x_l - a_l) d_l + 2k (t
+    - s) d_t, at the point of B_R that each row of the unit ball maps to: Z
+    f(h) = 4k h f'(h) at H = R^(4k) h, and any other field dots its 2-jet's
+    gradient with Z at x0 + D y, D the half-widths of B_R's box.  For the
+    bump exp(-H/g), g = B - H, it is exp(x - q) (1 - (4k/Q) q B/g) with q =
+    H/g, one exp, and 0 from the support's edge on."""
     k, Q = params.k, params.Q
     log_half = np.full(params.dim, math.log(R) - math.log(abs(params.c)) / (2 * k))
     log_half[-1] = 2 * k * math.log(R)
@@ -411,20 +438,36 @@ def _dilation_weight(params: SpaceParams, phi: ScalarField, R: float) -> Callabl
         if top == math.inf:
             raise DomainError(f"R^(4k) at R = {R!r} leaves the float range: {top} is not finite")
         scale = 4 * k / Q
+        if isinstance(phi, CutoffBump):
+            B, edge = phi.B, phi.edge
 
-        def weight_of_h(h, _):
+            def bump_weight(h, x, _):
+                H = top * h
+                g = B - H
+                with np.errstate(divide="ignore"):  # g = 0 at H = B, past the edge
+                    q = H / g
+                x -= q
+                out = np.exp(x, out=x)
+                out *= 1.0 - scale * q * B / g
+                if top >= edge:  # H < R^(4k): no row reaches the edge before
+                    out[H >= edge] = 0.0
+                return out
+
+            return bump_weight
+
+        def weight_of_h(h, x, _):
             h = top * h
-            return phi.values_of_h(h) + scale * h * phi.d_dh_of_h(h)
+            return (phi.values_of_h(h) + scale * h * phi.d_dh_of_h(h)) * np.exp(x)
 
         return weight_of_h
-    _normal(half, f"the half-widths of the box of B_R at R = {R!r}")
+    check_normal(half, f"the half-widths of the box of B_R at R = {R!r}")
     generator = np.full(params.dim, 1.0 / Q)
     generator[-1] = 2 * k / Q
 
-    def weight(h, points):
+    def weight(h, x, points):
         offsets = points() * half
         jet = phi.jet(params.x0 + offsets)
-        return jet.value + (offsets * generator * jet.grad).sum(axis=1)
+        return (jet.value + (offsets * generator * jet.grad).sum(axis=1)) * np.exp(x)
 
     return weight
 

@@ -281,6 +281,32 @@ def reference_bump_d_dh(bump, h):
     return out
 
 
+# The kernel hands each weight x = log(|grad_0 psi|^p h^h_power) of its
+# rows, and the bump's weights fold into one exp of it.  These are the
+# folded forms in the kernel's order of float operations, so that its runs
+# match `reference_lattice` bit for bit.
+
+
+def folded_bump_density(bump, top, scale, h, x):
+    """(phi(H) + scale H phi'(H)) exp(x) of the bump phi = exp(-H/g), g = B -
+    H, at H = top h: exp(x - q) (1 - scale q B / g), q = H / g, and 0 from
+    the support's edge B (1 - 1e-12) on."""
+    H = top * h
+    g = bump.B - H
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = H / g
+        out = np.exp(x - q) * (1.0 - scale * q * bump.B / g)
+    out[H >= bump.B * (1.0 - 1e-12)] = 0.0
+    return out
+
+
+def folded_bump_slope(bump, sign, h, x):
+    """-sign exp(x - h/g - 2 log g), g = B - h: sign exp(x) times the bump's
+    d phi/dh over B, on h < B."""
+    g = bump.B - h
+    return -sign * np.exp(x - h / g - 2.0 * np.log(g))
+
+
 def reference_sample_points(params, count, seed):
     """`sample_points` by whole point arrays: the box of B_2, psi >= 0.05, Sigma >= 1e-10."""
     from sublap.montecarlo import STREAM_POINTS, _rng

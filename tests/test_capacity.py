@@ -301,6 +301,13 @@ class TestMCEnergy:
         closed = closed_form_capacity(setup_a, 3.0, 1.0, 2.0)
         assert abs(est.mean - closed) <= 3.0 * est.stderr + 0.01 * closed
 
+    def test_rows_stay_in_the_floats(self, setup_a):
+        # p = 1.01, r/R = 0.095: |eta'|^p = |s|^p h^(p e/(4k)) with p e = -303,
+        # so h^(p e/(4k)) = psi^-303 passes 1e308 near psi = r/R, where |s|^p
+        # is about 1e-307; the run takes (h/lo)^(p e/(4k)), at most 1
+        est = mc_energy(setup_a, 1.01, 0.095, 1.0, 10**6, 7, threads=1)
+        assert 0.0 < est.mean < np.inf and 0.0 < est.stderr < np.inf
+
     def test_blow_up_near_degenerate_annulus(self, setup_a):
         wide = mc_energy(setup_a, 2.0, 1.0, 2.0, 10**5, 7)
         thin = mc_energy(setup_a, 2.0, 1.9, 2.0, 10**5, 7)

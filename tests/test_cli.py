@@ -335,18 +335,25 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["results"][0]["value"] == pytest.approx(value, rel=1e-12)
 
-    @pytest.mark.parametrize("argv", [
-        # the pairing -1.12e-310 against an exact -1.15e-310: exit 0 before
-        ["dirac", "--radii", "0.99965,0.5", "--samples", "100000"],
-        ["sigma", "--k", "0.5", "--p", "3", "--c", "1e-310"],
-    ], ids=["dirac-subnormal-pairing", "sigma-subnormal"])
-    def test_subnormal_estimate_exits_one(self, capsys, recwarn, argv):
+    @pytest.mark.parametrize("argv,error", [
+        # the exact pairing -1.15e-310 at r = 0.99965 is checked before any
+        # draw, so the exit code does not hang on the sample count: at 1e5
+        # the estimate -1.12e-310 exited 1 and at 1e4 a unit run of exactly
+        # 0 exited 0, before
+        (["dirac", "--radii", "0.99965,0.5", "--samples", "100000"],
+         "error: the exact pairing at r = 0.99965 leaves the float range"),
+        (["dirac", "--radii", "0.99965,0.5", "--samples", "10000", "--seed", "7"],
+         "error: the exact pairing at r = 0.99965 leaves the float range"),
+        (["sigma", "--k", "0.5", "--p", "3", "--c", "1e-310"],
+         "error: the MC estimate leaves the float range"),
+    ], ids=["dirac-subnormal-pairing", "dirac-subnormal-pairing-1e4", "sigma-subnormal"])
+    def test_subnormal_estimate_exits_one(self, capsys, recwarn, argv, error):
         # every reported MC value passes one rule: a normal float, or 0
-        # from a unit run of 0
+        # from a unit run of 0; and every exact pairing is a normal float
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the MC estimate leaves the float range")
+        assert captured.err.startswith(error)
         assert "is not a normal float" in captured.err
         assert not recwarn.list
 

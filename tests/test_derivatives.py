@@ -21,7 +21,7 @@ from sublap import (
     horizontal_gradient,
     sample_points,
 )
-from sublap.fields import gauge_parts, grad_psi_norm_pow
+from sublap.fields import gauge_parts, grad_psi_norm_pow, log_grad_psi_norm_pow
 
 RTOL = 1e-12
 
@@ -120,3 +120,31 @@ def test_grad_psi_power_on_the_axis(q):
     half = grad_psi_norm_pow(SpaceParams(1, 0.5, -1.7), sigma, h, q)
     np.testing.assert_allclose(half, 1.7**q, rtol=RTOL, atol=0.0)
     assert not grad_psi_norm_pow(SpaceParams(1, 1.0, -1.7), sigma, h, q).any()
+
+
+@pytest.mark.parametrize("h_power", [0.0, -1.25, 2.5])
+@pytest.mark.parametrize("q", [1.5, 3.0, P])
+def test_log_grad_psi_power(params, q, h_power):
+    # the MC kernel's x = log(|grad_0 psi|^q h^h_power): grad_psi_norm_pow
+    # is its exp bit for bit, and h_power adds h_power log h
+    pts = sample_points(params, 40, 17)
+    sigma, _, h = gauge_parts(params, pts)
+    x = log_grad_psi_norm_pow(params, sigma, h, q, h_power)
+    assert np.array_equal(np.exp(log_grad_psi_norm_pow(params, sigma, h, q)),
+                          grad_psi_norm_pow(params, sigma, h, q))
+    np.testing.assert_allclose(x, np.log(grad_psi_norm_pow(params, sigma, h, q))
+                               + h_power * np.log(h), rtol=RTOL, atol=RTOL)
+
+
+@pytest.mark.parametrize("h_power", [0.0, -1.25])
+def test_log_grad_psi_power_on_the_axis(h_power):
+    # Sigma = 0 with h > 0: -inf for k > 1/2, inf below, and at k = 1/2,
+    # where |grad_0 psi| = |c|, q log|c| + h_power log h
+    sigma, h = np.array([0.0, 0.3, 0.0]), np.array([0.7, 0.5, 0.4])
+    q = 3.0
+    above = log_grad_psi_norm_pow(SpaceParams(1, 1.0, -1.7), sigma, h, q, h_power)
+    below = log_grad_psi_norm_pow(SpaceParams(1, 0.25, -1.7), sigma, h, q, h_power)
+    half = log_grad_psi_norm_pow(SpaceParams(1, 0.5, -1.7), sigma, h, q, h_power)
+    assert above[0] == above[2] == -np.inf and below[0] == below[2] == np.inf
+    assert np.isfinite(above[1]) and np.isfinite(below[1])
+    np.testing.assert_allclose(half, q * np.log(1.7) + h_power * np.log(h), rtol=RTOL)

@@ -27,6 +27,7 @@ from sublap import (
     DomainError,
     Polynomial,
     SpaceParams,
+    closed_form_capacity,
     density_limit,
     dirac_limit,
     exponents,
@@ -196,6 +197,32 @@ class TestFiniteRadiusEstimates:
 
     def test_sigma_mean_at_setup_a(self):
         assert sigma_mean(SpaceParams(1, 1.0, 1.0), 2.0) == pytest.approx(math.pi / 4, rel=1e-14)
+
+
+class TestFoldedWeights:
+    """Each exponent of h and exact factor that the pairing and the energy
+    fold into the kernel's x, at p = 1.5, 3 and Q (the log case), on setups
+    A-D: the estimate against its closed form, within Z stderr."""
+
+    @pytest.fixture(params=["1.5", "3", "Q"], ids=lambda p: f"p={p}")
+    def space_p(self, request, setup):
+        params, _ = setup
+        return params, params.Q if request.param == "Q" else float(request.param)
+
+    def test_pairing_is_minus_the_bump(self, space_p):
+        # -phi(h = r^(4k)) at every r, with R0 = 1.5: r / R0 is what counts
+        params, p = space_p
+        bump, radii = CutoffBump(params, 1.5), [0.45, 0.15]
+        estimates = dirac_limit(params, p, bump, radii, 10**5, 47)
+        unit_bump = CutoffBump(params, 1.0)
+        for r, est in zip(radii, estimates):
+            assert_within_z(est, -float(unit_bump.values_of_h((r / 1.5) ** (4 * params.k))))
+
+    def test_energy_is_the_closed_form_capacity(self, space_p):
+        # R = 1.5 != 1, so R^(Q-p) is part of the factor
+        params, p = space_p
+        est = mc_energy(params, p, 0.9, 1.5, 10**5, 48)
+        assert_within_z(est, closed_form_capacity(params, p, 0.9, 1.5))
 
 
 @pytest.mark.parametrize("name", sorted(SEED_SETUPS))

@@ -15,9 +15,10 @@ import threading
 import numpy as np
 import pytest
 from helpers import (
+    folded_bump_density,
+    folded_bump_slope,
     reference_band,
     reference_bump,
-    reference_bump_d_dh,
     reference_centred_parts,
     reference_gauge_parts,
     reference_lattice,
@@ -44,7 +45,7 @@ from sublap import (
 )
 from sublap import frame
 from sublap import montecarlo
-from sublap.fields import AnnulusPotential, gauge_parts, grad_psi_norm_pow
+from sublap.fields import AnnulusPotential, gauge_parts, grad_psi_norm_pow, log_grad_psi_norm_pow
 from sublap.montecarlo import (
     CHUNK_ROWS,
     SHARD_SIZE,
@@ -76,6 +77,16 @@ def assert_same(est, ref):
 
 def power(params, p):
     return lambda pts, sigma, h: grad_psi_norm_pow(params.unit(), sigma, h, p)
+
+
+def log_power(params, p, h_power=0.0, lo=None):
+    """x = log(|grad_0 psi|^p h^h_power), which the kernel hands each weight,
+    and the log of the scale that takes a negative h_power to (h/lo)^h_power
+    on the band lo < h < 1, which band_estimate moves from its factor into
+    the run."""
+    log_scale = -h_power * math.log(lo) if h_power < 0 else 0.0
+    return (lambda sigma, h: log_grad_psi_norm_pow(params.unit(), sigma, h, p, h_power)
+            + log_scale), log_scale
 
 
 def times(ref, log_factor):
@@ -123,29 +134,22 @@ def test_ball_measure(params, threads):
     assert_same(est, ball_reference(params, SAMPLES, (4, 0)))
 
 
-def density_reference(params, phi_weight):
+def density_reference(params, weight):
     """The sphere average of density_limit's first radius as one unit ball
-    integrand: phi + Z phi / Q from phi_weight(pts, h) at the unit ball's
-    points and h, times |grad_0 psi|^P, on the stream (STREAM_DENSITY, 0),
-    over sigma_P of the unit space, an exact factor."""
-
-    def weight(pts, sigma, h):
-        return phi_weight(pts, h) * power(params, P)(pts, sigma, h)
-
+    integrand: (phi + Z phi / Q) |grad_0 psi|^P from weight(pts, sigma, h)
+    at the unit ball's points, Sigma and h, on the stream (STREAM_DENSITY,
+    0), over sigma_P of the unit space, an exact factor."""
     band = reference_band(params, None, 1.0, weight)
     ref = reference_lattice(params, band, SAMPLES, SEED, (STREAM_DENSITY, 0))
     return times(ref, -math.log(sigma_p_exact(params.unit(), P)))
 
 
 def bump_weight(params, bump, R):
-    """phi + Z phi / Q of the bump at h = R^(4k) h_1, Z phi = 4k h phi'(h)."""
+    """(phi + Z phi / Q) |grad_0 psi|^P of the bump at H = R^(4k) h_1, Z phi =
+    4k H phi'(H), folded into one exp."""
     scale, top = 4 * params.k / params.Q, float(np.exp(4 * params.k * math.log(R)))
-
-    def weight(pts, h):
-        h = top * h
-        return reference_bump(bump, h) + scale * h * reference_bump_d_dh(bump, h)
-
-    return weight
+    x, _ = log_power(params, P)
+    return lambda pts, sigma, h: folded_bump_density(bump, top, scale, h, x(sigma, h))
 
 
 def polynomial_weight(params, phi, R):
@@ -157,9 +161,10 @@ def polynomial_weight(params, phi, R):
     log_half[-1] = 2 * params.k * math.log(R)
     half = np.exp(log_half)
 
-    def weight(pts, h):
+    def weight(pts, sigma, h):
         jet = phi.jet(params.x0 + pts * half)
-        return jet.value + (pts * half * generator * jet.grad).sum(axis=1)
+        return ((jet.value + (pts * half * generator * jet.grad).sum(axis=1))
+                * power(params, P)(pts, sigma, h))
 
     return weight
 
@@ -186,38 +191,45 @@ def test_shell_integral_with_polynomial(params, threads):
 
 
 def test_weak_pairing(params, threads):
-    # the unit annulus (r/R0, 1) against the unit bump, with no factor: u is
-    # the unit space's profile, and c cancels
+    # the unit annulus (r/R0, 1) against the unit bump: u is the unit
+    # space's profile, eta' = s psi^e, and c cancels; |s|^(P-1) 4k B is the
+    # factor and h^((4k-Q)/(4k)) is folded into x
     unit, k4, R0 = params.unit(), 4 * params.k, 1.25
     u = FundamentalProfile(unit, P, scale=normalization(unit, P, sigma_p_exact(unit, P)))
+    s, _ = u.slope_power
     phi = CutoffBump(unit, 1.0)
+    lo = (0.25 / R0) ** k4
+    x, log_scale = log_power(params, P, (k4 - params.Q) / k4, lo)
+    assert log_scale < 0  # 4k < Q in every space here: h^h_power peaks at lo
 
     def weight(pts, sigma, h):
-        psi = h ** (1.0 / k4)
-        s_u = u.eta_prime(psi)
-        s_phi = reference_bump_d_dh(phi, h)
-        return (np.abs(s_u) ** (P - 2.0) * s_u * s_phi * k4 * psi ** (k4 - 1.0)
-                * power(params, P)(pts, sigma, h))
+        return folded_bump_slope(phi, math.copysign(1.0, s), h, x(sigma, h))
 
     (est,) = dirac_limit(params, P, CutoffBump(params, R0), [0.25], SAMPLES, SEED, threads)
-    ref = reference_lattice(params, reference_band(params, (0.25 / R0) ** k4, 1.0, weight),
+    ref = reference_lattice(params, reference_band(params, lo, 1.0, weight),
                             SAMPLES, SEED, (STREAM_PAIRING, 0))
-    assert_same(est, ref)
+    log_factor = (P - 1.0) * math.log(abs(s)) + math.log(k4) + math.log(phi.B)
+    assert_same(est, times(ref, log_factor - log_scale))
 
 
 def energy_reference(params, r, R, samples):
     """The annulus energy in sigma_p units: R^(Q-p) times the reference run
-    of the unit annulus (r/R, 1) over the unit space's exact sigma_p."""
+    of the unit annulus (r/R, 1) over the unit space's exact sigma_p.  The
+    energy density |eta'|^P = |s|^P h^(P e/(4k)), eta' = s psi^e, is exp(x),
+    and |s|^P joins the factor."""
     k4, unit = 4 * params.k, params.unit()
-    potential = AnnulusPotential(unit, P, r / R, 1.0)
+    s, e = AnnulusPotential(unit, P, r / R, 1.0).slope_power
+    lo = (r / R) ** k4
+    x, log_scale = log_power(params, P, P * e / k4, lo)
 
     def weight(pts, sigma, h):
-        psi = h ** (1.0 / k4)
-        return np.abs(potential.eta_prime(psi)) ** P * power(params, P)(pts, sigma, h)
+        return np.exp(x(sigma, h))
 
-    ref = reference_lattice(params, reference_band(params, (r / R) ** k4, 1.0, weight),
+    ref = reference_lattice(params, reference_band(params, lo, 1.0, weight),
                             samples, SEED, (STREAM_ENERGY, 0))
-    return times(ref, (params.Q - P) * math.log(R) - math.log(sigma_p_exact(unit, P)))
+    log_factor = (P * math.log(abs(s)) + (params.Q - P) * math.log(R)
+                  - math.log(sigma_p_exact(unit, P)))
+    return times(ref, log_factor - log_scale)
 
 
 def test_mc_energy(params, threads):
@@ -246,8 +258,8 @@ def test_back_to_back_runs_match_reference(monkeypatch):
     # a thin weighted band 0.98 < psi < 1 in R^7
     bump = CutoffBump(seven, 1.1)
     k4 = 4 * seven.k
-    est = _mc_over_box(seven, P, lambda h, _: bump.values_of_h(h), lo=0.98**k4,
-                       samples=SAMPLES, seed=SEED, stream=(6, 0), threads=1)
+    est = _mc_over_box(seven, P, lambda h, x, _: bump.values_of_h(h) * np.exp(x),
+                       lo=0.98**k4, samples=SAMPLES, seed=SEED, stream=(6, 0), threads=1)
     ref = reference_lattice(seven, reference_band(
         seven, 0.98**k4, 1.0,
         lambda pts, sigma, h: reference_bump(bump, h) * power(seven, P)(pts, sigma, h)),

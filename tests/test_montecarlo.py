@@ -91,8 +91,8 @@ class TestSigmaP:
         # sigma_p at n = 3, k = 0.1, c = -1e10, p = 6.2, now stops at the
         # infinite-variance guard.)  SAMPLES fill three shards, so at two
         # threads a started worker sees them too
-        def weight(h, _):
-            return np.where(h < 0.5, np.inf, 1.0)
+        def weight(h, x, _):
+            return np.where(h < 0.5, np.inf, np.exp(x))
 
         with pytest.raises(DomainError, match="MC estimate leaves the float range"):
             _mc_over_box(setup_a, 2.0, weight, samples=SAMPLES, seed=7, stream=(1, 0),
